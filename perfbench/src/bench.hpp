@@ -29,8 +29,12 @@ struct Options {
 
 /// Seconds of all-core spinning before anything is timed.
 inline constexpr double kWarmSeconds = 3.0;
-/// Set-up repetitions whose median is setup_s.
-inline constexpr int kSetupRepeats = 5;
+/// Seconds spent repeating the set-up; setup_s is the median repetition.
+/// A fixed time, not a fixed count: a set-up of milliseconds then gets
+/// hundreds of repetitions and one of a few hundred ms still several.
+inline constexpr double kSetupSeconds = 3.0;
+/// Set-up repetitions at least, however long each takes.
+inline constexpr std::size_t kMinSetupRepeats = 5;
 
 class Report {
  public:
@@ -62,19 +66,31 @@ class Report {
 /// the first registry access does.
 double registry_work_ms();
 
-/// Median set-up cost over `repeats` repetitions, each the registry work
-/// followed by `workload_setup_s()` (which returns its own seconds).
+/// Calls `setup_s()` (which returns the seconds it took) for kSetupSeconds,
+/// and at least kMinSetupRepeats times; returns every value.
+template <class Setup>
+std::vector<double> repeat_setup(Setup&& setup_s) {
+  std::vector<double> seconds;
+  const std::int64_t deadline = now_ns() + std::int64_t(kSetupSeconds * 1e9);
+  while (seconds.size() < kMinSetupRepeats || now_ns() < deadline) {
+    seconds.push_back(setup_s());
+  }
+  return seconds;
+}
+
+/// Median set-up cost over repeat_setup(), each repetition the registry
+/// work followed by `workload_setup_s()` (which returns its own seconds).
 struct SetupTimes {
   double setup_s = 0.0;      ///< median of registry + workload set-up
   double registry_ms = 0.0;  ///< median of the registry part alone
 };
 template <class WorkloadSetup>
-SetupTimes time_setup(int repeats, WorkloadSetup&& workload_setup_s) {
-  std::vector<double> totals, registry;
-  for (int i = 0; i < repeats; ++i) {
+SetupTimes time_setup(WorkloadSetup&& workload_setup_s) {
+  std::vector<double> registry;
+  const std::vector<double> totals = repeat_setup([&] {
     registry.push_back(registry_work_ms());
-    totals.push_back(registry.back() / 1e3 + workload_setup_s());
-  }
+    return registry.back() / 1e3 + workload_setup_s();
+  });
   return {median(totals), median(registry)};
 }
 

@@ -188,9 +188,7 @@ Report run_fleet_smoke(const Options& opts) {
   const unsigned workers = load_width();
   warm_host(kWarmSeconds, workers);
 
-  // Fleet set-up takes milliseconds, so it is repeated more often.
-  const SetupTimes setup =
-      time_setup(3 * kSetupRepeats, [&] { return fleet_setup_s(opts.seed); });
+  const SetupTimes setup = time_setup([&] { return fleet_setup_s(opts.seed); });
   const serve::FleetSpec spec = fleet_smoke_spec(opts.seed);
   serve::FleetRunOptions run_options;
   run_options.workers = workers;

@@ -1,8 +1,8 @@
 // serve-mixed: a spawned `dtpm serve` on stdin/stdout, driven by a closed
-// loop that keeps three jobs in flight on one connection. About 95% of jobs
-// are single smoke-capped `run` jobs (Table-6.4 benchmark x paper policy x
-// platform x seed, a few ms each); about 5% are 256-device smoke fleets
-// that hold an executor for ~130 ms. Set-up ends when one dtpm run per
+// loop that keeps three jobs in flight on one connection. 95% of jobs are
+// single smoke-capped `run` jobs (Table-6.4 benchmark x paper policy x
+// platform x seed, a few ms each); every 20th is a 256-device smoke fleet
+// that holds an executor for ~130 ms. Set-up ends when one dtpm run per
 // platform has returned, which forces calibration inside the server.
 #include <algorithm>
 #include <array>
@@ -35,7 +35,10 @@ namespace {
 /// oversubscribed the host and run-job latency swung with it.
 constexpr unsigned kInFlight = 3;
 constexpr std::size_t kSequence = 1000;  ///< job templates, cycled
-constexpr double kFleetShare = 0.05;
+/// Every kFleetStride-th job is a fleet job. A fixed stride, not a random
+/// draw: fleet devices dominate runs_per_s, so a seed-dependent fleet share
+/// would move it from seed to seed.
+constexpr std::size_t kFleetStride = 20;
 constexpr std::size_t kFleetSpecs = 4;
 constexpr std::uint64_t kFleetDevices = 256;
 /// Run templates whose every result is checked against run_experiment.
@@ -78,8 +81,8 @@ JobMix make_job_mix(std::uint64_t seed) {
     mix.fleets.push_back(util::json_write(doc, 0));
   }
   for (std::size_t i = 0; i < kSequence; ++i) {
-    if (rng.uniform() < kFleetShare) {
-      mix.sequence.emplace_back(true, std::size_t(rng.engine()() % kFleetSpecs));
+    if (i % kFleetStride == kFleetStride - 1) {
+      mix.sequence.emplace_back(true, (i / kFleetStride) % kFleetSpecs);
       continue;
     }
     util::JsonValue run((util::JsonObject()));
@@ -299,14 +302,18 @@ class ServeHarness {
   std::unique_ptr<ChildProcess> child_;
 };
 
+/// What the in-process re-execution of a session's checked runs cost.
+struct SessionCheck {
+  std::map<std::size_t, double> exec_ms;  ///< per checked run template
+  std::uint64_t plant_substeps = 0;       ///< over the checked run templates
+  std::uint64_t control_steps = 0;
+};
+
 /// In-process execution of the session's checked jobs: every checked run
 /// result must equal run_experiment, every fleet aggregate run_fleet's.
-/// Returns the in-process exec ms of each checked run template.
-std::map<std::size_t, double> check_session(const JobMix& mix,
-                                            const Session& session,
-                                            Tracer& tracer, Report& report,
-                                            FleetTrace* fleets) {
-  std::map<std::size_t, double> exec_ms;
+SessionCheck check_session(const JobMix& mix, const Session& session,
+                           Tracer& tracer, Report& report) {
+  SessionCheck out;
   for (const auto& [index, results] : session.runs) {
     const sim::ExperimentConfig config = run_config(mix.runs[index]);
     const auto* model = model_for(config);
@@ -316,43 +323,28 @@ std::map<std::size_t, double> check_session(const JobMix& mix,
       Tracer::Scope s(tracer, "serve.exec");
       result = sim::run_experiment(config, model);
     }
-    exec_ms[index] = double(now_ns() - start) / 1e6;
+    out.exec_ms[index] = double(now_ns() - start) / 1e6;
+    out.plant_substeps += result.plant_substeps;
+    out.control_steps += result.control_steps;
     const std::string expected =
         util::json_write(without_wall(serve::run_summary_json(result)), 0);
     for (const auto& [summary, ms] : results) {
       report.check(summary == expected,
                    "served run differs from run_experiment: " + mix.runs[index]);
     }
-    if (fleets != nullptr) {
-      fleets->plant_substeps += result.plant_substeps;
-      fleets->control_steps += result.control_steps;
-    }
   }
+  serve::FleetRunOptions options;
+  options.workers = 1;
   for (const auto& [index, aggregates] : session.fleets) {
-    const serve::FleetSpec spec = fleet_spec(mix.fleets[index]);
-    std::string expected;
-    if (fleets != nullptr) {
-      const FleetTrace fleet = traced_fleet(spec, 1, tracer);
-      expected = fleet.aggregate_json;
-      fleets->aggregate_json = fleet.aggregate_json;
-      fleets->plant_substeps += fleet.plant_substeps;
-      fleets->control_steps += fleet.control_steps;
-      fleets->devices += fleet.devices;
-      fleets->failed += fleet.failed;
-      fleets->fleets += 1;
-      fleets->distinct_descriptors =
-          std::max(fleets->distinct_descriptors, fleet.distinct_descriptors);
-    } else {
-      serve::FleetRunOptions options;
-      options.workers = 1;
-      expected = util::json_write(serve::run_fleet(spec, options).aggregate.to_json(), 0);
-    }
+    const std::string expected = util::json_write(
+        serve::run_fleet(fleet_spec(mix.fleets[index]), options).aggregate.to_json(),
+        0);
     for (const std::string& aggregate : aggregates) {
       report.check(aggregate == expected,
                    "served fleet aggregate differs from run_fleet", kFleetDevices);
     }
   }
-  return exec_ms;
+  return out;
 }
 
 /// The serve-protocol layer metrics of one traced session.
@@ -418,8 +410,8 @@ void secondary_serve_layers(std::uint64_t seed, Tracer& tracer, Report& report) 
       server.drive(mix, "s", INT64_MAX, kSecondaryJobs, tracer);
   const util::JsonValue telemetry = server.shutdown();
   check_session_counts(session, report);
-  const auto exec_ms = check_session(mix, session, off, report, nullptr);
-  report_protocol_layers(mix, session, exec_ms, telemetry, tracer, report);
+  const SessionCheck checked = check_session(mix, session, off, report);
+  report_protocol_layers(mix, session, checked.exec_ms, telemetry, tracer, report);
 }
 
 Report run_serve_mixed(const Options& opts) {
@@ -430,11 +422,12 @@ Report run_serve_mixed(const Options& opts) {
 
   if (!opts.trace) {
     ServeHarness server;
-    std::vector<double> setups;
-    for (int i = 0; i < kSetupRepeats; ++i) {
-      if (i > 0) server.shutdown();
-      setups.push_back(server.start());
-    }
+    bool running = false;
+    const std::vector<double> setups = repeat_setup([&] {
+      if (running) server.shutdown();
+      running = true;
+      return server.start();
+    });
     // An untimed second of the same loop warms the executors' caches.
     const Session warm =
         server.drive(mix, "w", now_ns() + 1000000000, SIZE_MAX, off);
@@ -444,7 +437,7 @@ Report run_serve_mixed(const Options& opts) {
     server.shutdown();
     for (const Session* s : {&warm, &timed}) {
       check_session_counts(*s, report);
-      check_session(mix, *s, off, report, nullptr);
+      check_session(mix, *s, off, report);
     }
     report.check(percentile_supported(timed.run_latency_ms.size(), 99),
                  "too few run results for a p99", 0);
@@ -471,21 +464,39 @@ Report run_serve_mixed(const Options& opts) {
   check_session_counts(untraced, report);
   check_session_counts(traced, report);
   note_digest(opts, traced, report);
-  check_session(mix, untraced, off, report, nullptr);
+  check_session(mix, untraced, off, report);
+  const SessionCheck checked = check_session(mix, traced, tracer, report);
+
+  // The fleet layers of the served fleets, from run_fleet rebuilt in-process
+  // (fleet-smoke checks that rebuild against run_fleet byte for byte).
   FleetTrace fleets;
   fleets.fleets = 0;
-  const auto exec_ms = check_session(mix, traced, tracer, report, &fleets);
+  for (const auto& [index, aggregates] : traced.fleets) {
+    const FleetTrace fleet = traced_fleet(fleet_spec(mix.fleets[index]), 1, tracer);
+    report.attempt(fleet.devices);
+    report.check(fleet.failed == 0, "rebuilt served fleet failed devices",
+                 fleet.failed);
+    fleets.aggregate_json = fleet.aggregate_json;
+    fleets.plant_substeps += fleet.plant_substeps;
+    fleets.control_steps += fleet.control_steps;
+    fleets.devices += fleet.devices;
+    fleets.fleets += 1;
+    fleets.distinct_descriptors =
+        std::max(fleets.distinct_descriptors, fleet.distinct_descriptors);
+  }
 
   auto rate = [](const Session& s) {
     return double(s.runs_done + s.devices_done) / s.window_s;
   };
   report.metric("trace.overhead_runs_per_s", rate(traced) - rate(untraced), "1/s");
-  report.metric("thermal.plant_substeps", double(fleets.plant_substeps), "count");
-  report.metric("sim.control_steps", double(fleets.control_steps), "count");
+  report.metric("thermal.plant_substeps",
+                double(checked.plant_substeps + fleets.plant_substeps), "count");
+  report.metric("sim.control_steps",
+                double(checked.control_steps + fleets.control_steps), "count");
   // The server does its registry work inside set-up; measured here in-process.
   report.metric("sim.registry_init_ms",
-                time_setup(kSetupRepeats, [] { return 0.0; }).registry_ms, "ms");
-  report_protocol_layers(mix, traced, exec_ms, telemetry, tracer, report);
+                time_setup([] { return 0.0; }).registry_ms, "ms");
+  report_protocol_layers(mix, traced, checked.exec_ms, telemetry, tracer, report);
   report_fleet_layers(fleet_spec(mix.fleets.front()), fleets, tracer, report);
 
   std::vector<sim::ExperimentConfig> sample;

@@ -2,8 +2,16 @@
 // benchmark x the four paper policies x every registry platform x seeds, at
 // full run length on the default reference-rk4 engine, through BatchRunner
 // after per-platform calibration. Timed unit: one whole sweep.
+//
+// A pass is a closed loop of `workers` client threads, each submitting the
+// sweep's next run as a one-job BatchRunner batch and stamping its result
+// when that call returns. Handing BatchRunner the whole sweep as one batch
+// would return every result at once, so no result's own latency could be
+// seen from here.
 #include <algorithm>
+#include <atomic>
 #include <map>
+#include <thread>
 
 #include "bench.hpp"
 #include "host.hpp"
@@ -53,35 +61,55 @@ double calibrate_all(std::map<std::string, dtpm::sysid::IdentifiedPlatformModel>
 
 struct Sweep {
   std::vector<std::string> summaries;  ///< per run, serialized
-  std::vector<double> run_wall_ms;     ///< per run, construction to result
+  std::vector<double> run_ms;          ///< per run, submit to result
   std::uint64_t failed = 0;
   std::uint64_t plant_substeps = 0;
   std::uint64_t control_steps = 0;
   double wall_s = 0.0;
 };
 
-Sweep run_sweep(const sim::BatchRunner& runner,
-                const std::vector<sim::BatchJob>& jobs,
-                const sim::RunPlan& plan, Tracer& tracer) {
-  Tracer::Scope s(tracer, "sweep.pass");
+/// One pass over `batches` (one job each) by `clients` threads. Each run is
+/// recorded on its client's track of `tracer` once the pass is over.
+Sweep run_sweep(const std::vector<std::vector<sim::BatchJob>>& batches,
+                const sim::RunPlan& plan, unsigned clients, Tracer& tracer) {
+  struct Slot {
+    sim::BatchOutcome outcome;
+    std::int64_t submit_ns = 0;
+    std::int64_t result_ns = 0;
+    std::uint32_t client = 0;
+  };
+  std::vector<Slot> slots(batches.size());
+  std::atomic<std::size_t> next{0};
+  const sim::BatchRunner runner(1);
+  auto client = [&](std::uint32_t id) {
+    for (std::size_t i = next++; i < batches.size(); i = next++) {
+      Slot& slot = slots[i];
+      slot.client = id;
+      slot.submit_ns = now_ns();
+      slot.outcome = runner.run_collecting(batches[i], &plan);
+      slot.result_ns = now_ns();
+    }
+  };
   Sweep out;
   const std::int64_t start = now_ns();
-  sim::BatchOutcome outcome;
   {
-    Tracer::Scope batch(tracer, "sim.batch");
-    outcome = runner.run_collecting(jobs, &plan);
+    std::vector<std::thread> pool;
+    for (std::uint32_t c = 1; c < clients; ++c) pool.emplace_back(client, c);
+    client(0);
+    for (std::thread& t : pool) t.join();
   }
   out.wall_s = double(now_ns() - start) / 1e9;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (outcome.errors[i]) {
+  for (const Slot& slot : slots) {
+    tracer.record("sim.run", slot.submit_ns, slot.result_ns, slot.client + 1);
+    out.run_ms.push_back(double(slot.result_ns - slot.submit_ns) / 1e6);
+    if (slot.outcome.errors.at(0)) {
       ++out.failed;
       out.summaries.emplace_back("error");
       continue;
     }
-    const sim::RunResult& r = outcome.results[i];
+    const sim::RunResult& r = slot.outcome.results.at(0);
     out.plant_substeps += r.plant_substeps;
     out.control_steps += r.control_steps;
-    out.run_wall_ms.push_back(r.wall_time_s * 1e3);
     out.summaries.push_back(util::json_write(summary_without_wall(r), 0));
   }
   return out;
@@ -101,8 +129,7 @@ Report run_sweep_paper(const Options& opts) {
   warm_host(kWarmSeconds, workers);
 
   std::map<std::string, dtpm::sysid::IdentifiedPlatformModel> models;
-  const SetupTimes setup =
-      time_setup(kSetupRepeats, [&] { return calibrate_all(models); });
+  const SetupTimes setup = time_setup([&] { return calibrate_all(models); });
 
   const std::vector<sim::ExperimentConfig> configs = sweep_configs(opts.seed);
   std::vector<sim::BatchJob> jobs;
@@ -115,11 +142,12 @@ Report run_sweep_paper(const Options& opts) {
     jobs.push_back(std::move(job));
   }
   const sim::RunPlan plan(jobs);
-  const sim::BatchRunner runner(workers);
+  std::vector<std::vector<sim::BatchJob>> batches;
+  for (const sim::BatchJob& job : jobs) batches.push_back({job});
   Tracer off(false);
 
   // One untimed sweep: the reference every later sweep must reproduce.
-  const Sweep reference = run_sweep(runner, jobs, plan, off);
+  const Sweep reference = run_sweep(batches, plan, workers, off);
   report.attempt(jobs.size());
   report.check(reference.failed == 0, "sweep runs failed", reference.failed);
   const std::uint64_t reference_digest = sweep_digest(reference);
@@ -127,17 +155,13 @@ Report run_sweep_paper(const Options& opts) {
               hex64(reference_digest));
 
   if (!opts.trace) {
-    // BatchRunner hands every result back only when the whole sweep
-    // returns; a run's own latency is its wall time from construction to
-    // result (RunResult::wall_time_s), over every run of the window.
     std::vector<double> rates;
     std::vector<double> latency_ms;
     const std::int64_t deadline = now_ns() + std::int64_t(opts.seconds * 1e9);
     while (rates.size() < 3 || now_ns() < deadline) {
-      const Sweep pass = run_sweep(runner, jobs, plan, off);
+      const Sweep pass = run_sweep(batches, plan, workers, off);
       rates.push_back(double(jobs.size()) / pass.wall_s);
-      latency_ms.insert(latency_ms.end(), pass.run_wall_ms.begin(),
-                        pass.run_wall_ms.end());
+      latency_ms.insert(latency_ms.end(), pass.run_ms.begin(), pass.run_ms.end());
       report.attempt(jobs.size());
       report.check(sweep_digest(pass) == reference_digest,
                    "a sweep disagrees with the reference sweep", jobs.size());
@@ -152,8 +176,12 @@ Report run_sweep_paper(const Options& opts) {
   }
 
   Tracer tracer(true);
-  const Sweep untraced = run_sweep(runner, jobs, plan, off);
-  const Sweep traced = run_sweep(runner, jobs, plan, tracer);
+  const Sweep untraced = run_sweep(batches, plan, workers, off);
+  Sweep traced;
+  {
+    Tracer::Scope s(tracer, "sweep.pass");
+    traced = run_sweep(batches, plan, workers, tracer);
+  }
   report.attempt(2 * jobs.size());
   report.check(untraced.summaries == reference.summaries &&
                    traced.summaries == reference.summaries,
