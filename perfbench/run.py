@@ -3,9 +3,10 @@
 
 Usage (from the root of a checkout):
 
-    python3 perfbench/run.py --workload fleet-smoke --seed 1 --seconds 10 --trace 0
+    python3 perfbench/run.py --workload fleet-smoke --seed 1 --seconds 30 --trace 0
 
-Workloads: fleet-smoke, sweep-paper, serve-mixed. --trace 0 prints the
+Workloads: fleet-smoke, sweep-paper (both in BENCHMARK.json) and
+serve-mixed (run by hand; too unsteady to gate on). --trace 0 prints the
 end-to-end metrics, --trace 1 the per-layer ones (and writes a Chrome trace
 under .bench_out/). The last line of standard output is one JSON object:
 {"correct", "attempted", "failed", "metrics"}. Build output goes to standard
