@@ -79,8 +79,8 @@ const char kUsageText[] =
     "      a stable code and an exact $.path location. --platforms also\n"
     "      lints every registered platform; --deep adds the\n"
     "      equilibrium/stability pre-check. Exits non-zero only on errors.\n"
-    "  dtpm list <policies|governors|scenarios|platforms|presets|benchmarks"
-    "|engines> [--long]\n"
+    "  dtpm list <policies|governors|scenarios|platforms|benchmarks|engines>"
+    " [--long]\n"
     "      List registered names, one per line (--long adds descriptions).\n"
     "\n"
     "Each platform's identified model is calibrated on demand when a config\n"
@@ -210,7 +210,7 @@ void append_summary_row(std::ostream& out, const sim::ExperimentConfig& config,
                         const sim::RunResult& result,
                         const std::string& error) {
   out << std::setprecision(10) << config.benchmark << ','
-      << sim::resolved_policy_name(config) << ',' << config.seed << ','
+      << config.policy_name << ',' << config.seed << ','
       << sim::resolved_platform_name(config) << ','
       << (result.completed ? 1 : 0) << ',' << result.execution_time_s << ','
       << result.avg_platform_power_w << ',' << result.avg_soc_power_w << ','
@@ -223,7 +223,7 @@ void print_result_line(std::ostream& out, const sim::ExperimentConfig& config,
                        const sim::RunResult& result) {
   std::ostringstream line;
   line << std::fixed << std::setprecision(2) << config.benchmark << " ["
-       << sim::resolved_policy_name(config) << ", seed " << config.seed
+       << config.policy_name << ", seed " << config.seed
        << ", " << sim::resolved_platform_name(config)
        << "]: exec " << result.execution_time_s << " s, max T "
        << result.max_temp_stats.max() << " C, avg "
@@ -266,7 +266,7 @@ int run_command(const Options& options, std::ostream& out,
 
   std::filesystem::create_directories(options.out_dir);
   const std::string label = sanitize_label(config.benchmark) + "_" +
-                            sanitize_label(sim::resolved_policy_name(config));
+                            sanitize_label(config.policy_name);
   if (result.trace.has_value()) {
     const std::filesystem::path trace_path =
         std::filesystem::path(options.out_dir) / (label + "_trace.csv");
@@ -368,7 +368,7 @@ int sweep_command(const Options& options, std::ostream& out,
         std::replace(error.begin(), error.end(), ',', ';');
       }
       err << "dtpm: run " << i << " (" << configs[i].benchmark << ", "
-          << sim::resolved_policy_name(configs[i]) << ") failed: " << error
+          << configs[i].policy_name << ") failed: " << error
           << '\n';
     } else if (!options.quiet) {
       print_result_line(out, configs[i], outcome.results[i]);
@@ -379,7 +379,7 @@ int sweep_command(const Options& options, std::ostream& out,
       std::ostringstream name;
       name << "trace_" << std::setw(3) << std::setfill('0') << i << '_'
            << sanitize_label(configs[i].benchmark) << '_'
-           << sanitize_label(sim::resolved_policy_name(configs[i])) << ".csv";
+           << sanitize_label(configs[i].policy_name) << ".csv";
       outcome.results[i].trace->write_csv(
           (std::filesystem::path(options.out_dir) / name.str()).string(),
           util::kRoundTripPrecision);
@@ -778,7 +778,7 @@ int list_command(const std::vector<std::string>& args, std::ostream& out,
   }
   if (category.empty()) {
     err << "dtpm: list requires a category: policies, governors, scenarios, "
-           "platforms, presets, benchmarks\n";
+           "platforms, benchmarks, engines\n";
     return kUsage;
   }
 
@@ -819,9 +819,6 @@ int list_command(const std::vector<std::string>& args, std::ostream& out,
     }
     return kOk;
   }
-  if (category == "presets") {
-    return print_plain(sim::preset_names());
-  }
   if (category == "benchmarks") {
     return print_plain(workload::all_benchmark_names());
   }
@@ -844,8 +841,8 @@ int list_command(const std::vector<std::string>& args, std::ostream& out,
   err << "dtpm: "
       << util::unknown_name_message(
              "list category", category,
-             {"policies", "governors", "scenarios", "platforms", "presets",
-              "benchmarks", "engines"})
+             {"policies", "governors", "scenarios", "platforms", "benchmarks",
+              "engines"})
       << '\n';
   return kUsage;
 }

@@ -6,7 +6,8 @@
 //
 //   dtpm run   <config.json>  [--out DIR] [--with-model] [--quiet]
 //   dtpm sweep <grid.json>    [-j N] [--out DIR] [--smoke] [--quiet]
-//   dtpm list  <policies|governors|scenarios|presets|benchmarks> [--long]
+//   dtpm list  <policies|governors|scenarios|platforms|benchmarks|engines>
+//              [--long]
 //
 // Exit codes: 0 success, 1 config/runtime failure (including any failed run
 // in a sweep), 2 usage error.

@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
         std::rethrow_exception(outcome.errors[i]);
       } catch (const std::exception& e) {
         std::printf("  RUN FAILED %s (%s): %s\n", configs[i].benchmark.c_str(),
-                    sim::resolved_policy_name(configs[i]).c_str(), e.what());
+                    configs[i].policy_name.c_str(), e.what());
       }
       ++fam.crashed;
       ++total_crashes;
@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
     const auto violations = checker.check(configs[i], r);
     if (!violations.empty()) {
       std::printf("  INVARIANT FAILURES in %s (%s):\n%s",
-                  configs[i].benchmark.c_str(), sim::resolved_policy_name(configs[i]).c_str(),
+                  configs[i].benchmark.c_str(), configs[i].policy_name.c_str(),
                   sim::InvariantChecker::describe(violations).c_str());
     }
     fam.invariant_violations += int(violations.size());

@@ -26,7 +26,7 @@ std::string num(double value) {
 void lint_policy_params(const sim::ExperimentConfig& config,
                         const std::string& path, util::DiagnosticSink& sink) {
   if (config.policy_params.empty()) return;
-  const std::string policy = sim::resolved_policy_name(config);
+  const std::string& policy = config.policy_name;
   const std::string governor = sim::resolved_governor_name(config);
   const governors::ParamSchema policy_schema =
       governors::PolicyRegistry::instance().param_schema(policy);

@@ -380,30 +380,36 @@ void Server::handle_submit(Request&& request,
     return;
   }
   pending_.fetch_add(1, std::memory_order_relaxed);
-  if (!queue_.try_push(job)) {
-    {
-      std::lock_guard<std::mutex> lock(jobs_mutex_);
-      jobs_.erase(job->id);
+  {
+    // Push and ack under the reply lock: an idle executor may pop the job
+    // the moment it is queued, and its result must not reach the stream
+    // before the ack.
+    std::lock_guard<std::mutex> lock(out_mutex_);
+    if (queue_.try_push(job)) {
+      telemetry_.jobs_submitted.fetch_add(1, std::memory_order_relaxed);
+      telemetry_.observe_queue_depth(queue_.depth());
+      JsonValue ack = make_ack(job->id, queue_.depth());
+      if (!notes.empty()) ack.set("diagnostics", diagnostics_json(notes));
+      write_reply(ack);
+      return;
     }
-    {
-      std::lock_guard<std::mutex> lock(pending_mutex_);
-      pending_.fetch_sub(1, std::memory_order_relaxed);
-    }
-    pending_cv_.notify_all();
-    emit(queue_.stopped()
-             ? make_error(kCodeDraining, "server is stopping", job->id)
-             : make_error(kCodeQueueFull,
-                          "job queue is full (capacity " +
-                              std::to_string(queue_.capacity()) +
-                              "), retry after a result lands",
-                          job->id));
-    return;
   }
-  telemetry_.jobs_submitted.fetch_add(1, std::memory_order_relaxed);
-  telemetry_.observe_queue_depth(queue_.depth());
-  JsonValue ack = make_ack(job->id, queue_.depth());
-  if (!notes.empty()) ack.set("diagnostics", diagnostics_json(notes));
-  emit(ack);
+  {
+    std::lock_guard<std::mutex> lock(jobs_mutex_);
+    jobs_.erase(job->id);
+  }
+  {
+    std::lock_guard<std::mutex> lock(pending_mutex_);
+    pending_.fetch_sub(1, std::memory_order_relaxed);
+  }
+  pending_cv_.notify_all();
+  emit(queue_.stopped()
+           ? make_error(kCodeDraining, "server is stopping", job->id)
+           : make_error(kCodeQueueFull,
+                        "job queue is full (capacity " +
+                            std::to_string(queue_.capacity()) +
+                            "), retry after a result lands",
+                        job->id));
 }
 
 void Server::handle_status(const Request& request) {
@@ -440,6 +446,10 @@ void Server::handle_cancel(const Request& request) {
 
 void Server::emit(const JsonValue& reply) {
   std::lock_guard<std::mutex> lock(out_mutex_);
+  write_reply(reply);
+}
+
+void Server::write_reply(const JsonValue& reply) {
   if (out_ == nullptr) return;
   *out_ << util::json_write(reply, 0) << '\n';
   out_->flush();

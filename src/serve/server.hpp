@@ -113,6 +113,8 @@ class Server {
 
   /// One NDJSON reply line to the live session (dropped when none).
   void emit(const util::JsonValue& reply);
+  /// emit() for a caller that already holds out_mutex_.
+  void write_reply(const util::JsonValue& reply);
 
   util::JsonValue server_status_json();
   util::JsonValue job_status_json(const JobRecord& job);

@@ -148,7 +148,9 @@ std::vector<ExperimentConfig> sweep(const SweepGrid& grid) {
       grid.benchmarks.empty() ? std::vector<std::string>{grid.base.benchmark}
                               : grid.benchmarks;
   const std::vector<std::string> policies =
-      merged_policy_axis(grid.policies, grid.policy_names, grid.base);
+      grid.policy_names.empty()
+          ? std::vector<std::string>{grid.base.policy_name}
+          : grid.policy_names;
   const std::vector<std::uint64_t> seeds =
       grid.seeds.empty() ? std::vector<std::uint64_t>{grid.base.seed}
                          : grid.seeds;

@@ -101,11 +101,8 @@ struct SweepGrid {
   /// policy cell runs once per platform. Empty falls back to base's
   /// platform, so existing grids expand exactly as before.
   std::vector<std::string> platforms;
-  std::vector<Policy> policies;
-  /// Registry-name policy axis; appended after `policies` (mapped onto their
-  /// registry names), so enum-based and name-based selections mix freely and
-  /// user-registered policies sweep exactly like the built-ins. Both axes
-  /// empty falls back to base's resolved policy.
+  /// PolicyRegistry names; user-registered policies sweep exactly like the
+  /// built-ins. Empty falls back to base's policy.
   std::vector<std::string> policy_names;
   std::vector<std::uint64_t> seeds;
   std::vector<core::DtpmParams> dtpm_params;
@@ -115,8 +112,7 @@ struct SweepGrid {
 /// then policy, then DtpmParams, then seed), giving every config a
 /// deterministic seed from the grid -- the same grid always produces the
 /// same configs. Every generated config carries its policy by registry name
-/// (policy_name, enum shim kept in sync for the four paper policies) and
-/// its platform by descriptor (set_platform, which also adopts the
+/// and its platform by descriptor (set_platform, which also adopts the
 /// platform's default t_max unless a dtpm axis overrides it).
 std::vector<ExperimentConfig> sweep(const SweepGrid& grid);
 

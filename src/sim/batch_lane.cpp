@@ -512,8 +512,8 @@ std::vector<LockstepGroup> plan_lockstep_groups(
       singles.push_back(i);
       continue;
     }
-    // Value equality, not pointer identity: preset-only configs synthesize
-    // a fresh descriptor each, and sweeps mixing the two must still group.
+    // Value equality, not pointer identity: equal descriptors built
+    // separately (inline JSON, hand-built copies) must still group.
     const PlatformPtr platform = resolved_platform(config);
     bool placed = false;
     for (Bucket& b : buckets) {

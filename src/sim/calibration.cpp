@@ -360,11 +360,10 @@ std::size_t second_op_index(Resource r) {
 CalibrationArtifacts calibrate_platform_full(const CalibrationOptions& options) {
   CalibrationArtifacts art;
   util::Rng root(options.seed);
-  const PlatformPtr platform =
-      options.platform != nullptr
-          ? options.platform
-          : std::make_shared<const PlatformDescriptor>(
-                descriptor_from_preset(options.preset));
+  const PlatformPtr& platform = options.platform;
+  if (platform == nullptr) {
+    throw std::invalid_argument("calibrate_platform: null platform descriptor");
+  }
 
   // --- 1. Furnace leakage characterization -----------------------------------
   for (Resource r : power::all_resources()) {
@@ -411,8 +410,8 @@ const CalibrationArtifacts& platform_calibration(const PlatformPtr& platform) {
     throw std::invalid_argument("platform_calibration: null platform");
   }
   // The default platform shares the default_calibration() artifacts, so
-  // legacy callers and platform-aware callers agree on one model.
-  if (*platform == PlatformDescriptor{}) return default_calibration();
+  // every caller agrees on one Odroid model.
+  if (*platform == *default_platform()) return default_calibration();
 
   // Keyed by descriptor *identity* (pointer fast path, then memberwise
   // equality), never by name alone: two different descriptors that happen to

@@ -21,7 +21,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/preset.hpp"
+#include "sim/platform.hpp"
 #include "sysid/arx_fit.hpp"
 #include "sysid/leakage_fit.hpp"
 #include "sysid/model_store.hpp"
@@ -29,12 +29,8 @@
 namespace dtpm::sim {
 
 struct CalibrationOptions {
-  /// Legacy scalar-parameter plant description; used only when `platform`
-  /// is null (the workflow then runs against the default Odroid topology
-  /// with these parameters).
-  PlatformPreset preset = default_preset();
-  /// The platform to calibrate. Null = descriptor_from_preset(preset).
-  PlatformPtr platform;
+  /// The platform to calibrate (never null).
+  PlatformPtr platform = default_platform();
   double control_interval_s = 0.1;
   double plant_substep_s = 0.02;
 

@@ -1,78 +1,30 @@
-// The Policy-enum compatibility shim: the enum is nothing but four registry
-// names, and this is the single place that knows the mapping (previously a
-// switch copy-pasted between engine.cpp and control_stack.cpp).
 #include "sim/config.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
 #include "sim/platform_registry.hpp"
-#include "util/names.hpp"
 
 namespace dtpm::sim {
-
-const char* to_string(Policy p) {
-  switch (p) {
-    case Policy::kDefaultWithFan:
-      return "default+fan";
-    case Policy::kWithoutFan:
-      return "no-fan";
-    case Policy::kReactive:
-      return "reactive";
-    case Policy::kProposedDtpm:
-      return "dtpm";
-  }
-  return "?";
-}
-
-const std::vector<std::string>& paper_policy_names() {
-  static const std::vector<std::string> names = {
-      to_string(Policy::kDefaultWithFan), to_string(Policy::kWithoutFan),
-      to_string(Policy::kReactive), to_string(Policy::kProposedDtpm)};
-  return names;
-}
-
-std::optional<Policy> try_parse_policy(const std::string& name) {
-  for (Policy p : {Policy::kDefaultWithFan, Policy::kWithoutFan,
-                   Policy::kReactive, Policy::kProposedDtpm}) {
-    if (name == to_string(p)) return p;
-  }
-  return std::nullopt;
-}
-
-Policy parse_policy(const std::string& name) {
-  const std::optional<Policy> parsed = try_parse_policy(name);
-  if (!parsed.has_value()) {
-    throw std::invalid_argument("parse_policy: " + util::unknown_name_message(
-                                                      "policy", name,
-                                                      paper_policy_names()));
-  }
-  return *parsed;
-}
-
-std::string resolved_policy_name(const ExperimentConfig& config) {
-  return config.policy_name.empty() ? to_string(config.policy)
-                                    : config.policy_name;
-}
 
 std::string resolved_governor_name(const ExperimentConfig& config) {
   return config.governor_name.empty() ? "ondemand" : config.governor_name;
 }
 
 PlatformPtr resolved_platform(const ExperimentConfig& config) {
-  if (config.platform != nullptr) return config.platform;
-  return std::make_shared<const PlatformDescriptor>(
-      descriptor_from_preset(config.preset));
+  if (config.platform == nullptr) {
+    throw std::invalid_argument("ExperimentConfig: null platform descriptor");
+  }
+  return config.platform;
 }
 
 std::string resolved_platform_name(const ExperimentConfig& config) {
-  return config.platform != nullptr ? config.platform->name : "odroid-xu-e";
+  return resolved_platform(config)->name;
 }
 
 bool needs_identified_model(const ExperimentConfig& config) {
-  return resolved_policy_name(config) == "dtpm" || config.observe_predictions;
+  return config.policy_name == "dtpm" || config.observe_predictions;
 }
 
 void set_platform(ExperimentConfig& config, const std::string& name) {
@@ -88,15 +40,11 @@ void set_platform(ExperimentConfig& config, PlatformPtr platform) {
   // cheaply.
   platform->validate();
   config.platform = std::move(platform);
-  config.preset = preset_from_descriptor(*config.platform);
   config.dtpm.t_max_c = config.platform->default_t_max_c;
 }
 
 void set_policy(ExperimentConfig& config, const std::string& name) {
   config.policy_name = name;
-  if (const std::optional<Policy> p = try_parse_policy(name)) {
-    config.policy = *p;
-  }
 }
 
 void apply_smoke_caps(ExperimentConfig& config) {
@@ -104,18 +52,6 @@ void apply_smoke_caps(ExperimentConfig& config) {
   config.max_sim_time_s = std::min(config.max_sim_time_s, 15.0);
   config.record_trace = false;
   config.observe_predictions = false;
-}
-
-std::vector<std::string> merged_policy_axis(
-    const std::vector<Policy>& policies,
-    const std::vector<std::string>& policy_names,
-    const ExperimentConfig& base) {
-  std::vector<std::string> merged;
-  merged.reserve(policies.size() + policy_names.size());
-  for (Policy p : policies) merged.emplace_back(to_string(p));
-  merged.insert(merged.end(), policy_names.begin(), policy_names.end());
-  if (merged.empty()) merged.push_back(resolved_policy_name(base));
-  return merged;
 }
 
 }  // namespace dtpm::sim

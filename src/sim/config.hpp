@@ -11,38 +11,12 @@
 #include <vector>
 
 #include "core/dtpm_governor.hpp"
-#include "sim/preset.hpp"
+#include "sim/platform.hpp"
 #include "sim/stepping_engine.hpp"
 #include "workload/background.hpp"
 #include "workload/benchmark.hpp"
 
 namespace dtpm::sim {
-
-/// The experimental configurations of §6.2. Compatibility shim only: the
-/// source of truth for selectable policies is governors::PolicyRegistry, and
-/// each enumerator is just a registry name ("default+fan", "no-fan",
-/// "reactive", "dtpm") -- see to_string/parse_policy. New code should select
-/// policies via ExperimentConfig::policy_name.
-enum class Policy {
-  kDefaultWithFan,  ///< stock ondemand + fan controller
-  kWithoutFan,      ///< fan disabled, no thermal management
-  kReactive,        ///< heuristic mimicking the fan policy with throttling
-  kProposedDtpm,    ///< the paper's contribution
-};
-
-/// Registry name of the enumerator ("default+fan", "no-fan", ...).
-const char* to_string(Policy p);
-
-/// Inverse of to_string; throws std::invalid_argument (with the valid names
-/// and a nearest-match suggestion) when the name is not one of the four
-/// paper policies. Registry-only policies have no enumerator by design.
-Policy parse_policy(const std::string& name);
-
-/// Like parse_policy, but returns nullopt instead of throwing.
-std::optional<Policy> try_parse_policy(const std::string& name);
-
-/// The four enum-backed registry names, in enumerator order.
-const std::vector<std::string>& paper_policy_names();
 
 struct ExperimentConfig {
   std::string benchmark = "basicmath";
@@ -52,26 +26,20 @@ struct ExperimentConfig {
   /// configs stay cheap to copy across BatchRunner workers; this is how the
   /// ScenarioCatalog feeds generated scenarios into batches.
   std::shared_ptr<const workload::Benchmark> scenario;
-  Policy policy = Policy::kDefaultWithFan;
-  /// Registry name of the thermal policy to run. When non-empty it takes
-  /// precedence over `policy` (which then only matters to legacy readers);
-  /// when empty the enum is mapped onto its registry name. This is how
-  /// user-registered policies -- which have no enumerator -- are selected.
-  std::string policy_name;
+  /// Registry name of the thermal policy to run: one of the four §6.2
+  /// configurations ("default+fan", "no-fan", "reactive", "dtpm") or any
+  /// policy registered at startup.
+  std::string policy_name = "default+fan";
   /// Free-form numeric knobs handed to the policy factory
   /// (governors::PolicyContext::params); built-in policies ignore it.
   std::map<std::string, double> policy_params;
   /// Registry name of the default governor; empty means "ondemand".
   std::string governor_name;
-  /// Legacy scalar-parameter view of the platform. When `platform` is null
-  /// the plant is built from these (with the default Odroid topology), so
-  /// code that tweaks preset fields keeps working; when `platform` is set
-  /// it is the source of truth and this mirrors its scalar params.
-  PlatformPreset preset = default_preset();
   /// The platform the experiment runs on: a shared descriptor from the
   /// PlatformRegistry ("platform": "dragon" in JSON) or a user-built one.
-  /// Select via set_platform() so `preset` and dtpm.t_max_c stay coherent.
-  PlatformPtr platform;
+  /// Never null; defaults to the registry's odroid-xu-e. Select via
+  /// set_platform() so dtpm.t_max_c follows the platform.
+  PlatformPtr platform = default_platform();
   core::DtpmParams dtpm{};  ///< used when the resolved policy is "dtpm"
 
   /// Explicit ambient background-load parameters. Unset (the default), the
@@ -109,22 +77,14 @@ struct ExperimentConfig {
   unsigned observe_horizon_steps = 10;
 };
 
-/// The registry name the config selects: `policy_name` when set, otherwise
-/// the enum's name. Every dispatch site (ControlStack, InvariantChecker,
-/// summary/labeling code) resolves through this, never through the enum.
-std::string resolved_policy_name(const ExperimentConfig& config);
-
 /// The default-governor registry name ("ondemand" when unset).
 std::string resolved_governor_name(const ExperimentConfig& config);
 
-/// The descriptor the plant is built from: `platform` when set, otherwise a
-/// descriptor synthesized from `preset` (default topology + the preset's
-/// parameters). Never null. Every dispatch site that needs platform data
-/// (Plant, InvariantChecker, calibration, summary labels) resolves through
-/// this.
+/// The descriptor the plant is built from: `config.platform`. Throws
+/// std::invalid_argument when a caller has nulled the (public) field.
 PlatformPtr resolved_platform(const ExperimentConfig& config);
 
-/// The platform name for labels/summaries ("odroid-xu-e" when unset).
+/// The platform name for labels/summaries.
 std::string resolved_platform_name(const ExperimentConfig& config);
 
 /// Whether running `config` requires the identified platform model (the
@@ -133,27 +93,17 @@ std::string resolved_platform_name(const ExperimentConfig& config);
 bool needs_identified_model(const ExperimentConfig& config);
 
 /// Selects a platform: by registry name or as an explicit descriptor.
-/// Syncs the legacy `preset` mirror and adopts the platform's recommended
-/// thermal constraint as dtpm.t_max_c (set config.dtpm afterwards to
-/// override).
+/// Adopts the platform's recommended thermal constraint as dtpm.t_max_c
+/// (set config.dtpm afterwards to override).
 void set_platform(ExperimentConfig& config, const std::string& name);
 void set_platform(ExperimentConfig& config, PlatformPtr platform);
 
-/// Selects a policy by registry name, keeping the enum shim in sync for the
-/// four paper policies (registry-only names rely on policy_name alone).
+/// Selects a policy by registry name (assigns policy_name).
 void set_policy(ExperimentConfig& config, const std::string& name);
 
 /// Caps simulated durations for CI-sized smoke runs and disables traces /
 /// prediction observation so artifact sizes stay bounded. One definition
 /// shared by the CLI's --smoke flag and the serve layer's smoke jobs.
 void apply_smoke_caps(ExperimentConfig& config);
-
-/// Merges an enum axis and a registry-name axis into one name axis (enum
-/// entries first, mapped onto their registry names), falling back to base's
-/// resolved policy when both are empty. The one policy-axis expansion rule,
-/// shared by sim::sweep and ScenarioCatalog::expand.
-std::vector<std::string> merged_policy_axis(
-    const std::vector<Policy>& policies,
-    const std::vector<std::string>& policy_names, const ExperimentConfig& base);
 
 }  // namespace dtpm::sim

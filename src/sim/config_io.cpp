@@ -965,7 +965,7 @@ JsonValue to_json(const ExperimentConfig& config) {
     scenario.set("benchmark", to_json(*config.scenario));
     json.set("scenario", std::move(scenario));
   }
-  json.set("policy", resolved_policy_name(config));
+  json.set("policy", config.policy_name);
   if (!config.policy_params.empty()) {
     JsonValue params((JsonObject()));
     for (const auto& [key, value] : config.policy_params) {
@@ -992,19 +992,16 @@ JsonValue to_json(const ExperimentConfig& config) {
     background.set("heavy_mem_intensity", b.heavy_mem_intensity);
     json.set("background", std::move(background));
   }
-  if (config.platform != nullptr) {
-    // Emit the compact registry reference when the descriptor is exactly a
-    // registered one; a customized descriptor rides along fully inline so
-    // every config stays lossless.
-    const PlatformRegistry& registry = PlatformRegistry::instance();
-    if (registry.contains(config.platform->name) &&
-        *registry.get(config.platform->name) == *config.platform) {
-      json.set("platform", config.platform->name);
-    } else {
-      json.set("platform", to_json(*config.platform));
-    }
+  // Emit the compact registry reference when the descriptor is exactly a
+  // registered one; a customized descriptor rides along fully inline so
+  // every config stays lossless.
+  const PlatformPtr platform = resolved_platform(config);
+  const PlatformRegistry& registry = PlatformRegistry::instance();
+  if (registry.contains(platform->name) &&
+      *registry.get(platform->name) == *platform) {
+    json.set("platform", platform->name);
   } else {
-    json.set("preset", "default");
+    json.set("platform", to_json(*platform));
   }
   json.set("dtpm", to_json(config.dtpm));
   json.set("engine", to_string(config.engine));
@@ -1149,17 +1146,6 @@ void experiment_into(ExperimentConfig& config, const JsonValue& json,
     });
   }
 
-  std::string preset;
-  reader.string("preset", preset);
-  if (!preset.empty()) {
-    try {
-      config.preset = preset_by_name(preset);
-    } catch (const std::exception&) {
-      sink.error(kCodeUnknownName, path + ".preset",
-                 util::unknown_name_message("preset", preset, preset_names()));
-    }
-  }
-
   // "platform" selects the plant: a registry name ("dragon") or a fully
   // inline descriptor object. Parsed before "dtpm" so the platform's
   // default t_max applies unless the document overrides it explicitly.
@@ -1177,8 +1163,8 @@ void experiment_into(ExperimentConfig& config, const JsonValue& json,
       }
     } else if (platform->is_object()) {
       // Adopt the inline descriptor only when its subtree parsed clean:
-      // set_platform derives the preset mirror from the descriptor, which
-      // a knowingly broken one cannot support.
+      // set_platform validates it, which a knowingly broken one cannot
+      // survive.
       const std::size_t errors_before = sink.error_count();
       PlatformDescriptor d = platform_from_json(*platform, platform_path,
                                                 sink);

@@ -43,7 +43,7 @@ ControlStack::ControlStack(
   policy_ = policy_override != nullptr
                 ? std::move(policy_override)
                 : governors::PolicyRegistry::instance().make(
-                      resolved_policy_name(config), context);
+                      config.policy_name, context);
   dtpm_ = dynamic_cast<core::DtpmGovernor*>(policy_.get());
 }
 

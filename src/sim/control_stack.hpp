@@ -18,10 +18,10 @@ namespace dtpm::sim {
 /// Default governor + thermal policy, evaluated in that order.
 class ControlStack {
  public:
-  /// Builds the governor and policy the config selects (by registry name;
-  /// the Policy enum is resolved through resolved_policy_name), or adopts
-  /// `policy_override` (any user-defined governors::ThermalPolicy) when one
-  /// is supplied. The "dtpm" policy requires `model`. A non-null `platform`
+  /// Builds the governor and policy the config selects by registry name, or
+  /// adopts `policy_override` (any user-defined governors::ThermalPolicy)
+  /// when one is supplied. The "dtpm" policy requires `model`. A non-null
+  /// `platform`
   /// hands the factories the platform's OPP tables through
   /// PolicyContext::big_opps/little_opps/gpu_opps, so registry policies
   /// propose frequencies from the plant they actually run on; null keeps

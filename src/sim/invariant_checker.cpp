@@ -165,9 +165,8 @@ std::vector<InvariantViolation> InvariantChecker::check(
                          platform->platform_load.display_w;
   const double dtpm_trigger_c =
       config.dtpm.t_max_c - config.dtpm.guard_band_c;
-  // Registry-name dispatch: the budget contract binds whenever the config
-  // selects the DTPM governor, whether via the enum shim or by name.
-  const bool dtpm_policy = resolved_policy_name(config) == "dtpm";
+  // The budget contract binds whenever the config selects the DTPM governor.
+  const bool dtpm_policy = config.policy_name == "dtpm";
 
   double prev_time = -1.0;
   double prev_progress = 0.0;

@@ -39,10 +39,6 @@ Plant::Plant(const PlatformDescriptor& platform, util::Rng& root,
   soc_.apply(initial);
 }
 
-std::vector<double> Plant::read_temps() {
-  return temp_bank_.read(floorplan_.network.temperatures_c());
-}
-
 void Plant::read_temps_into(std::vector<double>& readings_out) {
   if (staged_noise_ != nullptr) {
     temp_bank_.read_with_noise_into(floorplan_.network.temperatures_c(),

@@ -54,9 +54,8 @@ class Plant {
         const thermal::Floorplan* floorplan_template = nullptr,
         Engine engine = Engine::kReferenceRk4);
 
-  /// Sensor sampling (start of a control interval).
-  std::vector<double> read_temps();
-  /// Allocation-free variant: clears and refills `readings_out`.
+  /// Sensor sampling (start of a control interval); allocation-free: clears
+  /// and refills `readings_out`.
   void read_temps_into(std::vector<double>& readings_out);
   power::ResourceVector read_rails(const power::ResourceVector& true_avg_w);
   double read_platform_power(const power::ResourceVector& true_avg_w,

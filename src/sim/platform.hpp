@@ -2,11 +2,9 @@
 // simulated plant -- floorplan topology with role mapping, cluster/core
 // layout, OPP tables, leakage and dynamic-power coefficients, sensor
 // placement/quantization, fan model, and fixed platform loads -- as plain
-// serializable data. It replaces the compile-time PlatformPreset
-// struct-of-structs as the source of truth for what hardware an experiment
-// runs on: Plant, Simulation, calibration, the InvariantChecker, and the
-// governors all consume descriptors, while PlatformPreset survives as a thin
-// shim built *from* a descriptor (sim/preset.hpp).
+// serializable data. It is the single source of truth for what hardware an
+// experiment runs on: Plant, Simulation, calibration, the InvariantChecker,
+// and the governors all consume descriptors.
 //
 // Descriptors are selected by name through the PlatformRegistry
 // (sim/platform_registry.hpp) or defined inline in JSON config files
@@ -74,7 +72,7 @@ struct PlatformDescriptor {
   /// Hard simulation-abort ceiling: a run whose hottest true node exceeds
   /// this is declared thermal runaway and stopped (Simulation surfaces it in
   /// RunResult::runaway). 0 derives the platform-relative default
-  /// `default_t_max_c + kRunawayAbortMarginC`, which fanless presets use so
+  /// `default_t_max_c + kRunawayAbortMarginC`, which fanless platforms use so
   /// a skin-limited phone aborts near its own envelope instead of cooking
   /// ~60 C past it. The Odroid pins the legacy 115 C explicitly: its
   /// junction legitimately sustains ~106 C fan-off equilibria (the no-fan
@@ -115,5 +113,9 @@ inline bool operator!=(const PlatformDescriptor& a,
 }
 
 using PlatformPtr = std::shared_ptr<const PlatformDescriptor>;
+
+/// The PlatformRegistry's "odroid-xu-e" entry, looked up once per process:
+/// the default platform of every ExperimentConfig and CalibrationOptions.
+const PlatformPtr& default_platform();
 
 }  // namespace dtpm::sim

@@ -16,9 +16,7 @@ power::Opp opp(double mhz, double volt) { return {mhz * 1e6, volt}; }
 }  // namespace
 
 PlatformDescriptor odroid_xu_e_platform() {
-  // The default-constructed descriptor IS the Odroid: every member's default
-  // reproduces the legacy PlatformPreset{} plant exactly (pinned by
-  // tests/test_platform.cpp against the enum-era default_preset() path).
+  // The default-constructed descriptor IS the Odroid.
   return PlatformDescriptor{};
 }
 
@@ -182,7 +180,7 @@ PlatformDescriptor compact_platform() {
   link("gpu", "mem", 0.04);
   link("little", "gpu", 0.03);
   // The only exit is through the skin; a phone has no fan and little
-  // radiating area, which is exactly the tight headroom this preset models.
+  // radiating area, which is exactly the tight headroom this platform models.
   link("frame", "skin", 0.16);
   link("skin", "ambient", 0.095);
 
@@ -290,6 +288,12 @@ std::vector<std::string> PlatformRegistry::names() const {
 
 std::string PlatformRegistry::description(const std::string& name) const {
   return get(name)->description;
+}
+
+const PlatformPtr& default_platform() {
+  static const PlatformPtr odroid =
+      PlatformRegistry::instance().get("odroid-xu-e");
+  return odroid;
 }
 
 PlatformPtr PlatformRegistry::get(const std::string& name) const {

@@ -4,7 +4,7 @@
 // platforms axis, or the `dtpm` CLI, without touching library code.
 //
 // Pre-registered platforms:
-//   odroid-xu-e  the paper's board (byte-identical to the legacy default)
+//   odroid-xu-e  the paper's board, and every config's default platform
 //   dragon       Tegra-X1-like 4+4 tablet: shared die plate, fanless SKU
 //   compact      fanless phone-class SoC with tight skin-temperature headroom
 //

@@ -6,51 +6,19 @@
 
 namespace dtpm::sim {
 
-RunPlan::RunPlan(const thermal::FloorplanParams& params) {
-  PlatformPreset preset;
-  preset.floorplan = params;
-  cache_platform(std::make_shared<const PlatformDescriptor>(
-      descriptor_from_preset(preset)));
-}
-
 RunPlan::RunPlan(const std::vector<ExperimentConfig>& configs) {
-  std::vector<thermal::FloorplanParams> params_memo;
-  for (const ExperimentConfig& config : configs) absorb(config, params_memo);
-  if (floorplans_.empty()) {
-    cache_platform(std::make_shared<const PlatformDescriptor>(
-        descriptor_from_preset(PlatformPreset{})));
-  }
+  for (const ExperimentConfig& config : configs) absorb(config);
 }
 
 RunPlan::RunPlan(const std::vector<BatchJob>& jobs) {
-  std::vector<thermal::FloorplanParams> params_memo;
-  for (const BatchJob& job : jobs) absorb(job.config, params_memo);
-  if (floorplans_.empty()) {
-    cache_platform(std::make_shared<const PlatformDescriptor>(
-        descriptor_from_preset(PlatformPreset{})));
-  }
+  for (const BatchJob& job : jobs) absorb(job.config);
 }
 
 RunPlan::RunPlan(const ExperimentConfig& config)
     : RunPlan(std::vector<ExperimentConfig>{config}) {}
 
-void RunPlan::absorb(const ExperimentConfig& config,
-                     std::vector<thermal::FloorplanParams>& params_memo) {
-  if (config.platform != nullptr) {
-    cache_platform(config.platform);
-  } else {
-    bool seen = false;
-    for (const thermal::FloorplanParams& params : params_memo) {
-      if (params == config.preset.floorplan) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) {
-      params_memo.push_back(config.preset.floorplan);
-      cache_platform(resolved_platform(config));
-    }
-  }
+void RunPlan::absorb(const ExperimentConfig& config) {
+  cache_platform(resolved_platform(config));
   cache_benchmark_for(config);
 }
 
@@ -94,16 +62,6 @@ const thermal::Floorplan* RunPlan::floorplan_for(
     const PlatformDescriptor& platform) const {
   for (const auto& [descriptor, floorplan] : floorplans_) {
     if (descriptor->floorplan == platform.floorplan) return &floorplan;
-  }
-  return nullptr;
-}
-
-const thermal::Floorplan* RunPlan::floorplan_for(
-    const thermal::FloorplanParams& params) const {
-  for (const auto& [descriptor, floorplan] : floorplans_) {
-    if (descriptor->floorplan == thermal::default_floorplan_spec(params)) {
-      return &floorplan;
-    }
   }
   return nullptr;
 }

@@ -35,11 +35,6 @@ struct BatchJob;
 
 class RunPlan {
  public:
-  /// Legacy entry point: a single template for the default topology built
-  /// from `params`. Benchmarks are cached separately via
-  /// cache_benchmark_for().
-  explicit RunPlan(const thermal::FloorplanParams& params);
-
   /// Builds the invariants for a batch of `configs`: one floorplan template
   /// per distinct platform and a name -> Benchmark cache for every distinct
   /// suite benchmark. Unknown benchmark names are left uncached so the
@@ -73,11 +68,6 @@ class RunPlan {
   const thermal::Floorplan* floorplan_for(
       const PlatformDescriptor& platform) const;
 
-  /// Legacy overload: the template matching the default topology built from
-  /// `params`, else null.
-  const thermal::Floorplan* floorplan_for(
-      const thermal::FloorplanParams& params) const;
-
   /// The pre-resolved suite benchmark for `name`, else null (caller resolves
   /// -- and reports errors -- itself). Inline scenarios never consult this.
   const workload::Benchmark* benchmark_for(const std::string& name) const;
@@ -88,11 +78,8 @@ class RunPlan {
 
  private:
   void cache_benchmark(const std::string& name);
-  /// Per-config construction step shared by the batch ctors. `params_memo`
-  /// dedupes preset-only configs by FloorplanParams so a large batch
-  /// synthesizes one descriptor per distinct parameter set, not one per run.
-  void absorb(const ExperimentConfig& config,
-              std::vector<thermal::FloorplanParams>& params_memo);
+  /// Per-config construction step shared by the batch ctors.
+  void absorb(const ExperimentConfig& config);
 
   /// (descriptor, compiled template) per distinct platform in the batch.
   std::vector<std::pair<PlatformPtr, thermal::Floorplan>> floorplans_;

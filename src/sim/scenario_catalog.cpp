@@ -72,7 +72,9 @@ std::vector<ExperimentConfig> ScenarioCatalog::expand(
   const std::vector<std::string> families =
       sweep.families.empty() ? family_names() : sweep.families;
   const std::vector<std::string> policies =
-      merged_policy_axis(sweep.policies, sweep.policy_names, sweep.base);
+      sweep.policy_names.empty()
+          ? std::vector<std::string>{sweep.base.policy_name}
+          : sweep.policy_names;
   const std::vector<std::uint64_t> seeds =
       sweep.seeds.empty() ? std::vector<std::uint64_t>{sweep.base.seed}
                           : sweep.seeds;

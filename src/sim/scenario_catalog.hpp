@@ -46,7 +46,7 @@ class ScenarioCatalog {
                            std::uint64_t seed) const;
 
   /// Expansion grid. Empty `families` means every registered family; empty
-  /// `policies` and `seeds` fall back to base.policy / base.seed (mirroring
+  /// `policy_names` and `seeds` fall back to base's policy / seed (mirroring
   /// sim::sweep, so a cleared dimension can never silently empty the grid).
   struct Sweep {
     ExperimentConfig base;  ///< template for every generated config
@@ -54,9 +54,7 @@ class ScenarioCatalog {
     /// PlatformRegistry names; empty falls back to base's platform, so the
     /// catalog expands exactly as before the platform axis existed.
     std::vector<std::string> platforms;
-    std::vector<Policy> policies;
-    /// Registry-name policy axis, appended after `policies` (mapped onto
-    /// their registry names) -- user-registered policies sweep the catalog
+    /// PolicyRegistry names -- user-registered policies sweep the catalog
     /// exactly like the built-ins.
     std::vector<std::string> policy_names;
     std::vector<std::uint64_t> seeds{1, 2, 3};

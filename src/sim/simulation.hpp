@@ -48,10 +48,10 @@ struct SimulationView {
 /// One experiment as an incrementally steppable object.
 class Simulation {
  public:
-  /// `model` is required for Policy::kProposedDtpm and for
+  /// `model` is required for the "dtpm" policy and for
   /// observe_predictions (throws std::invalid_argument otherwise). A
   /// non-null `policy_override` replaces the policy selected by
-  /// `config.policy` with a user-supplied implementation -- the extension
+  /// `config.policy_name` with a user-supplied implementation -- the extension
   /// point for custom thermal policies running closed-loop. A non-null
   /// `plan` (sim/run_plan.hpp) supplies pre-built batch invariants -- the
   /// floorplan template and resolved benchmarks -- that construction reuses
@@ -83,6 +83,9 @@ class Simulation {
   /// begin_step().
   bool begin_step();
   bool finish_step(const PlantIntervalResult& interval);
+
+  /// The platform descriptor the plant was built from.
+  const PlatformDescriptor& platform() const { return *platform_; }
 
   /// The plant and the advance inputs staged by the last begin_step().
   Plant& plant() { return plant_; }
@@ -131,9 +134,8 @@ class Simulation {
   };
 
   ExperimentConfig config_;
-  /// The resolved platform descriptor the plant was built from (config's
-  /// `platform`, or synthesized from its preset). Declared before plant_ --
-  /// construction order matters.
+  /// The platform descriptor the plant was built from (config's
+  /// `platform`). Declared before plant_ -- construction order matters.
   PlatformPtr platform_;
   /// Abort ceiling for the runaway check: the platform's
   /// resolved_runaway_abort_temp_c() (explicit, or t_max + margin).

@@ -5,14 +5,6 @@
 
 namespace dtpm::soc {
 
-Placement place_threads(const std::vector<workload::ThreadDemand>& threads,
-                        const SocConfig& config) {
-  Placement out;
-  std::vector<std::size_t> order;
-  place_threads_into(threads, config, out, order);
-  return out;
-}
-
 void place_threads_into(const std::vector<workload::ThreadDemand>& threads,
                         const SocConfig& config, Placement& out,
                         std::vector<std::size_t>& order) {

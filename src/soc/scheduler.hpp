@@ -38,12 +38,10 @@ struct Placement {
 /// least-loaded online core. When a core is oversubscribed (load > 1) every
 /// thread on it receives a proportionally reduced share, which is how core
 /// shutdown and cluster migration turn into performance loss.
-Placement place_threads(const std::vector<workload::ThreadDemand>& threads,
-                        const SocConfig& config);
-
-/// Allocation-free variant for the per-substep hot path: resets and refills
-/// `out` (its thread vector's capacity is reused) and uses `order_scratch`
-/// as sort scratch. Results are identical to place_threads().
+///
+/// Allocation-free for the per-substep hot path: resets and refills `out`
+/// (its thread vector's capacity is reused) and uses `order_scratch` as
+/// sort scratch.
 void place_threads_into(const std::vector<workload::ThreadDemand>& threads,
                         const SocConfig& config, Placement& out,
                         std::vector<std::size_t>& order_scratch);

@@ -200,50 +200,6 @@ const std::vector<std::size_t>& Floorplan::big_core_node_indices() {
   return kIndices;
 }
 
-bool operator==(const FloorplanParams& a, const FloorplanParams& b) {
-  return a.big_core_capacitance == b.big_core_capacitance &&
-         a.little_cluster_capacitance == b.little_cluster_capacitance &&
-         a.gpu_capacitance == b.gpu_capacitance &&
-         a.mem_capacitance == b.mem_capacitance &&
-         a.case_capacitance == b.case_capacitance &&
-         a.board_capacitance == b.board_capacitance &&
-         a.big_to_big_adjacent == b.big_to_big_adjacent &&
-         a.big_to_big_diagonal == b.big_to_big_diagonal &&
-         a.big_to_case == b.big_to_case && a.big_to_little == b.big_to_little &&
-         a.little_to_case == b.little_to_case &&
-         a.gpu_to_case == b.gpu_to_case && a.gpu_to_big2 == b.gpu_to_big2 &&
-         a.gpu_to_big3 == b.gpu_to_big3 && a.gpu_to_mem == b.gpu_to_mem &&
-         a.mem_to_case == b.mem_to_case && a.little_to_gpu == b.little_to_gpu &&
-         a.case_to_board == b.case_to_board &&
-         a.board_to_ambient_fan_off == b.board_to_ambient_fan_off &&
-         a.ambient_temp_c == b.ambient_temp_c &&
-         a.initial_temp_c == b.initial_temp_c &&
-         a.board_initial_temp_c == b.board_initial_temp_c;
-}
-
-std::vector<double> assemble_node_power(
-    const std::array<double, 4>& big_core_power_w,
-    const power::ResourceVector& rail_power_w) {
-  std::vector<double> node_power;
-  assemble_node_power_into(big_core_power_w, rail_power_w, node_power);
-  return node_power;
-}
-
-void assemble_node_power_into(const std::array<double, 4>& big_core_power_w,
-                              const power::ResourceVector& rail_power_w,
-                              std::vector<double>& node_power_out) {
-  node_power_out.assign(kFloorplanNodeCount, 0.0);
-  for (std::size_t c = 0; c < big_core_power_w.size(); ++c) {
-    node_power_out[node_index(FloorplanNode::kBig0) + c] = big_core_power_w[c];
-  }
-  node_power_out[node_index(FloorplanNode::kLittleCluster)] =
-      rail_power_w[power::resource_index(power::Resource::kLittleCluster)];
-  node_power_out[node_index(FloorplanNode::kGpu)] =
-      rail_power_w[power::resource_index(power::Resource::kGpu)];
-  node_power_out[node_index(FloorplanNode::kMem)] =
-      rail_power_w[power::resource_index(power::Resource::kMem)];
-}
-
 FloorplanSpec default_floorplan_spec(const FloorplanParams& p) {
   FloorplanSpec spec;
   spec.nodes.resize(kFloorplanNodeCount);

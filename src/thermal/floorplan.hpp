@@ -89,13 +89,6 @@ struct FloorplanParams {
   double board_initial_temp_c = 38.0;
 };
 
-/// Memberwise equality; lets a batch decide whether two presets can share
-/// one compiled floorplan template (sim::RunPlan).
-bool operator==(const FloorplanParams& a, const FloorplanParams& b);
-inline bool operator!=(const FloorplanParams& a, const FloorplanParams& b) {
-  return !(a == b);
-}
-
 // --- Data-driven floorplan description ---------------------------------------
 
 /// One named thermal node of a data-driven floorplan.
@@ -206,20 +199,5 @@ void validate_floorplan_spec(const FloorplanSpec& spec);
 /// Builds the default Exynos-5410-like floorplan:
 /// build_floorplan(default_floorplan_spec(params)).
 Floorplan make_default_floorplan(const FloorplanParams& params = {});
-
-/// Maps the SoC's power draws onto the floorplan's heat-injection nodes:
-/// each big core heats its own node, and the little-cluster / GPU / memory
-/// rails heat their cluster nodes. Case, board and ambient receive no direct
-/// power (they only conduct). Shared by the simulation plant and by tests so
-/// the node <-> rail correspondence lives in exactly one place.
-std::vector<double> assemble_node_power(
-    const std::array<double, 4>& big_core_power_w,
-    const power::ResourceVector& rail_power_w);
-
-/// Allocation-free variant: writes into `node_power_out`, resizing it to
-/// kFloorplanNodeCount (a no-op after the first call on a reused buffer).
-void assemble_node_power_into(const std::array<double, 4>& big_core_power_w,
-                              const power::ResourceVector& rail_power_w,
-                              std::vector<double>& node_power_out);
 
 }  // namespace dtpm::thermal

@@ -1,5 +1,5 @@
 // Name-lookup ergonomics shared by every string-keyed registry (policies,
-// governors, benchmarks, scenario families, presets): when a lookup misses,
+// governors, benchmarks, scenario families, platforms): when a lookup misses,
 // the error should carry the sorted list of valid names and, when one is
 // plausibly a typo away, a nearest-match suggestion.
 #pragma once

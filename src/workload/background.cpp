@@ -7,12 +7,6 @@ namespace dtpm::workload {
 BackgroundLoad::BackgroundLoad(const BackgroundParams& params, util::Rng rng)
     : params_(params), rng_(rng) {}
 
-std::vector<ThreadDemand> BackgroundLoad::threads() {
-  std::vector<ThreadDemand> out;
-  threads_into(out);
-  return out;
-}
-
 void BackgroundLoad::threads_into(std::vector<ThreadDemand>& out) {
   out.clear();
   if (spike_intervals_left_ > 0) {

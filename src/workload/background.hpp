@@ -28,16 +28,13 @@ struct BackgroundParams {
   double heavy_mem_intensity = 0.4;
 };
 
-/// Stateful generator: call threads() once per control interval.
+/// Stateful generator: call threads_into() once per control interval.
 class BackgroundLoad {
  public:
   BackgroundLoad(const BackgroundParams& params, util::Rng rng);
 
-  /// Background thread demands for this interval.
-  std::vector<ThreadDemand> threads();
-
-  /// Allocation-free variant: clears and refills `threads_out` (capacity is
-  /// reused across calls). Draws the same RNG stream as threads().
+  /// Background thread demands for this interval, allocation-free: clears
+  /// and refills `threads_out` (capacity is reused across calls).
   void threads_into(std::vector<ThreadDemand>& threads_out);
 
   const BackgroundParams& params() const { return params_; }

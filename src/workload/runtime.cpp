@@ -9,12 +9,6 @@ WorkloadInstance::WorkloadInstance(const Benchmark& benchmark)
   benchmark.validate();
 }
 
-Demand WorkloadInstance::demand() const {
-  Demand d;
-  demand_into(d);
-  return d;
-}
-
 void WorkloadInstance::demand_into(Demand& out) const {
   const Phase& phase = benchmark_->phase_at(progress_fraction());
   out.threads.clear();

@@ -48,11 +48,9 @@ class WorkloadInstance {
  public:
   explicit WorkloadInstance(const Benchmark& benchmark);
 
-  /// Demand from the current phase.
-  Demand demand() const;
-
-  /// Allocation-free variant: clears and refills `demand_out` (thread
-  /// capacity is reused across calls), including the GPU fields.
+  /// Demand from the current phase, allocation-free: clears and refills
+  /// `demand_out` (thread capacity is reused across calls), including the
+  /// GPU fields.
   void demand_into(Demand& demand_out) const;
 
   /// Advances completed work by the given units (computed by the platform's

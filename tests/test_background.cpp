@@ -3,22 +3,30 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 namespace dtpm::workload {
 namespace {
+
+/// One interval's background threads.
+std::vector<ThreadDemand> next_threads(BackgroundLoad& load) {
+  std::vector<ThreadDemand> threads;
+  load.threads_into(threads);
+  return threads;
+}
 
 TEST(BackgroundLoad, ProducesConfiguredThreadCount) {
   BackgroundParams params;
   params.thread_count = 3;
   BackgroundLoad bg(params, util::Rng(1));
-  EXPECT_EQ(bg.threads().size(), 3u);
+  EXPECT_EQ(next_threads(bg).size(), 3u);
 }
 
 TEST(BackgroundLoad, DutiesWithinBounds) {
   BackgroundParams params;
   BackgroundLoad bg(params, util::Rng(2));
   for (int i = 0; i < 500; ++i) {
-    for (const auto& td : bg.threads()) {
+    for (const auto& td : next_threads(bg)) {
       EXPECT_GT(td.duty, 0.0);
       EXPECT_LE(td.duty, 1.0);
       EXPECT_FALSE(td.counts_progress);
@@ -32,7 +40,7 @@ TEST(BackgroundLoad, HeavyLoadAddsFullDutyThreads) {
   params.heavy_load = true;
   params.heavy_threads = 2;
   BackgroundLoad bg(params, util::Rng(3));
-  const auto threads = bg.threads();
+  const auto threads = next_threads(bg);
   ASSERT_EQ(threads.size(), std::size_t(params.thread_count + 2));
   int full_duty = 0;
   for (const auto& td : threads) {
@@ -46,8 +54,8 @@ TEST(BackgroundLoad, DeterministicForSameSeed) {
   BackgroundLoad a(params, util::Rng(42));
   BackgroundLoad b(params, util::Rng(42));
   for (int i = 0; i < 100; ++i) {
-    const auto ta = a.threads();
-    const auto tb = b.threads();
+    const auto ta = next_threads(a);
+    const auto tb = next_threads(b);
     ASSERT_EQ(ta.size(), tb.size());
     for (std::size_t t = 0; t < ta.size(); ++t) {
       EXPECT_DOUBLE_EQ(ta[t].duty, tb[t].duty);
@@ -62,7 +70,7 @@ TEST(BackgroundLoad, SpikesOccurOccasionally) {
   BackgroundLoad bg(params, util::Rng(9));
   int spikes = 0;
   for (int i = 0; i < 2000; ++i) {
-    const auto threads = bg.threads();
+    const auto threads = next_threads(bg);
     if (threads.front().duty == params.spike_duty) ++spikes;
   }
   EXPECT_GT(spikes, 50);    // spikes happen and persist a few intervals
@@ -75,8 +83,8 @@ TEST(BackgroundLoad, DifferentSeedsDiverge) {
   BackgroundLoad b(params, util::Rng(2));
   int diverged = 0;
   for (int i = 0; i < 100; ++i) {
-    const auto ta = a.threads();
-    const auto tb = b.threads();
+    const auto ta = next_threads(a);
+    const auto tb = next_threads(b);
     ASSERT_EQ(ta.size(), tb.size());
     for (std::size_t t = 0; t < ta.size(); ++t) {
       if (ta[t].duty != tb[t].duty) ++diverged;
@@ -96,7 +104,7 @@ TEST(BackgroundLoad, DutyStaysWithinSpikeBand) {
                              params.base_duty + params.duty_jitter);
   BackgroundLoad bg(params, util::Rng(4));
   for (int i = 0; i < 2000; ++i) {
-    for (const auto& td : bg.threads()) {
+    for (const auto& td : next_threads(bg)) {
       ASSERT_GE(td.duty, lo);
       ASSERT_LE(td.duty, hi);
     }

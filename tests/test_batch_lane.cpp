@@ -14,11 +14,11 @@
 namespace dtpm::sim {
 namespace {
 
-ExperimentConfig quick_config(const char* benchmark, Policy policy,
+ExperimentConfig quick_config(const char* benchmark, const char* policy,
                               std::uint64_t seed, Engine engine) {
   ExperimentConfig c;
   c.benchmark = benchmark;
-  c.policy = policy;
+  c.policy_name = policy;
   c.record_trace = false;
   c.seed = seed;
   c.engine = engine;
@@ -96,7 +96,7 @@ TEST(BatchPlantStepper, TracksTheScalarEngineTrajectory) {
   std::vector<std::unique_ptr<Simulation>> batched, scalar;
   for (int i = 0; i < kLanes; ++i) {
     const auto policy =
-        i == 1 ? Policy::kWithoutFan : Policy::kDefaultWithFan;
+        i == 1 ? "no-fan" : "default+fan";
     batched.push_back(std::make_unique<Simulation>(quick_config(
         "crc32", policy, 10 + std::uint64_t(i), Engine::kBatched)));
     scalar.push_back(std::make_unique<Simulation>(quick_config(
@@ -155,11 +155,11 @@ TEST(BatchedEngine, BatchRunnerGroupMatchesStandaloneRuns) {
   // reference single must stay bit-identical to its standalone run.
   std::vector<BatchJob> jobs;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    jobs.push_back({quick_config("crc32", Policy::kDefaultWithFan, seed,
+    jobs.push_back({quick_config("crc32", "default+fan", seed,
                                  Engine::kBatched),
                     nullptr});
   }
-  jobs.push_back({quick_config("crc32", Policy::kDefaultWithFan, 7,
+  jobs.push_back({quick_config("crc32", "default+fan", 7,
                                Engine::kReferenceRk4),
                   nullptr});
 
@@ -250,7 +250,7 @@ TEST(BatchedEngine, ShardedTilesAreBitIdenticalToOneGroup) {
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
     ExperimentConfig c = quick_config(
         "crc32",
-        seed % 2 ? Policy::kDefaultWithFan : Policy::kWithoutFan, seed,
+        seed % 2 ? "default+fan" : "no-fan", seed,
         Engine::kBatched);
     c.max_sim_time_s = 20.0;
     jobs.push_back({c, nullptr});
@@ -299,7 +299,7 @@ TEST(BatchPlantStepper, ScheduleMemoIsBitExact) {
   const std::uint64_t seeds[] = {21, 21, 22, 23};
   std::vector<std::unique_ptr<Simulation>> memo, ref;
   for (const std::uint64_t seed : seeds) {
-    ExperimentConfig c = quick_config("crc32", Policy::kDefaultWithFan, seed,
+    ExperimentConfig c = quick_config("crc32", "default+fan", seed,
                                       Engine::kBatched);
     c.max_sim_time_s = 20.0;
     memo.push_back(std::make_unique<Simulation>(c));
@@ -349,13 +349,13 @@ TEST(BatchedEngine, ConstructionErrorStaysInItsOwnLane) {
   // One lane of the group carries an unknown benchmark; the other lanes
   // must still produce their ordinary results.
   std::vector<BatchJob> jobs;
-  jobs.push_back({quick_config("crc32", Policy::kDefaultWithFan, 1,
+  jobs.push_back({quick_config("crc32", "default+fan", 1,
                                Engine::kBatched),
                   nullptr});
-  jobs.push_back({quick_config("no-such-benchmark", Policy::kDefaultWithFan,
+  jobs.push_back({quick_config("no-such-benchmark", "default+fan",
                                2, Engine::kBatched),
                   nullptr});
-  jobs.push_back({quick_config("crc32", Policy::kDefaultWithFan, 3,
+  jobs.push_back({quick_config("crc32", "default+fan", 3,
                                Engine::kBatched),
                   nullptr});
 

@@ -16,11 +16,11 @@ const sysid::IdentifiedPlatformModel& model() {
   return default_calibration().model;
 }
 
-ExperimentConfig quick_config(const char* benchmark, Policy policy,
+ExperimentConfig quick_config(const char* benchmark, const char* policy,
                               std::uint64_t seed = 1) {
   ExperimentConfig c;
   c.benchmark = benchmark;
-  c.policy = policy;
+  c.policy_name = policy;
   c.record_trace = false;
   c.seed = seed;
   return c;
@@ -42,12 +42,12 @@ TEST(BatchRunner, ParallelMatchesSerialBitForBit) {
   // A mixed grid: policies, seeds, and benchmarks of different lengths so
   // the atomic work queue actually interleaves runs across workers.
   std::vector<ExperimentConfig> configs{
-      quick_config("crc32", Policy::kWithoutFan, 1),
-      quick_config("dijkstra", Policy::kDefaultWithFan, 2),
-      quick_config("sha", Policy::kProposedDtpm, 3),
-      quick_config("crc32", Policy::kReactive, 4),
-      quick_config("qsort", Policy::kWithoutFan, 5),
-      quick_config("sha", Policy::kProposedDtpm, 3),  // duplicate of [2]
+      quick_config("crc32", "no-fan", 1),
+      quick_config("dijkstra", "default+fan", 2),
+      quick_config("sha", "dtpm", 3),
+      quick_config("crc32", "reactive", 4),
+      quick_config("qsort", "no-fan", 5),
+      quick_config("sha", "dtpm", 3),  // duplicate of [2]
   };
 
   std::vector<RunResult> serial;
@@ -72,23 +72,23 @@ TEST(RunPlan, SharedPlanIsBitIdenticalToPlanlessRuns) {
   // The batch layer's hoisted invariants (floorplan template, resolved
   // benchmark) must be an optimization only: a run through a RunPlan lands
   // the same result as one that builds everything itself.
-  const ExperimentConfig config = quick_config("crc32", Policy::kDefaultWithFan);
+  const ExperimentConfig config = quick_config("crc32", "default+fan");
   const RunPlan plan(config);
   expect_identical(run_experiment(config, &model()),
                    run_experiment(config, &model(), &plan));
 }
 
 TEST(RunPlan, ResolvesCachedBenchmarksAndFloorplans) {
-  const ExperimentConfig config = quick_config("crc32", Policy::kWithoutFan);
+  const ExperimentConfig config = quick_config("crc32", "no-fan");
   RunPlan plan(config);
   EXPECT_NE(plan.benchmark_for("crc32"), nullptr);
   EXPECT_EQ(plan.benchmark_for("no-such-benchmark"), nullptr);
-  EXPECT_NE(plan.floorplan_for(config.preset.floorplan), nullptr);
+  EXPECT_NE(plan.floorplan_for(*config.platform), nullptr);
 
-  // A diverged preset must fall back (null), never hand out a mismatched
+  // A diverged platform must fall back (null), never hand out a mismatched
   // template.
-  thermal::FloorplanParams other = config.preset.floorplan;
-  other.board_capacitance *= 2.0;
+  PlatformDescriptor other = *config.platform;
+  other.floorplan.nodes.back().capacitance_j_per_k *= 2.0;
   EXPECT_EQ(plan.floorplan_for(other), nullptr);
 }
 
@@ -96,9 +96,9 @@ TEST(RunPlan, UnknownBenchmarkStillFailsInItsOwnSlot) {
   // RunPlan pre-resolution must not turn an unknown name into a batch-level
   // throw: the owning slot carries the error, neighbours run normally.
   std::vector<BatchJob> jobs;
-  jobs.push_back({quick_config("crc32", Policy::kWithoutFan), nullptr});
+  jobs.push_back({quick_config("crc32", "no-fan"), nullptr});
   jobs.push_back({quick_config("definitely-not-a-benchmark",
-                               Policy::kWithoutFan),
+                               "no-fan"),
                   nullptr});
   const BatchOutcome outcome = BatchRunner(2).run_collecting(jobs);
   EXPECT_EQ(outcome.failure_count, 1u);
@@ -109,7 +109,7 @@ TEST(RunPlan, UnknownBenchmarkStillFailsInItsOwnSlot) {
 
 TEST(RunResult, CostCountersFilled) {
   const RunResult result =
-      run_experiment(quick_config("crc32", Policy::kWithoutFan), &model());
+      run_experiment(quick_config("crc32", "no-fan"), &model());
   EXPECT_GT(result.control_steps, 0u);
   // 100 ms interval over 10 ms substeps: up to 10 substeps per interval.
   EXPECT_GT(result.plant_substeps, result.control_steps);
@@ -121,8 +121,8 @@ TEST(BatchRunner, ResultsComeBackInInputOrder) {
   // patricia (long) first, crc32 (short) last: if results were keyed by
   // completion order the short run would come back first.
   std::vector<ExperimentConfig> configs{
-      quick_config("patricia", Policy::kWithoutFan),
-      quick_config("crc32", Policy::kWithoutFan),
+      quick_config("patricia", "no-fan"),
+      quick_config("crc32", "no-fan"),
   };
   configs[0].max_sim_time_s = 60.0;  // keep the long run bounded
 
@@ -141,8 +141,8 @@ TEST(BatchRunner, EmptyBatchAndDefaults) {
 
 TEST(BatchRunner, PerJobModelPointers) {
   std::vector<BatchJob> jobs{
-      {quick_config("crc32", Policy::kWithoutFan), nullptr},
-      {quick_config("sha", Policy::kProposedDtpm), &model()},
+      {quick_config("crc32", "no-fan"), nullptr},
+      {quick_config("sha", "dtpm"), &model()},
   };
   const std::vector<RunResult> results = BatchRunner(2).run(jobs);
   EXPECT_TRUE(results[0].completed);
@@ -151,8 +151,8 @@ TEST(BatchRunner, PerJobModelPointers) {
 
 TEST(BatchRunner, WorkerExceptionsPropagate) {
   std::vector<ExperimentConfig> configs{
-      quick_config("crc32", Policy::kWithoutFan),
-      quick_config("no-such-benchmark", Policy::kWithoutFan),
+      quick_config("crc32", "no-fan"),
+      quick_config("no-such-benchmark", "no-fan"),
   };
   EXPECT_THROW(BatchRunner(2).run(configs), std::invalid_argument);
 }
@@ -168,15 +168,15 @@ TEST(BatchRunner, ThrowingScenarioDoesNotCorruptNeighbours) {
     bench->phases.back().work_fraction = 0.5;  // ...not summing to 1
     return bench;
   };
-  ExperimentConfig bad = quick_config("ignored-label", Policy::kWithoutFan);
+  ExperimentConfig bad = quick_config("ignored-label", "no-fan");
   bad.scenario = broken_scenario();
 
   std::vector<ExperimentConfig> configs{
-      quick_config("crc32", Policy::kWithoutFan, 1),
+      quick_config("crc32", "no-fan", 1),
       bad,
-      quick_config("sha", Policy::kWithoutFan, 2),
+      quick_config("sha", "no-fan", 2),
       bad,
-      quick_config("qsort", Policy::kWithoutFan, 3),
+      quick_config("qsort", "no-fan", 3),
   };
 
   // run(): first error surfaces only after the pool has drained.
@@ -207,7 +207,7 @@ TEST(BatchRunner, ThrowingScenarioDoesNotCorruptNeighbours) {
 }
 
 TEST(BatchRunner, AllJobsFailingStillDrains) {
-  ExperimentConfig bad = quick_config("no-such-benchmark", Policy::kWithoutFan);
+  ExperimentConfig bad = quick_config("no-such-benchmark", "no-fan");
   const std::vector<ExperimentConfig> configs(4, bad);
   const BatchOutcome outcome = BatchRunner(2).run_collecting([&] {
     std::vector<BatchJob> jobs;
@@ -220,19 +220,19 @@ TEST(BatchRunner, AllJobsFailingStillDrains) {
 
 TEST(Sweep, ExpandsCartesianGridRowMajor) {
   SweepGrid grid;
-  grid.base = quick_config("crc32", Policy::kWithoutFan);
+  grid.base = quick_config("crc32", "no-fan");
   grid.benchmarks = {"crc32", "sha"};
-  grid.policies = {Policy::kWithoutFan, Policy::kDefaultWithFan};
+  grid.policy_names = {"no-fan", "default+fan"};
   grid.seeds = {1, 2, 3};
 
   const std::vector<ExperimentConfig> configs = sweep(grid);
   ASSERT_EQ(configs.size(), 2u * 2u * 3u);
   // Row-major: benchmark outermost, then policy, then seed.
   EXPECT_EQ(configs[0].benchmark, "crc32");
-  EXPECT_EQ(configs[0].policy, Policy::kWithoutFan);
+  EXPECT_EQ(configs[0].policy_name, "no-fan");
   EXPECT_EQ(configs[0].seed, 1u);
   EXPECT_EQ(configs[2].seed, 3u);
-  EXPECT_EQ(configs[3].policy, Policy::kDefaultWithFan);
+  EXPECT_EQ(configs[3].policy_name, "default+fan");
   EXPECT_EQ(configs[6].benchmark, "sha");
   // Base fields carry through.
   for (const ExperimentConfig& c : configs) {
@@ -242,17 +242,17 @@ TEST(Sweep, ExpandsCartesianGridRowMajor) {
 
 TEST(Sweep, EmptyDimensionsFallBackToBase) {
   SweepGrid grid;
-  grid.base = quick_config("qsort", Policy::kReactive, 42);
+  grid.base = quick_config("qsort", "reactive", 42);
   const std::vector<ExperimentConfig> configs = sweep(grid);
   ASSERT_EQ(configs.size(), 1u);
   EXPECT_EQ(configs[0].benchmark, "qsort");
-  EXPECT_EQ(configs[0].policy, Policy::kReactive);
+  EXPECT_EQ(configs[0].policy_name, "reactive");
   EXPECT_EQ(configs[0].seed, 42u);
 }
 
 TEST(Sweep, NamedBenchmarksDimensionOverridesInlineScenario) {
   SweepGrid grid;
-  grid.base = quick_config("crc32", Policy::kWithoutFan);
+  grid.base = quick_config("crc32", "no-fan");
   grid.base.scenario = std::make_shared<const workload::Benchmark>(
       workload::make_scenario(workload::ScenarioFamily::kBursty, 1));
 
@@ -270,7 +270,7 @@ TEST(Sweep, NamedBenchmarksDimensionOverridesInlineScenario) {
 
 TEST(Sweep, DtpmParamsAxis) {
   SweepGrid grid;
-  grid.base = quick_config("basicmath", Policy::kProposedDtpm);
+  grid.base = quick_config("basicmath", "dtpm");
   core::DtpmParams tight;
   tight.t_max_c = 58.0;
   core::DtpmParams loose;

@@ -36,9 +36,14 @@ void expect_same_config(const ExperimentConfig& a, const ExperimentConfig& b) {
 
 TEST(ConfigIo, DefaultExperimentRoundTrips) {
   const ExperimentConfig config;
-  const ExperimentConfig reparsed = experiment_from_json(to_json(config));
+  const util::JsonValue json = to_json(config);
+  // The default platform serializes as its registry name.
+  ASSERT_NE(json.find("platform"), nullptr);
+  EXPECT_EQ(json.find("platform")->as_string(), "odroid-xu-e");
+  const ExperimentConfig reparsed = experiment_from_json(json);
   expect_same_config(config, reparsed);
-  EXPECT_EQ(resolved_policy_name(reparsed), "default+fan");
+  EXPECT_EQ(reparsed.policy_name, "default+fan");
+  EXPECT_EQ(reparsed.platform, config.platform);
   EXPECT_EQ(reparsed.benchmark, "basicmath");
   EXPECT_EQ(reparsed.seed, 1u);
 }
@@ -47,7 +52,6 @@ TEST(ConfigIo, ModifiedExperimentRoundTrips) {
   ExperimentConfig config;
   config.benchmark = "templerun";
   config.policy_name = "reactive";
-  config.policy = Policy::kReactive;
   config.policy_params = {{"trip_c", 61.5}, {"hysteresis_c", 4.0}};
   config.dtpm.t_max_c = 70.0;
   config.dtpm.horizon_steps = 20;
@@ -65,7 +69,7 @@ TEST(ConfigIo, ModifiedExperimentRoundTrips) {
 
   const ExperimentConfig reparsed = experiment_from_json(to_json(config));
   expect_same_config(config, reparsed);
-  EXPECT_EQ(reparsed.policy, Policy::kReactive);  // enum shim kept in sync
+  EXPECT_EQ(reparsed.policy_name, "reactive");
   EXPECT_DOUBLE_EQ(reparsed.policy_params.at("trip_c"), 61.5);
   EXPECT_EQ(reparsed.dtpm.row_policy, core::BudgetRowPolicy::kAllHotspots);
   EXPECT_EQ(reparsed.engine, Engine::kBatched);
@@ -237,9 +241,8 @@ TEST(ConfigIo, SweepGridRoundTripsAndExpands) {
   const std::vector<ExperimentConfig> configs = reparsed.expand();
   ASSERT_EQ(configs.size(), 2u * 2u * 2u * 3u);
   EXPECT_EQ(configs[0].benchmark, "crc32");
-  EXPECT_EQ(resolved_policy_name(configs[0]), "no-fan");
-  EXPECT_EQ(configs[0].policy, Policy::kWithoutFan);  // shim synced
-  EXPECT_FALSE(configs[0].record_trace);              // base inherited
+  EXPECT_EQ(configs[0].policy_name, "no-fan");
+  EXPECT_FALSE(configs[0].record_trace);  // base inherited
 }
 
 TEST(ConfigIo, ScenarioSelectionExpands) {
@@ -253,7 +256,7 @@ TEST(ConfigIo, ScenarioSelectionExpands) {
   ASSERT_EQ(configs.size(), 1u * 2u * 2u);
   EXPECT_EQ(configs[0].benchmark, "bursty#s1");
   ASSERT_NE(configs[0].scenario, nullptr);
-  EXPECT_EQ(resolved_policy_name(configs[1]), "reactive");
+  EXPECT_EQ(configs[1].policy_name, "reactive");
 
   const SweepSpec reparsed = sweep_from_json(to_json(spec));
   EXPECT_EQ(json_write(to_json(spec)), json_write(to_json(reparsed)));
@@ -299,7 +302,7 @@ TEST(ConfigIo, LoadFromFileAndSweepHint) {
   }
   const ExperimentConfig config = load_experiment_config(config_path);
   EXPECT_EQ(config.benchmark, "crc32");
-  EXPECT_EQ(resolved_policy_name(config), "no-fan");
+  EXPECT_EQ(config.policy_name, "no-fan");
   EXPECT_DOUBLE_EQ(config.max_sim_time_s, 60.0);
 
   const std::string sweep_path = ::testing::TempDir() + "grid.json";

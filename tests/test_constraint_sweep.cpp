@@ -4,8 +4,12 @@
 // These parameterized tests assert that regulation holds across both.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+
 #include "sim/calibration.hpp"
 #include "sim/engine.hpp"
+#include "sim/simulation.hpp"
 
 namespace dtpm::sim {
 namespace {
@@ -18,7 +22,7 @@ RunResult run_with(const core::DtpmParams& params,
                    const std::string& benchmark = "basicmath") {
   ExperimentConfig c;
   c.benchmark = benchmark;
-  c.policy = Policy::kProposedDtpm;
+  c.policy_name = "dtpm";
   c.record_trace = false;
   c.dtpm = params;
   return run_experiment(c, &model());
@@ -83,16 +87,33 @@ TEST(RowPolicyAblation, AllHotspotsIsAtLeastAsCool) {
   EXPECT_LE(r_all.max_temp_stats.max(), 63.5);
 }
 
+/// A "dtpm" config on a copy of the default platform with `tweak` applied,
+/// installed through set_platform so the plant is built from it.
+template <typename Tweak>
+ExperimentConfig tweaked_platform_config(const std::string& benchmark,
+                                         Tweak tweak) {
+  ExperimentConfig c;
+  c.benchmark = benchmark;
+  c.policy_name = "dtpm";
+  c.record_trace = false;
+  PlatformDescriptor d = *c.platform;
+  tweak(d);
+  set_platform(c, std::make_shared<const PlatformDescriptor>(std::move(d)));
+  return c;
+}
+
 // --- Sensor-degradation robustness -------------------------------------------
 
 class SensorNoiseSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(SensorNoiseSweep, RegulationSurvivesNoisySensors) {
-  ExperimentConfig c;
-  c.benchmark = "basicmath";
-  c.policy = Policy::kProposedDtpm;
-  c.record_trace = false;
-  c.preset.temp_sensor.noise_stddev_c = GetParam();
+  const double sigma = GetParam();
+  const ExperimentConfig c = tweaked_platform_config(
+      "basicmath",
+      [sigma](PlatformDescriptor& d) { d.temp_sensor.noise_stddev_c = sigma; });
+  // The tweak reaches the descriptor the plant is built from.
+  EXPECT_EQ(Simulation(c, &model()).platform().temp_sensor.noise_stddev_c,
+            sigma);
   const RunResult r = run_experiment(c, &model());
   EXPECT_TRUE(r.completed);
   // Allow the noise floor itself on top of the constraint.
@@ -104,11 +125,12 @@ INSTANTIATE_TEST_SUITE_P(NoiseLevels, SensorNoiseSweep,
                          ::testing::Values(0.0, 0.2, 0.5, 1.0));
 
 TEST(SensorRobustness, CoarseQuantizationStillRegulates) {
-  ExperimentConfig c;
-  c.benchmark = "fft";
-  c.policy = Policy::kProposedDtpm;
-  c.record_trace = false;
-  c.preset.temp_sensor.quantization_c = 1.0;  // a 1 C TMU
+  const ExperimentConfig c =
+      tweaked_platform_config("fft", [](PlatformDescriptor& d) {
+        d.temp_sensor.quantization_c = 1.0;  // a 1 C TMU
+      });
+  EXPECT_EQ(Simulation(c, &model()).platform().temp_sensor.quantization_c,
+            1.0);
   const RunResult r = run_experiment(c, &model());
   EXPECT_TRUE(r.completed);
   EXPECT_LE(r.max_temp_stats.max(), 64.5);
@@ -121,11 +143,18 @@ class AmbientSweep : public ::testing::TestWithParam<double> {};
 TEST_P(AmbientSweep, RegulatesAcrossAmbientTemperatures) {
   // The identified model was calibrated at 25 C ambient; the affine ambient
   // reference makes moderate shifts tolerable for closed-loop regulation.
-  ExperimentConfig c;
-  c.benchmark = "basicmath";
-  c.policy = Policy::kProposedDtpm;
-  c.record_trace = false;
-  c.preset.floorplan.ambient_temp_c = GetParam();
+  const double ambient_c = GetParam();
+  const ExperimentConfig c =
+      tweaked_platform_config("basicmath", [ambient_c](PlatformDescriptor& d) {
+        thermal::FloorplanParams params;
+        params.ambient_temp_c = ambient_c;
+        d.floorplan = thermal::default_floorplan_spec(params);
+      });
+  // The plant's boundary node really sits at the swept ambient.
+  Simulation simulation(c, &model());
+  const thermal::Floorplan& floorplan = simulation.plant().floorplan();
+  EXPECT_EQ(floorplan.network.temperatures_c()[floorplan.ambient_node_index],
+            ambient_c);
   const RunResult r = run_experiment(c, &model());
   EXPECT_TRUE(r.completed);
   EXPECT_LE(r.max_temp_stats.max(), 64.5) << GetParam();

@@ -112,7 +112,8 @@ TEST(DtpmCli, ListCategories) {
             "bursty\nperiodic-square\nsawtooth-ramp\nthermal-soak\n"
             "phase-mix\ngpu-co-stress\nduty-cycle-resonance\n");
   EXPECT_EQ(run_cli({"list", "governors"}).out, "ondemand\n");
-  EXPECT_EQ(run_cli({"list", "presets"}).out, "default\n");
+  // Platforms replaced the old preset category outright.
+  EXPECT_EQ(run_cli({"list", "presets"}).exit_code, 2);
   const CliResult benchmarks = run_cli({"list", "benchmarks"});
   EXPECT_NE(benchmarks.out.find("crc32\n"), std::string::npos);
   EXPECT_NE(benchmarks.out.find("templerun\n"), std::string::npos);
@@ -458,7 +459,7 @@ TEST(DtpmCli, ExampleConfigsParseAndExpand) {
   const std::string dir = DTPM_CONFIG_DIR;
   const sim::ExperimentConfig quickstart =
       sim::load_experiment_config(dir + "/quickstart.json");
-  EXPECT_EQ(sim::resolved_policy_name(quickstart), "dtpm");
+  EXPECT_EQ(quickstart.policy_name, "dtpm");
 
   const sim::SweepSpec comparison =
       sim::load_sweep_spec(dir + "/policy_comparison.json");

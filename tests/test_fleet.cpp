@@ -38,7 +38,7 @@ FleetSpec test_spec() {
   spec.device_count = 96;
   spec.seed = 7;
   spec.wave_size = 40;  // 3 waves, last one ragged
-  spec.base.policy = sim::Policy::kReactive;
+  spec.base.policy_name = "reactive";
   spec.base.engine = sim::Engine::kPropagator;  // keep the test fast
   spec.base.warmup_s = 0.5;
   spec.base.max_sim_time_s = 3.0;

@@ -91,7 +91,7 @@ TEST(FleetMemory, LiveAllocationsStayFlatAcrossWaves) {
   spec.device_count = 600;
   spec.wave_size = 50;  // 12 waves
   spec.seed = 11;
-  spec.base.policy = sim::Policy::kReactive;
+  spec.base.policy_name = "reactive";
   spec.base.engine = sim::Engine::kPropagator;
   spec.base.warmup_s = 0.25;
   spec.base.max_sim_time_s = 1.5;

@@ -98,7 +98,8 @@ TEST(Floorplan, AssembleNodePowerMapsRailsToNodes) {
   rails[power::resource_index(power::Resource::kGpu)] = 1.5;
   rails[power::resource_index(power::Resource::kMem)] = 0.25;
 
-  const std::vector<double> node_power = assemble_node_power(big, rails);
+  std::vector<double> node_power;
+  make_default_floorplan().assemble_node_power_into(big, rails, node_power);
   ASSERT_EQ(node_power.size(), kFloorplanNodeCount);
   EXPECT_EQ(node_power[node_index(FloorplanNode::kBig0)], 1.0);
   EXPECT_EQ(node_power[node_index(FloorplanNode::kBig1)], 2.0);

@@ -51,7 +51,7 @@ bool same_cell(double a, double b) {
 ExperimentConfig seed_benchmark_config() {
   ExperimentConfig config;
   config.benchmark = "crc32";
-  config.policy = Policy::kDefaultWithFan;
+  config.policy_name = "default+fan";
   config.seed = 1;
   return config;
 }
@@ -61,7 +61,7 @@ ExperimentConfig generated_scenario_config() {
   config.benchmark = "periodic-square#s7";
   config.scenario = std::make_shared<const workload::Benchmark>(
       workload::make_scenario(workload::ScenarioFamily::kPeriodicSquare, 7));
-  config.policy = Policy::kReactive;
+  config.policy_name = "reactive";
   config.seed = 7;
   config.max_sim_time_s = 120.0;
   return config;

@@ -13,10 +13,10 @@ const sysid::IdentifiedPlatformModel& model() {
   return default_calibration().model;
 }
 
-RunResult run(const std::string& benchmark, Policy policy) {
+RunResult run(const std::string& benchmark, const char* policy) {
   ExperimentConfig c;
   c.benchmark = benchmark;
-  c.policy = policy;
+  c.policy_name = policy;
   c.record_trace = false;
   return run_experiment(c, &model());
 }
@@ -26,7 +26,7 @@ RunResult run(const std::string& benchmark, Policy policy) {
 class DtpmRegulationSweep : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(DtpmRegulationSweep, MaxTempStaysAtConstraint) {
-  const RunResult r = run(GetParam(), Policy::kProposedDtpm);
+  const RunResult r = run(GetParam(), "dtpm");
   EXPECT_TRUE(r.completed);
   // The constraint is 63 C; allow one sensor quantum of excursion.
   EXPECT_LE(r.max_temp_stats.max(), 63.0 + 0.5) << GetParam();
@@ -39,14 +39,14 @@ INSTANTIATE_TEST_SUITE_P(Benchmarks, DtpmRegulationSweep,
 
 TEST(Integration, WithoutFanViolatesForHighBenchmarks) {
   for (const char* name : {"basicmath", "fft"}) {
-    const RunResult r = run(name, Policy::kWithoutFan);
+    const RunResult r = run(name, "no-fan");
     EXPECT_GT(r.max_temp_stats.max(), 66.0) << name;
     EXPECT_GT(r.violation_time_s, 10.0) << name;
   }
 }
 
 TEST(Integration, DtpmEliminatesViolations) {
-  const RunResult r = run("basicmath", Policy::kProposedDtpm);
+  const RunResult r = run("basicmath", "dtpm");
   EXPECT_LT(r.violation_time_s, 2.0);
 }
 
@@ -54,8 +54,8 @@ TEST(Integration, DtpmEliminatesViolations) {
 
 TEST(Integration, DtpmNonIntrusiveForLowActivity) {
   for (const char* name : {"dijkstra", "crc32", "blowfish"}) {
-    const RunResult default_run = run(name, Policy::kDefaultWithFan);
-    const RunResult dtpm_run = run(name, Policy::kProposedDtpm);
+    const RunResult default_run = run(name, "default+fan");
+    const RunResult dtpm_run = run(name, "dtpm");
     EXPECT_NEAR(dtpm_run.execution_time_s, default_run.execution_time_s,
                 0.01 * default_run.execution_time_s)
         << name;
@@ -66,8 +66,8 @@ TEST(Integration, DtpmNonIntrusiveForLowActivity) {
 
 TEST(Integration, DtpmSavesPlatformPower) {
   for (const char* name : {"basicmath", "matmul", "templerun", "patricia"}) {
-    const RunResult default_run = run(name, Policy::kDefaultWithFan);
-    const RunResult dtpm_run = run(name, Policy::kProposedDtpm);
+    const RunResult default_run = run(name, "default+fan");
+    const RunResult dtpm_run = run(name, "dtpm");
     EXPECT_LT(dtpm_run.avg_platform_power_w,
               default_run.avg_platform_power_w)
         << name;
@@ -76,8 +76,8 @@ TEST(Integration, DtpmSavesPlatformPower) {
 
 TEST(Integration, HighBenchmarksSaveMoreThanLow) {
   auto savings = [&](const char* name) {
-    const RunResult d = run(name, Policy::kDefaultWithFan);
-    const RunResult p = run(name, Policy::kProposedDtpm);
+    const RunResult d = run(name, "default+fan");
+    const RunResult p = run(name, "dtpm");
     return (d.avg_platform_power_w - p.avg_platform_power_w) /
            d.avg_platform_power_w;
   };
@@ -89,8 +89,8 @@ TEST(Integration, DtpmPerformanceLossIsSmall) {
   // "The performance loss hardly reaches 5 % even for the most demanding
   // applications" -- allow a modest band for the simulated plant.
   for (const char* name : {"basicmath", "matmul", "fft", "templerun"}) {
-    const RunResult default_run = run(name, Policy::kDefaultWithFan);
-    const RunResult dtpm_run = run(name, Policy::kProposedDtpm);
+    const RunResult default_run = run(name, "default+fan");
+    const RunResult dtpm_run = run(name, "dtpm");
     const double loss = (dtpm_run.execution_time_s -
                          default_run.execution_time_s) /
                         default_run.execution_time_s;
@@ -102,9 +102,9 @@ TEST(Integration, DtpmPerformanceLossIsSmall) {
 TEST(Integration, ReactiveLosesMorePerformanceThanDtpm) {
   double reactive_total = 0.0, dtpm_total = 0.0, base_total = 0.0;
   for (const char* name : {"basicmath", "matmul", "fft"}) {
-    base_total += run(name, Policy::kDefaultWithFan).execution_time_s;
-    reactive_total += run(name, Policy::kReactive).execution_time_s;
-    dtpm_total += run(name, Policy::kProposedDtpm).execution_time_s;
+    base_total += run(name, "default+fan").execution_time_s;
+    reactive_total += run(name, "reactive").execution_time_s;
+    dtpm_total += run(name, "dtpm").execution_time_s;
   }
   EXPECT_GT(reactive_total, dtpm_total);
   EXPECT_GT((reactive_total - base_total) / base_total,
@@ -114,8 +114,8 @@ TEST(Integration, ReactiveLosesMorePerformanceThanDtpm) {
 // --- Thermal stability (§6.3.2, Fig. 6.5) -----------------------------------
 
 TEST(Integration, DtpmReducesVarianceForGameWorkload) {
-  const RunResult fan = run("templerun", Policy::kDefaultWithFan);
-  const RunResult dtpm = run("templerun", Policy::kProposedDtpm);
+  const RunResult fan = run("templerun", "default+fan");
+  const RunResult dtpm = run("templerun", "dtpm");
   EXPECT_GT(fan.max_temp_stats.variance(),
             3.0 * dtpm.max_temp_stats.variance());
 }
@@ -128,7 +128,7 @@ class PredictionAccuracySweep : public ::testing::TestWithParam<const char*> {
 TEST_P(PredictionAccuracySweep, OneSecondErrorBelowPaperBound) {
   ExperimentConfig c;
   c.benchmark = GetParam();
-  c.policy = Policy::kDefaultWithFan;
+  c.policy_name = "default+fan";
   c.observe_predictions = true;
   c.observe_horizon_steps = 10;  // 1 s
   c.record_trace = false;
@@ -148,8 +148,8 @@ INSTANTIATE_TEST_SUITE_P(Benchmarks, PredictionAccuracySweep,
 
 TEST(Integration, MultithreadedSuiteBehavesLikeMatmul) {
   for (const char* name : {"fft_mt", "lu_mt"}) {
-    const RunResult default_run = run(name, Policy::kDefaultWithFan);
-    const RunResult dtpm_run = run(name, Policy::kProposedDtpm);
+    const RunResult default_run = run(name, "default+fan");
+    const RunResult dtpm_run = run(name, "dtpm");
     EXPECT_TRUE(dtpm_run.completed) << name;
     EXPECT_LE(dtpm_run.max_temp_stats.max(), 63.5) << name;
     EXPECT_LT(dtpm_run.avg_platform_power_w,

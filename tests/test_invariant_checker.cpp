@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -34,8 +35,8 @@ std::vector<double> valid_row(double t, const ExperimentConfig& config) {
   row[column("p_gpu_w")] = 0.5;
   row[column("p_mem_w")] = 0.3;
   row[column("p_platform_w")] = 2.0 + 0.2 + 0.5 + 0.3 +
-                                config.preset.platform_load.board_base_w +
-                                config.preset.platform_load.display_w;
+                                config.platform->platform_load.board_base_w +
+                                config.platform->platform_load.display_w;
   row[column("f_big_mhz")] = 1600.0;
   row[column("f_little_mhz")] = 1200.0;
   row[column("f_gpu_mhz")] = 533.0;
@@ -105,7 +106,7 @@ TEST_F(InvariantCheckerTest, SyntheticCleanTracePasses) {
 TEST_F(InvariantCheckerTest, RealRunPasses) {
   ExperimentConfig config;
   config.benchmark = "crc32";
-  config.policy = Policy::kDefaultWithFan;
+  config.policy_name = "default+fan";
   const RunResult result = run_experiment(config);
   ASSERT_TRUE(result.trace.has_value());
   const auto found = checker_.check(config, result);
@@ -137,6 +138,21 @@ TEST_F(InvariantCheckerTest, FlagsNegativeRailPower) {
 TEST_F(InvariantCheckerTest, FlagsBrokenPlatformPowerIdentity) {
   RunResult result = synthetic_result(10, config_);
   corrupt(result, 5, "p_platform_w", 20.0);
+  EXPECT_TRUE(
+      has_invariant(checker_.check(config_, result), "power-identity"));
+}
+
+TEST_F(InvariantCheckerTest, PowerIdentityUsesTheConfiguredPlatformLoad) {
+  // A derived platform with a brighter display: its fixed load must reach
+  // the checker, so a trace consistent with it passes there and breaks the
+  // power identity on the default platform.
+  PlatformDescriptor bright = *config_.platform;
+  bright.platform_load.display_w += 1.0;
+  ExperimentConfig config = config_;
+  set_platform(config, std::make_shared<const PlatformDescriptor>(bright));
+  const RunResult result = synthetic_result(10, config);
+  const auto found = checker_.check(config, result);
+  EXPECT_TRUE(found.empty()) << InvariantChecker::describe(found);
   EXPECT_TRUE(
       has_invariant(checker_.check(config_, result), "power-identity"));
 }
@@ -189,7 +205,7 @@ TEST_F(InvariantCheckerTest, FlagsInconsistentAggregates) {
 
 TEST_F(InvariantCheckerTest, DtpmMustActOnSustainedPredictedViolation) {
   ExperimentConfig config;
-  config.policy = Policy::kProposedDtpm;
+  config.policy_name = "dtpm";
 
   // Predicted violation for well over the grace window while the trace
   // shows the platform pinned at the unrestricted maximum: broken governor.

@@ -142,6 +142,9 @@ TEST(LintCorpus, EmptyAxes) { expect_matches_golden("empty_axes.json"); }
 TEST(LintCorpus, TraceBlowup) { expect_matches_golden("trace_blowup.json"); }
 TEST(LintCorpus, FleetBad) { expect_matches_golden("fleet_bad.json"); }
 TEST(LintCorpus, FleetHot) { expect_matches_golden("fleet_hot.json"); }
+/// The retired "preset" key gets no special case: the generic unknown-field
+/// path (L004) rejects it like any other stray member.
+TEST(LintCorpus, LegacyPreset) { expect_matches_golden("legacy_preset.json"); }
 
 /// The headline acceptance: one invocation over one broken file surfaces
 /// every problem -- four distinct codes here -- instead of stopping at the

@@ -1,7 +1,6 @@
-// The data-driven platform layer: descriptor <-> preset shim identity, the
-// registry, spec-built floorplans, and THE acceptance pin of the redesign --
-// a plant built from the odroid-xu-e descriptor reproduces the legacy
-// enum-addressed default plant bit for bit.
+// The data-driven platform layer: the default-platform identity, the
+// registry, spec-built floorplans, descriptor validation, and per-platform
+// RunPlan templates and models.
 #include "sim/platform.hpp"
 
 #include <gtest/gtest.h>
@@ -15,7 +14,6 @@
 #include "sim/calibration.hpp"
 #include "sim/engine.hpp"
 #include "sim/platform_registry.hpp"
-#include "sim/preset.hpp"
 #include "sim/run_plan.hpp"
 #include "thermal/floorplan.hpp"
 
@@ -41,21 +39,14 @@ TEST(PlatformDescriptor, DefaultIsTheOdroid) {
   EXPECT_TRUE(d.has_fan());
   EXPECT_EQ(d.big_cores, soc::kBigCoreCount);
   EXPECT_NO_THROW(d.validate());
-  // The descriptor synthesized from the legacy preset IS the default one.
-  EXPECT_TRUE(sim::descriptor_from_preset(sim::default_preset()) == d);
-  // And the registry's odroid entry matches both.
-  EXPECT_TRUE(*sim::PlatformRegistry::instance().get("odroid-xu-e") == d);
-}
-
-TEST(PlatformDescriptor, PresetShimRoundTrip) {
-  const sim::PlatformDescriptor dragon = sim::dragon_platform();
-  const sim::PlatformPreset preset = sim::preset_from_descriptor(dragon);
-  // Scalar parameters mirror the descriptor for legacy readers.
-  EXPECT_EQ(preset.platform_load.display_w, dragon.platform_load.display_w);
-  EXPECT_TRUE(preset.fan == dragon.fan);
-  EXPECT_TRUE(preset.plant == dragon.power);
-  EXPECT_EQ(preset.floorplan.ambient_temp_c,
-            dragon.floorplan.ambient_temp_c());
+  // The registry's odroid entry matches it, and every config and
+  // calibration defaults to that very entry (one shared descriptor).
+  const sim::PlatformPtr odroid =
+      sim::PlatformRegistry::instance().get("odroid-xu-e");
+  EXPECT_TRUE(*odroid == d);
+  EXPECT_EQ(sim::ExperimentConfig{}.platform, odroid);
+  EXPECT_EQ(sim::CalibrationOptions{}.platform, odroid);
+  EXPECT_EQ(sim::default_platform(), odroid);
 }
 
 TEST(Floorplan, SpecBuiltDefaultMatchesEnumLayout) {
@@ -80,21 +71,19 @@ TEST(Floorplan, SpecBuiltDefaultMatchesEnumLayout) {
   EXPECT_EQ(fp.fan_edge, fp.network.edge_count() - 1);
 }
 
-/// THE pin of the redesign: a run whose config selects the odroid-xu-e
-/// descriptor from the registry is bit-identical to the legacy path that
-/// builds the plant from default_preset().
-TEST(PlatformDescriptor, OdroidDescriptorRunMatchesLegacyDefaultRun) {
-  sim::ExperimentConfig legacy;
-  legacy.benchmark = "crc32";
-  sim::set_policy(legacy, "default+fan");
-  legacy.warmup_s = 2.0;
-  legacy.max_sim_time_s = 10.0;
-  legacy.seed = 11;
+/// A default config and one that selects odroid-xu-e by name (which also
+/// adopts its t_max) run bit-identically.
+TEST(PlatformDescriptor, OdroidDescriptorRunMatchesDefaultRun) {
+  sim::ExperimentConfig defaulted;
+  defaulted.benchmark = "crc32";
+  defaulted.warmup_s = 2.0;
+  defaulted.max_sim_time_s = 10.0;
+  defaulted.seed = 11;
 
-  sim::ExperimentConfig descriptor_built = legacy;
+  sim::ExperimentConfig descriptor_built = defaulted;
   sim::set_platform(descriptor_built, "odroid-xu-e");
 
-  const sim::RunResult a = sim::run_experiment(legacy);
+  const sim::RunResult a = sim::run_experiment(defaulted);
   const sim::RunResult b = sim::run_experiment(descriptor_built);
 
   ASSERT_TRUE(a.trace.has_value());
@@ -238,25 +227,19 @@ TEST(PlatformDescriptor, DragonAndCompactBuild) {
             sim::PlatformDescriptor{}.big_opp_table().max().frequency_hz);
 }
 
-TEST(PlatformDescriptor, SetPlatformSyncsShimAndConstraint) {
+TEST(PlatformDescriptor, SetPlatformAdoptsConstraint) {
   sim::ExperimentConfig config;
   sim::set_platform(config, "compact");
-  ASSERT_NE(config.platform, nullptr);
   EXPECT_EQ(sim::resolved_platform_name(config), "compact");
-  // The legacy preset mirror follows the descriptor...
-  EXPECT_EQ(config.preset.platform_load.display_w,
-            sim::compact_platform().platform_load.display_w);
-  // ...and the platform's recommended constraint is adopted.
   EXPECT_DOUBLE_EQ(config.dtpm.t_max_c, 58.0);
 }
 
-TEST(PlatformDescriptor, ResolvedPlatformFallsBackToPreset) {
+TEST(PlatformDescriptor, ResolvedPlatformRejectsNull) {
   sim::ExperimentConfig config;
-  config.preset.temp_sensor.noise_stddev_c = 0.0;
-  const sim::PlatformPtr resolved = sim::resolved_platform(config);
-  ASSERT_NE(resolved, nullptr);
-  EXPECT_EQ(resolved->name, "odroid-xu-e");
-  EXPECT_EQ(resolved->temp_sensor.noise_stddev_c, 0.0);  // preset tweak kept
+  EXPECT_EQ(sim::resolved_platform(config), config.platform);
+  config.platform = nullptr;
+  EXPECT_THROW(sim::resolved_platform(config), std::invalid_argument);
+  EXPECT_THROW(sim::resolved_platform_name(config), std::invalid_argument);
 }
 
 // --- RunPlan per-platform templates ------------------------------------------
@@ -270,8 +253,7 @@ TEST(RunPlan, CachesOneFloorplanTemplatePerPlatform) {
 
   const sim::RunPlan plan(
       std::vector<sim::ExperimentConfig>{odroid, dragon, compact, dragon});
-  const thermal::Floorplan* fp_odroid =
-      plan.floorplan_for(*sim::resolved_platform(odroid));
+  const thermal::Floorplan* fp_odroid = plan.floorplan_for(*odroid.platform);
   const thermal::Floorplan* fp_dragon = plan.floorplan_for(*dragon.platform);
   const thermal::Floorplan* fp_compact = plan.floorplan_for(*compact.platform);
   ASSERT_NE(fp_odroid, nullptr);
@@ -279,10 +261,9 @@ TEST(RunPlan, CachesOneFloorplanTemplatePerPlatform) {
   ASSERT_NE(fp_compact, nullptr);
   EXPECT_NE(fp_odroid, fp_dragon);
   EXPECT_NE(fp_dragon, fp_compact);
-  // The legacy params-keyed lookup still resolves the default template.
-  EXPECT_EQ(plan.floorplan_for(thermal::FloorplanParams{}), fp_odroid);
-  thermal::FloorplanParams other;
-  other.big_core_capacitance *= 2.0;
+  // A descriptor whose floorplan diverges gets no template.
+  sim::PlatformDescriptor other = *odroid.platform;
+  other.floorplan.nodes[0].capacitance_j_per_k *= 2.0;
   EXPECT_EQ(plan.floorplan_for(other), nullptr);
 }
 

@@ -29,7 +29,7 @@ TEST(PlatformInvariantSweep, AllFamiliesAllPaperPoliciesAllPlatforms) {
   sweep.base.max_sim_time_s = 8.0;
   sweep.base.record_trace = true;
   sweep.platforms = platforms;
-  sweep.policy_names = sim::paper_policy_names();
+  sweep.policy_names = {"default+fan", "no-fan", "reactive", "dtpm"};
   sweep.seeds = {1};
 
   const sim::ScenarioCatalog catalog = sim::ScenarioCatalog::standard();
@@ -56,7 +56,7 @@ TEST(PlatformInvariantSweep, AllFamiliesAllPaperPoliciesAllPlatforms) {
   const sim::InvariantChecker checker;
   for (std::size_t i = 0; i < configs.size(); ++i) {
     const std::string label = configs[i].benchmark + " / " +
-                              sim::resolved_policy_name(configs[i]) + " / " +
+                              configs[i].policy_name + " / " +
                               sim::resolved_platform_name(configs[i]);
     if (outcome.errors[i]) {
       try {

@@ -1,15 +1,13 @@
 // governors::PolicyRegistry / GovernorRegistry: the string-keyed source of
-// truth for selectable policies. Pins the enum<->name compatibility shim
-// (exhaustive round trip), the unknown-name ergonomics, closed-loop
-// selection of a custom policy purely by name, and byte-identical traces
-// when a paper policy is selected by name instead of enum.
+// truth for selectable policies. Pins the paper builtins and the config
+// default, the unknown-name ergonomics, closed-loop selection of a custom
+// policy purely by name, and sweeps over registry-only policies.
 #include "governors/policy_registry.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <map>
 #include <memory>
 
@@ -37,30 +35,7 @@ TEST(PolicyRegistry, BuiltinsMatchThePaperConfigurations) {
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
   EXPECT_FALSE(PolicyRegistry::instance().description("dtpm").empty());
   EXPECT_TRUE(GovernorRegistry::instance().contains("ondemand"));
-}
-
-TEST(PolicyRegistry, EnumNameRoundTripIsExhaustive) {
-  const sim::Policy all[] = {sim::Policy::kDefaultWithFan,
-                             sim::Policy::kWithoutFan, sim::Policy::kReactive,
-                             sim::Policy::kProposedDtpm};
-  for (sim::Policy p : all) {
-    const std::string name = sim::to_string(p);
-    EXPECT_EQ(sim::parse_policy(name), p) << name;
-    ASSERT_TRUE(sim::try_parse_policy(name).has_value());
-    EXPECT_EQ(*sim::try_parse_policy(name), p);
-    // Every enum name resolves in the registry: the shim cannot drift.
-    EXPECT_TRUE(PolicyRegistry::instance().contains(name)) << name;
-  }
-  EXPECT_EQ(sim::paper_policy_names().size(), 4u);
-  EXPECT_FALSE(sim::try_parse_policy("not-a-policy").has_value());
-  try {
-    sim::parse_policy("dtmp");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_EQ(std::string(e.what()),
-              "parse_policy: unknown policy 'dtmp', did you mean 'dtpm'? "
-              "(valid: default+fan, dtpm, no-fan, reactive)");
-  }
+  EXPECT_EQ(sim::ExperimentConfig{}.policy_name, "default+fan");
 }
 
 TEST(PolicyRegistry, UnknownNameSuggestsNearest) {
@@ -137,7 +112,7 @@ TEST(PolicyRegistry, CustomPolicySelectableByNameClosedLoop) {
 
   sim::ExperimentConfig config;
   config.benchmark = "crc32";
-  config.policy_name = "counting-test";  // no enum involved anywhere
+  config.policy_name = "counting-test";
   config.policy_params = {{"trip_c", 59.5}};
   config.warmup_s = 1.0;
   config.max_sim_time_s = 5.0;
@@ -159,14 +134,12 @@ TEST(PolicyRegistry, SweepGridCarriesRegistryOnlyPolicies) {
 
   sim::SweepGrid grid;
   grid.base.benchmark = "crc32";
-  grid.policies = {sim::Policy::kWithoutFan};
-  grid.policy_names = {"sweep-test"};
+  grid.policy_names = {"no-fan", "sweep-test"};
   grid.seeds = {1, 2};
   const std::vector<sim::ExperimentConfig> configs = sim::sweep(grid);
   ASSERT_EQ(configs.size(), 4u);
-  EXPECT_EQ(sim::resolved_policy_name(configs[0]), "no-fan");
-  EXPECT_EQ(configs[0].policy, sim::Policy::kWithoutFan);
-  EXPECT_EQ(sim::resolved_policy_name(configs[2]), "sweep-test");
+  EXPECT_EQ(configs[0].policy_name, "no-fan");
+  EXPECT_EQ(configs[2].policy_name, "sweep-test");
 
   sim::ScenarioCatalog::Sweep sweep;
   sweep.base.record_trace = false;
@@ -176,38 +149,9 @@ TEST(PolicyRegistry, SweepGridCarriesRegistryOnlyPolicies) {
   const std::vector<sim::ExperimentConfig> scenario_configs =
       sim::ScenarioCatalog::standard().expand(sweep);
   ASSERT_EQ(scenario_configs.size(), 1u);
-  EXPECT_EQ(sim::resolved_policy_name(scenario_configs[0]), "sweep-test");
+  EXPECT_EQ(scenario_configs[0].policy_name, "sweep-test");
 
   registry.remove("sweep-test");
-}
-
-/// Acceptance pin: selecting a paper policy by registry name must be
-/// byte-identical to selecting it through the legacy enum.
-TEST(PolicyRegistry, NameSelectionBytesIdenticalToEnumSelection) {
-  sim::ExperimentConfig by_enum;
-  by_enum.benchmark = "crc32";
-  by_enum.policy = sim::Policy::kDefaultWithFan;
-  by_enum.max_sim_time_s = 40.0;
-
-  sim::ExperimentConfig by_name = by_enum;
-  by_name.policy = sim::Policy::kReactive;  // must be ignored...
-  by_name.policy_name = "default+fan";      // ...because the name wins
-
-  const sim::RunResult a = sim::run_experiment(by_enum);
-  const sim::RunResult b = sim::run_experiment(by_name);
-  EXPECT_EQ(a.execution_time_s, b.execution_time_s);
-  EXPECT_EQ(a.platform_energy_j, b.platform_energy_j);
-  ASSERT_TRUE(a.trace.has_value());
-  ASSERT_TRUE(b.trace.has_value());
-  ASSERT_EQ(a.trace->size(), b.trace->size());
-  for (std::size_t r = 0; r < a.trace->size(); ++r) {
-    for (std::size_t c = 0; c < a.trace->header().size(); ++c) {
-      const double x = a.trace->rows()[r][c];
-      const double y = b.trace->rows()[r][c];
-      ASSERT_TRUE(x == y || (std::isnan(x) && std::isnan(y)))
-          << "row " << r << " col " << a.trace->header()[c];
-    }
-  }
 }
 
 }  // namespace

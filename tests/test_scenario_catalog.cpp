@@ -62,15 +62,15 @@ TEST(ScenarioCatalog, ExpandBuildsLabeledInlineConfigs) {
   ScenarioCatalog::Sweep sweep;
   sweep.base.record_trace = false;
   sweep.families = {"bursty", "thermal-soak"};
-  sweep.policies = {Policy::kDefaultWithFan, Policy::kReactive};
+  sweep.policy_names = {"default+fan", "reactive"};
   sweep.seeds = {4, 5};
 
   const std::vector<ExperimentConfig> configs = catalog.expand(sweep);
   ASSERT_EQ(configs.size(), 2u * 2u * 2u);
   // Row-major: family outermost, then seed, then policy.
   EXPECT_EQ(configs[0].benchmark, "bursty#s4");
-  EXPECT_EQ(configs[0].policy, Policy::kDefaultWithFan);
-  EXPECT_EQ(configs[1].policy, Policy::kReactive);
+  EXPECT_EQ(configs[0].policy_name, "default+fan");
+  EXPECT_EQ(configs[1].policy_name, "reactive");
   EXPECT_EQ(configs[2].benchmark, "bursty#s5");
   EXPECT_EQ(configs[4].benchmark, "thermal-soak#s4");
   for (const ExperimentConfig& c : configs) {
@@ -109,7 +109,7 @@ TEST(ScenarioCatalog, FullCatalogSweepSatisfiesAllInvariants) {
   ScenarioCatalog::Sweep sweep;
   sweep.base.max_sim_time_s = 120.0;
   sweep.base.record_trace = true;
-  sweep.policies = {Policy::kDefaultWithFan, Policy::kProposedDtpm};
+  sweep.policy_names = {"default+fan", "dtpm"};
   sweep.seeds = {1, 2, 3};
 
   const std::vector<ExperimentConfig> configs = catalog.expand(sweep);
@@ -128,8 +128,7 @@ TEST(ScenarioCatalog, FullCatalogSweepSatisfiesAllInvariants) {
   const InvariantChecker checker;
   std::set<std::string> checked_families;
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    SCOPED_TRACE(configs[i].benchmark + " / " +
-                 to_string(configs[i].policy));
+    SCOPED_TRACE(configs[i].benchmark + " / " + configs[i].policy_name);
     const RunResult& result = outcome.results[i];
     ASSERT_TRUE(result.trace.has_value());
     EXPECT_GT(result.trace->size(), 10u);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace dtpm::soc {
 namespace {
 
@@ -10,6 +12,15 @@ workload::ThreadDemand thread(double duty, double activity = 0.5) {
   td.duty = duty;
   td.cpu_activity = activity;
   return td;
+}
+
+/// place_threads_into with fresh buffers.
+Placement place_threads(const std::vector<workload::ThreadDemand>& threads,
+                        const SocConfig& config) {
+  Placement out;
+  std::vector<std::size_t> order;
+  place_threads_into(threads, config, out, order);
+  return out;
 }
 
 TEST(Scheduler, EmptyInputs) {

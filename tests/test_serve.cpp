@@ -3,13 +3,21 @@
 // every S-code error reply, the bounded queue's backpressure semantics, and
 // the restart-determinism guarantee -- the same fleet spec submitted to two
 // fresh Server instances (and across fleet worker counts) produces
-// byte-identical aggregate JSON.
+// byte-identical aggregate JSON -- and, over a real Unix socket, that every
+// job's ack reaches the client before its result.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include "serve/job_queue.hpp"
 #include "serve/protocol.hpp"
@@ -303,6 +311,111 @@ TEST(ServeProtocol, SmokeOptionCapsSubmittedJobs) {
   const util::JsonValue* result = find_reply(session, "result", "r1");
   ASSERT_NE(nullptr, result);
   EXPECT_EQ("done", result->find("state")->as_string());
+}
+
+// --- reply ordering over a socket --------------------------------------------
+
+/// Minimal blocking NDJSON client over a Unix socket.
+class SocketClient {
+ public:
+  /// Connects to `path`, retrying while the server is still binding.
+  explicit SocketClient(const std::string& path) {
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    for (int attempt = 0; attempt < 500; ++attempt) {
+      fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+      if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
+                    sizeof(addr)) == 0) {
+        return;
+      }
+      ::close(fd_);
+      fd_ = -1;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  ~SocketClient() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  SocketClient(const SocketClient&) = delete;
+  SocketClient& operator=(const SocketClient&) = delete;
+
+  bool connected() const { return fd_ >= 0; }
+
+  void send_line(const std::string& line) {
+    const std::string data = line + "\n";
+    std::size_t written = 0;
+    while (written < data.size()) {
+      const ssize_t n =
+          ::write(fd_, data.data() + written, data.size() - written);
+      if (n <= 0) return;
+      written += std::size_t(n);
+    }
+  }
+
+  /// The next reply line; empty at EOF.
+  std::string read_line() {
+    for (;;) {
+      const std::size_t newline = buffer_.find('\n');
+      if (newline != std::string::npos) {
+        std::string line = buffer_.substr(0, newline);
+        buffer_.erase(0, newline + 1);
+        return line;
+      }
+      char chunk[4096];
+      const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
+      if (n <= 0) return "";
+      buffer_.append(chunk, std::size_t(n));
+    }
+  }
+
+ private:
+  int fd_ = -1;
+  std::string buffer_;
+};
+
+TEST(ServeOrdering, AckPrecedesResultForOneAtATimeRunJobs) {
+  // One job in flight at a time leaves the executor idle, so it pops each
+  // job the moment it is queued; a one-interval run can then finish before
+  // the submit path has written its ack. The ack must still come first.
+  const char* tiny_run =
+      R"({"benchmark":"crc32","policy":"reactive","engine":"propagator",)"
+      R"("warmup_s":0.0,"max_sim_time_s":0.1})";
+  const std::string path = ::testing::TempDir() + "dtpm_serve_order_" +
+                           std::to_string(::getpid()) + ".sock";
+  Server server(quiet_options());
+  std::thread serving([&server, &path] { server.serve_unix(path); });
+
+  constexpr int kJobs = 400;
+  int completed = 0;
+  int result_before_ack = 0;
+  {
+    SocketClient client(path);
+    EXPECT_TRUE(client.connected());
+    for (int i = 0; client.connected() && i < kJobs; ++i) {
+      const std::string id = "o" + std::to_string(i);
+      client.send_line(R"({"op":"submit","job":")" + id +
+                       R"(","smoke":true,"run":)" + tiny_run + "}");
+      std::string first_kind;
+      std::string line;
+      while (!(line = client.read_line()).empty()) {
+        const util::JsonValue reply = util::json_parse(line);
+        // A late ack of the previous job belongs to that job, not this one.
+        if (reply_job(reply) != id) continue;
+        if (first_kind.empty()) first_kind = reply_kind(reply);
+        if (reply_kind(reply) == "result") break;
+      }
+      if (line.empty()) break;  // the server hung up
+      ++completed;
+      if (first_kind != "ack") ++result_before_ack;
+    }
+    client.send_line(R"({"op":"shutdown"})");
+    EXPECT_NE(std::string::npos, client.read_line().find(R"("reply":"bye")"));
+  }
+  server.request_stop();  // unblocks serve_unix if the session failed early
+  serving.join();
+  EXPECT_EQ(kJobs, completed);
+  EXPECT_EQ(0, result_before_ack);
 }
 
 TEST(BoundedJobQueue, BackpressureAtCapacity) {

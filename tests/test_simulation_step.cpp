@@ -15,10 +15,10 @@ const sysid::IdentifiedPlatformModel& model() {
   return default_calibration().model;
 }
 
-ExperimentConfig quick_config(const char* benchmark, Policy policy) {
+ExperimentConfig quick_config(const char* benchmark, const char* policy) {
   ExperimentConfig c;
   c.benchmark = benchmark;
-  c.policy = policy;
+  c.policy_name = policy;
   return c;
 }
 
@@ -57,7 +57,7 @@ void expect_identical(const RunResult& a, const RunResult& b) {
 
 TEST(SimulationStep, ManualSteppingMatchesRunExperiment) {
   const ExperimentConfig config =
-      quick_config("dijkstra", Policy::kDefaultWithFan);
+      quick_config("dijkstra", "default+fan");
   const RunResult reference = run_experiment(config);
 
   Simulation simulation(config);
@@ -70,7 +70,7 @@ TEST(SimulationStep, ManualSteppingMatchesRunExperiment) {
 }
 
 TEST(SimulationStep, DtpmWithObserverMatchesRunExperiment) {
-  ExperimentConfig config = quick_config("sha", Policy::kProposedDtpm);
+  ExperimentConfig config = quick_config("sha", "dtpm");
   config.observe_predictions = true;
   const RunResult reference = run_experiment(config, &model());
 
@@ -81,7 +81,7 @@ TEST(SimulationStep, DtpmWithObserverMatchesRunExperiment) {
 }
 
 TEST(SimulationStep, ViewTracksProgressAndTime) {
-  Simulation simulation(quick_config("crc32", Policy::kWithoutFan));
+  Simulation simulation(quick_config("crc32", "no-fan"));
   EXPECT_EQ(simulation.view().steps, 0u);
   EXPECT_FALSE(simulation.done());
 
@@ -104,7 +104,7 @@ TEST(SimulationStep, ViewTracksProgressAndTime) {
 }
 
 TEST(SimulationStep, StepAfterDoneIsNoOp) {
-  ExperimentConfig config = quick_config("crc32", Policy::kWithoutFan);
+  ExperimentConfig config = quick_config("crc32", "no-fan");
   config.max_sim_time_s = 25.0;  // cap during/near warm-up: quick exit
   Simulation simulation(config);
   while (simulation.step()) {
@@ -115,7 +115,7 @@ TEST(SimulationStep, StepAfterDoneIsNoOp) {
 }
 
 TEST(SimulationStep, FinishTwiceThrows) {
-  ExperimentConfig config = quick_config("crc32", Policy::kWithoutFan);
+  ExperimentConfig config = quick_config("crc32", "no-fan");
   config.max_sim_time_s = 25.0;
   Simulation simulation(config);
   while (simulation.step()) {
@@ -125,15 +125,15 @@ TEST(SimulationStep, FinishTwiceThrows) {
 }
 
 TEST(SimulationStep, ConstructorValidatesModelRequirements) {
-  EXPECT_THROW(Simulation(quick_config("sha", Policy::kProposedDtpm)),
+  EXPECT_THROW(Simulation(quick_config("sha", "dtpm")),
                std::invalid_argument);
-  ExperimentConfig c = quick_config("sha", Policy::kWithoutFan);
+  ExperimentConfig c = quick_config("sha", "no-fan");
   c.observe_predictions = true;
   EXPECT_THROW(Simulation{c}, std::invalid_argument);
 }
 
 TEST(SimulationStep, TraceColumnsComeFromRecorderSchema) {
-  ExperimentConfig config = quick_config("crc32", Policy::kWithoutFan);
+  ExperimentConfig config = quick_config("crc32", "no-fan");
   config.max_sim_time_s = 40.0;
   const RunResult r = run_experiment(config);
   ASSERT_TRUE(r.trace.has_value());

@@ -83,7 +83,7 @@ TEST(ZeroAllocation, SteadyStateStepAllocatesNothing) {
   ExperimentConfig config;
   config.benchmark = "zero-alloc-steady";
   config.scenario = steady_benchmark();
-  config.policy = Policy::kDefaultWithFan;
+  config.policy_name = "default+fan";
   config.record_trace = false;         // recording grows the trace table
   config.observe_predictions = false;  // the observer queues predictions
   config.max_sim_time_s = 1e9;
@@ -127,7 +127,7 @@ TEST(ZeroAllocation, BatchedLaneSteadyStateWaveAllocatesNothing) {
     ExperimentConfig config;
     config.benchmark = "zero-alloc-steady";
     config.scenario = steady_benchmark();
-    config.policy = Policy::kDefaultWithFan;
+    config.policy_name = "default+fan";
     config.record_trace = false;
     config.observe_predictions = false;
     config.max_sim_time_s = 1e9;
@@ -177,7 +177,7 @@ TEST(ZeroAllocation, TraceRecordingAllocatesPerRowOnly) {
   ExperimentConfig config;
   config.benchmark = "zero-alloc-steady";
   config.scenario = steady_benchmark();
-  config.policy = Policy::kDefaultWithFan;
+  config.policy_name = "default+fan";
   config.record_trace = true;
   config.max_sim_time_s = 1e9;
   config.seed = 3;
