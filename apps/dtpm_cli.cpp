@@ -61,9 +61,9 @@ const char kUsageText[] =
     "  dtpm fleet <spec.json>  [-j N] [--out DIR] [--smoke] [--quiet]\n"
     "      One-shot fleet run: sample device profiles from the spec's\n"
     "      distributions (platform x ambient x background x scenario x\n"
-    "      seed), stream them through the batched engine in waves, and\n"
-    "      write the memory-flat streaming aggregate to\n"
-    "      <out>/fleet_aggregate.json.\n"
+    "      seed), run them in waves on the base config's engine (the\n"
+    "      propagator in examples/configs/fleet_smoke.json), and write the\n"
+    "      memory-flat streaming aggregate to <out>/fleet_aggregate.json.\n"
     "  dtpm serve [--socket PATH] [-j N] [--executors N] [--queue N] "
     "[--smoke] [--quiet]\n"
     "      Persistent fleet-simulation service: NDJSON requests (submit /\n"
@@ -828,7 +828,6 @@ int list_command(const std::vector<std::string>& args, std::ostream& out,
     const char* const descriptions[] = {
         "per-substep RK4 integrator; the bit-exact golden-trace baseline",
         "cached exact LTI propagator; one matvec per substep",
-        "propagator + structure-of-arrays lanes across a BatchRunner wave",
     };
     const std::vector<std::string>& names = sim::engine_names();
     for (std::size_t i = 0; i < names.size(); ++i) {

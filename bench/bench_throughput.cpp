@@ -1,8 +1,8 @@
 // Simulation throughput benchmark: the perf baseline every future PR is
 // measured against. Expands the scenario catalog over {family x policy x
 // seed}, then runs the grid through the BatchRunner once per (stepping
-// engine x worker count) cell -- reference-rk4, propagator and batched,
-// each on 1, 2, 4 and all hardware workers -- and reports aggregate
+// engine x worker count) cell -- reference-rk4 and propagator, each on 1,
+// 2, 4 and all hardware workers -- and reports aggregate
 // steps/sec, runs/sec, and per-step latency percentiles from the per-run
 // RunResult cost counters. Each cell then runs a second, phase-profiled
 // pass (ExperimentConfig::profile_phases) whose sensor/policy/schedule/
@@ -26,8 +26,7 @@
 //   --smoke     CI mode: 1 seed per family, 30 s sim-time cap, one timed
 //               pass per cell (full mode keeps the faster of two)
 //   seed_count  seeds per family/policy (default 10; short cells measure
-//               scheduler noise, and wide cells drive the lockstep lanes
-//               at fleet-representative group widths)
+//               scheduler noise)
 //   json_path   output JSON (default BENCH_throughput.json)
 #include <algorithm>
 #include <chrono>
@@ -154,9 +153,8 @@ int main(int argc, char** argv) {
   // The sweep cells: every engine on 1, 2, 4 and all-hardware workers
   // (deduplicated; counts beyond host_cpus stay listed and record their
   // clamped effective width).
-  const std::vector<sim::Engine> engines = {
-      sim::Engine::kReferenceRk4, sim::Engine::kPropagator,
-      sim::Engine::kBatched};
+  const std::vector<sim::Engine> engines = {sim::Engine::kReferenceRk4,
+                                            sim::Engine::kPropagator};
   std::vector<unsigned> worker_counts = {1u, 2u, 4u, host_cpus};
   std::sort(worker_counts.begin(), worker_counts.end());
   worker_counts.erase(

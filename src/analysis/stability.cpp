@@ -11,8 +11,7 @@ namespace dtpm::analysis {
 
 namespace {
 
-/// Leakage power (W) of collapsed coefficients at one temperature: the same
-/// expression the batch lane's vectorized kernel evaluates per row.
+/// Leakage power (W) of collapsed coefficients at one temperature.
 double leakage_w(const power::LeakageCoeffs& k, double temp_c) {
   const double tk = power::celsius_to_kelvin(temp_c);
   return k.t2_scale_w * tk * tk * std::exp(k.c2_k / tk) + k.gate_w;
@@ -85,8 +84,8 @@ util::Matrix CoupledPowerModel::free_power_jacobian(
     const std::size_t pos = free_position(free_nodes, node);
     j(pos, pos) += k.core_leak_mult[c] *
                    leakage_slope_w_per_k(k.big_leak, temps_c[node]);
-    // The offline-cluster leakage rides on core 0's temperature (see the
-    // batch lane's leak0 row), so it contributes an off-diagonal column.
+    // The offline-cluster leakage rides on core 0's temperature (the
+    // core_leak0_mult term), so it contributes an off-diagonal column.
     j(pos, core0_pos) += k.core_leak0_mult[c] * slope0;
   }
   const std::size_t little_pos =

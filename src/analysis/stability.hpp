@@ -7,9 +7,9 @@
 // where G is the conductance matrix reduced to the free (non-boundary)
 // nodes, C the diagonal heat-capacity matrix, and P(T) the closed-form
 // per-node power at the applied operating point -- constants plus leakage
-// terms captured by soc::SocIntervalConstants (exactly what the batch lane's
-// vectorized power kernel evaluates). Linearizing at an equilibrium T*
-// folds the leakage Jacobian J = dP/dT into the conductance matrix:
+// terms captured by soc::SocIntervalConstants. Linearizing at an
+// equilibrium T* folds the leakage Jacobian J = dP/dT into the conductance
+// matrix:
 //
 //     C dx/dt = (-G + J) x,       x = T - T*
 //

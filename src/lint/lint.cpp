@@ -62,14 +62,6 @@ void lint_document(const util::JsonValue& json, const std::string& path,
       sim::experiment_from_json(json, path, sink);
   if (sink.error_count() != errors_before) return;
   lint_experiment(config, path, sink, options);
-  // L304 is about *standalone* runs only -- inside a sweep base, "batched"
-  // is exactly what enables the lockstep lane, so the driver (which knows
-  // the document kind) owns this note rather than lint_experiment.
-  if (config.engine == sim::Engine::kBatched) {
-    sink.note("L304", path + ".engine",
-              "'batched' engages the lockstep lane only inside a batch "
-              "wave; a standalone run behaves as 'propagator'");
-  }
 }
 
 void lint_file(const std::string& file_path, util::DiagnosticSink& sink,

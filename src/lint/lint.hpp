@@ -16,7 +16,7 @@
 //   L1xx  floorplan graph: connectivity, roles, duplicate/self edges, fan
 //   L2xx  OPP tables: monotonicity, duplicates, cluster mismatch
 //   L3xx  cross-field: abort vs t_max, sensor noise, interval divisibility,
-//         engine semantics
+//         recommended t_max, trace retention (L304 is retired, never reused)
 //   L4xx  policy params vs registry-declared schemas
 //   L5xx  sweep grids: empty axes, duplicates, expansion size
 //   L6xx  deep (opt-in): equilibrium/stability pre-check

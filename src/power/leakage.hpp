@@ -40,11 +40,10 @@ inline bool operator==(const LeakageParams& a, const LeakageParams& b) {
 ///     power_w(T, vdd) == t2_scale_w * Tk^2 * exp(c2_k / Tk) + gate_w,
 ///     Tk = celsius_to_kelvin(T).
 ///
-/// This is the form the structure-of-arrays batch power kernel evaluates
-/// across lanes (sim/batch_lane.cpp): the voltage factors (including the
-/// DIBL term) fold into the two scale coefficients, leaving temperature as
-/// the only per-substep input. Equal to LeakageModel::power_w up to
-/// floating-point reassociation.
+/// The voltage factors (including the DIBL term) fold into the two scale
+/// coefficients, leaving temperature as the only per-substep input -- the
+/// form soc::SocIntervalConstants carries into the stability analysis.
+/// Equal to LeakageModel::power_w up to floating-point reassociation.
 struct LeakageCoeffs {
   double t2_scale_w = 0.0;  ///< vdd * c1 * dibl(vdd), W/K^2
   double c2_k = 0.0;        ///< exponent scale, Kelvin

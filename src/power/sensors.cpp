@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "util/vgauss.hpp"
-
 namespace dtpm::power {
 
 PowerSensorBank::PowerSensorBank(const PowerSensorParams& params,
@@ -28,24 +26,6 @@ ResourceVector PowerSensorBank::read(const ResourceVector& true_power_w) {
   return out;
 }
 
-void PowerSensorBank::draw_noise_into(double* noise_out) {
-  util::gaussian_fill(rng_, 0.0, params_.noise_fraction, noise_out,
-                      kResourceCount);
-}
-
-ResourceVector PowerSensorBank::read_with_noise(
-    const ResourceVector& true_power_w, const double* noise) const {
-  ResourceVector out{};
-  for (std::size_t i = 0; i < kResourceCount; ++i) {
-    double reading = true_power_w[i] * (1.0 + noise[i]);
-    if (params_.quantization_w > 0.0) {
-      reading = std::round(reading / params_.quantization_w) * params_.quantization_w;
-    }
-    out[i] = std::max(reading, 0.0);
-  }
-  return out;
-}
-
 ExternalPowerMeter::ExternalPowerMeter(const PlatformLoadParams& params,
                                        util::Rng rng, double noise_fraction)
     : params_(params), rng_(rng), noise_fraction_(noise_fraction) {
@@ -59,18 +39,6 @@ double ExternalPowerMeter::read(const ResourceVector& true_rail_power_w,
   const double truth = total(true_rail_power_w) + fan_power_w +
                        params_.board_base_w + params_.display_w;
   return truth * (1.0 + rng_.gaussian(0.0, noise_fraction_));
-}
-
-void ExternalPowerMeter::draw_noise_into(double* noise_out) {
-  util::gaussian_fill(rng_, 0.0, noise_fraction_, noise_out, 1);
-}
-
-double ExternalPowerMeter::read_with_noise(
-    const ResourceVector& true_rail_power_w, double fan_power_w,
-    const double* noise) const {
-  const double truth = total(true_rail_power_w) + fan_power_w +
-                       params_.board_base_w + params_.display_w;
-  return truth * (1.0 + noise[0]);
 }
 
 }  // namespace dtpm::power

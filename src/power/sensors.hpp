@@ -29,14 +29,6 @@ class PowerSensorBank {
 
   ResourceVector read(const ResourceVector& true_power_w);
 
-  /// Batched-noise split of read(), mirroring TempSensorBank: draw the rail
-  /// noise up front (consuming the RNG exactly as one read would), then
-  /// convert true powers to readings bit-identical to read().
-  std::size_t noise_count() const { return kResourceCount; }
-  void draw_noise_into(double* noise_out);
-  ResourceVector read_with_noise(const ResourceVector& true_power_w,
-                                 const double* noise) const;
-
  private:
   PowerSensorParams params_;
   util::Rng rng_;
@@ -61,12 +53,6 @@ class ExternalPowerMeter {
 
   /// One platform-power sample in W.
   double read(const ResourceVector& true_rail_power_w, double fan_power_w);
-
-  /// Batched-noise split of read(): one pre-drawn noise value per sample.
-  std::size_t noise_count() const { return 1; }
-  void draw_noise_into(double* noise_out);
-  double read_with_noise(const ResourceVector& true_rail_power_w,
-                         double fan_power_w, const double* noise) const;
 
   const PlatformLoadParams& params() const { return params_; }
 

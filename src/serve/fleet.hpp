@@ -1,8 +1,10 @@
 // Fleet mode: sample N device profiles from distributions over platform x
 // ambient x background load x scenario family x seed, stream them through
-// the batched engine in waves, and fold every run into a FleetAggregate --
-// no per-run traces, so a 100k-device fleet is a memory-flat streaming
-// computation whose aggregates are reproducible from the spec's seed.
+// the BatchRunner pool in waves (one Simulation per device, on the spec's
+// engine -- propagator in the shipped example), and fold every run into a
+// FleetAggregate -- no per-run traces, so a 100k-device fleet is a
+// memory-flat streaming computation whose aggregates are reproducible from
+// the spec's seed.
 //
 // Reproducibility: sample_fleet is a pure function of the spec (one
 // util::Rng stream, consumed device by device in a fixed draw order), and

@@ -6,7 +6,6 @@
 #include <memory>
 #include <thread>
 
-#include "sim/batch_lane.hpp"
 #include "sim/engine.hpp"
 #include "sim/platform_registry.hpp"
 #include "sim/run_plan.hpp"
@@ -63,19 +62,6 @@ BatchOutcome BatchRunner::run_collecting(const std::vector<BatchJob>& jobs,
   }
   const RunPlan& plan = shared_plan != nullptr ? *shared_plan : *local_plan;
 
-  // Lockstep partition: batched-engine jobs that share a platform and a
-  // step geometry run as structure-of-arrays lane groups (sim/batch_lane);
-  // every other job -- and batched jobs with no partner -- stays on the
-  // ordinary one-Simulation-per-run path. Both kinds of task share the
-  // same pool below, and both write only their own batch-aligned slots.
-  // Plan for the workers that will actually run: lockstep buckets shard
-  // into one column tile per effective worker, so a multi-worker pool gets
-  // parallel lane groups instead of one monolithic group on one thread.
-  const unsigned pool_size = effective_worker_count();
-  std::vector<std::size_t> singles;
-  const std::vector<LockstepGroup> groups =
-      plan_lockstep_groups(jobs, singles, pool_size);
-
   auto run_one = [&](std::size_t i) {
     try {
       const sysid::IdentifiedPlatformModel* model =
@@ -86,32 +72,23 @@ BatchOutcome BatchRunner::run_collecting(const std::vector<BatchJob>& jobs,
       outcome.errors[i] = std::current_exception();
     }
   };
-  const std::size_t task_count = singles.size() + groups.size();
-  auto run_task = [&](std::size_t t) {
-    if (t < singles.size()) {
-      run_one(singles[t]);
-    } else {
-      run_lockstep_group(jobs, groups[t - singles.size()], plan,
-                         outcome.results, outcome.errors);
-    }
-  };
   auto count_failures = [&outcome] {
     for (const std::exception_ptr& e : outcome.errors) {
       if (e) ++outcome.failure_count;
     }
   };
 
-  const unsigned workers = std::min<unsigned>(pool_size, unsigned(task_count));
+  const unsigned workers =
+      std::min<unsigned>(effective_worker_count(), unsigned(jobs.size()));
   if (workers <= 1) {
-    for (std::size_t t = 0; t < task_count; ++t) run_task(t);
+    for (std::size_t i = 0; i < jobs.size(); ++i) run_one(i);
     count_failures();
     return outcome;
   }
 
-  // Work-stealing by atomic index: each worker pops the next unclaimed
-  // task (a single run or a whole lockstep group), so stragglers never
-  // serialize the whole batch. Every task only touches its own
-  // Simulation(s) (seeded from their configs) and its own results/errors
+  // Work-stealing by atomic index: each worker pops the next unclaimed job,
+  // so stragglers never serialize the whole batch. Every job only touches
+  // its own Simulation (seeded from its config) and its own results/errors
   // slots, which is what makes parallel output bit-identical to serial --
   // including batches where some runs throw.
   // Cache-line-aligned so the claim counter never false-shares with the
@@ -119,9 +96,9 @@ BatchOutcome BatchRunner::run_collecting(const std::vector<BatchJob>& jobs,
   alignas(64) std::atomic<std::size_t> next{0};
   auto worker = [&]() {
     for (;;) {
-      const std::size_t t = next.fetch_add(1, std::memory_order_relaxed);
-      if (t >= task_count) return;
-      run_task(t);
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= jobs.size()) return;
+      run_one(i);
     }
   };
 

@@ -52,9 +52,9 @@ struct ExperimentConfig {
   double control_interval_s = 0.1;  ///< 100 ms driver period (§6.2)
   double plant_substep_s = 0.01;
   /// Plant stepping engine (sim/stepping_engine.hpp). The default
-  /// reference-rk4 is bit-exact with the golden traces; `propagator` and
-  /// `batched` trade that for throughput (bounded error, documented in the
-  /// README's Performance section).
+  /// reference-rk4 is bit-exact with the golden traces; `propagator` trades
+  /// that for throughput (bounded error, documented in the README's
+  /// Performance section).
   Engine engine = Engine::kReferenceRk4;
   /// Settling time before the benchmark starts and recording begins. A
   /// moderate warm-up load runs during this window so traces start from the

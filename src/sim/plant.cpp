@@ -40,40 +40,17 @@ Plant::Plant(const PlatformDescriptor& platform, util::Rng& root,
 }
 
 void Plant::read_temps_into(std::vector<double>& readings_out) {
-  if (staged_noise_ != nullptr) {
-    temp_bank_.read_with_noise_into(floorplan_.network.temperatures_c(),
-                                    staged_noise_, readings_out);
-    return;
-  }
   temp_bank_.read_into(floorplan_.network.temperatures_c(), readings_out);
 }
 
 power::ResourceVector Plant::read_rails(
     const power::ResourceVector& true_avg_w) {
-  if (staged_noise_ != nullptr) {
-    return power_bank_.read_with_noise(true_avg_w,
-                                       staged_noise_ + temp_bank_.noise_count());
-  }
   return power_bank_.read(true_avg_w);
 }
 
 double Plant::read_platform_power(const power::ResourceVector& true_avg_w,
                                   double fan_power_w) {
-  if (staged_noise_ != nullptr) {
-    const double* slice =
-        staged_noise_ + temp_bank_.noise_count() + power_bank_.noise_count();
-    const double reading = meter_.read_with_noise(true_avg_w, fan_power_w, slice);
-    staged_noise_ = nullptr;  // the meter is the interval's last sensor read
-    return reading;
-  }
   return meter_.read(true_avg_w, fan_power_w);
-}
-
-void Plant::draw_sensor_noise_into(double* noise_out) {
-  temp_bank_.draw_noise_into(noise_out);
-  power_bank_.draw_noise_into(noise_out + temp_bank_.noise_count());
-  meter_.draw_noise_into(noise_out + temp_bank_.noise_count() +
-                         power_bank_.noise_count());
 }
 
 void Plant::set_fan(thermal::FanSpeed speed) {
@@ -92,7 +69,7 @@ void Plant::interval_begin() {
   rails_accum_ = power::ResourceVector{};
 }
 
-const std::vector<double>& Plant::substep_prepare(
+void Plant::substep_prepare(
     const workload::Demand& demand,
     const std::vector<workload::ThreadDemand>& background_threads,
     double sub_dt, bool reuse_schedule) {
@@ -111,7 +88,6 @@ const std::vector<double>& Plant::substep_prepare(
   floorplan_.assemble_node_power_into(pending_.last_substep.big_core_power_w,
                                       pending_.last_substep.rail_power_w,
                                       node_power_scratch_);
-  return node_power_scratch_;
 }
 
 void Plant::thermal_substep(double sub_dt) {

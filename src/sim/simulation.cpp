@@ -126,8 +126,8 @@ bool Simulation::begin_step() {
   pending_.due =
       observer_.observe(k_, pending_.active, sensor_temps, sensor_rails);
 
-  // 4. Stage the plant-advance inputs (the caller -- step() or the lockstep
-  // batch driver -- advances the plant, then hands the interval result to
+  // 4. Stage the plant-advance inputs (the caller -- step() or a split-phase
+  // stepper -- advances the plant, then hands the interval result to
   // finish_step()).
   workload::Demand& demand = buffers_.demand;
   demand.threads.clear();

@@ -67,8 +67,8 @@ class Simulation {
   /// runaway, or the simulated-time cap) has been reached.
   bool step();
 
-  /// Split-phase stepping for external interval drivers (the lockstep batch
-  /// lane). step() is exactly:
+  /// Split-phase stepping, for callers that time or inspect the plant
+  /// advance on its own. step() is exactly:
   ///
   ///   if (!begin_step()) return false;
   ///   interval = plant().advance(staged_demand(), staged_background(),
@@ -103,15 +103,6 @@ class Simulation {
 
   /// True once a termination condition has been reached.
   bool done() const { return done_; }
-
-  /// Phase accounting (config.profile_phases). begin_step() stamps the
-  /// sensor/policy/schedule phases itself; an external interval driver that
-  /// replaces plant().advance() measures its own plant-side ticks and hands
-  /// them back here so finish() reports the full interval either way.
-  bool profile_phases() const { return config_.profile_phases; }
-  void add_phase_cycles(const util::PhaseCycles& cycles) {
-    phase_cycles_ += cycles;
-  }
 
   const SimulationView& view() const { return view_; }
 

@@ -12,22 +12,18 @@ const char* to_string(Engine e) {
       return "reference-rk4";
     case Engine::kPropagator:
       return "propagator";
-    case Engine::kBatched:
-      return "batched";
   }
   return "?";
 }
 
 const std::vector<std::string>& engine_names() {
   static const std::vector<std::string> names = {
-      to_string(Engine::kReferenceRk4), to_string(Engine::kPropagator),
-      to_string(Engine::kBatched)};
+      to_string(Engine::kReferenceRk4), to_string(Engine::kPropagator)};
   return names;
 }
 
 std::optional<Engine> try_parse_engine(const std::string& name) {
-  for (Engine e :
-       {Engine::kReferenceRk4, Engine::kPropagator, Engine::kBatched}) {
+  for (Engine e : {Engine::kReferenceRk4, Engine::kPropagator}) {
     if (name == to_string(e)) return e;
   }
   return std::nullopt;

@@ -89,8 +89,8 @@ bool operator==(const PerfParams& a, const PerfParams& b);
 /// for the current schedule and applied config, captured once per control
 /// interval. Combined with per-substep temperatures these reproduce
 /// step(reuse_schedule=true) up to floating-point reassociation -- the
-/// contract the structure-of-arrays batch kernel (sim/batch_lane.cpp)
-/// relies on to evaluate many lanes' power models in one vectorized pass.
+/// closed-form power model the stability analysis (analysis/stability.hpp)
+/// linearizes.
 ///
 /// The per-core formula is branch-free across cluster modes:
 ///
@@ -98,9 +98,10 @@ bool operator==(const PerfParams& a, const PerfParams& b);
 ///             + core_leak_mult[c]   * big_leak(T_core[c])
 ///             + core_leak0_mult[c]  * big_leak(T_core[0])
 ///
-/// Big-cluster-active lanes use the per-core term (const = dynamic + uncore
-/// share, mult = 1/4 online or offline_fraction/4); little-active lanes use
-/// the shared core-0 residual term exactly as the scalar path does.
+/// With the big cluster active each core uses its own term (const =
+/// dynamic + uncore share, mult = 1/4 online or offline_fraction/4); with
+/// the little cluster active the cores use the shared core-0 residual term
+/// exactly as step() does.
 struct SocIntervalConstants {
   bool big_active = true;
   std::array<double, kBigCoreCount> core_const_w{};
@@ -177,22 +178,10 @@ class Soc {
   /// after the first (reuse_schedule=false) step of a control interval.
   SocIntervalConstants interval_constants() const;
 
-  /// Consumes up to dt_s of the pending cluster-migration stall and returns
-  /// the effective progress time -- exactly step()'s stall rule, exposed so
-  /// an external power kernel can advance progress identically.
-  double consume_migration_stall(double dt_s) {
-    double effective_dt = dt_s;
-    if (migration_stall_remaining_s_ > 0.0) {
-      const double consumed = std::min(migration_stall_remaining_s_, dt_s);
-      migration_stall_remaining_s_ -= consumed;
-      effective_dt -= consumed;
-    }
-    return effective_dt;
-  }
-
   const PlantPowerParams& power_params() const { return power_params_; }
   const PerfParams& perf_params() const { return perf_params_; }
 
+ private:
   /// Interval-invariant schedule outputs, valid while the workload and the
   /// applied config are unchanged (see step()'s reuse_schedule).
   struct Schedule {
@@ -204,16 +193,18 @@ class Soc {
     std::array<double, kBigCoreCount> core_activity{};
   };
 
-  /// The schedule computed by the last reuse_schedule=false step().
-  const Schedule& schedule() const { return schedule_; }
-  /// Installs a schedule solved on another Soc with identical (demand,
-  /// background, applied config) inputs -- the solve is a pure function of
-  /// those, so adopting it and calling step(reuse_schedule=true) is
-  /// bit-identical to solving locally. This is the lockstep lanes'
-  /// per-equivalence-class schedule memo.
-  void adopt_schedule(const Schedule& s) { schedule_ = s; }
+  /// Consumes up to dt_s of the pending cluster-migration stall and returns
+  /// the effective progress time.
+  double consume_migration_stall(double dt_s) {
+    double effective_dt = dt_s;
+    if (migration_stall_remaining_s_ > 0.0) {
+      const double consumed = std::min(migration_stall_remaining_s_, dt_s);
+      migration_stall_remaining_s_ -= consumed;
+      effective_dt -= consumed;
+    }
+    return effective_dt;
+  }
 
- private:
   PlantPowerParams power_params_;
   PerfParams perf_params_;
   power::OppTable big_opps_;

@@ -55,8 +55,8 @@ class CompiledRcModel {
   double edge_conductance(std::size_t edge_index) const;
 
   /// Monotonic counter bumped by every set_edge_conductance call that
-  /// actually changes a value. Derived models (the LTI propagator, the batch
-  /// lanes) key their caches on it: an unchanged epoch guarantees the
+  /// actually changes a value. Derived models (the LTI propagator) key
+  /// their caches on it: an unchanged epoch guarantees the
   /// conductance state -- and hence any precomputed transition matrix -- is
   /// still valid.
   std::uint64_t conductance_epoch() const { return conductance_epoch_; }

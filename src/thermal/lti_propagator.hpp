@@ -48,8 +48,8 @@ enum class PropagatorMode {
 };
 
 /// One compiled (dt, conductance state) propagator: the affine step map and
-/// the boundary-coupling pattern needed to form z. Shared read-only by the
-/// scalar step path and the structure-of-arrays batch lanes.
+/// the boundary-coupling pattern needed to form z. Shared read-only by
+/// every step through the cache that owns it.
 struct PropagatorMatrices {
   std::size_t free_count = 0;
   std::vector<std::size_t> free_nodes;  ///< dense slot -> node index

@@ -93,8 +93,8 @@ class RcNetwork {
   const CompiledRcModel& compiled() const { return compiled_; }
 
   /// Mutable temperature state for external stepping engines: the LTI
-  /// propagator and the batch lanes advance the state out-of-band and write
-  /// the result back through this. Everyone else reads temperatures_c().
+  /// propagator advances the state out-of-band and writes the result back
+  /// through this. Everyone else reads temperatures_c().
   std::vector<double>& temperatures_mut() { return temps_; }
 
  private:

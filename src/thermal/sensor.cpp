@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "util/vgauss.hpp"
-
 namespace dtpm::thermal {
 
 TempSensorBank::TempSensorBank(std::vector<std::size_t> observed_nodes,
@@ -34,31 +32,6 @@ void TempSensorBank::read_into(const std::vector<double>& true_temps_c,
       throw std::invalid_argument("TempSensorBank: node index out of range");
     }
     double reading = true_temps_c[node] + rng_.gaussian(0.0, params_.noise_stddev_c);
-    if (params_.quantization_c > 0.0) {
-      reading = std::round(reading / params_.quantization_c) * params_.quantization_c;
-    }
-    readings_out.push_back(reading);
-  }
-}
-
-void TempSensorBank::draw_noise_into(double* noise_out) {
-  // gaussian() returns the 0 mean without touching the engine when the
-  // stddev is <= 0, so a noise-free bank stays stream-compatible for free.
-  util::gaussian_fill(rng_, 0.0, params_.noise_stddev_c, noise_out,
-                      observed_nodes_.size());
-}
-
-void TempSensorBank::read_with_noise_into(
-    const std::vector<double>& true_temps_c, const double* noise,
-    std::vector<double>& readings_out) {
-  readings_out.clear();
-  readings_out.reserve(observed_nodes_.size());
-  for (std::size_t i = 0; i < observed_nodes_.size(); ++i) {
-    const std::size_t node = observed_nodes_[i];
-    if (node >= true_temps_c.size()) {
-      throw std::invalid_argument("TempSensorBank: node index out of range");
-    }
-    double reading = true_temps_c[node] + noise[i];
     if (params_.quantization_c > 0.0) {
       reading = std::round(reading / params_.quantization_c) * params_.quantization_c;
     }

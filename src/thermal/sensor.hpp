@@ -35,17 +35,6 @@ class TempSensorBank {
   void read_into(const std::vector<double>& true_temps_c,
                  std::vector<double>& readings_out);
 
-  /// Batched-noise split of read_into(), for the lockstep lane's one-pass
-  /// sensor kernel: draw_noise_into() consumes this bank's RNG stream
-  /// exactly as one read would (noise_count() gaussians, or nothing when
-  /// the bank is noise-free), and read_with_noise_into() then produces
-  /// readings bit-identical to read_into() from the pre-drawn values.
-  std::size_t noise_count() const { return observed_nodes_.size(); }
-  void draw_noise_into(double* noise_out);
-  void read_with_noise_into(const std::vector<double>& true_temps_c,
-                            const double* noise,
-                            std::vector<double>& readings_out);
-
   const std::vector<std::size_t>& observed_nodes() const {
     return observed_nodes_;
   }

@@ -14,12 +14,8 @@ namespace dtpm::util {
 /// gaussian() is a hand-rolled Marsaglia polar transform that reproduces,
 /// bit for bit, the sequence a fresh libstdc++ std::normal_distribution
 /// produces per call -- the sequence every golden trace was recorded
-/// against. Hand-rolling it buys two things over the standard distribution
-/// object: the second deviate of each polar pair is exposed through
-/// gaussian_pair() (one log+sqrt per TWO deviates for callers whose draw
-/// sequence is not replay-pinned), and util/vgauss.hpp can batch-fill noise
-/// vectors through one tight loop instead of a distribution object per
-/// draw. The bit-compat contract is pinned by tests/test_rng_gaussian.cpp.
+/// against -- without constructing a distribution object per draw. The
+/// bit-compat contract is pinned by tests/test_rng_gaussian.cpp.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x5eed5eedULL) : engine_(seed) {}
@@ -34,27 +30,18 @@ class Rng {
   /// noise-free, and must not perturb the stream other draws replay from).
   double gaussian(double mean = 0.0, double stddev = 1.0) {
     if (stddev <= 0.0) return mean;
-    double x, y, mult;
-    polar_core(x, y, mult);
+    // Marsaglia polar rejection, operation for operation the libstdc++
+    // std::normal_distribution one (bits/random.tcc), so the engine stream
+    // advances identically. The companion deviate x * mult is discarded,
+    // as a fresh distribution object per call discards it.
+    double x, y, r2;
+    do {
+      x = 2.0 * canonical() - 1.0;
+      y = 2.0 * canonical() - 1.0;
+      r2 = x * x + y * y;
+    } while (r2 > 1.0 || r2 == 0.0);
+    const double mult = std::sqrt(-2.0 * std::log(r2) / r2);
     return y * mult * stddev + mean;
-  }
-
-  /// Draws one polar pair and returns BOTH deviates: `first` is exactly the
-  /// value gaussian() would have returned from the same engine state (and
-  /// consumes the same engine draws); `second` is the companion deviate the
-  /// per-call path throws away. Callers whose sequence is not pinned to
-  /// golden traces get two deviates for one log+sqrt.
-  void gaussian_pair(double mean, double stddev, double& first,
-                     double& second) {
-    if (stddev <= 0.0) {
-      first = mean;
-      second = mean;
-      return;
-    }
-    double x, y, mult;
-    polar_core(x, y, mult);
-    first = y * mult * stddev + mean;
-    second = x * mult * stddev + mean;
   }
 
   /// Uniform integer in [lo, hi] inclusive.
@@ -82,19 +69,6 @@ class Rng {
     double ret = double(engine_()) / kTwo64;
     if (ret >= 1.0) ret = std::nextafter(1.0, 0.0);
     return ret;
-  }
-
-  /// Marsaglia polar rejection core, operation for operation the libstdc++
-  /// std::normal_distribution one (bits/random.tcc), so the engine stream
-  /// advances identically.
-  void polar_core(double& x, double& y, double& mult) {
-    double r2;
-    do {
-      x = 2.0 * canonical() - 1.0;
-      y = 2.0 * canonical() - 1.0;
-      r2 = x * x + y * y;
-    } while (r2 > 1.0 || r2 == 0.0);
-    mult = std::sqrt(-2.0 * std::log(r2) / r2);
   }
 
   std::mt19937_64 engine_;

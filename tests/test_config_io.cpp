@@ -65,14 +65,14 @@ TEST(ConfigIo, ModifiedExperimentRoundTrips) {
   config.seed = 99;
   config.record_trace = false;
   config.observe_horizon_steps = 25;
-  config.engine = Engine::kBatched;
+  config.engine = Engine::kPropagator;
 
   const ExperimentConfig reparsed = experiment_from_json(to_json(config));
   expect_same_config(config, reparsed);
   EXPECT_EQ(reparsed.policy_name, "reactive");
   EXPECT_DOUBLE_EQ(reparsed.policy_params.at("trip_c"), 61.5);
   EXPECT_EQ(reparsed.dtpm.row_policy, core::BudgetRowPolicy::kAllHotspots);
-  EXPECT_EQ(reparsed.engine, Engine::kBatched);
+  EXPECT_EQ(reparsed.engine, Engine::kPropagator);
 }
 
 TEST(ConfigIo, EngineMemberParsesAndRejectsUnknownNames) {

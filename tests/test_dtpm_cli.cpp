@@ -135,11 +135,10 @@ TEST(DtpmCli, ListPlatforms) {
 
 TEST(DtpmCli, ListEngines) {
   // Enumerator order, not sorted: baseline first, fastest last.
-  EXPECT_EQ(run_cli({"list", "engines"}).out,
-            "reference-rk4\npropagator\nbatched\n");
+  EXPECT_EQ(run_cli({"list", "engines"}).out, "reference-rk4\npropagator\n");
   const CliResult verbose = run_cli({"list", "engines", "--long"});
   EXPECT_NE(verbose.out.find("golden-trace baseline"), std::string::npos);
-  EXPECT_NE(verbose.out.find("structure-of-arrays"), std::string::npos);
+  EXPECT_NE(verbose.out.find("LTI propagator"), std::string::npos);
 }
 
 // --- usage ------------------------------------------------------------------
@@ -326,23 +325,23 @@ TEST(DtpmCli, SweepEngineFlagAppliesToEveryRow) {
     "seeds": [1, 2]
   })");
   const std::string out_dir = temp_dir() + "engine-sweep-out";
-  const CliResult r = run_cli({"sweep", grid, "--engine", "batched",
+  const CliResult r = run_cli({"sweep", grid, "--engine", "propagator",
                                "--smoke", "--out", out_dir, "--quiet"});
   EXPECT_EQ(r.exit_code, 0) << r.err;
   const std::string summary = slurp(out_dir + "/summary.csv");
   EXPECT_EQ(line_count(summary), 5u);  // 2 comments + header + 2 seeds
   // Provenance comments precede the header: the engine override and the
   // requested-vs-effective worker width are part of the artifact.
-  EXPECT_EQ(summary.rfind("# engine: batched\n", 0), 0u) << summary;
+  EXPECT_EQ(summary.rfind("# engine: propagator\n", 0), 0u) << summary;
   EXPECT_NE(summary.find("# workers: requested "), std::string::npos);
   EXPECT_NE(summary.find(", effective "), std::string::npos);
-  // Both data rows stepped on the batched engine (as one lockstep group).
-  std::size_t batched_rows = 0, pos = 0;
-  while ((pos = summary.find(",batched,", pos)) != std::string::npos) {
-    ++batched_rows;
+  // Both data rows stepped on the propagator.
+  std::size_t propagator_rows = 0, pos = 0;
+  while ((pos = summary.find(",propagator,", pos)) != std::string::npos) {
+    ++propagator_rows;
     pos += 1;
   }
-  EXPECT_EQ(batched_rows, 2u);
+  EXPECT_EQ(propagator_rows, 2u);
 }
 
 TEST(DtpmCli, RunReportsUnknownPlatformInConfigWithPath) {
@@ -480,15 +479,14 @@ TEST(DtpmCli, ExampleConfigsParseAndExpand) {
   EXPECT_EQ(custom.platform->platform_load.display_w, 0.0);
   EXPECT_DOUBLE_EQ(custom.dtpm.t_max_c, 75.0);  // adopted from the platform
 
-  // The engine example: every expanded config selects the batched engine,
-  // so the whole sweep runs as structure-of-arrays lockstep lanes.
+  // The engine example: every expanded config selects the propagator.
   const sim::SweepSpec fleet =
       sim::load_sweep_spec(dir + "/engine_throughput.json");
-  EXPECT_EQ(fleet.base.engine, sim::Engine::kBatched);
+  EXPECT_EQ(fleet.base.engine, sim::Engine::kPropagator);
   const std::vector<sim::ExperimentConfig> expanded = fleet.expand();
   EXPECT_EQ(expanded.size(), 8u);
   for (const sim::ExperimentConfig& config : expanded) {
-    EXPECT_EQ(config.engine, sim::Engine::kBatched);
+    EXPECT_EQ(config.engine, sim::Engine::kPropagator);
   }
 }
 

@@ -145,6 +145,11 @@ TEST(LintCorpus, FleetHot) { expect_matches_golden("fleet_hot.json"); }
 /// The retired "preset" key gets no special case: the generic unknown-field
 /// path (L004) rejects it like any other stray member.
 TEST(LintCorpus, LegacyPreset) { expect_matches_golden("legacy_preset.json"); }
+/// The retired "batched" engine name gets no alias either: it is an
+/// ordinary L005 unknown-engine error listing the valid names.
+TEST(LintCorpus, LegacyBatchedEngine) {
+  expect_matches_golden("legacy_batched_engine.json");
+}
 
 /// The headline acceptance: one invocation over one broken file surfaces
 /// every problem -- four distinct codes here -- instead of stopping at the

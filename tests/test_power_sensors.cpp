@@ -65,41 +65,6 @@ TEST(ExternalPowerMeter, FanPowerVisibleOnlyAtTheMeter) {
   EXPECT_NEAR(meter.read(rails, 0.55) - meter.read(rails, 0.0), 0.55, 1e-12);
 }
 
-TEST(PowerSensorBank, BatchedNoiseSplitMatchesReadBitForBit) {
-  // Twin banks on the same seed: one reads directly, the other through the
-  // lockstep lane's draw-then-convert split. Every reading must agree bit
-  // for bit so staged rail noise never perturbs a trajectory.
-  const PowerSensorParams params;  // default: noisy + quantized
-  PowerSensorBank scalar(params, util::Rng(11));
-  PowerSensorBank batched(params, util::Rng(11));
-  const ResourceVector truth{1.23456, 0.0004, 0.5, 2.0};
-  ASSERT_EQ(batched.noise_count(), kResourceCount);
-  double noise[kResourceCount];
-  for (int i = 0; i < 64; ++i) {
-    const ResourceVector want = scalar.read(truth);
-    batched.draw_noise_into(noise);
-    const ResourceVector got = batched.read_with_noise(truth, noise);
-    for (std::size_t r = 0; r < kResourceCount; ++r) {
-      EXPECT_EQ(got[r], want[r]) << "draw " << i << " rail " << r;
-    }
-  }
-}
-
-TEST(ExternalPowerMeter, BatchedNoiseSplitMatchesReadBitForBit) {
-  const PlatformLoadParams loads;
-  ExternalPowerMeter scalar(loads, util::Rng(5));
-  ExternalPowerMeter batched(loads, util::Rng(5));
-  const ResourceVector rails{1.0, 0.5, 0.25, 0.25};
-  ASSERT_EQ(batched.noise_count(), 1u);
-  double noise = 0.0;
-  for (int i = 0; i < 64; ++i) {
-    const double want = scalar.read(rails, 0.3);
-    batched.draw_noise_into(&noise);
-    EXPECT_EQ(batched.read_with_noise(rails, 0.3, &noise), want)
-        << "draw " << i;
-  }
-}
-
 TEST(ExternalPowerMeter, NegativeNoiseThrows) {
   EXPECT_THROW(ExternalPowerMeter(PlatformLoadParams{}, util::Rng(1), -0.1),
                std::invalid_argument);

@@ -10,8 +10,6 @@
 
 #include <random>
 
-#include "util/vgauss.hpp"
-
 namespace dtpm::util {
 namespace {
 
@@ -37,52 +35,6 @@ TEST(RngGaussian, ZeroStddevReturnsMeanWithoutConsumingTheEngine) {
   EXPECT_EQ(rng.gaussian(5.0, 0.0), 5.0);
   EXPECT_EQ(rng.gaussian(5.0, -1.0), 5.0);
   EXPECT_EQ(rng.engine()(), before);
-}
-
-TEST(RngGaussian, PairFirstMatchesSingleDrawExactly) {
-  // gaussian_pair's first deviate is the one gaussian() returns, from the
-  // same engine words.
-  Rng a(99), b(99);
-  for (int i = 0; i < 1000; ++i) {
-    double first = 0.0, second = 0.0;
-    a.gaussian_pair(1.5, 0.3, first, second);
-    EXPECT_EQ(first, b.gaussian(1.5, 0.3)) << i;
-    // Keep b's stream aligned: gaussian() consumed the same words the pair
-    // did, so the next iteration stays comparable.
-  }
-}
-
-TEST(RngGaussian, PairSecondIsAFiniteDeviate) {
-  Rng rng(3);
-  double first = 0.0, second = 0.0;
-  rng.gaussian_pair(0.0, 1.0, first, second);
-  EXPECT_NE(first, second);
-  EXPECT_TRUE(std::isfinite(second));
-}
-
-TEST(VGauss, FillIsSequenceIdenticalToPerCallDraws) {
-  Rng a(4242), b(4242);
-  double filled[257];
-  gaussian_fill(a, 0.0, 0.2, filled, 257);
-  for (int i = 0; i < 257; ++i) {
-    ASSERT_EQ(filled[i], b.gaussian(0.0, 0.2)) << i;
-  }
-  ASSERT_EQ(a.engine()(), b.engine()());
-}
-
-TEST(VGauss, PairFillConsumesHalfTheRejectionLoops) {
-  // Statistical sanity only: pair fill is documented as sequence-
-  // incompatible, so assert distribution shape, not values.
-  Rng rng(5);
-  double out[10000];
-  gaussian_pair_fill(rng, 2.0, 0.5, out, 10000);
-  double sum = 0.0, sq = 0.0;
-  for (double v : out) {
-    sum += v;
-    sq += (v - 2.0) * (v - 2.0);
-  }
-  EXPECT_NEAR(sum / 10000.0, 2.0, 0.02);
-  EXPECT_NEAR(sq / 10000.0, 0.25, 0.01);
 }
 
 }  // namespace

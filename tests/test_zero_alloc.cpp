@@ -16,7 +16,6 @@
 #include <memory>
 #include <new>
 
-#include "sim/batch_lane.hpp"
 #include "sim/engine.hpp"
 #include "sim/simulation.hpp"
 #include "workload/benchmark.hpp"
@@ -28,7 +27,10 @@ std::atomic<bool> g_counting{false};
 
 }  // namespace
 
-void* operator new(std::size_t size) {
+// Every replacement is kept out of line: once one inlines into a caller,
+// gcc pairs its malloc/free with the other side's operator new/delete and
+// reports a -Wmismatched-new-delete false positive.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   }
@@ -37,25 +39,37 @@ void* operator new(std::size_t size) {
   return p;
 }
 
-void* operator new[](std::size_t size) { return ::operator new(size); }
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return ::operator new(size);
+}
 
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void* operator new(std::size_t size,
+                                     const std::nothrow_t&) noexcept {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   }
   return std::malloc(size);
 }
 
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+[[gnu::noinline]] void* operator new[](std::size_t size,
+                                       const std::nothrow_t& tag) noexcept {
   return ::operator new(size, tag);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p,
+                                         const std::nothrow_t&) noexcept {
   std::free(p);
 }
 
@@ -79,7 +93,11 @@ std::shared_ptr<const workload::Benchmark> steady_benchmark() {
   return std::make_shared<const workload::Benchmark>(bench);
 }
 
-TEST(ZeroAllocation, SteadyStateStepAllocatesNothing) {
+/// Every engine a run can select: reference-rk4 (the golden-trace baseline)
+/// and propagator (what fleets run on).
+class ZeroAllocationPerEngine : public ::testing::TestWithParam<Engine> {};
+
+TEST_P(ZeroAllocationPerEngine, SteadyStateStepAllocatesNothing) {
   ExperimentConfig config;
   config.benchmark = "zero-alloc-steady";
   config.scenario = steady_benchmark();
@@ -88,13 +106,18 @@ TEST(ZeroAllocation, SteadyStateStepAllocatesNothing) {
   config.observe_predictions = false;  // the observer queues predictions
   config.max_sim_time_s = 1e9;
   config.seed = 3;
+  config.engine = GetParam();
 
   Simulation sim(config);
 
   // Warm-up: pass the 20 s warm-up window, reach the benchmark phase, and
   // let every reusable buffer grow to its high-water mark (including the
-  // fan-policy state machine stepping through its speeds).
-  for (int s = 0; s < 300; ++s) {
+  // fan-policy state machine stepping through its speeds). The propagator
+  // also needs the run to visit every fan speed the closed loop will ever
+  // command, so its conductance-keyed Phi/Gamma cache is full before
+  // counting starts -- hence the longer warm-up.
+  const int warmup = GetParam() == Engine::kPropagator ? 800 : 300;
+  for (int s = 0; s < warmup; ++s) {
     ASSERT_TRUE(sim.step()) << "run terminated during warm-up";
   }
 
@@ -115,60 +138,13 @@ TEST(ZeroAllocation, SteadyStateStepAllocatesNothing) {
   EXPECT_LT(sim.view().max_temp_c, 115.0);
 }
 
-TEST(ZeroAllocation, BatchedLaneSteadyStateWaveAllocatesNothing) {
-  // The lockstep lane's whole interval -- batched noise staging, per-lane
-  // begin_step, the SoA kernel with its fan-state insertion sort and the
-  // schedule memo -- must be as heap-silent as the scalar path once every
-  // scratch vector (noise block, lane columns, memo hashes, propagator
-  // cache) has hit its high-water mark.
-  constexpr int kLanes = 4;
-  std::vector<std::unique_ptr<Simulation>> sims;
-  for (int i = 0; i < kLanes; ++i) {
-    ExperimentConfig config;
-    config.benchmark = "zero-alloc-steady";
-    config.scenario = steady_benchmark();
-    config.policy_name = "default+fan";
-    config.record_trace = false;
-    config.observe_predictions = false;
-    config.max_sim_time_s = 1e9;
-    config.seed = 3 + std::uint64_t(i);  // seeds diverge the fan buckets
-    config.engine = Engine::kBatched;
-    sims.push_back(std::make_unique<Simulation>(config));
-  }
-
-  BatchPlantStepper stepper;
-  std::vector<Simulation*> lanes, wave;
-  auto one_wave = [&] {
-    lanes.clear();
-    for (auto& sim : sims) lanes.push_back(sim.get());
-    stepper.stage_wave_noise(lanes);
-    wave.clear();
-    for (Simulation* sim : lanes) {
-      ASSERT_TRUE(sim->begin_step()) << "run terminated mid-test";
-      wave.push_back(sim);
-    }
-    stepper.run_interval(wave);
-  };
-
-  // Longer warm-up than the scalar test: the wave must also visit every
-  // fan speed the closed loop will ever command, so the conductance-keyed
-  // propagator cache is fully populated before counting starts.
-  for (int s = 0; s < 800; ++s) one_wave();
-
-  g_alloc_count.store(0);
-  g_counting.store(true);
-  for (int s = 0; s < 1000; ++s) one_wave();
-  g_counting.store(false);
-
-  EXPECT_EQ(g_alloc_count.load(), 0u)
-      << "the steady-state lockstep wave heap-allocated; a lane scratch "
-         "buffer, the noise block or the memo regressed";
-
-  for (int i = 0; i < kLanes; ++i) {
-    EXPECT_GT(sims[i]->view().progress, 0.0);
-    EXPECT_LT(sims[i]->view().max_temp_c, 115.0);
-  }
-}
+INSTANTIATE_TEST_SUITE_P(
+    Engines, ZeroAllocationPerEngine,
+    ::testing::Values(Engine::kReferenceRk4, Engine::kPropagator),
+    [](const ::testing::TestParamInfo<Engine>& engine) {
+      return engine.param == Engine::kReferenceRk4 ? "ReferenceRk4"
+                                                   : "Propagator";
+    });
 
 TEST(ZeroAllocation, TraceRecordingAllocatesPerRowOnly) {
   // With recording on, the only hot-path allocations left are the trace
