@@ -40,7 +40,7 @@ BatchOutcome BatchRunner::run_collecting(const std::vector<BatchJob>& jobs,
   if (jobs.empty()) return outcome;
 
   // Hoist the per-run invariants (per-platform floorplan templates,
-  // benchmark resolution, per-platform calibration) once, single-threaded,
+  // benchmark resolution, per-platform calibration) once, on this thread,
   // before the pool spawns; workers share the plan read-only. Configs the
   // plan does not cover fall back transparently. A caller-supplied shared
   // plan (the serve layer's warm cache) replaces the per-call build; its

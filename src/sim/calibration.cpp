@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <exception>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
 
 #include "analysis/equilibrium.hpp"
 #include "power/dynamic_power.hpp"
@@ -22,12 +24,16 @@ using power::Resource;
 using power::resource_index;
 
 /// A fresh plant instance (floorplan + SoC + sensors) for one experiment,
-/// built from the platform descriptor's topology and role indices.
+/// built from the platform descriptor's topology and role indices. Each
+/// bundle forks the root stream kRootDraws times (once per sensor bank).
 struct PlantBundle {
+  static constexpr std::size_t kRootDraws = 2;
+
   thermal::Floorplan floorplan;
   soc::Soc soc;
   thermal::TempSensorBank temp_bank;
   power::PowerSensorBank power_bank;
+  std::vector<double> node_power_scratch;  ///< plant_substep's node powers
 
   PlantBundle(const PlatformDescriptor& platform, util::Rng& root)
       : floorplan(thermal::build_floorplan(platform.floorplan)),
@@ -44,18 +50,19 @@ struct PlantBundle {
             temps[cores[3]]};
   }
 
-  soc::SocStepResult plant_substep(const workload::Demand& demand,
-                                   double dt_s) {
+  /// `reuse_schedule` follows Soc::step's contract: false on an interval's
+  /// first substep, true on the rest (demand and config held fixed).
+  soc::SocStepResult plant_substep(const workload::Demand& demand, double dt_s,
+                                   bool reuse_schedule) {
     const auto& temps = floorplan.network.temperatures_c();
     soc::SocStepResult out =
         soc.step(demand, {}, big_true_temps(),
                  temps[floorplan.little_node_index],
                  temps[floorplan.gpu_node_index],
-                 temps[floorplan.mem_node_index], dt_s);
-    std::vector<double> node_power;
+                 temps[floorplan.mem_node_index], dt_s, reuse_schedule);
     floorplan.assemble_node_power_into(out.big_core_power_w, out.rail_power_w,
-                                       node_power);
-    floorplan.network.step(dt_s, node_power);
+                                       node_power_scratch);
+    floorplan.network.step(dt_s, node_power_scratch);
     return out;
   }
 
@@ -66,7 +73,7 @@ struct PlantBundle {
     const double h = dt_s / n;
     power::ResourceVector accum{};
     for (int s = 0; s < n; ++s) {
-      const soc::SocStepResult out = plant_substep(demand, h);
+      const soc::SocStepResult out = plant_substep(demand, h, s > 0);
       for (std::size_t r = 0; r < power::kResourceCount; ++r) {
         accum[r] += out.rail_power_w[r] / double(n);
       }
@@ -137,12 +144,13 @@ workload::Demand heavy_cpu_demand(int threads, double activity,
   return d;
 }
 
-/// Furnace sweep for one resource at one fixed operating point.
-std::vector<sysid::FurnaceSample> furnace_run(const CalibrationOptions& opt,
-                                              const PlatformDescriptor& platform,
-                                              util::Rng& root, Resource target,
-                                              std::size_t op_index) {
-  std::vector<sysid::FurnaceSample> samples;
+/// Furnace sweep for one resource at one fixed operating point; appends to
+/// `samples`.
+void furnace_run(const CalibrationOptions& opt,
+                 const PlatformDescriptor& platform, util::Rng& root,
+                 Resource target, std::size_t op_index,
+                 std::vector<sysid::FurnaceSample>& samples) {
+  std::vector<double> temps;
   for (double t_furnace : opt.furnace_temps_c) {
     PlantBundle plant(platform, root);
     auto& rc = plant.floorplan.network;
@@ -213,45 +221,76 @@ std::vector<sysid::FurnaceSample> furnace_run(const CalibrationOptions& opt,
       const power::ResourceVector rails = plant.interval(
           demand, opt.control_interval_s, opt.plant_substep_s);
       const power::ResourceVector sensed = plant.power_bank.read(rails);
-      const std::vector<double> temps =
-          plant.temp_bank.read(rc.temperatures_c());
+      plant.temp_bank.read_into(rc.temperatures_c(), temps);
       double t_mean = 0.0;
       for (double x : temps) t_mean += x / double(temps.size());
       samples.push_back(
           {t_mean, sensed[resource_index(target)], sample_v, sample_f});
     }
   }
-  return samples;
 }
 
-struct ExcitationResult {
-  sysid::TraceSegment segment;
+/// excitation_run's schedule: `total` control intervals, the first `warmup`
+/// of them unrecorded.
+struct ExcitationSchedule {
+  std::size_t total = 0;
+  std::size_t warmup = 0;
+};
+
+ExcitationSchedule excitation_schedule(const CalibrationOptions& opt) {
+  return {std::size_t((opt.prbs_warmup_s + opt.prbs_duration_s) /
+                      opt.control_interval_s),
+          std::size_t(opt.prbs_warmup_s / opt.control_interval_s)};
+}
+
+/// One excitation recording, flat and row-major: `temps` holds `temp_width`
+/// readings per row, `powers` kResourceCount per row. Pipelines record into
+/// these two buffers, which the calling thread reserves before any worker
+/// starts, rather than into a TraceSegment's thousands of per-row vectors:
+/// memory a worker allocates stays cached in that thread's malloc arena
+/// after it is freed and raises the process's peak RSS.
+struct ExcitationRecord {
+  std::size_t temp_width = 0;
+  std::vector<double> temps;
+  std::vector<double> powers;
   double alpha_c_high = 0.0;  ///< mean alphaC estimate over high-bit samples
+
+  sysid::TraceSegment to_segment() const {
+    sysid::TraceSegment seg;
+    const std::size_t rows = temps.size() / temp_width;
+    seg.temps_c.reserve(rows);
+    seg.powers_w.reserve(rows);
+    for (std::size_t k = 0; k < rows; ++k) {
+      const auto t = temps.begin() + std::ptrdiff_t(k * temp_width);
+      const auto p = powers.begin() + std::ptrdiff_t(k * power::kResourceCount);
+      seg.temps_c.emplace_back(t, t + std::ptrdiff_t(temp_width));
+      seg.powers_w.emplace_back(p, p + std::ptrdiff_t(power::kResourceCount));
+    }
+    return seg;
+  }
 };
 
 /// PRBS excitation of one resource (§4.2.1): toggle its knob between the
 /// extremes while everything else idles; record sensor T/P traces.
-ExcitationResult excitation_run(const CalibrationOptions& opt,
-                                const PlatformDescriptor& platform,
-                                util::Rng& root, Resource target,
-                                const power::LeakageParams& fitted_leakage) {
+/// Appends to `result`.
+void excitation_run(const CalibrationOptions& opt,
+                    const PlatformDescriptor& platform, util::Rng& root,
+                    Resource target, const power::LeakageParams& fitted_leakage,
+                    ExcitationRecord& result) {
   PlantBundle plant(platform, root);
   auto& rc = plant.floorplan.network;
   util::Prbs prbs(15, opt.prbs_hold_intervals,
                   std::uint32_t(0x1234 + 97 * resource_index(target)));
+  const ExcitationSchedule schedule = excitation_schedule(opt);
 
-  const std::size_t total_intervals =
-      std::size_t((opt.prbs_warmup_s + opt.prbs_duration_s) /
-                  opt.control_interval_s);
-  const std::size_t warmup_intervals =
-      std::size_t(opt.prbs_warmup_s / opt.control_interval_s);
-
-  ExcitationResult result;
+  result.temp_width = plant.temp_bank.observed_nodes().size();
+  std::vector<double> temps_before;
+  power::ResourceVector last_sensed{};
   power::LeakageModel leak(fitted_leakage);
   double alpha_sum = 0.0;
   std::size_t alpha_count = 0;
 
-  for (std::size_t k = 0; k < total_intervals; ++k) {
+  for (std::size_t k = 0; k < schedule.total; ++k) {
     const bool bit = prbs.next();
 
     soc::SocConfig config;
@@ -310,15 +349,16 @@ ExcitationResult excitation_run(const CalibrationOptions& opt,
     }
     plant.soc.apply(config);
 
-    const std::vector<double> temps_before =
-        plant.temp_bank.read(rc.temperatures_c());
+    plant.temp_bank.read_into(rc.temperatures_c(), temps_before);
     const power::ResourceVector rails =
         plant.interval(demand, opt.control_interval_s, opt.plant_substep_s);
     const power::ResourceVector sensed = plant.power_bank.read(rails);
 
-    if (k >= warmup_intervals) {
-      result.segment.temps_c.push_back(temps_before);
-      result.segment.powers_w.push_back({sensed.begin(), sensed.end()});
+    if (k >= schedule.warmup) {
+      result.temps.insert(result.temps.end(), temps_before.begin(),
+                          temps_before.end());
+      result.powers.insert(result.powers.end(), sensed.begin(), sensed.end());
+      last_sensed = sensed;
       if (bit && target != Resource::kMem) {
         double t_mean = 0.0;
         for (double x : temps_before) t_mean += x / double(temps_before.size());
@@ -333,11 +373,13 @@ ExcitationResult excitation_run(const CalibrationOptions& opt,
   }
   // Close the segment with a final temperature sample so the last recorded
   // (T, P) pair has a successor.
-  result.segment.temps_c.push_back(plant.temp_bank.read(rc.temperatures_c()));
-  result.segment.powers_w.push_back(result.segment.powers_w.back());
+  plant.temp_bank.read_into(rc.temperatures_c(), temps_before);
+  result.temps.insert(result.temps.end(), temps_before.begin(),
+                      temps_before.end());
+  result.powers.insert(result.powers.end(), last_sensed.begin(),
+                       last_sensed.end());
 
   if (alpha_count > 0) result.alpha_c_high = alpha_sum / double(alpha_count);
-  return result;
 }
 
 std::size_t second_op_index(Resource r) {
@@ -355,40 +397,156 @@ std::size_t second_op_index(Resource r) {
   }
 }
 
+/// Operating points the furnace sweeps for a resource: two, so the dynamic
+/// term separates from gate leakage, except memory's fixed rail.
+std::size_t furnace_op_count(Resource r) { return r == Resource::kMem ? 1 : 2; }
+
+/// Rejects options the workflow cannot run, before any plant is built or
+/// thread started.
+void validate(const CalibrationOptions& opt) {
+  auto reject = [](const std::string& what) {
+    throw std::invalid_argument("calibrate_platform: " + what);
+  };
+  auto positive = [](double v) { return std::isfinite(v) && v > 0.0; };
+  constexpr double kMaxIntervals = double(std::numeric_limits<int>::max());
+  if (opt.platform == nullptr) reject("null platform descriptor");
+  if (!positive(opt.control_interval_s)) {
+    reject("control_interval_s must be finite and > 0");
+  }
+  if (!positive(opt.plant_substep_s)) {
+    reject("plant_substep_s must be finite and > 0");
+  }
+  if (opt.furnace_temps_c.empty()) reject("furnace_temps_c is empty");
+  for (double t : opt.furnace_temps_c) {
+    if (!std::isfinite(t)) reject("furnace_temps_c holds a non-finite setpoint");
+  }
+  if (!(opt.furnace_sample_s >= 0.0 &&
+        opt.furnace_sample_s / opt.control_interval_s < kMaxIntervals)) {
+    reject("furnace_sample_s must be >= 0 and span fewer than INT_MAX intervals");
+  }
+  if (!(opt.prbs_warmup_s >= 0.0 &&
+        opt.prbs_warmup_s / opt.control_interval_s < kMaxIntervals)) {
+    reject("prbs_warmup_s must be >= 0 and span fewer than INT_MAX intervals");
+  }
+  const char* no_interval =
+      "prbs_duration_s must record at least one control interval";
+  if (!(opt.prbs_duration_s > 0.0 &&
+        (opt.prbs_warmup_s + opt.prbs_duration_s) / opt.control_interval_s <
+            kMaxIntervals)) {
+    reject(no_interval);
+  }
+  const ExcitationSchedule schedule = excitation_schedule(opt);
+  if (schedule.total <= schedule.warmup) reject(no_interval);
+  if (opt.prbs_hold_intervals == 0) reject("prbs_hold_intervals must be >= 1");
+}
+
+/// One resource's furnace -> leakage fit -> excitation pipeline. Each stage
+/// catches its own error, so a pipeline never throws and a later stage never
+/// runs on a failed earlier one.
+struct Pipeline {
+  std::vector<sysid::FurnaceSample> furnace_samples;
+  sysid::LeakageFitResult leakage_fit;
+  ExcitationRecord excitation;
+  std::exception_ptr furnace_error;
+  std::exception_ptr excitation_error;
+
+  /// `furnace_rng` and `excitation_rng` are the root stream advanced to the
+  /// draw positions the serial order reaches each stage at.
+  void run(const CalibrationOptions& opt, const PlatformDescriptor& platform,
+           Resource r, util::Rng furnace_rng, util::Rng excitation_rng) noexcept {
+    try {
+      furnace_run(opt, platform, furnace_rng, r, 0, furnace_samples);
+      if (furnace_op_count(r) > 1) {
+        furnace_run(opt, platform, furnace_rng, r, second_op_index(r),
+                    furnace_samples);
+      }
+      sysid::LeakageFitOptions fit_options;
+      fit_options.fit_dynamic_term = r != Resource::kMem;
+      leakage_fit = sysid::fit_leakage(furnace_samples, fit_options);
+    } catch (...) {
+      furnace_error = std::current_exception();
+      return;
+    }
+    try {
+      excitation_run(opt, platform, excitation_rng, r, leakage_fit.params,
+                     excitation);
+    } catch (...) {
+      excitation_error = std::current_exception();
+    }
+  }
+};
+
+util::Rng advanced(util::Rng rng, std::size_t draws) {
+  rng.engine().discard(draws);
+  return rng;
+}
+
 }  // namespace
 
 CalibrationArtifacts calibrate_platform_full(const CalibrationOptions& options) {
-  CalibrationArtifacts art;
-  util::Rng root(options.seed);
-  const PlatformPtr& platform = options.platform;
-  if (platform == nullptr) {
-    throw std::invalid_argument("calibrate_platform: null platform descriptor");
-  }
+  validate(options);
+  const PlatformDescriptor& platform = *options.platform;
+  const util::Rng root(options.seed);
 
-  // --- 1. Furnace leakage characterization -----------------------------------
+  // The serial workflow forks the root stream only through PlantBundles:
+  // every furnace stage in resource order, then one excitation bundle per
+  // resource. Each pipeline starts from the positions that order gives it.
+  std::array<std::size_t, power::kResourceCount> furnace_offset{};
+  std::size_t furnace_draws = 0;
   for (Resource r : power::all_resources()) {
-    const std::size_t idx = resource_index(r);
-    auto samples = furnace_run(options, *platform, root, r, 0);
-    if (r != Resource::kMem) {
-      auto more = furnace_run(options, *platform, root, r, second_op_index(r));
-      samples.insert(samples.end(), more.begin(), more.end());
+    furnace_offset[resource_index(r)] = furnace_draws;
+    furnace_draws += PlantBundle::kRootDraws * furnace_op_count(r) *
+                     options.furnace_temps_c.size();
+  }
+  std::array<Pipeline, power::kResourceCount> pipelines;
+  const ExcitationSchedule schedule = excitation_schedule(options);
+  const std::size_t rows = schedule.total - schedule.warmup + 1;
+  for (Pipeline& p : pipelines) {
+    p.excitation.temps.reserve(rows * platform.floorplan.sensor_nodes.size());
+    p.excitation.powers.reserve(rows * power::kResourceCount);
+  }
+  auto run = [&](std::size_t i) {
+    pipelines[i].run(options, platform, power::all_resources()[i],
+                     advanced(root, furnace_offset[i]),
+                     advanced(root, furnace_draws + PlantBundle::kRootDraws * i));
+  };
+
+  // The calling thread runs pipeline 0 and one thread each runs the others;
+  // should a thread fail to start, the calling thread runs its pipeline.
+  std::vector<std::thread> workers;
+  std::size_t spawned = 1;
+  try {
+    workers.reserve(power::kResourceCount - 1);
+    for (; spawned < power::kResourceCount; ++spawned) {
+      workers.emplace_back(run, spawned);
     }
-    sysid::LeakageFitOptions fit_options;
-    fit_options.fit_dynamic_term = r != Resource::kMem;
-    art.furnace_samples[idx] = samples;
-    art.leakage_fits[idx] = sysid::fit_leakage(samples, fit_options);
-    art.model.leakage[idx] = art.leakage_fits[idx].params;
+  } catch (const std::exception&) {
+    // Out of threads: the loop below runs the unstarted pipelines here.
+  }
+  run(0);
+  for (std::size_t i = spawned; i < power::kResourceCount; ++i) run(i);
+  for (std::thread& worker : workers) worker.join();
+
+  // Raise the error the serial order would have raised first.
+  for (const Pipeline& p : pipelines) {
+    if (p.furnace_error) std::rethrow_exception(p.furnace_error);
+  }
+  for (const Pipeline& p : pipelines) {
+    if (p.excitation_error) std::rethrow_exception(p.excitation_error);
   }
 
-  // --- 2. PRBS excitation + 3. ARX identification ---------------------------
-  for (Resource r : power::all_resources()) {
-    ExcitationResult ex = excitation_run(options, *platform, root, r,
-                                         art.model.leakage[resource_index(r)]);
-    art.excitation_segments.push_back(std::move(ex.segment));
-    art.model.initial_alpha_c[resource_index(r)] = ex.alpha_c_high;
+  CalibrationArtifacts art;
+  for (std::size_t i = 0; i < power::kResourceCount; ++i) {
+    Pipeline& p = pipelines[i];
+    art.furnace_samples[i] = std::move(p.furnace_samples);
+    art.leakage_fits[i] = p.leakage_fit;
+    art.model.leakage[i] = p.leakage_fit.params;
+    art.excitation_segments.push_back(p.excitation.to_segment());
+    art.model.initial_alpha_c[i] = p.excitation.alpha_c_high;
+    p.excitation = {};
   }
   sysid::ArxFitOptions arx_options;
-  arx_options.ambient_ref_c = platform->floorplan.ambient_temp_c();
+  arx_options.ambient_ref_c = platform.floorplan.ambient_temp_c();
   art.arx = sysid::fit_thermal_model(art.excitation_segments,
                                      options.control_interval_s, arx_options);
   art.model.thermal = art.arx.model;

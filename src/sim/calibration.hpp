@@ -15,6 +15,22 @@
 //      excitation segments (replacing the MATLAB sysid toolbox).
 //
 // The result is the IdentifiedPlatformModel consumed by the DTPM governor.
+//
+// Concurrency and RNG streams. Stages 1-2 are four independent pipelines, one
+// per resource (furnace -> leakage fit -> excitation); calibrate_platform_full
+// runs one on the calling thread and the other three on threads of their own,
+// joins them, then fits the ARX model on the calling thread. The output is
+// byte-identical to running the pipelines one after another: the root Rng
+// (seeded from `seed`) is only ever consumed by plant forks, two per plant --
+// 2 x furnace_temps_c.size() per furnace operating point (two points for big,
+// little and GPU, one for memory), then 2 per excitation run -- so each
+// pipeline starts from a copy of the root advanced to the draw position the
+// serial order (furnace stages in resource order, then excitations) gives it.
+// When pipelines fail, the error that order would have raised first is
+// rethrown after every thread has joined. Options are validated before any
+// thread starts. The workers never touch default_calibration() or
+// platform_calibration(), so calling calibrate_platform_full under their
+// locks cannot deadlock.
 #pragma once
 
 #include <array>
@@ -60,6 +76,9 @@ struct CalibrationArtifacts {
 };
 
 /// Runs the full workflow.
+/// @throws std::invalid_argument on options the workflow cannot run (null
+///         platform, non-positive or non-finite intervals, an empty furnace
+///         sweep, a PRBS duration that records no interval, a zero hold).
 CalibrationArtifacts calibrate_platform_full(const CalibrationOptions& options = {});
 
 /// Convenience wrapper returning only the model.

@@ -2,8 +2,40 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace dtpm::sysid {
+namespace {
+
+/// Calls visit(x, y) for every regression pair in segment order, with
+/// x = [T[k] - T_ref, P[k]] and y = T[k+1] - T_ref. Both buffers are reused
+/// across calls.
+template <class Visit>
+void for_each_pair(const std::vector<TraceSegment>& segments,
+                   std::size_t n_state, std::size_t n_input, double ref_c,
+                   Visit visit) {
+  std::vector<double> x(n_state + n_input);
+  std::vector<double> y(n_state);
+  for (const auto& seg : segments) {
+    for (std::size_t k = 0; k + 1 < seg.temps_c.size(); ++k) {
+      const auto& t_now = seg.temps_c[k];
+      const auto& p_now = seg.powers_w[k];
+      const auto& t_next = seg.temps_c[k + 1];
+      if (t_now.size() != n_state || p_now.size() != n_input ||
+          t_next.size() != n_state) {
+        throw std::invalid_argument("fit_thermal_model: ragged sample");
+      }
+      for (std::size_t j = 0; j < n_state; ++j) {
+        x[j] = t_now[j] - ref_c;
+        y[j] = t_next[j] - ref_c;
+      }
+      for (std::size_t j = 0; j < n_input; ++j) x[n_state + j] = p_now[j];
+      visit(x, y);
+    }
+  }
+}
+
+}  // namespace
 
 ArxFitResult fit_thermal_model(const std::vector<TraceSegment>& segments,
                                double ts_s, const ArxFitOptions& options) {
@@ -33,29 +65,25 @@ ArxFitResult fit_thermal_model(const std::vector<TraceSegment>& segments,
     throw std::invalid_argument("fit_thermal_model: insufficient samples");
   }
 
-  util::Matrix x(n_rows, n_cols);
-  util::Matrix y(n_rows, n_state);
+  // Y = X * [A'; B'], assembled directly as the ridge-augmented system
+  // Matrix::least_squares would build, and moved into the QR solve.
+  const std::size_t extra = options.ridge > 0.0 ? n_cols : 0;
+  util::Matrix x(n_rows + extra, n_cols);
+  util::Matrix y(n_rows + extra, n_state);
   std::size_t row = 0;
-  for (const auto& seg : segments) {
-    for (std::size_t k = 0; k + 1 < seg.temps_c.size(); ++k) {
-      const auto& t_now = seg.temps_c[k];
-      const auto& p_now = seg.powers_w[k];
-      const auto& t_next = seg.temps_c[k + 1];
-      if (t_now.size() != n_state || p_now.size() != n_input ||
-          t_next.size() != n_state) {
-        throw std::invalid_argument("fit_thermal_model: ragged sample");
-      }
-      for (std::size_t j = 0; j < n_state; ++j) {
-        x(row, j) = t_now[j] - options.ambient_ref_c;
-        y(row, j) = t_next[j] - options.ambient_ref_c;
-      }
-      for (std::size_t j = 0; j < n_input; ++j) x(row, n_state + j) = p_now[j];
-      ++row;
-    }
+  for_each_pair(segments, n_state, n_input, options.ambient_ref_c,
+                [&](const std::vector<double>& xr, const std::vector<double>& yr) {
+                  for (std::size_t j = 0; j < n_cols; ++j) x(row, j) = xr[j];
+                  for (std::size_t j = 0; j < n_state; ++j) y(row, j) = yr[j];
+                  ++row;
+                });
+  if (extra > 0) {
+    const double s = std::sqrt(options.ridge);
+    for (std::size_t j = 0; j < n_cols; ++j) x(n_rows + j, j) = s;
   }
-
-  // Y = X * [A'; B']  =>  theta is (n_state + n_input) x n_state.
-  const util::Matrix theta = x.least_squares(y, options.ridge);
+  // theta is (n_state + n_input) x n_state.
+  const util::Matrix theta =
+      util::Matrix::qr_least_squares(std::move(x), std::move(y));
 
   ArxFitResult result;
   result.model.a = util::Matrix(n_state, n_state);
@@ -70,18 +98,23 @@ ArxFitResult fit_thermal_model(const std::vector<TraceSegment>& segments,
   result.model.ambient_ref_c = options.ambient_ref_c;
   result.sample_count = n_rows;
 
-  // One-step residual RMS over the training data.
+  // One-step residual RMS over the training data, streamed from the
+  // segments. Each prediction sums x[k] * theta(k, j) in the order
+  // Matrix::operator* does (ascending k, zero regressors skipped), so the
+  // residual is bit-identical to forming x * theta.
   double sum_sq = 0.0;
-  std::size_t count = 0;
-  const util::Matrix y_hat = x * theta;
-  for (std::size_t r = 0; r < n_rows; ++r) {
-    for (std::size_t j = 0; j < n_state; ++j) {
-      const double e = y_hat(r, j) - y(r, j);
-      sum_sq += e * e;
-      ++count;
-    }
-  }
-  result.rms_residual_c = std::sqrt(sum_sq / double(count));
+  for_each_pair(segments, n_state, n_input, options.ambient_ref_c,
+                [&](const std::vector<double>& xr, const std::vector<double>& yr) {
+                  for (std::size_t j = 0; j < n_state; ++j) {
+                    double y_hat = 0.0;
+                    for (std::size_t k = 0; k < n_cols; ++k) {
+                      if (xr[k] != 0.0) y_hat += xr[k] * theta(k, j);
+                    }
+                    const double e = y_hat - yr[j];
+                    sum_sq += e * e;
+                  }
+                });
+  result.rms_residual_c = std::sqrt(sum_sq / double(n_rows * n_state));
   return result;
 }
 

@@ -16,13 +16,6 @@ TempSensorBank::TempSensorBank(std::vector<std::size_t> observed_nodes,
   }
 }
 
-std::vector<double> TempSensorBank::read(
-    const std::vector<double>& true_temps_c) {
-  std::vector<double> out;
-  read_into(true_temps_c, out);
-  return out;
-}
-
 void TempSensorBank::read_into(const std::vector<double>& true_temps_c,
                                std::vector<double>& readings_out) {
   readings_out.clear();

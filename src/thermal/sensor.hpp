@@ -27,11 +27,8 @@ class TempSensorBank {
   TempSensorBank(std::vector<std::size_t> observed_nodes,
                  const TempSensorParams& params, util::Rng rng);
 
-  /// One reading per observed node, in observation order.
-  std::vector<double> read(const std::vector<double>& true_temps_c);
-
-  /// Allocation-free variant: clears and refills `readings_out` (capacity is
-  /// reused across calls). Draws the same RNG stream as read().
+  /// One reading per observed node, in observation order: clears and
+  /// refills `readings_out`, whose capacity is reused across calls.
   void read_into(const std::vector<double>& true_temps_c,
                  std::vector<double>& readings_out);
 

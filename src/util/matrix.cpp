@@ -4,6 +4,7 @@
 #include <cmath>
 #include <ostream>
 #include <stdexcept>
+#include <utility>
 
 namespace dtpm::util {
 
@@ -182,6 +183,13 @@ Matrix Matrix::least_squares(const Matrix& b, double ridge) const {
   if (ridge > 0.0) {
     const double s = std::sqrt(ridge);
     for (std::size_t j = 0; j < cols_; ++j) a(rows_ + j, j) = s;
+  }
+  return qr_least_squares(std::move(a), std::move(rhs));
+}
+
+Matrix Matrix::qr_least_squares(Matrix a, Matrix rhs) {
+  if (rhs.rows_ != a.rows_) {
+    throw std::invalid_argument("Matrix::least_squares: rhs mismatch");
   }
   if (a.rows_ < a.cols_) {
     throw std::invalid_argument("Matrix::least_squares: underdetermined");

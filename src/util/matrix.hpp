@@ -86,6 +86,12 @@ class Matrix {
   /// appends sqrt(ridge) * I rows to the system.
   Matrix least_squares(const Matrix& b, double ridge = 0.0) const;
 
+  /// The Householder QR solve behind least_squares(), on a system the
+  /// caller already assembled (ridge rows included): min ||a x - rhs||_2.
+  /// Takes both by value and triangularizes them in place, so a caller that
+  /// moves its regression in pays for no copy.
+  static Matrix qr_least_squares(Matrix a, Matrix rhs);
+
   /// Largest absolute eigenvalue. Used to check the stability of identified
   /// thermal models (spectral radius < 1) and by the runaway-stability
   /// analyzer (analysis/stability.hpp).

@@ -2,8 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <iomanip>
+#include <sstream>
+#include <string>
+
 #include "power/leakage.hpp"
+#include "sim/platform_registry.hpp"
 #include "soc/soc.hpp"
+#include "sysid/model_store.hpp"
+
+#ifndef DTPM_GOLDEN_DIR
+#error "build must define DTPM_GOLDEN_DIR (see CMakeLists.txt)"
+#endif
 
 namespace dtpm::sim {
 namespace {
@@ -119,6 +134,194 @@ TEST(Calibration, DeterministicForSameOptions) {
   const auto b = calibrate_platform(options);
   EXPECT_TRUE(a.thermal.a.approx_equal(b.thermal.a, 0.0));
   EXPECT_TRUE(a.thermal.b.approx_equal(b.thermal.b, 0.0));
+}
+
+// --- Option validation and errors ---------------------------------------------
+
+CalibrationOptions quick_options() {
+  CalibrationOptions options;
+  options.prbs_duration_s = 30.0;
+  return options;
+}
+
+void expect_rejected(const CalibrationOptions& options, const char* field) {
+  try {
+    calibrate_platform_full(options);
+    ADD_FAILURE() << field << ": accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << "message does not name " << field << ": " << e.what();
+  }
+}
+
+TEST(CalibrationOptions, RejectsNullPlatform) {
+  CalibrationOptions options = quick_options();
+  options.platform = nullptr;
+  expect_rejected(options, "platform");
+}
+
+TEST(CalibrationOptions, RejectsNonPositiveControlInterval) {
+  for (double bad : {0.0, -0.1, std::nan("")}) {
+    CalibrationOptions options = quick_options();
+    options.control_interval_s = bad;
+    expect_rejected(options, "control_interval_s");
+  }
+}
+
+TEST(CalibrationOptions, RejectsNonPositivePlantSubstep) {
+  for (double bad : {0.0, -0.02, std::nan("")}) {
+    CalibrationOptions options = quick_options();
+    options.plant_substep_s = bad;
+    expect_rejected(options, "plant_substep_s");
+  }
+}
+
+TEST(CalibrationOptions, RejectsEmptyOrNonFiniteFurnaceSweep) {
+  CalibrationOptions options = quick_options();
+  options.furnace_temps_c.clear();
+  expect_rejected(options, "furnace_temps_c");
+  options.furnace_temps_c = {40.0, std::nan("")};
+  expect_rejected(options, "furnace_temps_c");
+}
+
+TEST(CalibrationOptions, RejectsNegativeOrUnboundedFurnaceSample) {
+  for (double bad : {-1.0, std::nan(""), 1e300}) {
+    CalibrationOptions options = quick_options();
+    options.furnace_sample_s = bad;
+    expect_rejected(options, "furnace_sample_s");
+  }
+}
+
+TEST(CalibrationOptions, RejectsNegativeOrUnboundedPrbsWarmup) {
+  for (double bad : {-1.0, std::nan(""), 1e300}) {
+    CalibrationOptions options = quick_options();
+    options.prbs_warmup_s = bad;
+    expect_rejected(options, "prbs_warmup_s");
+  }
+}
+
+TEST(CalibrationOptions, RejectsPrbsDurationThatRecordsNoInterval) {
+  // 0.05 s is half a control interval: the old code recorded nothing and
+  // then read the last power row of an empty segment.
+  for (double bad : {0.0, 0.05, -1e6, std::nan("")}) {
+    CalibrationOptions options = quick_options();
+    options.prbs_duration_s = bad;
+    expect_rejected(options, "prbs_duration_s");
+  }
+}
+
+TEST(CalibrationOptions, RejectsZeroPrbsHold) {
+  CalibrationOptions options = quick_options();
+  options.prbs_hold_intervals = 0;
+  expect_rejected(options, "prbs_hold_intervals");
+}
+
+TEST(Calibration, FailingFurnaceSetpointRaisesTheFirstSerialError) {
+  // Every resource's furnace stage runs away at 400 C, each with its own
+  // residual. The caller must see the big cluster's error -- the one the
+  // serial workflow raised first, recorded here from it -- whatever order
+  // the pipelines finish in.
+  CalibrationOptions options = quick_options();
+  options.furnace_temps_c = {40.0, 400.0};
+  const std::string serial_first =
+      "calibration: plant failed to reach a leakage-consistent equilibrium "
+      "(diverged -- thermal runaway after 1 iterations, residual 650.079616 C)";
+  for (int attempt = 0; attempt < 4; ++attempt) {
+    try {
+      calibrate_platform_full(options);
+      ADD_FAILURE() << "a runaway furnace setpoint was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(e.what(), serial_first) << "attempt " << attempt;
+    }
+  }
+}
+
+// --- Golden pins -------------------------------------------------------------
+//
+// Each registry platform's default calibration is pinned byte for byte:
+// tests/golden/calibration_<platform>.model holds the save_model() output
+// followed by the ARX residual, the regression row count and FNV-1a digests
+// of the raw excitation segments and furnace samples. Any intentional change
+// to the plant, sensors, RNG streams or fits must regenerate them:
+//
+//   DTPM_REGEN_GOLDEN=1 ./test_calibration --gtest_filter='CalibrationGolden.*'
+
+bool regenerating() {
+  const char* flag = std::getenv("DTPM_REGEN_GOLDEN");
+  return flag != nullptr && *flag != '\0' && std::string(flag) != "0";
+}
+
+struct Fnv1a {
+  std::uint64_t hash = 1469598103934665603ull;
+  void add(std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (value >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  }
+  void add(double value) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof bits);
+    add(bits);
+  }
+  void add(const std::vector<std::vector<double>>& rows) {
+    add(std::uint64_t(rows.size()));
+    for (const auto& row : rows) {
+      add(std::uint64_t(row.size()));
+      for (double v : row) add(v);
+    }
+  }
+};
+
+std::string hex64(std::uint64_t value) {
+  std::ostringstream out;
+  out << std::hex << std::setw(16) << std::setfill('0') << value;
+  return out.str();
+}
+
+std::string golden_text(const CalibrationArtifacts& a) {
+  Fnv1a excitation;
+  for (const auto& seg : a.excitation_segments) {
+    excitation.add(seg.temps_c);
+    excitation.add(seg.powers_w);
+  }
+  Fnv1a furnace;
+  for (const auto& samples : a.furnace_samples) {
+    furnace.add(std::uint64_t(samples.size()));
+    for (const auto& s : samples) {
+      furnace.add(s.temp_c);
+      furnace.add(s.total_power_w);
+      furnace.add(s.vdd_v);
+      furnace.add(s.frequency_hz);
+    }
+  }
+  std::ostringstream out;
+  sysid::save_model(a.model, out);
+  out << std::setprecision(17) << "arx.rms_residual_c " << a.arx.rms_residual_c << "\n"
+      << "arx.sample_count " << a.arx.sample_count << "\n"
+      << "fnv.excitation_segments " << hex64(excitation.hash) << "\n"
+      << "fnv.furnace_samples " << hex64(furnace.hash) << "\n";
+  return out.str();
+}
+
+TEST(CalibrationGolden, RegistryPlatformsMatchPinnedArtifacts) {
+  for (const std::string name : {"compact", "dragon", "odroid-xu-e"}) {
+    const std::string path =
+        std::string(DTPM_GOLDEN_DIR) + "/calibration_" + name + ".model";
+    const std::string current = golden_text(
+        platform_calibration(PlatformRegistry::instance().get(name)));
+    if (regenerating()) {
+      std::ofstream(path) << current;
+      continue;
+    }
+    std::ifstream in(path);
+    ASSERT_TRUE(in) << "cannot open " << path
+                    << "\nRegenerate with DTPM_REGEN_GOLDEN=1 ./test_calibration";
+    std::stringstream golden;
+    golden << in.rdbuf();
+    EXPECT_EQ(golden.str(), current) << name << " calibration drifted";
+  }
+  if (regenerating()) GTEST_SKIP() << "regenerated; commit the new goldens";
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "thermal/fan.hpp"
 #include "thermal/sensor.hpp"
@@ -39,7 +40,8 @@ TEST(TempSensor, NoiselessSensorQuantizes) {
   params.noise_stddev_c = 0.0;
   params.quantization_c = 0.5;
   TempSensorBank bank({0, 1}, params, util::Rng(1));
-  const auto readings = bank.read({45.26, 45.74});
+  std::vector<double> readings;
+  bank.read_into({45.26, 45.74}, readings);
   EXPECT_DOUBLE_EQ(readings[0], 45.5);
   EXPECT_DOUBLE_EQ(readings[1], 45.5);
 }
@@ -49,7 +51,9 @@ TEST(TempSensor, ExactWhenNoiseAndQuantizationDisabled) {
   params.noise_stddev_c = 0.0;
   params.quantization_c = 0.0;
   TempSensorBank bank({0}, params, util::Rng(1));
-  EXPECT_DOUBLE_EQ(bank.read({51.237})[0], 51.237);
+  std::vector<double> readings;
+  bank.read_into({51.237}, readings);
+  EXPECT_DOUBLE_EQ(readings[0], 51.237);
 }
 
 TEST(TempSensor, NoiseIsBoundedOnAverage) {
@@ -59,7 +63,11 @@ TEST(TempSensor, NoiseIsBoundedOnAverage) {
   TempSensorBank bank({0}, params, util::Rng(99));
   double sum = 0.0;
   const int n = 2000;
-  for (int i = 0; i < n; ++i) sum += bank.read({60.0})[0];
+  std::vector<double> readings;
+  for (int i = 0; i < n; ++i) {
+    bank.read_into({60.0}, readings);
+    sum += readings[0];
+  }
   EXPECT_NEAR(sum / n, 60.0, 0.05);
 }
 
@@ -68,7 +76,8 @@ TEST(TempSensor, ObservesRequestedNodesInOrder) {
   params.noise_stddev_c = 0.0;
   params.quantization_c = 0.0;
   TempSensorBank bank({2, 0}, params, util::Rng(1));
-  const auto readings = bank.read({10.0, 20.0, 30.0});
+  std::vector<double> readings;
+  bank.read_into({10.0, 20.0, 30.0}, readings);
   ASSERT_EQ(readings.size(), 2u);
   EXPECT_EQ(readings[0], 30.0);
   EXPECT_EQ(readings[1], 10.0);
@@ -96,7 +105,8 @@ TEST(TempSensor, Validation) {
   EXPECT_THROW(TempSensorBank({}, TempSensorParams{}, util::Rng(1)),
                std::invalid_argument);
   TempSensorBank bank({5}, TempSensorParams{}, util::Rng(1));
-  EXPECT_THROW(bank.read({1.0, 2.0}), std::invalid_argument);
+  std::vector<double> readings;
+  EXPECT_THROW(bank.read_into({1.0, 2.0}, readings), std::invalid_argument);
 }
 
 }  // namespace
