@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -55,8 +56,8 @@ double total_weight(const std::vector<FleetWeight>& entries) {
 
 /// Structural validation mirroring the L7xx lint pass; the server lints the
 /// JSON document (with paths and codes) before a spec ever gets here, so
-/// these throws are the programmatic-API backstop.
-void validate_distributions(const FleetSpec& spec) {
+/// these throws are the programmatic-API backstop. Returns `spec`.
+const FleetSpec& validated_distributions(const FleetSpec& spec) {
   if (spec.device_count == 0) fail("device_count must be positive");
   if (spec.wave_size == 0) fail("wave_size must be positive");
   for (const auto* axis : {&spec.platforms, &spec.families}) {
@@ -97,6 +98,7 @@ void validate_distributions(const FleetSpec& spec) {
   if (spec.scenario_intensity <= 0.0) {
     fail("scenario_intensity must be positive");
   }
+  return spec;
 }
 
 /// One cumulative-weight draw. `u` must come from rng.uniform(0, total);
@@ -126,28 +128,41 @@ long ambient_bin(double ambient_c) {
 
 }  // namespace
 
-std::vector<DeviceProfile> sample_fleet(const FleetSpec& spec) {
-  validate_distributions(spec);
-  const std::vector<FleetWeight> platforms = effective_platforms(spec);
-  const std::vector<FleetWeight> families = effective_families(spec);
-  const double platform_total = total_weight(platforms);
-  const double family_total = total_weight(families);
+FleetSampler::FleetSampler(const FleetSpec& spec)
+    : platforms_(effective_platforms(validated_distributions(spec))),
+      families_(effective_families(spec)),
+      platform_total_(total_weight(platforms_)),
+      family_total_(total_weight(families_)),
+      ambient_c_(spec.ambient_c),
+      background_duty_(spec.background_duty),
+      device_count_(spec.device_count),
+      rng_(spec.seed) {}
 
-  util::Rng rng(spec.seed);
+bool FleetSampler::next(DeviceProfile& device) {
+  if (drawn_ == device_count_) return false;
+  // Fixed draw order per device -- platform, family, ambient, duty, seed --
+  // so the fleet is a pure function of (spec fields, spec.seed). All five
+  // draws come before the string copies, which the engine state then need
+  // not be reloaded around.
+  const double u_platform = rng_.uniform(0.0, platform_total_);
+  const double u_family = rng_.uniform(0.0, family_total_);
+  const double ambient_c = rng_.uniform(ambient_c_.lo, ambient_c_.hi);
+  const double duty = rng_.uniform(background_duty_.lo, background_duty_.hi);
+  const std::uint64_t seed = rng_.engine()();
+  device.index = drawn_++;
+  device.platform = pick_weighted(platforms_, u_platform);
+  device.family = pick_weighted(families_, u_family);
+  device.ambient_c = quantize_ambient(ambient_c, ambient_c_);
+  device.background_duty = duty;
+  device.seed = seed;
+  return true;
+}
+
+std::vector<DeviceProfile> sample_fleet(const FleetSpec& spec) {
+  FleetSampler sampler(spec);
   std::vector<DeviceProfile> profiles;
   profiles.reserve(std::size_t(spec.device_count));
-  for (std::uint64_t i = 0; i < spec.device_count; ++i) {
-    // Fixed draw order per device -- platform, family, ambient, duty, seed --
-    // so the profile list is a pure function of (spec fields, spec.seed).
-    DeviceProfile device;
-    device.index = i;
-    device.platform = pick_weighted(platforms, rng.uniform(0.0, platform_total));
-    device.family = pick_weighted(families, rng.uniform(0.0, family_total));
-    device.ambient_c = quantize_ambient(
-        rng.uniform(spec.ambient_c.lo, spec.ambient_c.hi), spec.ambient_c);
-    device.background_duty =
-        rng.uniform(spec.background_duty.lo, spec.background_duty.hi);
-    device.seed = rng.engine()();
+  for (DeviceProfile device; sampler.next(device);) {
     profiles.push_back(std::move(device));
   }
   return profiles;
@@ -215,9 +230,14 @@ const sysid::IdentifiedPlatformModel* FleetMaterializer::model_for(
 
 sim::ExperimentConfig FleetMaterializer::config_for(
     const DeviceProfile& device) {
+  return config_for(device, descriptor_for(device));
+}
+
+sim::ExperimentConfig FleetMaterializer::config_for(
+    const DeviceProfile& device, const sim::PlatformPtr& descriptor) const {
   sim::ExperimentConfig config = spec_.base;
   const double base_t_max = spec_.base.dtpm.t_max_c;
-  sim::set_platform(config, descriptor_for(device));
+  sim::set_platform(config, descriptor);
   if (t_max_pinned_) config.dtpm.t_max_c = base_t_max;
 
   config.scenario = std::make_shared<const workload::Benchmark>(
@@ -235,42 +255,66 @@ sim::ExperimentConfig FleetMaterializer::config_for(
 
 FleetRunResult run_fleet(const FleetSpec& spec,
                          const FleetRunOptions& options) {
-  const std::vector<DeviceProfile> profiles = sample_fleet(spec);
+  FleetSampler sampler(spec);
   FleetMaterializer materializer(spec);
   sim::BatchRunner runner(options.workers);
-  // The plan grows wave to wave (single-threaded between run() calls) and is
-  // shared read-only by every wave's workers: each distinct (platform,
-  // ambient bin) descriptor compiles its floorplan template exactly once for
-  // the whole fleet -- or once for the server's lifetime when the caller
-  // hands in its warm per-executor plan. Models travel on the jobs
-  // themselves (model_for), so the plan never calibrates.
+  // The plan grows wave to wave (single-threaded between run_collecting
+  // calls) and is shared read-only by every wave's workers: each distinct
+  // (platform, ambient bin) descriptor compiles its floorplan template once,
+  // and each floorplan structure its propagator matrices once, for the
+  // whole fleet -- or once for the server's lifetime when the caller hands
+  // in its warm per-executor plan. Models travel on the jobs themselves
+  // (model_for), so the plan never calibrates.
   std::unique_ptr<sim::RunPlan> local_plan;
   if (options.plan == nullptr) {
     local_plan = std::make_unique<sim::RunPlan>(spec.base);
   }
   sim::RunPlan& plan = options.plan != nullptr ? *options.plan : *local_plan;
+  plan.cache_config(spec.base);
 
+  /// A drawn device with what only the calling thread may resolve.
+  struct WaveDevice {
+    DeviceProfile profile;
+    sim::PlatformPtr descriptor;
+    const sysid::IdentifiedPlatformModel* model = nullptr;
+  };
   FleetRunResult out;
-  const std::uint64_t total = profiles.size();
-  std::vector<sim::BatchJob> jobs;
-  for (std::uint64_t start = 0; start < total;
-       start += spec.wave_size) {
+  const std::uint64_t total = spec.device_count;
+  std::vector<WaveDevice> wave;
+  std::vector<std::exception_ptr> build_errors;
+  while (out.devices_run < total) {
     if (options.should_stop && options.should_stop()) {
       out.stopped_early = true;
       break;
     }
-    const std::uint64_t end = std::min(total, start + spec.wave_size);
-    jobs.clear();
-    jobs.reserve(std::size_t(end - start));
-    for (std::uint64_t i = start; i < end; ++i) {
-      const DeviceProfile& device = profiles[std::size_t(i)];
-      sim::BatchJob job;
-      job.config = materializer.config_for(device);
-      job.model = materializer.model_for(device.platform);
-      plan.cache_platform(job.config.platform);
-      jobs.push_back(std::move(job));
+    wave.resize(std::size_t(
+        std::min<std::uint64_t>(spec.wave_size, total - out.devices_run)));
+    for (WaveDevice& device : wave) {
+      sampler.next(device.profile);
+      device.descriptor = materializer.descriptor_for(device.profile);
+      device.model = materializer.model_for(device.profile.platform);
+      plan.cache_platform(device.descriptor);
     }
-    const sim::BatchOutcome outcome = runner.run_collecting(jobs, &plan);
+    // Workers build each config just before running it. A build failure is
+    // the fleet's, not the device's: it propagates, lowest index first.
+    build_errors.assign(wave.size(), nullptr);
+    const sim::BatchOutcome outcome = runner.run_collecting(
+        wave.size(),
+        [&](std::size_t i, sim::BatchJob& job) -> const sim::BatchJob& {
+          try {
+            job.config =
+                materializer.config_for(wave[i].profile, wave[i].descriptor);
+          } catch (...) {
+            build_errors[i] = std::current_exception();
+            throw;
+          }
+          job.model = wave[i].model;
+          return job;
+        },
+        plan);
+    for (const std::exception_ptr& e : build_errors) {
+      if (e) std::rethrow_exception(e);
+    }
     // Fold in input order: with BatchRunner results bit-identical to serial
     // execution, the aggregate is too -- across 1 vs N workers and restarts.
     for (std::size_t i = 0; i < outcome.results.size(); ++i) {
@@ -280,7 +324,7 @@ FleetRunResult run_fleet(const FleetSpec& spec,
         out.aggregate.fold_result(outcome.results[i]);
       }
     }
-    out.devices_run += end - start;
+    out.devices_run += wave.size();
     if (options.on_wave) {
       options.on_wave(FleetProgress{out.devices_run, total, out.aggregate});
     }

@@ -6,11 +6,14 @@
 // memory-flat streaming computation whose aggregates are reproducible from
 // the spec's seed.
 //
-// Reproducibility: sample_fleet is a pure function of the spec (one
+// Reproducibility: the sampled fleet is a pure function of the spec (one
 // util::Rng stream, consumed device by device in a fixed draw order), and
 // run_fleet folds wave results in input order through the BatchRunner's
 // bit-identical-to-serial contract -- so the aggregate JSON is identical
-// across worker counts and across server restarts.
+// across worker counts and across server restarts. run_fleet draws each
+// wave's profiles from a FleetSampler as it goes (never the whole fleet at
+// once) and the pool's workers build each device's config just before
+// running it.
 #pragma once
 
 #include <cstddef>
@@ -24,6 +27,7 @@
 #include "serve/aggregator.hpp"
 #include "sim/config.hpp"
 #include "sim/scenario_catalog.hpp"
+#include "util/rng.hpp"
 
 namespace dtpm::sim {
 class RunPlan;
@@ -91,9 +95,32 @@ struct DeviceProfile {
   std::uint64_t seed = 0;
 };
 
-/// Samples every device profile deterministically from spec.seed. Throws
-/// std::invalid_argument on degenerate distributions (run_fleet lints
-/// first, so server-submitted specs fail with diagnostics instead).
+/// Draws a fleet's device profiles one at a time from spec.seed, in the
+/// fixed per-device draw order -- platform, family, ambient, duty, seed.
+class FleetSampler {
+ public:
+  /// Throws std::invalid_argument on degenerate distributions (the server
+  /// lints specs first, so submitted specs fail with diagnostics instead).
+  explicit FleetSampler(const FleetSpec& spec);
+
+  /// Draws the next profile into `device` (reusing its string capacity);
+  /// false, leaving `device` untouched, once device_count have been drawn.
+  bool next(DeviceProfile& device);
+
+ private:
+  std::vector<FleetWeight> platforms_;
+  std::vector<FleetWeight> families_;
+  double platform_total_;
+  double family_total_;
+  FleetRange ambient_c_;
+  FleetRange background_duty_;
+  std::uint64_t device_count_;
+  std::uint64_t drawn_ = 0;
+  util::Rng rng_;
+};
+
+/// Every device profile, drained from a FleetSampler. Throws
+/// std::invalid_argument on degenerate distributions.
 std::vector<DeviceProfile> sample_fleet(const FleetSpec& spec);
 
 /// Turns profiles into runnable configs, caching the expensive per-device
@@ -105,7 +132,17 @@ class FleetMaterializer {
  public:
   explicit FleetMaterializer(const FleetSpec& spec);
 
+  /// config_for(device, descriptor_for(device)).
   sim::ExperimentConfig config_for(const DeviceProfile& device);
+
+  /// The device's runnable config on `descriptor` (its descriptor_for()).
+  /// Const and safe to call from many threads at once.
+  sim::ExperimentConfig config_for(const DeviceProfile& device,
+                                   const sim::PlatformPtr& descriptor) const;
+
+  /// The ambient-adjusted descriptor for the device's (platform, ambient
+  /// bin), cached. Not thread-safe.
+  sim::PlatformPtr descriptor_for(const DeviceProfile& device);
 
   /// The shared identified model for runs on `platform_name`; null when the
   /// base config's policy does not need one.
@@ -113,8 +150,6 @@ class FleetMaterializer {
       const std::string& platform_name);
 
  private:
-  sim::PlatformPtr descriptor_for(const DeviceProfile& device);
-
   const FleetSpec& spec_;
   sim::ScenarioCatalog catalog_;
   bool needs_model_ = false;

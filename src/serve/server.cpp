@@ -83,10 +83,13 @@ void Server::request_stop() {
 // --- Executors ---------------------------------------------------------------
 
 void Server::executor_loop() {
-  // The per-thread warm cache: floorplan templates and calibrated models
-  // accumulate across every job this executor runs. Single-threaded use by
-  // construction (each executor owns its plan; BatchRunner workers inside a
-  // fleet only read it).
+  // The per-thread warm cache: floorplan templates, propagator matrices and
+  // calibrated models accumulate across every job this executor runs.
+  // Single-threaded use by construction (each executor owns its plan;
+  // BatchRunner workers inside a fleet only read it). Nothing is evicted:
+  // the plan holds one template per distinct floorplan spec and, for every
+  // distinct floorplan structure, up to five fan states' Phi/Gamma at every
+  // distinct propagator substep dt -- all set by the specs clients submit.
   sim::RunPlan plan((sim::ExperimentConfig()));
   for (;;) {
     JobPtr job = queue_.pop();
@@ -133,8 +136,7 @@ void Server::execute_run(JobRecord& job, sim::RunPlan& plan) {
   // a burst of submitted runs cannot grow server memory.
   config.record_trace = false;
 
-  plan.cache_platform(sim::resolved_platform(config));
-  plan.cache_benchmark_for(config);
+  plan.cache_config(config);
   const sysid::IdentifiedPlatformModel* model =
       sim::needs_identified_model(config) ? plan.cache_model_for(config)
                                           : nullptr;

@@ -34,10 +34,7 @@ std::vector<RunResult> BatchRunner::run(const std::vector<BatchJob>& jobs,
 
 BatchOutcome BatchRunner::run_collecting(const std::vector<BatchJob>& jobs,
                                          const RunPlan* shared_plan) const {
-  BatchOutcome outcome;
-  outcome.results.resize(jobs.size());
-  outcome.errors.resize(jobs.size());
-  if (jobs.empty()) return outcome;
+  if (jobs.empty()) return BatchOutcome{};
 
   // Hoist the per-run invariants (per-platform floorplan templates,
   // benchmark resolution, per-platform calibration) once, on this thread,
@@ -61,30 +58,18 @@ BatchOutcome BatchRunner::run_collecting(const std::vector<BatchJob>& jobs,
     }
   }
   const RunPlan& plan = shared_plan != nullptr ? *shared_plan : *local_plan;
+  return run_collecting(
+      jobs.size(),
+      [&jobs](std::size_t i, BatchJob&) -> const BatchJob& { return jobs[i]; },
+      plan);
+}
 
-  auto run_one = [&](std::size_t i) {
-    try {
-      const sysid::IdentifiedPlatformModel* model =
-          jobs[i].model != nullptr ? jobs[i].model
-                                   : plan.model_for(jobs[i].config);
-      outcome.results[i] = run_experiment(jobs[i].config, model, &plan);
-    } catch (...) {
-      outcome.errors[i] = std::current_exception();
-    }
-  };
-  auto count_failures = [&outcome] {
-    for (const std::exception_ptr& e : outcome.errors) {
-      if (e) ++outcome.failure_count;
-    }
-  };
-
-  const unsigned workers =
-      std::min<unsigned>(effective_worker_count(), unsigned(jobs.size()));
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < jobs.size(); ++i) run_one(i);
-    count_failures();
-    return outcome;
-  }
+BatchOutcome BatchRunner::run_collecting(std::size_t count,
+                                         const JobSource& job_at,
+                                         const RunPlan& plan) const {
+  BatchOutcome outcome;
+  outcome.results.resize(count);
+  outcome.errors.resize(count);
 
   // Work-stealing by atomic index: each worker pops the next unclaimed job,
   // so stragglers never serialize the whole batch. Every job only touches
@@ -95,19 +80,34 @@ BatchOutcome BatchRunner::run_collecting(const std::vector<BatchJob>& jobs,
   // surrounding stack frame (results/errors are only written at run end).
   alignas(64) std::atomic<std::size_t> next{0};
   auto worker = [&]() {
+    BatchJob scratch;
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= jobs.size()) return;
-      run_one(i);
+      if (i >= count) return;
+      try {
+        const BatchJob& job = job_at(i, scratch);
+        const sysid::IdentifiedPlatformModel* model =
+            job.model != nullptr ? job.model : plan.model_for(job.config);
+        outcome.results[i] = run_experiment(job.config, model, &plan);
+      } catch (...) {
+        outcome.errors[i] = std::current_exception();
+      }
     }
   };
 
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
-
-  count_failures();
+  const unsigned workers =
+      unsigned(std::min<std::size_t>(effective_worker_count(), count));
+  if (workers <= 1) {
+    worker();
+  } else {
+    std::vector<std::thread> pool;
+    pool.reserve(workers);
+    for (unsigned w = 0; w < workers; ++w) pool.emplace_back(worker);
+    for (std::thread& t : pool) t.join();
+  }
+  for (const std::exception_ptr& e : outcome.errors) {
+    if (e) ++outcome.failure_count;
+  }
   return outcome;
 }
 

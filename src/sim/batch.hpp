@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,12 @@ struct BatchOutcome {
   bool all_succeeded() const { return failure_count == 0; }
 };
 
+/// Hands a worker job `i` just before it runs: either a job that outlives
+/// the batch, or `scratch` (the worker's own, reused across its jobs) after
+/// building the job into it. Called concurrently for distinct indices.
+using JobSource =
+    std::function<const BatchJob&(std::size_t i, BatchJob& scratch)>;
+
 /// Executes batches of experiments on a worker pool.
 class BatchRunner {
  public:
@@ -70,6 +77,13 @@ class BatchRunner {
   /// must survive pathological catalog entries.
   BatchOutcome run_collecting(const std::vector<BatchJob>& jobs,
                               const RunPlan* shared_plan = nullptr) const;
+
+  /// run_collecting over `count` jobs that workers build themselves through
+  /// `job_at` (fleet devices are materialized on the pool this way). A
+  /// throw from `job_at` is captured in slot i like a throwing run. `plan`
+  /// is read-only here, as a shared plan is above.
+  BatchOutcome run_collecting(std::size_t count, const JobSource& job_at,
+                              const RunPlan& plan) const;
 
   /// Convenience overload: the same model pointer for every config.
   std::vector<RunResult> run(

@@ -1,6 +1,7 @@
 #include "sim/config.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -41,6 +42,11 @@ void set_platform(ExperimentConfig& config, PlatformPtr platform) {
   platform->validate();
   config.platform = std::move(platform);
   config.dtpm.t_max_c = config.platform->default_t_max_c;
+}
+
+int plant_substeps(const ExperimentConfig& config) {
+  return std::max(
+      1, int(std::lround(config.control_interval_s / config.plant_substep_s)));
 }
 
 void set_policy(ExperimentConfig& config, const std::string& name) {

@@ -77,6 +77,11 @@ struct ExperimentConfig {
   unsigned observe_horizon_steps = 10;
 };
 
+/// Plant substeps per control interval: control_interval_s over
+/// plant_substep_s, rounded, at least one. Each substep lasts
+/// control_interval_s / plant_substeps(config).
+int plant_substeps(const ExperimentConfig& config);
+
 /// The default-governor registry name ("ondemand" when unset).
 std::string resolved_governor_name(const ExperimentConfig& config);
 

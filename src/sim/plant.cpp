@@ -6,9 +6,9 @@
 namespace dtpm::sim {
 
 Plant::Plant(const PlatformDescriptor& platform, util::Rng& root,
-             const thermal::Floorplan* floorplan_template, Engine engine)
-    : floorplan_(floorplan_template != nullptr
-                     ? *floorplan_template
+             const PlantTemplate* plant_template, Engine engine)
+    : floorplan_(plant_template != nullptr
+                     ? plant_template->floorplan
                      : thermal::build_floorplan(platform.floorplan)),
       fan_(platform.fan),
       soc_(platform.power, platform.perf, platform.big_opp_table(),
@@ -20,7 +20,10 @@ Plant::Plant(const PlatformDescriptor& platform, util::Rng& root,
       engine_(engine),
       propagator_(engine == Engine::kReferenceRk4
                       ? nullptr
-                      : std::make_unique<thermal::PropagatorRcModel>()) {
+                      : std::make_unique<thermal::PropagatorRcModel>(
+                            plant_template != nullptr
+                                ? plant_template->propagators
+                                : nullptr)) {
   // advance() indexes core_node_index[0..kBigCoreCount-1] unconditionally;
   // a descriptor that bypassed validate() (built by hand and stuffed
   // straight into ExperimentConfig::platform) must fail here -- whichever

@@ -31,6 +31,18 @@ struct PlantIntervalResult {
   bool benchmark_finished = false;      ///< the foreground workload completed
 };
 
+/// Pre-built parts Plants of one platform share instead of rebuilding them
+/// (sim::RunPlan holds one per distinct platform in a batch).
+struct PlantTemplate {
+  /// Validated and compiled from the platform's floorplan; each Plant
+  /// copies it.
+  thermal::Floorplan floorplan;
+  /// Phi/Gamma compiled for the floorplan's structure, shared read-only by
+  /// every propagator Plant on it (it must outlive them); null when nothing
+  /// was compiled.
+  const thermal::PropagatorTable* propagators = nullptr;
+};
+
 /// Physical platform bundle: thermal plant, SoC, fan, and sensors -- all
 /// built from a data-driven PlatformDescriptor (floorplan topology, role
 /// indices, OPP tables, power physics, sensor models).
@@ -38,17 +50,18 @@ struct PlantIntervalResult {
 /// Forks three RNG streams from `root` in a fixed order (temperature bank,
 /// power bank, external meter) so experiments replay bit-identically.
 ///
-/// When `floorplan_template` is non-null it is copied instead of rebuilding
-/// (validating + compiling) the network from the descriptor -- the RunPlan
-/// hoist for batches that share one platform across many runs. The template
-/// must have been built from `platform.floorplan`.
+/// When `plant_template` is non-null its floorplan is copied instead of
+/// rebuilding (validating + compiling) the network from the descriptor, and
+/// a propagator Plant reads its Phi/Gamma table before compiling its own --
+/// the RunPlan hoist for batches that share one platform across many runs.
+/// The template must have been built from `platform.floorplan`.
 class Plant {
  public:
   /// `engine` selects the thermal integrator advance() runs
   /// (sim/stepping_engine.hpp): reference-rk4 is the bit-exact RK4 loop,
   /// propagator swaps in the cached LTI step map.
   Plant(const PlatformDescriptor& platform, util::Rng& root,
-        const thermal::Floorplan* floorplan_template = nullptr,
+        const PlantTemplate* plant_template = nullptr,
         Engine engine = Engine::kReferenceRk4);
 
   /// Sensor sampling (start of a control interval); allocation-free: clears
@@ -90,6 +103,9 @@ class Plant {
   double max_true_temp_c() const;
 
  private:
+  /// Tests read the propagator's step and compile counters through it.
+  friend struct PlantTestPeer;
+
   /// advance() is exactly this sequence:
   ///
   ///   interval_begin();

@@ -6,6 +6,11 @@
 //   * floorplan templates: one per distinct platform in the batch, built
 //     (validated + compiled) once and copied into each Plant instead of
 //     re-running build_floorplan per run,
+//   * propagator matrices: Phi/Gamma depend on the floorplan's structure
+//     (topology, capacitances, conductances) and the substep dt, not on its
+//     temperatures, so each (structure, fan state, substep dt) is compiled
+//     once and every propagator Plant on that structure reads it -- a
+//     fleet's hundreds of ambient variants share a handful of entries,
 //   * benchmark resolution: suite names resolved to Benchmark pointers once
 //     per distinct name instead of once per run,
 //   * per-platform calibration: the identified model of every platform that
@@ -26,8 +31,10 @@
 #include <vector>
 
 #include "sim/config.hpp"
+#include "sim/plant.hpp"
 #include "sysid/model_store.hpp"
 #include "thermal/floorplan.hpp"
+#include "thermal/lti_propagator.hpp"
 
 namespace dtpm::sim {
 
@@ -48,13 +55,21 @@ class RunPlan {
   /// per-job config copies).
   explicit RunPlan(const std::vector<BatchJob>& jobs);
 
+  /// Everything the constructors cache for one config: its propagator
+  /// substep dt (compiled for every cached structure), its platform and its
+  /// suite benchmark. Callers that grow a plan between batches (the serve
+  /// executors' warm plans) add each config through here. Not thread-safe:
+  /// populate the plan before sharing it across workers.
+  void cache_config(const ExperimentConfig& config);
+
   /// Resolves and caches `config`'s suite benchmark (no-op for inline
   /// scenarios and unknown names). Not thread-safe: populate the cache
   /// before sharing the plan across workers.
   void cache_benchmark_for(const ExperimentConfig& config);
 
-  /// Adds a floorplan template for `platform` if none matches yet. Not
-  /// thread-safe (construction-time only).
+  /// Adds a template for `platform` if none matches yet, compiling its
+  /// structure's Phi/Gamma for every propagator substep dt a cached config
+  /// has recorded. Not thread-safe (construction-time only).
   void cache_platform(const PlatformPtr& platform);
 
   /// Calibrates (through the process-wide per-platform cache) the
@@ -63,10 +78,10 @@ class RunPlan {
   const sysid::IdentifiedPlatformModel* cache_model_for(
       const ExperimentConfig& config);
 
-  /// The floorplan template whose spec matches `platform`, else null
+  /// The template cached for `platform`: by descriptor identity, else the
+  /// first whose floorplan spec equals its own; null when none matches
   /// (caller builds from its own descriptor).
-  const thermal::Floorplan* floorplan_for(
-      const PlatformDescriptor& platform) const;
+  const PlantTemplate* template_for(const PlatformDescriptor& platform) const;
 
   /// The pre-resolved suite benchmark for `name`, else null (caller resolves
   /// -- and reports errors -- itself). Inline scenarios never consult this.
@@ -78,11 +93,41 @@ class RunPlan {
 
  private:
   void cache_benchmark(const std::string& name);
-  /// Per-config construction step shared by the batch ctors.
-  void absorb(const ExperimentConfig& config);
+  /// Records `config`'s plant substep dt when it runs on the propagator
+  /// engine, compiling it for every cached structure.
+  void cache_engine_for(const ExperimentConfig& config);
 
-  /// (descriptor, compiled template) per distinct platform in the batch.
-  std::vector<std::pair<PlatformPtr, thermal::Floorplan>> floorplans_;
+  /// One per distinct floorplan spec, heap-held so pointers to it survive
+  /// growth. It holds the descriptors by_descriptor_ maps to it, so a mapped
+  /// address is never reused by another descriptor: the one it was built
+  /// from and the latest other one with an equal spec (a warm server plan
+  /// sees fresh but equal descriptors per fleet; keeping only the latest
+  /// bounds the map).
+  struct CachedTemplate {
+    PlantTemplate plant;
+    PlatformPtr built_from;
+    PlatformPtr latest_alias;
+  };
+  CachedTemplate* find_by_spec(const PlatformDescriptor& platform) const;
+
+  /// Templates whose floorplan specs are equal up to temperatures share a
+  /// table, precompiled in the first one's fan states. A Plant with other
+  /// fan conductances misses on those states and compiles them itself.
+  struct Structure {
+    const CachedTemplate* first;
+    std::unique_ptr<thermal::PropagatorTable> table;
+  };
+  /// Compiles `structure` at dt_s in its as-built and every fan state.
+  static void compile(Structure& structure, double dt_s);
+  const thermal::PropagatorTable* propagators_for(
+      const CachedTemplate& cached);
+
+  std::vector<std::unique_ptr<CachedTemplate>> templates_;
+  std::unordered_map<const PlatformDescriptor*, CachedTemplate*>
+      by_descriptor_;
+  std::vector<Structure> structures_;
+  /// Distinct substep dts of the propagator configs recorded so far.
+  std::vector<double> substep_dts_;
   std::unordered_map<std::string, const workload::Benchmark*> benchmarks_;
   /// (descriptor, identified model) per distinct calibrated platform --
   /// keyed by descriptor identity, never by name alone, so two different

@@ -52,11 +52,11 @@ Simulation::Simulation(const ExperimentConfig& config,
       platform_(resolved_platform(config_)),
       runaway_abort_temp_c_(platform_->resolved_runaway_abort_temp_c()),
       dt_s_(config_.control_interval_s),
-      substeps_(std::max(1, int(std::lround(dt_s_ / config_.plant_substep_s)))),
+      substeps_(sim::plant_substeps(config_)),
       sub_dt_s_(dt_s_ / substeps_),
       root_(config_.seed),
       plant_(*platform_, root_,
-             plan != nullptr ? plan->floorplan_for(*platform_) : nullptr,
+             plan != nullptr ? plan->template_for(*platform_) : nullptr,
              config_.engine),
       bench_(resolve_benchmark(config_, plan)),
       background_(config_.background.has_value() ? *config_.background

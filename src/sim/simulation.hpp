@@ -54,8 +54,10 @@ class Simulation {
   /// `config.policy_name` with a user-supplied implementation -- the extension
   /// point for custom thermal policies running closed-loop. A non-null
   /// `plan` (sim/run_plan.hpp) supplies pre-built batch invariants -- the
-  /// floorplan template and resolved benchmarks -- that construction reuses
-  /// when they match the config; behavior is identical with or without one.
+  /// floorplan template, propagator matrices and resolved benchmarks -- that
+  /// construction reuses when they match the config; behavior is identical
+  /// with or without one. The plan must outlive the Simulation: a
+  /// propagator plant reads the plan's matrices instead of copying them.
   explicit Simulation(
       const ExperimentConfig& config,
       const sysid::IdentifiedPlatformModel* model = nullptr,

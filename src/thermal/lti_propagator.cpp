@@ -88,35 +88,27 @@ void compose(const util::Matrix& p2, const util::Matrix& g2, util::Matrix& p,
   p = p2 * p;
 }
 
-}  // namespace
-
-std::uint64_t PropagatorRcModel::signature_of(const RcNetwork& network) {
-  const CompiledRcModel& model = network.compiled();
-  if (memo_valid_ && memo_model_ == &model &&
-      memo_epoch_ == model.conductance_epoch()) {
-    return memo_signature_;
-  }
+/// Value signature of a conductance state: FNV-1a over the edge count and
+/// the edge-conductance bit patterns.
+std::uint64_t conductance_signature(const CompiledRcModel& model) {
   std::uint64_t hash = 1469598103934665603ull;  // FNV offset basis
   hash = fnv1a(hash, model.edge_count());
   for (std::size_t e = 0; e < model.edge_count(); ++e) {
     hash = fnv1a(hash, bits_of(model.edge_conductance(e)));
   }
-  memo_model_ = &model;
-  memo_epoch_ = model.conductance_epoch();
-  memo_signature_ = hash;
-  memo_valid_ = true;
   return hash;
 }
 
-PropagatorMatrices PropagatorRcModel::compile(const RcNetwork& network,
-                                              double dt_s,
-                                              PropagatorMode mode) {
+std::unique_ptr<const PropagatorMatrices> compile(const RcNetwork& network,
+                                                  double dt_s,
+                                                  PropagatorMode mode) {
   const CompiledRcModel& model = network.compiled();
-  PropagatorMatrices out;
+  auto compiled = std::make_unique<PropagatorMatrices>();
+  PropagatorMatrices& out = *compiled;
   out.free_nodes = model.free_nodes();
   const std::size_t n = out.free_nodes.size();
   out.free_count = n;
-  if (n == 0) return out;
+  if (n == 0) return compiled;
 
   // Dense free slot lookup (node -> slot, or npos).
   constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
@@ -195,15 +187,62 @@ PropagatorMatrices PropagatorRcModel::compile(const RcNetwork& network,
     }
   }
 
-  out.phi.resize(n * n);
-  out.gamma.resize(n * n);
+  out.packed.resize(2 * n * n);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
-      out.phi[i * n + j] = phi(i, j);
-      out.gamma[i * n + j] = gamma(i, j);
+      out.packed[out.packed_index(i, j)] = phi(i, j);
+      out.packed[out.packed_index(i, n + j)] = gamma(i, j);
     }
   }
-  return out;
+  return compiled;
+}
+
+}  // namespace
+
+std::size_t PropagatorMatrices::packed_index(std::size_t row,
+                                             std::size_t col) const {
+  const std::size_t width = 2 * free_count;
+  const std::size_t panel_rows = free_count / kPanelRows * kPanelRows;
+  if (row >= panel_rows) return row * width + col;  // tail: row-major
+  return (row - row % kPanelRows) * width + col * kPanelRows +
+         row % kPanelRows;
+}
+
+void PropagatorTable::add(const RcNetwork& network, double dt_s) {
+  if (dt_s <= 0.0) {
+    throw std::invalid_argument("PropagatorTable: dt must be > 0");
+  }
+  const std::uint64_t sig = conductance_signature(network.compiled());
+  if (find(dt_s, sig) != nullptr) return;
+  entries_.push_back(
+      {dt_s, sig, compile(network, dt_s, PropagatorMode::kRk4Map)});
+}
+
+const PropagatorMatrices* PropagatorTable::find(double dt_s,
+                                                std::uint64_t signature) const {
+  for (const Entry& e : entries_) {
+    if (e.dt_s == dt_s && e.signature == signature) return e.m.get();
+  }
+  return nullptr;
+}
+
+PropagatorRcModel::PropagatorRcModel(PropagatorMode mode)
+    : mode_(mode), shared_(nullptr) {}
+
+PropagatorRcModel::PropagatorRcModel(const PropagatorTable* shared)
+    : mode_(PropagatorMode::kRk4Map), shared_(shared) {}
+
+std::uint64_t PropagatorRcModel::signature_of(const RcNetwork& network) {
+  const CompiledRcModel& model = network.compiled();
+  if (memo_valid_ && memo_model_ == &model &&
+      memo_epoch_ == model.conductance_epoch()) {
+    return memo_signature_;
+  }
+  memo_model_ = &model;
+  memo_epoch_ = model.conductance_epoch();
+  memo_signature_ = conductance_signature(model);
+  memo_valid_ = true;
+  return memo_signature_;
 }
 
 PropagatorRcModel::Entry& PropagatorRcModel::entry_for(
@@ -215,7 +254,12 @@ PropagatorRcModel::Entry& PropagatorRcModel::entry_for(
   Entry entry;
   entry.dt_s = dt_s;
   entry.signature = sig;
-  entry.m = compile(network, dt_s, mode_);
+  entry.m = shared_ != nullptr ? shared_->find(dt_s, sig) : nullptr;
+  if (entry.m == nullptr) {
+    ++compiles_;
+    entry.owned = compile(network, dt_s, mode_);
+    entry.m = entry.owned.get();
+  }
   if (cache_.size() < kCacheCapacity) {
     cache_.push_back(std::move(entry));
     return cache_.back();
@@ -231,7 +275,7 @@ const PropagatorMatrices& PropagatorRcModel::matrices_for(
   if (dt_s <= 0.0) {
     throw std::invalid_argument("PropagatorRcModel: dt must be > 0");
   }
-  return entry_for(network, dt_s).m;
+  return *entry_for(network, dt_s).m;
 }
 
 void PropagatorRcModel::step(RcNetwork& network, double dt_s,
@@ -247,14 +291,14 @@ void PropagatorRcModel::step(RcNetwork& network, double dt_s,
   const PropagatorMatrices* m = nullptr;
   for (const Entry& e : cache_) {
     if (e.dt_s == dt_s && e.signature == sig) {
-      m = &e.m;
+      m = e.m;
       break;
     }
   }
   if (m == nullptr) {
     // First sight of this (dt, conductance state) -- e.g. the step after a
-    // fan transition. Advance through the bit-identical RK4 path and
-    // compile the matrices so the next such step is one matvec.
+    // fan transition. Advance through the bit-identical RK4 path and fetch
+    // or compile the matrices so the next such step is one matvec.
     ++fallback_steps_;
     network.step(dt_s, power_w);
     entry_for(network, dt_s);
@@ -263,29 +307,46 @@ void PropagatorRcModel::step(RcNetwork& network, double dt_s,
 
   ++propagator_steps_;
   const std::size_t n = m->free_count;
+  const std::size_t width = 2 * n;
   std::vector<double>& temps = network.temperatures_mut();
-  tf_.resize(n);
-  z_.resize(n);
-  out_.resize(n);
+  x_.resize(width);
+  double* x = x_.data();
   const std::size_t* free_nodes = m->free_nodes.data();
   for (std::size_t i = 0; i < n; ++i) {
-    tf_[i] = temps[free_nodes[i]];
-    z_[i] = power_w[free_nodes[i]];
+    x[i] = temps[free_nodes[i]];
+    x[n + i] = power_w[free_nodes[i]];
   }
   for (const PropagatorMatrices::BoundaryTerm& bt : m->boundary_terms) {
-    z_[bt.free_slot] += bt.g * temps[bt.boundary_node];
+    x[n + bt.free_slot] += bt.g * temps[bt.boundary_node];
   }
-  const double* phi = m->phi.data();
-  const double* gamma = m->gamma.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* phi_row = phi + i * n;
-    const double* gamma_row = gamma + i * n;
+  // x holds copies of every input, so results go straight into temps.
+  // Panels: rows r..r+3 accumulate in two 2-lane registers; lane k of a
+  // register is exactly row r+k's scalar sum in column order.
+  using v2d = double __attribute__((vector_size(16)));
+  constexpr std::size_t kPanel = PropagatorMatrices::kPanelRows;
+  const double* a = m->packed.data();
+  std::size_t row = 0;
+  for (; row + kPanel <= n; row += kPanel) {
+    v2d acc01 = {0.0, 0.0};
+    v2d acc23 = {0.0, 0.0};
+    for (std::size_t c = 0; c < width; ++c, a += kPanel) {
+      const v2d xc = {x[c], x[c]};
+      v2d a01, a23;
+      std::memcpy(&a01, a, sizeof(a01));
+      std::memcpy(&a23, a + 2, sizeof(a23));
+      acc01 += a01 * xc;
+      acc23 += a23 * xc;
+    }
+    temps[free_nodes[row]] = acc01[0];
+    temps[free_nodes[row + 1]] = acc01[1];
+    temps[free_nodes[row + 2]] = acc23[0];
+    temps[free_nodes[row + 3]] = acc23[1];
+  }
+  for (; row < n; ++row, a += width) {
     double acc = 0.0;
-    for (std::size_t j = 0; j < n; ++j) acc += phi_row[j] * tf_[j];
-    for (std::size_t j = 0; j < n; ++j) acc += gamma_row[j] * z_[j];
-    out_[i] = acc;
+    for (std::size_t c = 0; c < width; ++c) acc += a[c] * x[c];
+    temps[free_nodes[row]] = acc;
   }
-  for (std::size_t i = 0; i < n; ++i) temps[free_nodes[i]] = out_[i];
 }
 
 }  // namespace dtpm::thermal

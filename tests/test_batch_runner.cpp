@@ -83,13 +83,31 @@ TEST(RunPlan, ResolvesCachedBenchmarksAndFloorplans) {
   RunPlan plan(config);
   EXPECT_NE(plan.benchmark_for("crc32"), nullptr);
   EXPECT_EQ(plan.benchmark_for("no-such-benchmark"), nullptr);
-  EXPECT_NE(plan.floorplan_for(*config.platform), nullptr);
+  EXPECT_NE(plan.template_for(*config.platform), nullptr);
 
   // A diverged platform must fall back (null), never hand out a mismatched
   // template.
   PlatformDescriptor other = *config.platform;
   other.floorplan.nodes.back().capacitance_j_per_k *= 2.0;
-  EXPECT_EQ(plan.floorplan_for(other), nullptr);
+  EXPECT_EQ(plan.template_for(other), nullptr);
+}
+
+TEST(RunPlan, EqualDescriptorsShareOneTemplate) {
+  // Fresh descriptors with an equal floorplan (a warm server plan sees a new
+  // set per fleet) resolve to the template already built, whether or not
+  // they were cached themselves.
+  const ExperimentConfig config = quick_config("crc32", "no-fan");
+  RunPlan plan(config);
+  const PlantTemplate* built = plan.template_for(*config.platform);
+  ASSERT_NE(built, nullptr);
+  for (int round = 0; round < 3; ++round) {
+    const auto alias = std::make_shared<PlatformDescriptor>(*config.platform);
+    const PlatformDescriptor uncached = *config.platform;
+    plan.cache_platform(alias);
+    EXPECT_EQ(plan.template_for(*alias), built);
+    EXPECT_EQ(plan.template_for(uncached), built);
+    EXPECT_EQ(plan.template_for(*config.platform), built);
+  }
 }
 
 TEST(RunPlan, UnknownBenchmarkStillFailsInItsOwnSlot) {

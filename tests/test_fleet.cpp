@@ -206,25 +206,99 @@ TEST(RunFleet, MatchesOfflineBatchRunnerReference) {
             util::json_write(streamed.aggregate.to_json()));
 }
 
-TEST(RunFleet, AggregateInvariantAcrossWorkerCounts) {
-  const FleetSpec spec = test_spec();
-  FleetRunOptions serial;
-  serial.workers = 1;
-  FleetRunOptions wide;
-  wide.workers = 4;
-  const FleetRunResult a = run_fleet(spec, serial);
-  const FleetRunResult b = run_fleet(spec, wide);
-  EXPECT_EQ(util::json_write(a.aggregate.to_json()),
-            util::json_write(b.aggregate.to_json()));
+/// The per-wave serial rebuild perfbench's traced run makes: sample every
+/// profile, then per wave materialize on this thread and hand the jobs to
+/// the vector run_collecting.
+std::string per_wave_rebuild_json(const FleetSpec& spec, unsigned workers) {
+  const std::vector<DeviceProfile> profiles = sample_fleet(spec);
+  FleetMaterializer materializer(spec);
+  sim::BatchRunner runner(workers);
+  sim::RunPlan plan(spec.base);
+  FleetAggregate aggregate;
+  std::vector<sim::BatchJob> jobs;
+  for (std::size_t begin = 0; begin < profiles.size();
+       begin += std::size_t(spec.wave_size)) {
+    const std::size_t end =
+        std::min(profiles.size(), begin + std::size_t(spec.wave_size));
+    jobs.clear();
+    for (std::size_t i = begin; i < end; ++i) {
+      sim::BatchJob job;
+      job.config = materializer.config_for(profiles[i]);
+      job.model = materializer.model_for(profiles[i].platform);
+      plan.cache_platform(job.config.platform);
+      jobs.push_back(std::move(job));
+    }
+    const sim::BatchOutcome outcome = runner.run_collecting(jobs, &plan);
+    for (std::size_t i = 0; i < outcome.results.size(); ++i) {
+      if (outcome.errors[i]) {
+        aggregate.fold_error();
+      } else {
+        aggregate.fold_result(outcome.results[i]);
+      }
+    }
+  }
+  return util::json_write(aggregate.to_json());
 }
 
-TEST(RunFleet, WaveSizeDoesNotChangeTheAggregate) {
+// One aggregate across worker counts, wave sizes (one device per wave, many
+// ragged waves, one wave holding the whole fleet) and the serial per-wave
+// rebuild.
+TEST(RunFleet, AggregateInvariantAcrossWorkersWavesAndRebuild) {
   FleetSpec spec = test_spec();
-  const FleetRunResult coarse = run_fleet(spec);
-  spec.wave_size = 7;  // many ragged waves
-  const FleetRunResult fine = run_fleet(spec);
-  EXPECT_EQ(util::json_write(coarse.aggregate.to_json()),
-            util::json_write(fine.aggregate.to_json()));
+  const std::string reference = offline_reference_json(spec);
+  for (std::uint64_t wave_size : {1u, 7u, 512u}) {
+    spec.wave_size = wave_size;
+    for (unsigned workers : {1u, 4u}) {
+      SCOPED_TRACE("wave_size " + std::to_string(wave_size) + ", -j " +
+                   std::to_string(workers));
+      FleetRunOptions options;
+      options.workers = workers;
+      const FleetRunResult result = run_fleet(spec, options);
+      EXPECT_EQ(spec.device_count, result.devices_run);
+      EXPECT_EQ(reference, util::json_write(result.aggregate.to_json()));
+    }
+  }
+  spec.wave_size = 40;
+  EXPECT_EQ(reference, per_wave_rebuild_json(spec, 1));
+  EXPECT_EQ(reference, per_wave_rebuild_json(spec, 4));
+}
+
+// Workers build device configs, but a config that cannot be built still
+// fails the fleet rather than one device: an ambient above the platform's
+// thermal limit makes set_platform reject the shifted descriptor.
+TEST(RunFleet, ConfigBuildErrorPropagates) {
+  FleetSpec spec = test_spec();
+  spec.ambient_c = {150.0, 150.0};
+  for (unsigned workers : {1u, 4u}) {
+    FleetRunOptions options;
+    options.workers = workers;
+    try {
+      run_fleet(spec, options);
+      ADD_FAILURE() << "-j " << workers << ": run_fleet did not throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("default_t_max_c"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// The streaming sampler draws exactly sample_fleet's sequence.
+TEST(SampleFleet, SamplerStreamsTheSampledFleet) {
+  const FleetSpec spec = test_spec();
+  const std::vector<DeviceProfile> drained = sample_fleet(spec);
+  FleetSampler sampler(spec);
+  DeviceProfile device;
+  for (const DeviceProfile& expected : drained) {
+    ASSERT_TRUE(sampler.next(device));
+    EXPECT_EQ(expected.index, device.index);
+    EXPECT_EQ(expected.platform, device.platform);
+    EXPECT_EQ(expected.family, device.family);
+    EXPECT_EQ(expected.ambient_c, device.ambient_c);
+    EXPECT_EQ(expected.background_duty, device.background_duty);
+    EXPECT_EQ(expected.seed, device.seed);
+  }
+  EXPECT_FALSE(sampler.next(device));
 }
 
 TEST(RunFleet, StreamsProgressAndHonorsStop) {

@@ -8,6 +8,9 @@
 // bound. This is what "a 100k-device fleet is memory-flat" means
 // operationally.
 //
+// A second guard checks the other axis: what run_fleet holds must not grow
+// with device_count either (the fleet is sampled wave by wave).
+//
 // This file must not be linked with other tests (each test binary is its
 // own executable here, so the global override is safe).
 #include <gtest/gtest.h>
@@ -133,6 +136,57 @@ TEST(FleetMemory, LiveAllocationsStayFlatAcrossWaves) {
       << "live allocations grew from " << baseline << " after wave 4 to "
       << final_live << " after wave 12 -- fleet mode is retaining "
          "per-device state";
+}
+
+/// Live allocations after run_fleet's first wave of `device_count` devices
+/// (wave size 20, one worker).
+long long live_after_first_wave(std::uint64_t device_count) {
+  FleetSpec spec;
+  spec.device_count = device_count;
+  spec.wave_size = 20;
+  spec.seed = 5;
+  spec.base.policy_name = "reactive";
+  spec.base.engine = sim::Engine::kPropagator;
+  spec.base.warmup_s = 0.1;
+  spec.base.max_sim_time_s = 0.3;
+  spec.platforms = {{"odroid-xu-e", 1.0}};
+  // A family name past the small-string buffer: each profile held at once
+  // would own one heap allocation.
+  spec.families = {{"duty-cycle-resonance", 1.0}};
+  spec.ambient_c = {28.0, 28.0};
+  spec.scenario_nominal_duration_s = 0.3;
+
+  long long live = -1;
+  FleetRunOptions options;
+  options.workers = 1;
+  options.on_wave = [&live](const FleetProgress& progress) {
+    if (progress.done == 20) {
+      live = g_news.load(std::memory_order_relaxed) -
+             g_deletes.load(std::memory_order_relaxed);
+    }
+  };
+  g_news.store(0);
+  g_deletes.store(0);
+  g_counting.store(true);
+  const FleetRunResult result = run_fleet(spec, options);
+  g_counting.store(false);
+  EXPECT_EQ(device_count, result.devices_run);
+  return live;
+}
+
+TEST(FleetMemory, LiveAllocationsDoNotGrowWithDeviceCount) {
+  // After one wave both fleets have folded the same 20 devices; what else
+  // is alive is what run_fleet holds for devices not yet run. Sampling the
+  // whole fleet up front would hold one profile (and here one family-name
+  // allocation) per device.
+  const long long small = live_after_first_wave(40);
+  const long long large = live_after_first_wave(400);
+  ASSERT_GE(small, 0);
+  ASSERT_GE(large, 0);
+  EXPECT_LE(large, small + 16)
+      << "live allocations after one wave grew from " << small << " (40 "
+         "devices) to " << large << " (400 devices) -- run_fleet holds "
+         "per-device state for the whole fleet";
 }
 
 }  // namespace

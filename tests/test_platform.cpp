@@ -253,9 +253,9 @@ TEST(RunPlan, CachesOneFloorplanTemplatePerPlatform) {
 
   const sim::RunPlan plan(
       std::vector<sim::ExperimentConfig>{odroid, dragon, compact, dragon});
-  const thermal::Floorplan* fp_odroid = plan.floorplan_for(*odroid.platform);
-  const thermal::Floorplan* fp_dragon = plan.floorplan_for(*dragon.platform);
-  const thermal::Floorplan* fp_compact = plan.floorplan_for(*compact.platform);
+  const sim::PlantTemplate* fp_odroid = plan.template_for(*odroid.platform);
+  const sim::PlantTemplate* fp_dragon = plan.template_for(*dragon.platform);
+  const sim::PlantTemplate* fp_compact = plan.template_for(*compact.platform);
   ASSERT_NE(fp_odroid, nullptr);
   ASSERT_NE(fp_dragon, nullptr);
   ASSERT_NE(fp_compact, nullptr);
@@ -264,7 +264,7 @@ TEST(RunPlan, CachesOneFloorplanTemplatePerPlatform) {
   // A descriptor whose floorplan diverges gets no template.
   sim::PlatformDescriptor other = *odroid.platform;
   other.floorplan.nodes[0].capacitance_j_per_k *= 2.0;
-  EXPECT_EQ(plan.floorplan_for(other), nullptr);
+  EXPECT_EQ(plan.template_for(other), nullptr);
 }
 
 TEST(RunPlan, CachesOneModelPerPlatform) {

@@ -1,20 +1,36 @@
 // Correctness of the LTI propagator (thermal/lti_propagator.hpp) against
 // the reference RK4 integrator: spectral stability of the compiled step map
-// for every registry platform and fan state, bounded long-soak drift, and
-// bit-identical RK4 fallback on fan-transition-straddling steps.
+// for every registry platform and fan state, bounded long-soak drift,
+// bit-identical RK4 fallback on fan-transition-straddling steps, the packed
+// register-blocked step against a row-by-row dot product, and Plants that
+// share a RunPlan's precompiled matrices.
 #include "thermal/lti_propagator.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <random>
 #include <vector>
 
+#include "sim/config.hpp"
+#include "sim/plant.hpp"
 #include "sim/platform_registry.hpp"
+#include "sim/run_plan.hpp"
 #include "thermal/fan.hpp"
 #include "thermal/floorplan.hpp"
 #include "thermal/rc_network.hpp"
 #include "util/matrix.hpp"
+
+namespace dtpm::sim {
+// Plant's test-only friend: the propagator's step and compile counters.
+struct PlantTestPeer {
+  static const thermal::PropagatorRcModel& propagator(const Plant& plant) {
+    return *plant.propagator_;
+  }
+};
+}  // namespace dtpm::sim
 
 namespace dtpm::thermal {
 namespace {
@@ -58,11 +74,95 @@ RcNetwork make_random_network(std::mt19937_64& rng) {
   return RcNetwork(std::move(nodes), std::move(edges));
 }
 
+/// Connected RC network with exactly `free_count` free nodes and one
+/// boundary node: spanning tree plus chords, log-uniform C and G.
+RcNetwork make_network_with_free_nodes(std::mt19937_64& rng,
+                                       std::size_t free_count) {
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const std::size_t n = free_count + 1;
+  std::vector<ThermalNode> nodes(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    nodes[i].name = "n" + std::to_string(i);
+    nodes[i].capacitance_j_per_k = std::pow(10.0, -2.0 + 3.0 * unit(rng));
+    nodes[i].initial_temp_c = 25.0 + 40.0 * unit(rng);
+    nodes[i].is_boundary = i + 1 == n;
+  }
+  std::vector<ThermalEdge> edges;
+  for (std::size_t i = 1; i < n; ++i) {
+    std::uniform_int_distribution<std::size_t> parent(0, i - 1);
+    edges.push_back({parent(rng), i, std::pow(10.0, -1.0 + 2.0 * unit(rng))});
+  }
+  std::uniform_int_distribution<std::size_t> pick(0, n - 1);
+  for (std::size_t extra = 0; extra < n; ++extra) {
+    const std::size_t a = pick(rng);
+    const std::size_t b = pick(rng);
+    if (a != b) {
+      edges.push_back({a, b, std::pow(10.0, -1.0 + 2.0 * unit(rng))});
+    }
+  }
+  return RcNetwork(std::move(nodes), std::move(edges));
+}
+
+std::uint64_t bits(double v) {
+  std::uint64_t out;
+  std::memcpy(&out, &v, sizeof(out));
+  return out;
+}
+
+/// The oracle for the packed step: the row-by-row dot product it replaces.
+/// Each free row starts from +0.0 and adds its Phi terms, then its Gamma
+/// terms, left to right.
+std::vector<double> row_by_row_step(const PropagatorMatrices& m,
+                                    const std::vector<double>& temps,
+                                    const std::vector<double>& power) {
+  const std::size_t n = m.free_count;
+  std::vector<double> tf(n), z(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    tf[i] = temps[m.free_nodes[i]];
+    z[i] = power[m.free_nodes[i]];
+  }
+  for (const PropagatorMatrices::BoundaryTerm& bt : m.boundary_terms) {
+    z[bt.free_slot] += bt.g * temps[bt.boundary_node];
+  }
+  std::vector<double> out = temps;
+  for (std::size_t i = 0; i < n; ++i) {
+    double acc = 0.0;
+    for (std::size_t j = 0; j < n; ++j) acc += m.phi(i, j) * tf[j];
+    for (std::size_t j = 0; j < n; ++j) acc += m.gamma(i, j) * z[j];
+    out[m.free_nodes[i]] = acc;
+  }
+  return out;
+}
+
+/// Steps `network` through the propagator with random power and checks every
+/// matvec step against row_by_row_step bit for bit.
+void expect_packed_step_matches_oracle(RcNetwork& network,
+                                       std::mt19937_64& rng) {
+  constexpr double kDt = 0.01;
+  std::uniform_real_distribution<double> watts(0.0, 3.0);
+  std::vector<double> power(network.node_count());
+  PropagatorRcModel engine;
+  engine.step(network, kDt, power);  // first sight: RK4 fallback + compile
+  ASSERT_EQ(engine.fallback_steps(), 1u);
+  for (int k = 0; k < 64; ++k) {
+    for (double& p : power) p = watts(rng);
+    const std::vector<double> expected = row_by_row_step(
+        engine.matrices_for(network, kDt), network.temperatures_c(), power);
+    engine.step(network, kDt, power);
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(bits(expected[i]), bits(network.temperature_c(i)))
+          << "node " << i << " step " << k;
+    }
+  }
+  EXPECT_EQ(engine.fallback_steps(), 1u);
+  EXPECT_EQ(engine.propagator_steps(), 64u);
+}
+
 util::Matrix phi_as_matrix(const PropagatorMatrices& m) {
   util::Matrix phi(m.free_count, m.free_count);
   for (std::size_t i = 0; i < m.free_count; ++i) {
     for (std::size_t j = 0; j < m.free_count; ++j) {
-      phi(i, j) = m.phi[i * m.free_count + j];
+      phi(i, j) = m.phi(i, j);
     }
   }
   return phi;
@@ -219,6 +319,109 @@ TEST(PropagatorExpm, TracksRk4WithinTruncationError) {
     }
   }
   EXPECT_LE(max_err, 1e-6);
+}
+
+// The packed [Phi | Gamma] step is bit-identical to the row-by-row dot on
+// every registry floorplan in every fan state (n = 9: two panels + a tail).
+TEST(PropagatorPacked, RegistryFloorplansEveryFanStateMatchRowByRowDot) {
+  const auto& registry = sim::PlatformRegistry::instance();
+  std::mt19937_64 rng(20261017);
+  for (const std::string& name : registry.names()) {
+    const sim::PlatformPtr platform = registry.get(name);
+    for (FanSpeed speed : {FanSpeed::kOff, FanSpeed::kLow, FanSpeed::kHalf,
+                           FanSpeed::kFull}) {
+      SCOPED_TRACE(name + " " + to_string(speed));
+      Floorplan fp = build_floorplan(platform->floorplan);
+      if (fp.has_fan_edge()) {
+        fp.network.set_edge_conductance(
+            fp.fan_edge, Fan(platform->fan).conductance_w_per_k(speed));
+      }
+      expect_packed_step_matches_oracle(fp.network, rng);
+    }
+  }
+}
+
+// Generated networks with 1-13 free nodes: tail rows only (1-3), whole
+// panels (4, 8, 12) and panels plus a tail (everything else).
+TEST(PropagatorPacked, GeneratedNetworksOneToThirteenFreeNodes) {
+  std::mt19937_64 rng(7);
+  for (std::size_t free_count = 1; free_count <= 13; ++free_count) {
+    SCOPED_TRACE("free nodes " + std::to_string(free_count));
+    RcNetwork network = make_network_with_free_nodes(rng, free_count);
+    expect_packed_step_matches_oracle(network, rng);
+  }
+}
+
+// A Plant built from a RunPlan that precompiled its structure's matrices
+// compiles nothing itself, yet takes the same RK4 fallback steps and lands
+// on the same bits as a Plant that compiles its own.
+TEST(PropagatorPlan, PlantOnPrecompiledPlanCompilesNothing) {
+  const auto& registry = sim::PlatformRegistry::instance();
+  for (const std::string& name : registry.names()) {
+    SCOPED_TRACE(name);
+    sim::ExperimentConfig config;
+    sim::set_platform(config, name);
+    config.engine = sim::Engine::kPropagator;
+    const sim::RunPlan plan(config);
+    const sim::PlantTemplate* shared_template =
+        plan.template_for(*config.platform);
+    ASSERT_NE(shared_template, nullptr);
+    ASSERT_NE(shared_template->propagators, nullptr);
+    EXPECT_GT(shared_template->propagators->size(), 0u);
+
+    util::Rng root_shared(3), root_own(3);
+    sim::Plant shared(*config.platform, root_shared, shared_template,
+                      sim::Engine::kPropagator);
+    sim::Plant own(*config.platform, root_own, nullptr,
+                   sim::Engine::kPropagator);
+    workload::Demand demand;
+    demand.threads.push_back(workload::ThreadDemand{});
+    demand.threads.back().cpu_cycles_per_unit = 1e6;
+    const int substeps = sim::plant_substeps(config);
+    const double sub_dt = config.control_interval_s / substeps;
+    const FanSpeed cycle[] = {FanSpeed::kOff, FanSpeed::kFull, FanSpeed::kLow,
+                              FanSpeed::kHalf, FanSpeed::kOff};
+    for (int interval = 0; interval < 25; ++interval) {
+      shared.set_fan(cycle[interval / 5]);
+      own.set_fan(cycle[interval / 5]);
+      shared.advance(demand, {}, nullptr, substeps, sub_dt);
+      own.advance(demand, {}, nullptr, substeps, sub_dt);
+      const std::vector<double>& a = shared.true_temps_c();
+      const std::vector<double>& b = own.true_temps_c();
+      ASSERT_EQ(a.size(), b.size());
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        ASSERT_EQ(bits(a[i]), bits(b[i])) << "node " << i << " interval "
+                                          << interval;
+      }
+    }
+    const thermal::PropagatorRcModel& shared_model =
+        sim::PlantTestPeer::propagator(shared);
+    const thermal::PropagatorRcModel& own_model =
+        sim::PlantTestPeer::propagator(own);
+    EXPECT_EQ(shared_model.compiles(), 0u);
+    EXPECT_GT(own_model.compiles(), 0u);
+    EXPECT_EQ(shared_model.fallback_steps(), own_model.fallback_steps());
+    EXPECT_EQ(shared_model.propagator_steps(), own_model.propagator_steps());
+  }
+}
+
+// Ambient variants of one platform differ only in temperatures, which never
+// enter Phi/Gamma: the plan compiles their structure once and shares it.
+TEST(PropagatorPlan, AmbientVariantsShareOneTable) {
+  sim::ExperimentConfig config;
+  config.engine = sim::Engine::kPropagator;
+  sim::RunPlan plan(config);
+  auto warm = std::make_shared<sim::PlatformDescriptor>(*config.platform);
+  for (FloorplanNodeSpec& node : warm->floorplan.nodes) {
+    node.initial_temp_c += 10.0;
+  }
+  plan.cache_platform(warm);
+  const sim::PlantTemplate* nominal = plan.template_for(*config.platform);
+  const sim::PlantTemplate* shifted = plan.template_for(*warm);
+  ASSERT_NE(nominal, nullptr);
+  ASSERT_NE(shifted, nullptr);
+  EXPECT_NE(nominal, shifted);
+  EXPECT_EQ(nominal->propagators, shifted->propagators);
 }
 
 // Validation parity with RcNetwork::step.
