@@ -6,11 +6,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iomanip>
 #include <sstream>
 #include <string>
 
+#include "golden.hpp"
 #include "power/leakage.hpp"
 #include "sim/platform_registry.hpp"
 #include "soc/soc.hpp"
@@ -245,11 +245,8 @@ TEST(Calibration, FailingFurnaceSetpointRaisesTheFirstSerialError) {
 // to the plant, sensors, RNG streams or fits must regenerate them:
 //
 //   DTPM_REGEN_GOLDEN=1 ./test_calibration --gtest_filter='CalibrationGolden.*'
-
-bool regenerating() {
-  const char* flag = std::getenv("DTPM_REGEN_GOLDEN");
-  return flag != nullptr && *flag != '\0' && std::string(flag) != "0";
-}
+//
+// (the shared workflow in tests/golden.hpp).
 
 struct Fnv1a {
   std::uint64_t hash = 1469598103934665603ull;
@@ -308,20 +305,12 @@ TEST(CalibrationGolden, RegistryPlatformsMatchPinnedArtifacts) {
   for (const std::string name : {"compact", "dragon", "odroid-xu-e"}) {
     const std::string path =
         std::string(DTPM_GOLDEN_DIR) + "/calibration_" + name + ".model";
-    const std::string current = golden_text(
-        platform_calibration(PlatformRegistry::instance().get(name)));
-    if (regenerating()) {
-      std::ofstream(path) << current;
-      continue;
-    }
-    std::ifstream in(path);
-    ASSERT_TRUE(in) << "cannot open " << path
-                    << "\nRegenerate with DTPM_REGEN_GOLDEN=1 ./test_calibration";
-    std::stringstream golden;
-    golden << in.rdbuf();
-    EXPECT_EQ(golden.str(), current) << name << " calibration drifted";
+    golden::expect_text_matches(
+        path,
+        golden_text(
+            platform_calibration(PlatformRegistry::instance().get(name))),
+        "test_calibration");
   }
-  if (regenerating()) GTEST_SKIP() << "regenerated; commit the new goldens";
 }
 
 }  // namespace

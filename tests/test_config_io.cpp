@@ -5,12 +5,25 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
 #include <functional>
+#include <sstream>
 #include <string>
+#include <vector>
 
+#include "golden.hpp"
+#include "serve/fleet_io.hpp"
+#include "sim/platform_registry.hpp"
 #include "sim/scenario_catalog.hpp"
 #include "workload/scenario.hpp"
+
+#ifndef DTPM_GOLDEN_DIR
+#error "build must define DTPM_GOLDEN_DIR (see CMakeLists.txt)"
+#endif
+#ifndef DTPM_CONFIG_DIR
+#error "build must define DTPM_CONFIG_DIR (see CMakeLists.txt)"
+#endif
 
 namespace dtpm::sim {
 namespace {
@@ -326,6 +339,177 @@ TEST(ConfigIo, ParseErrorsFromFilesCarryLineColumn) {
   const std::string message = what_of([&] { load_experiment_config(path); });
   EXPECT_NE(message.find("line 3"), std::string::npos);
   EXPECT_NE(message.find(path), std::string::npos);
+}
+
+// --- Member-by-member pin ----------------------------------------------------
+//
+// Every leaf of five representative documents is mutated (wrong type, +-1e300
+// for numbers, 0.5 for integers, an unknown sibling key next to it), and the
+// collecting parser's diagnostics for each mutation are pinned, together with
+// each document's serialization. The walk only knows JSON, so it pins what
+// the parsers accept and report, whatever drives them. Arrays contribute
+// element [0] only. Regenerate with DTPM_REGEN_GOLDEN=1 ./test_config_io.
+
+/// One step from a JSON node to a child: an object key, or an array index
+/// when `key` is empty.
+struct Step {
+  std::string key;
+  std::size_t index = 0;
+};
+
+/// `node` with the value at `steps` replaced by `edit(old value)`.
+util::JsonValue edited(const util::JsonValue& node,
+                       const std::vector<Step>& steps, std::size_t depth,
+                       const std::function<util::JsonValue(
+                           const util::JsonValue&)>& edit) {
+  if (depth == steps.size()) return edit(node);
+  const Step& step = steps[depth];
+  if (step.key.empty()) {
+    util::JsonArray array = node.as_array();
+    array[step.index] = edited(array[step.index], steps, depth + 1, edit);
+    return util::JsonValue(std::move(array));
+  }
+  util::JsonObject object = node.as_object();
+  for (auto& [key, value] : object) {
+    if (key == step.key) value = edited(value, steps, depth + 1, edit);
+  }
+  return util::JsonValue(std::move(object));
+}
+
+struct Leaf {
+  std::vector<Step> steps;
+  std::string path;
+  util::JsonValue value;
+};
+
+void collect_leaves(const util::JsonValue& node, std::vector<Step>& steps,
+                    const std::string& path, std::vector<Leaf>& out) {
+  if (node.is_object()) {
+    for (const auto& [key, value] : node.as_object()) {
+      steps.push_back({key, 0});
+      collect_leaves(value, steps, path + "." + key, out);
+      steps.pop_back();
+    }
+  } else if (node.is_array()) {
+    if (node.as_array().empty()) return;
+    steps.push_back({"", 0});
+    collect_leaves(node.as_array()[0], steps, path + "[0]", out);
+    steps.pop_back();
+  } else {
+    out.push_back({steps, path, node});
+  }
+}
+
+using Parse =
+    std::function<void(const util::JsonValue&, util::DiagnosticSink&)>;
+
+void record_parse(std::ostringstream& out, const Parse& parse,
+                  const util::JsonValue& document) {
+  util::CollectingSink sink;
+  try {
+    parse(document, sink);
+  } catch (const std::exception& e) {
+    out << "threw: " << e.what() << "\n";
+  }
+  if (sink.diagnostics().empty()) out << "(clean)\n";
+  for (const util::Diagnostic& d : sink.diagnostics()) {
+    out << util::format_diagnostic(d) << "\n";
+  }
+}
+
+void record_root(std::ostringstream& out, const std::string& name,
+                 const util::JsonValue& document, const Parse& parse) {
+  out << "== " << name << "\n" << json_write(document) << "\n";
+  std::vector<Leaf> leaves;
+  std::vector<Step> steps;
+  collect_leaves(document, steps, "$", leaves);
+  for (const Leaf& leaf : leaves) {
+    auto mutate = [&](const std::string& label,
+                      const util::JsonValue& replacement) {
+      out << "-- " << leaf.path << " " << label << "\n";
+      record_parse(out, parse,
+                   edited(document, leaf.steps, 0,
+                          [&](const util::JsonValue&) { return replacement; }));
+    };
+    mutate("type", leaf.value.is_string() ? util::JsonValue(true)
+                                          : util::JsonValue("mutant"));
+    if (leaf.value.is_number()) {
+      mutate("+1e300", util::JsonValue(1e300));
+      mutate("-1e300", util::JsonValue(-1e300));
+      if (std::nearbyint(leaf.value.as_number()) == leaf.value.as_number()) {
+        mutate("0.5", util::JsonValue(0.5));
+      }
+    }
+    if (!leaf.steps.back().key.empty()) {
+      const std::string sibling = leaf.steps.back().key + "x";
+      out << "-- " << leaf.path << " sibling '" << sibling << "'\n";
+      std::vector<Step> parent(leaf.steps.begin(), leaf.steps.end() - 1);
+      record_parse(out, parse,
+                   edited(document, parent, 0, [&](const util::JsonValue& v) {
+                     util::JsonValue object = v;
+                     object.set(sibling, util::JsonValue());
+                     return object;
+                   }));
+    }
+  }
+}
+
+TEST(ConfigIo, EveryMemberMatchesPinnedGolden) {
+  std::ostringstream out;
+
+  ExperimentConfig experiment;
+  experiment.benchmark = "bursty#s42";
+  experiment.scenario = std::make_shared<const workload::Benchmark>(
+      workload::make_scenario(workload::ScenarioFamily::kBursty, 42));
+  experiment.policy_name = "reactive";
+  experiment.policy_params = {{"trip_c", 61.5}};
+  workload::BackgroundParams background;
+  background.thread_count = 3;
+  background.heavy_load = true;
+  experiment.background = background;
+  record_root(out, "experiment", to_json(experiment),
+              [](const util::JsonValue& json, util::DiagnosticSink& sink) {
+                experiment_from_json(json, "$", sink);
+              });
+
+  record_root(out, "platform",
+              to_json(platform_from_json(to_json(
+                  *PlatformRegistry::instance().get("odroid-xu-e")))),
+              [](const util::JsonValue& json, util::DiagnosticSink& sink) {
+                platform_from_json(json, "$", sink);
+              });
+
+  const Parse parse_sweep = [](const util::JsonValue& json,
+                               util::DiagnosticSink& sink) {
+    sweep_from_json(json, "$", sink);
+  };
+  SweepSpec grid;
+  grid.base.record_trace = false;
+  grid.benchmarks = {"crc32", "sha"};
+  grid.platforms = {"dragon"};
+  grid.policies = {"no-fan", "reactive"};
+  grid.seeds = {1, 2};
+  grid.dtpm_grid = {core::DtpmParams{}};
+  record_root(out, "sweep-grid", to_json(grid), parse_sweep);
+
+  SweepSpec scenarios;
+  scenarios.platforms = {"compact"};
+  scenarios.policies = {"no-fan"};
+  scenarios.has_scenarios = true;
+  scenarios.families = {"bursty"};
+  scenarios.scenario_seeds = {1, 2};
+  record_root(out, "sweep-scenarios", to_json(scenarios), parse_sweep);
+
+  record_root(out, "fleet",
+              serve::to_json(serve::load_fleet_spec(
+                  std::string(DTPM_CONFIG_DIR) + "/fleet_smoke.json")),
+              [](const util::JsonValue& json, util::DiagnosticSink& sink) {
+                serve::fleet_from_json(json, "$", sink);
+              });
+
+  golden::expect_text_matches(
+      std::string(DTPM_GOLDEN_DIR) + "/config_members.txt", out.str(),
+      "test_config_io");
 }
 
 }  // namespace

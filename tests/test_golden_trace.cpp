@@ -7,16 +7,16 @@
 //   DTPM_REGEN_GOLDEN=1 ./test_golden_trace
 //
 // then commit the rewritten files under tests/golden/ with the change that
-// caused the drift (see README "Scenario catalog & invariants"). The pinned
-// values are written at round-trip precision, so comparison is exact on the
-// toolchain that generated them; a libstdc++ distribution change (RNG or
-// libm) is a legitimate regeneration reason too.
+// caused the drift (see tests/golden.hpp and README "Scenario catalog &
+// invariants"). The pinned values are written at round-trip precision, so
+// comparison is exact on the toolchain that generated them; a libstdc++
+// distribution change (RNG or libm) is a legitimate regeneration reason too.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <string>
 
+#include "golden.hpp"
 #include "sim/engine.hpp"
 #include "sim/scenario_catalog.hpp"
 #include "util/csv.hpp"
@@ -32,12 +32,6 @@ constexpr std::size_t kGoldenRows = 50;
 
 std::string golden_path(const std::string& name) {
   return std::string(DTPM_GOLDEN_DIR) + "/" + name + ".csv";
-}
-
-bool regenerating() {
-  const char* flag = std::getenv("DTPM_REGEN_GOLDEN");
-  // DTPM_REGEN_GOLDEN=0 (or empty) means "explicitly off", not "set".
-  return flag != nullptr && *flag != '\0' && std::string(flag) != "0";
 }
 
 /// Bitwise-intent equality: the prediction columns use NaN as their "no
@@ -84,7 +78,7 @@ void compare_against_golden(const ExperimentConfig& config,
   const util::TraceTable head = head_of_trace(config);
   const std::string path = golden_path(name);
 
-  if (regenerating()) {
+  if (golden::regenerating()) {
     head.write_csv(path, util::kRoundTripPrecision);
     GTEST_SKIP() << "regenerated " << path << " (" << head.size()
                  << " rows); commit the new golden";

@@ -10,11 +10,9 @@
 //   DTPM_REGEN_GOLDEN=1 ./test_lint
 //
 // then commit the rewritten .expected files with the change that caused
-// the drift -- exactly the golden-trace workflow.
+// the drift (the shared workflow in tests/golden.hpp).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -22,6 +20,7 @@
 #include <vector>
 
 #include "dtpm_cli.hpp"
+#include "golden.hpp"
 #include "governors/policy_registry.hpp"
 #include "lint/lint.hpp"
 #include "sim/config_io.hpp"
@@ -66,11 +65,6 @@ std::string corpus_path(const std::string& name) {
   return std::string(DTPM_LINT_DIR) + "/" + name;
 }
 
-bool regenerating() {
-  const char* flag = std::getenv("DTPM_REGEN_GOLDEN");
-  return flag != nullptr && *flag != '\0' && std::string(flag) != "0";
-}
-
 std::vector<util::Diagnostic> lint_corpus(const std::string& name,
                                           bool deep = false) {
   util::CollectingSink sink;
@@ -96,24 +90,9 @@ std::string render(const std::vector<util::Diagnostic>& diagnostics) {
 }
 
 void expect_matches_golden(const std::string& corpus_name) {
-  const std::string actual = render(lint_corpus(corpus_name));
-  const std::string golden_file =
-      corpus_path(corpus_name.substr(0, corpus_name.rfind('.')) + ".expected");
-  if (regenerating()) {
-    std::ofstream out(golden_file);
-    ASSERT_TRUE(out.good()) << "cannot write " << golden_file;
-    out << actual;
-    GTEST_SKIP() << "regenerated " << golden_file;
-  }
-  std::ifstream in(golden_file);
-  ASSERT_TRUE(in.good()) << "missing golden " << golden_file
-                         << "\nRegenerate with DTPM_REGEN_GOLDEN=1 ./test_lint";
-  std::ostringstream expected;
-  expected << in.rdbuf();
-  EXPECT_EQ(expected.str(), actual)
-      << corpus_name
-      << " drifted.\nRegenerate with DTPM_REGEN_GOLDEN=1 ./test_lint if "
-         "intentional.";
+  golden::expect_text_matches(
+      corpus_path(corpus_name.substr(0, corpus_name.rfind('.')) + ".expected"),
+      render(lint_corpus(corpus_name)), "test_lint");
 }
 
 struct CliResult {
