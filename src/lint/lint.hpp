@@ -71,10 +71,10 @@ void lint_fleet(const serve::FleetSpec& spec, const util::JsonValue* json,
 
 // --- Document drivers --------------------------------------------------------
 
-/// Lints one parsed JSON document: detects its kind (sweep grid when any
-/// sweep-only member is present, standalone platform when "floorplan" is,
-/// experiment otherwise), runs the collecting parse, then the semantic
-/// passes on a parse-clean value.
+/// Lints one parsed JSON document: detects its kind with
+/// sim::classify_document (fleet spec, sweep grid, standalone platform or
+/// experiment), runs the collecting parse, then the semantic passes on a
+/// parse-clean value.
 void lint_document(const util::JsonValue& json, const std::string& path,
                    util::DiagnosticSink& sink, const LintOptions& options = {});
 

@@ -1,9 +1,11 @@
 #include "sim/config_io.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <memory>
+#include <type_traits>
 #include <utility>
 
 #include "governors/policy_registry.hpp"
@@ -26,6 +28,12 @@ using util::JsonValue;
 std::string type_of(const JsonValue& v) {
   return JsonValue::type_name(v.type());
 }
+
+std::string indexed(const std::string& path, std::size_t i) {
+  return path + "[" + std::to_string(i) + "]";
+}
+
+constexpr double kHuge = std::numeric_limits<double>::max();
 
 // Diagnostic codes of the parse layer (the L0xx block; the lint passes own
 // L1xx and up). Stable identifiers -- never renumber.
@@ -60,11 +68,34 @@ void with_recovery(Fn&& fn) {
   }
 }
 
+/// True when `name` is one of `valid`; otherwise reports L005 with the
+/// sorted valid names and a did-you-mean.
+bool known_name(const char* kind, const std::string& name,
+                const std::vector<std::string>& valid, const std::string& path,
+                DiagnosticSink& sink) {
+  if (std::find(valid.begin(), valid.end(), name) != valid.end()) return true;
+  sink.error(kCodeUnknownName, path,
+             util::unknown_name_message(kind, name, valid));
+  return false;
+}
+
+/// Runs a whole-value validation that throws; a failure becomes L006.
+template <typename Fn>
+void validate_into(DiagnosticSink& sink, const std::string& path,
+                   const std::string& prefix, Fn&& validate) {
+  try {
+    validate();
+  } catch (const std::exception& e) {
+    sink.error(kCodeConstraint, path, prefix + e.what());
+  }
+}
+
 /// Reads one JSON object: typed, range-checked member access plus an
 /// unknown-member sweep (with a did-you-mean suggestion against the members
 /// this reader consulted) that every *_from_json runs before returning.
-/// Member getters report recoverable problems and leave the output untouched;
-/// only a non-object document aborts the subtree.
+/// Member getters report recoverable problems, leave the output untouched
+/// and return false; only a non-object document aborts the subtree. Keys
+/// are string literals or field-table keys, so the reader keeps pointers.
 class ObjectReader {
  public:
   ObjectReader(const JsonValue& json, std::string path, DiagnosticSink& sink)
@@ -77,74 +108,70 @@ class ObjectReader {
 
   DiagnosticSink& sink() { return sink_; }
 
-  std::string member_path(const std::string& key) const {
-    return path_ + "." + key;
-  }
+  std::string member_path(const char* key) const { return path_ + "." + key; }
 
   /// Looks a member up and marks the key as known; nullptr when absent.
-  const JsonValue* get(const std::string& key) {
+  const JsonValue* get(const char* key) {
     known_.push_back(key);
     return json_.find(key);
   }
 
-  void number(const std::string& key, double& out,
-              double lo = std::numeric_limits<double>::lowest(),
-              double hi = std::numeric_limits<double>::max()) {
+  /// get(), but a member of another JSON type is reported as L002 (wanted
+  /// `expected`) and treated as absent.
+  const JsonValue* get(const char* key, JsonValue::Type type,
+                       const char* expected) {
     const JsonValue* v = get(key);
-    if (v == nullptr) return;
-    if (!v->is_number()) {
-      sink_.error(kCodeType, member_path(key),
-                  "expected a number, got " + type_of(*v));
-      return;
-    }
-    const double n = v->as_number();
-    if (n < lo || n > hi) {
-      sink_.error(kCodeRange, member_path(key),
-                  "value " + util::json_write(*v, 0) + " outside [" +
-                      util::json_write(JsonValue(lo), 0) + ", " +
-                      util::json_write(JsonValue(hi), 0) + "]");
-      return;
-    }
-    out = n;
+    if (v == nullptr || v->type() == type) return v;
+    sink_.error(kCodeType, member_path(key),
+                std::string("expected ") + expected + ", got " + type_of(*v));
+    return nullptr;
   }
 
-  void boolean(const std::string& key, bool& out) {
-    const JsonValue* v = get(key);
-    if (v == nullptr) return;
-    if (!v->is_bool()) {
-      sink_.error(kCodeType, member_path(key),
-                  "expected true or false, got " + type_of(*v));
-      return;
+  bool number(const char* key, double& out, double lo = -kHuge,
+              double hi = kHuge) {
+    const JsonValue* v = get(key, JsonValue::Type::kNumber, "a number");
+    return v != nullptr && in_range(key, *v, out, lo, hi);
+  }
+
+  /// Stores member `key`'s number `v` when it lies in [lo, hi] (L003
+  /// otherwise).
+  bool in_range(const char* key, const JsonValue& v, double& out, double lo,
+                double hi) {
+    const double n = v.as_number();
+    if (n < lo || n > hi) {
+      sink_.error(kCodeRange, member_path(key),
+                  "value " + util::json_write(v, 0) + " outside [" +
+                      util::json_write(JsonValue(lo), 0) + ", " +
+                      util::json_write(JsonValue(hi), 0) + "]");
+      return false;
     }
-    out = v->as_bool();
+    out = n;
+    return true;
   }
 
   template <typename Int>
-  void integer(const std::string& key, Int& out, std::int64_t lo,
-               std::int64_t hi) {
-    const JsonValue* v = get(key);
-    if (v == nullptr) return;
-    if (!v->is_number()) {
-      sink_.error(kCodeType, member_path(key),
-                  "expected an integer, got " + type_of(*v));
-      return;
-    }
+  bool integer(const char* key, Int& out, std::uint64_t lo, std::uint64_t hi) {
+    const JsonValue* v = get(key, JsonValue::Type::kNumber, "an integer");
+    if (v == nullptr) return false;
     try {
-      out = static_cast<Int>(v->as_integer(lo, hi));
+      out = static_cast<Int>(v->as_unsigned(lo, hi));
+      return true;
     } catch (const std::exception& e) {
       sink_.error(kCodeRange, member_path(key), e.what());
+      return false;
     }
   }
 
-  void string(const std::string& key, std::string& out) {
-    const JsonValue* v = get(key);
-    if (v == nullptr) return;
-    if (!v->is_string()) {
-      sink_.error(kCodeType, member_path(key),
-                  "expected a string, got " + type_of(*v));
-      return;
-    }
-    out = v->as_string();
+  bool boolean(const char* key, bool& out) {
+    const JsonValue* v = get(key, JsonValue::Type::kBool, "true or false");
+    if (v != nullptr) out = v->as_bool();
+    return v != nullptr;
+  }
+
+  bool string(const char* key, std::string& out) {
+    const JsonValue* v = get(key, JsonValue::Type::kString, "a string");
+    if (v != nullptr) out = v->as_string();
+    return v != nullptr;
   }
 
   /// Reports members no getter consulted; catches config typos like
@@ -152,14 +179,17 @@ class ObjectReader {
   /// collecting mode every unknown member is reported, not just the first.
   void finish() const {
     for (const auto& [key, value] : json_.as_object()) {
-      if (std::find(known_.begin(), known_.end(), key) == known_.end()) {
-        std::string message = "unknown field '" + key + "'";
-        const std::string suggestion = util::closest_match(key, known_);
-        if (!suggestion.empty()) {
-          message += ", did you mean '" + suggestion + "'?";
-        }
-        sink_.error(kCodeUnknownField, path_ + "." + key, message);
+      if (std::any_of(known_.begin(), known_.end(),
+                      [&](const char* k) { return key == k; })) {
+        continue;
       }
+      std::string message = "unknown field '" + key + "'";
+      const std::string suggestion = util::closest_match(
+          key, std::vector<std::string>(known_.begin(), known_.end()));
+      if (!suggestion.empty()) {
+        message += ", did you mean '" + suggestion + "'?";
+      }
+      sink_.error(kCodeUnknownField, path_ + "." + key, message);
     }
   }
 
@@ -167,153 +197,591 @@ class ObjectReader {
   const JsonValue& json_;
   std::string path_;
   DiagnosticSink& sink_;
-  std::vector<std::string> known_;
+  std::vector<const char*> known_;
 };
 
-/// Validated name-list member: either absent, or an array of strings.
-/// Non-string elements are reported and skipped.
-std::vector<std::string> string_list(ObjectReader& reader,
-                                     const std::string& key) {
-  std::vector<std::string> out;
+/// A list member of names (T = std::string) or seeds (T = std::uint64_t):
+/// absent, or an array whose bad elements are reported and skipped.
+template <typename T>
+std::vector<T> value_list(ObjectReader& reader, const char* key) {
+  constexpr bool kSeeds = std::is_same_v<T, std::uint64_t>;
+  const std::string noun = kSeeds ? "seed" : "string";
+  std::vector<T> out;
   const JsonValue* v = reader.get(key);
   if (v == nullptr) return out;
   if (!v->is_array()) {
     reader.sink().error(kCodeType, reader.member_path(key),
-                        "expected an array of strings, got " + type_of(*v));
+                        "expected an array of " + noun + "s, got " +
+                            type_of(*v));
     return out;
   }
   const JsonArray& array = v->as_array();
   for (std::size_t i = 0; i < array.size(); ++i) {
-    if (!array[i].is_string()) {
-      reader.sink().error(
-          kCodeType, reader.member_path(key) + "[" + std::to_string(i) + "]",
-          "expected a string, got " + type_of(array[i]));
+    if (kSeeds ? !array[i].is_number() : !array[i].is_string()) {
+      reader.sink().error(kCodeType, indexed(reader.member_path(key), i),
+                          "expected a " + noun + ", got " +
+                              type_of(array[i]));
       continue;
     }
-    out.push_back(array[i].as_string());
-  }
-  return out;
-}
-
-std::vector<std::uint64_t> seed_list(ObjectReader& reader,
-                                     const std::string& key) {
-  std::vector<std::uint64_t> out;
-  const JsonValue* v = reader.get(key);
-  if (v == nullptr) return out;
-  if (!v->is_array()) {
-    reader.sink().error(kCodeType, reader.member_path(key),
-                        "expected an array of seeds, got " + type_of(*v));
-    return out;
-  }
-  const JsonArray& array = v->as_array();
-  for (std::size_t i = 0; i < array.size(); ++i) {
-    const std::string path =
-        reader.member_path(key) + "[" + std::to_string(i) + "]";
-    if (!array[i].is_number()) {
-      reader.sink().error(kCodeType, path,
-                          "expected a seed, got " + type_of(array[i]));
-      continue;
-    }
-    try {
-      out.push_back(std::uint64_t(array[i].as_integer(0)));
-    } catch (const std::exception& e) {
-      reader.sink().error(kCodeRange, path, e.what());
+    if constexpr (kSeeds) {
+      try {
+        out.push_back(array[i].as_unsigned());
+      } catch (const std::exception& e) {
+        reader.sink().error(kCodeRange, indexed(reader.member_path(key), i),
+                            e.what());
+      }
+    } else {
+      out.push_back(array[i].as_string());
     }
   }
   return out;
 }
 
-/// True when the name is registered; reports L005 otherwise.
-bool validate_policy_name(const std::string& name, const std::string& path,
-                          DiagnosticSink& sink) {
-  const governors::PolicyRegistry& registry =
-      governors::PolicyRegistry::instance();
-  if (!registry.contains(name)) {
-    sink.error(kCodeUnknownName, path,
-               util::unknown_name_message("policy", name, registry.names()));
-    return false;
+/// A list member of names, each reported (L005) unless one of `valid`.
+std::vector<std::string> name_list(ObjectReader& reader, const char* key,
+                                   const char* kind,
+                                   const std::vector<std::string>& valid) {
+  std::vector<std::string> names = value_list<std::string>(reader, key);
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    known_name(kind, names[i], valid, indexed(reader.member_path(key), i),
+               reader.sink());
   }
+  return names;
+}
+
+/// A JSON array of plain values (names or seeds).
+template <typename T>
+JsonValue array_of(const std::vector<T>& values) {
+  return JsonValue(JsonArray(values.begin(), values.end()));
+}
+
+// --- Field tables -------------------------------------------------------------
+// Each config struct is described once, by the table fields<T>() returns:
+// one Field row per member, in wire order, giving the JSON key, the member
+// (bound as a member-pointer template argument), its kind and its range.
+// One generic writer (write_json) and one generic reader (read_fields, over
+// an ObjectReader) walk the tables, so to_json, the L002/L003/L004
+// diagnostics and the did-you-mean candidates come from the same rows;
+// table order is both the JSON key order and the diagnostic order. Members
+// whose meaning spans more than one field are hand-written: beside a table,
+// or plugged into one as a kCustom row.
+
+/// kFlag is a bool written only when true; kObject and kList hold nested
+/// structs (through their own tables); kCustom is a hand-written codec.
+enum class Kind {
+  kNumber, kInteger, kBool, kFlag, kString, kEnum, kObject, kList, kCustom
+};
+
+template <typename T>
+struct Field {
+  const char* key;
+  Kind kind;
+  /// The member as JSON; null omits it.
+  JsonValue (*emit)(const T&, const Field&);
+  /// Reads the member when present (absent members keep their value).
+  void (*parse)(T&, const Field&, ObjectReader&);
+  double lo = 0.0;  ///< kNumber range (or a kCustom codec's)
+  double hi = 0.0;
+  std::uint64_t min = 0;  ///< kInteger range
+  std::uint64_t max = 0;
+  const char* noun = nullptr;  ///< kList: the elements, in type errors
+};
+
+template <typename T>
+using Table = std::vector<Field<T>>;
+
+/// The rows of T's table; one specialization per struct, defined below.
+template <typename T>
+Table<T> make_fields();
+
+/// T's table, built once.
+template <typename T>
+const Table<T>& fields() {
+  static const Table<T> table = make_fields<T>();
+  return table;
+}
+
+/// The names of enum E, with the enum's own name for L005 messages.
+template <typename E>
+struct EnumNames {
+  const char* kind;
+  std::vector<std::pair<E, std::string>> entries;
+};
+template <typename E>
+const EnumNames<E>& enum_names();
+
+/// A list element of type T that parsed but is unusable is reported and
+/// dropped; specialized where that can happen.
+template <typename T>
+bool keep(const T&, const std::string&, DiagnosticSink&) {
   return true;
 }
 
-bool validate_benchmark_name(const std::string& name, const std::string& path,
-                             DiagnosticSink& sink) {
-  const std::vector<std::string> names = workload::all_benchmark_names();
-  if (std::find(names.begin(), names.end(), name) == names.end()) {
-    sink.error(kCodeUnknownName, path,
-               util::unknown_name_message("benchmark", name, names));
-    return false;
+template <typename T>
+void write_fields(const T& object, JsonValue& json) {
+  for (const Field<T>& field : fields<T>()) {
+    JsonValue value = field.emit(object, field);
+    if (!value.is_null()) json.set(field.key, std::move(value));
   }
-  return true;
 }
 
-// --- enum <-> string tables --------------------------------------------------
-
-const char* to_string(core::BudgetRowPolicy p) {
-  return p == core::BudgetRowPolicy::kHottestCore ? "hottest-core"
-                                                  : "all-hotspots";
+template <typename T>
+JsonValue write_json(const T& object) {
+  JsonValue json((JsonObject()));
+  write_fields(object, json);
+  return json;
 }
 
-/// Parses into `out`; reports L005 (and leaves `out` untouched) on a miss.
-void row_policy_from_string(const std::string& name, const std::string& path,
-                            core::BudgetRowPolicy& out, DiagnosticSink& sink) {
-  if (name == "hottest-core") {
-    out = core::BudgetRowPolicy::kHottestCore;
-  } else if (name == "all-hotspots") {
-    out = core::BudgetRowPolicy::kAllHotspots;
+template <typename T>
+JsonValue write_json(const std::vector<T>& objects) {
+  JsonArray array;
+  array.reserve(objects.size());
+  for (const T& object : objects) array.push_back(write_json(object));
+  return JsonValue(std::move(array));
+}
+
+template <typename T>
+void read_fields(T& object, ObjectReader& reader) {
+  for (const Field<T>& field : fields<T>()) field.parse(object, field, reader);
+}
+
+/// One whole object: its table's members, then the unknown-member sweep.
+template <typename T>
+void read_object(T& object, const JsonValue& json, std::string path,
+                 DiagnosticSink& sink) {
+  ObjectReader reader(json, std::move(path), sink);
+  read_fields(object, reader);
+  reader.finish();
+}
+
+/// Parses each element of `array`, recovering per element; `accept` may
+/// report and drop an element that parsed.
+template <typename T, typename Accept>
+void read_elements(const JsonArray& array, const std::string& path,
+                   DiagnosticSink& sink, std::vector<T>& out,
+                   Accept&& accept) {
+  for (std::size_t i = 0; i < array.size(); ++i) {
+    const std::string element_path = indexed(path, i);
+    with_recovery([&] {
+      T element;
+      read_object(element, array[i], element_path, sink);
+      if (accept(element, element_path)) out.push_back(std::move(element));
+    });
+  }
+}
+
+template <typename C, typename V>
+C class_of(V C::*);
+template <typename C, typename V>
+V value_of(V C::*);
+template <auto M>
+using ClassOf = decltype(class_of(M));
+template <auto M>
+using ValueOf = decltype(value_of(M));
+template <auto M>
+using FieldOf = Field<ClassOf<M>>;
+
+template <typename V>
+constexpr bool kIsList = false;
+template <typename T>
+constexpr bool kIsList<std::vector<T>> = true;
+
+/// The kind a member type implies (kFlag and kCustom are chosen by rows).
+template <typename V>
+constexpr Kind kind_of() {
+  if constexpr (std::is_same_v<V, double>) return Kind::kNumber;
+  if constexpr (std::is_same_v<V, bool>) return Kind::kBool;
+  if constexpr (std::is_same_v<V, std::string>) return Kind::kString;
+  if constexpr (std::is_integral_v<V>) return Kind::kInteger;
+  if constexpr (std::is_enum_v<V>) return Kind::kEnum;
+  if constexpr (kIsList<V>) return Kind::kList;
+  return Kind::kObject;
+}
+
+/// The codec of every kind but kCustom, dispatched on the member's type.
+template <auto M>
+JsonValue emit(const ClassOf<M>& object, const FieldOf<M>& f) {
+  using V = ValueOf<M>;
+  constexpr Kind kKind = kind_of<V>();
+  const V& value = object.*M;
+  if constexpr (kKind == Kind::kEnum) {
+    for (const auto& [entry, name] : enum_names<V>().entries) {
+      if (entry == value) return JsonValue(name);
+    }
+    return JsonValue("?");
+  } else if constexpr (kKind == Kind::kObject || kKind == Kind::kList) {
+    return write_json(value);
+  } else if constexpr (kKind == Kind::kBool) {
+    return value || f.kind != Kind::kFlag ? JsonValue(value) : JsonValue();
   } else {
-    sink.error(kCodeUnknownName, path,
-               util::unknown_name_message("row policy", name,
-                                          {"hottest-core", "all-hotspots"}));
+    return JsonValue(value);
   }
 }
 
-const std::vector<std::pair<workload::Category, std::string>>& categories() {
-  static const std::vector<std::pair<workload::Category, std::string>> table =
-      [] {
-        std::vector<std::pair<workload::Category, std::string>> t;
-        for (workload::Category c :
-             {workload::Category::kSecurity, workload::Category::kNetwork,
-              workload::Category::kComputational,
-              workload::Category::kTelecomm, workload::Category::kConsumer,
-              workload::Category::kGames, workload::Category::kVideo}) {
-          t.emplace_back(c, workload::to_string(c));
-        }
-        return t;
-      }();
-  return table;
-}
-
-const std::vector<std::pair<workload::PowerClass, std::string>>&
-power_classes() {
-  static const std::vector<std::pair<workload::PowerClass, std::string>>
-      table = [] {
-        std::vector<std::pair<workload::PowerClass, std::string>> t;
-        for (workload::PowerClass c :
-             {workload::PowerClass::kLow, workload::PowerClass::kMedium,
-              workload::PowerClass::kHigh}) {
-          t.emplace_back(c, workload::to_string(c));
-        }
-        return t;
-      }();
-  return table;
-}
-
-template <typename Enum>
-void enum_from_string(const std::vector<std::pair<Enum, std::string>>& table,
-                      const std::string& kind, const std::string& name,
-                      const std::string& path, Enum& out,
-                      DiagnosticSink& sink) {
-  std::vector<std::string> valid;
-  for (const auto& [value, string] : table) {
-    if (string == name) {
-      out = value;
-      return;
+template <auto M>
+void parse(ClassOf<M>& object, const FieldOf<M>& f, ObjectReader& reader) {
+  using V = ValueOf<M>;
+  constexpr Kind kKind = kind_of<V>();
+  V& value = object.*M;
+  if constexpr (kKind == Kind::kNumber) {
+    reader.number(f.key, value, f.lo, f.hi);
+  } else if constexpr (kKind == Kind::kBool) {
+    reader.boolean(f.key, value);
+  } else if constexpr (kKind == Kind::kString) {
+    reader.string(f.key, value);
+  } else if constexpr (kKind == Kind::kInteger) {
+    reader.integer(f.key, value, f.min, f.max);
+  } else if constexpr (kKind == Kind::kEnum) {
+    std::string name;
+    if (!reader.string(f.key, name)) return;
+    std::vector<std::string> valid;
+    for (const auto& [entry, entry_name] : enum_names<V>().entries) {
+      if (entry_name == name) {
+        value = entry;
+        return;
+      }
+      valid.push_back(entry_name);
     }
-    valid.push_back(string);
+    known_name(enum_names<V>().kind, name, valid, reader.member_path(f.key),
+               reader.sink());
+  } else if (const JsonValue* v = reader.get(f.key)) {
+    DiagnosticSink& sink = reader.sink();
+    if constexpr (kKind == Kind::kObject) {
+      with_recovery(
+          [&] { read_object(value, *v, reader.member_path(f.key), sink); });
+    } else if (!v->is_array()) {
+      sink.error(kCodeType, reader.member_path(f.key),
+                 std::string("expected an array of ") + f.noun + ", got " +
+                     type_of(*v));
+    } else {
+      value.clear();
+      read_elements(v->as_array(), reader.member_path(f.key), sink, value,
+                    [&](const auto& element, const std::string& path) {
+                      return keep(element, path, sink);
+                    });
+    }
   }
-  sink.error(kCodeUnknownName, path,
-             util::unknown_name_message(kind, name, valid));
+}
+
+// Row factories, one per kind; the kind must match the member's type.
+
+template <auto M, Kind K>
+FieldOf<M> row(const char* key) {
+  constexpr Kind kNatural = kind_of<ValueOf<M>>();
+  static_assert(K == kNatural || (K == Kind::kFlag && kNatural == Kind::kBool));
+  return {key, K, emit<M>, parse<M>};
+}
+
+template <auto M>
+FieldOf<M> number(const char* key, double lo, double hi) {
+  FieldOf<M> f = row<M, Kind::kNumber>(key);
+  f.lo = lo;
+  f.hi = hi;
+  return f;
+}
+
+template <auto M>
+FieldOf<M> integer(const char* key, std::uint64_t min, std::uint64_t max) {
+  FieldOf<M> f = row<M, Kind::kInteger>(key);
+  f.min = min;
+  f.max = max;
+  return f;
+}
+
+template <auto M>
+FieldOf<M> list(const char* key, const char* noun) {
+  FieldOf<M> f = row<M, Kind::kList>(key);
+  f.noun = noun;
+  return f;
+}
+
+template <auto M>
+FieldOf<M> boolean(const char* key) { return row<M, Kind::kBool>(key); }
+template <auto M>
+FieldOf<M> flag(const char* key) { return row<M, Kind::kFlag>(key); }
+template <auto M>
+FieldOf<M> text(const char* key) { return row<M, Kind::kString>(key); }
+template <auto M>
+FieldOf<M> enumeration(const char* key) { return row<M, Kind::kEnum>(key); }
+template <auto M>
+FieldOf<M> object(const char* key) { return row<M, Kind::kObject>(key); }
+
+template <typename T>
+Field<T> custom(const char* key, JsonValue (*emit)(const T&, const Field<T>&),
+                void (*parse)(T&, const Field<T>&, ObjectReader&),
+                double lo = 0.0, double hi = 0.0) {
+  return {key, Kind::kCustom, emit, parse, lo, hi};
+}
+
+// --- The tables ---------------------------------------------------------------
+
+template <typename E>
+EnumNames<E> names_by_to_string(const char* kind, std::initializer_list<E> all) {
+  EnumNames<E> names{kind, {}};
+  for (E e : all) names.entries.emplace_back(e, to_string(e));
+  return names;
+}
+
+template <>
+const EnumNames<core::BudgetRowPolicy>& enum_names() {
+  using core::BudgetRowPolicy;
+  static const EnumNames<BudgetRowPolicy> names{
+      "row policy",
+      {{BudgetRowPolicy::kHottestCore, "hottest-core"},
+       {BudgetRowPolicy::kAllHotspots, "all-hotspots"}}};
+  return names;
+}
+
+template <>
+const EnumNames<workload::Category>& enum_names() {
+  using workload::Category;
+  static const EnumNames<Category> names = names_by_to_string(
+      "category", {Category::kSecurity, Category::kNetwork,
+                   Category::kComputational, Category::kTelecomm,
+                   Category::kConsumer, Category::kGames, Category::kVideo});
+  return names;
+}
+
+template <>
+const EnumNames<workload::PowerClass>& enum_names() {
+  using workload::PowerClass;
+  static const EnumNames<PowerClass> names = names_by_to_string(
+      "power class", {PowerClass::kLow, PowerClass::kMedium, PowerClass::kHigh});
+  return names;
+}
+
+template <>
+const EnumNames<Engine>& enum_names() {
+  static const EnumNames<Engine> names = names_by_to_string(
+      "engine", {Engine::kReferenceRk4, Engine::kPropagator});
+  return names;
+}
+
+template <>
+Table<core::DtpmParams> make_fields() {
+  using P = core::DtpmParams;
+  return {
+      number<&P::t_max_c>("t_max_c", 0.0, 150.0),
+      integer<&P::horizon_steps>("horizon_steps", 1, 1000),
+      number<&P::guard_band_c>("guard_band_c", 0.0, 50.0),
+      number<&P::delta_hotspot_c>("delta_hotspot_c", 0.0, 50.0),
+      integer<&P::min_big_cores>("min_big_cores", 1, soc::kBigCoreCount),
+      number<&P::recovery_margin_c>("recovery_margin_c", 0.0, 50.0),
+      number<&P::restriction_dwell_s>("restriction_dwell_s", 0.0, 3600.0),
+      enumeration<&P::row_policy>("row_policy"),
+  };
+}
+
+template <>
+Table<workload::Phase> make_fields() {
+  using P = workload::Phase;
+  return {
+      number<&P::work_fraction>("work_fraction", 0.0, 1.0),
+      number<&P::cpu_activity>("cpu_activity", 0.0, 1.0),
+      number<&P::mem_intensity>("mem_intensity", 0.0, 1.0),
+      number<&P::gpu_load>("gpu_load", 0.0, 1.0),
+      integer<&P::threads>("threads", 1, 64),
+      number<&P::duty>("duty", 0.0, 1.0),
+  };
+}
+
+template <>
+Table<workload::Benchmark> make_fields() {
+  using B = workload::Benchmark;
+  return {
+      text<&B::name>("name"),
+      enumeration<&B::category>("category"),
+      enumeration<&B::power_class>("power_class"),
+      list<&B::phases>("phases", "phase objects"),
+      number<&B::total_work_units>("total_work_units", 0.0, kHuge),
+      number<&B::cpu_cycles_per_unit>("cpu_cycles_per_unit", 0.0, kHuge),
+      number<&B::mem_seconds_per_unit>("mem_seconds_per_unit", 0.0, kHuge),
+      number<&B::gpu_cycles_per_unit>("gpu_cycles_per_unit", 0.0, kHuge),
+      boolean<&B::multithreaded>("multithreaded"),
+  };
+}
+
+template <>
+Table<workload::ScenarioParams> make_fields() {
+  using P = workload::ScenarioParams;
+  return {
+      number<&P::nominal_duration_s>("nominal_duration_s", 1.0, 1e6),
+      number<&P::intensity>("intensity", 0.0, 10.0),
+      number<&P::thermal_time_constant_s>("thermal_time_constant_s", 0.1,
+                                          1e4),
+  };
+}
+
+template <>
+Table<power::LeakageParams> make_fields() {
+  using P = power::LeakageParams;
+  return {
+      number<&P::c1>("c1", 0.0, 1.0),
+      number<&P::c2_k>("c2_k", -1e5, 0.0),
+      number<&P::i_gate_a>("i_gate_a", 0.0, 10.0),
+      number<&P::v_ref>("v_ref", 1e-3, 10.0),
+      number<&P::dibl_exponent>("dibl_exponent", 0.0, 10.0),
+  };
+}
+
+template <>
+Table<power::Opp> make_fields() {
+  return {
+      number<&power::Opp::frequency_hz>("frequency_hz", 1.0, 1e12),
+      number<&power::Opp::voltage_v>("voltage_v", 1e-3, 10.0),
+  };
+}
+
+/// An operating point without a frequency is unusable.
+template <>
+bool keep(const power::Opp& opp, const std::string& path,
+          DiagnosticSink& sink) {
+  if (opp.frequency_hz > 0.0) return true;
+  sink.error(kCodeConstraint, path,
+             "operating point needs a positive frequency_hz");
+  return false;
+}
+
+template <>
+Table<thermal::FloorplanNodeSpec> make_fields() {
+  using N = thermal::FloorplanNodeSpec;
+  return {
+      text<&N::name>("name"),
+      number<&N::capacitance_j_per_k>("capacitance_j_per_k", 1e-9, 1e9),
+      number<&N::initial_temp_c>("initial_temp_c", -273.15, 1000.0),
+      flag<&N::is_boundary>("boundary"),
+  };
+}
+
+template <>
+Table<thermal::FloorplanEdgeSpec> make_fields() {
+  using E = thermal::FloorplanEdgeSpec;
+  return {
+      text<&E::node_a>("a"),
+      text<&E::node_b>("b"),
+      number<&E::conductance_w_per_k>("conductance_w_per_k", 1e-12, 1e9),
+      flag<&E::fan_modulated>("fan"),
+  };
+}
+
+template <>
+Table<soc::PlantPowerParams> make_fields() {
+  using P = soc::PlantPowerParams;
+  return {
+      object<&P::big_leakage>("big_leakage"),
+      object<&P::little_leakage>("little_leakage"),
+      object<&P::gpu_leakage>("gpu_leakage"),
+      object<&P::mem_leakage>("mem_leakage"),
+      number<&P::big_core_alpha_c_max>("big_core_alpha_c_max", 0.0, 1.0),
+      number<&P::little_core_alpha_c_max>("little_core_alpha_c_max", 0.0, 1.0),
+      number<&P::gpu_alpha_c_max>("gpu_alpha_c_max", 0.0, 1.0),
+      number<&P::big_uncore_alpha_c>("big_uncore_alpha_c", 0.0, 1.0),
+      number<&P::little_uncore_alpha_c>("little_uncore_alpha_c", 0.0, 1.0),
+      number<&P::big_idle_activity>("big_idle_activity", 0.0, 1.0),
+      number<&P::little_idle_activity>("little_idle_activity", 0.0, 1.0),
+      number<&P::gpu_idle_util>("gpu_idle_util", 0.0, 1.0),
+      number<&P::mem_bandwidth_cap>("mem_bandwidth_cap", 1e-3, 1e3),
+      number<&P::offline_core_leakage_fraction>(
+          "offline_core_leakage_fraction", 0.0, 1.0),
+      number<&P::inactive_cluster_leakage_fraction>(
+          "inactive_cluster_leakage_fraction", 0.0, 1.0),
+      number<&P::mem_dynamic_max_w>("mem_dynamic_max_w", 0.0, 100.0),
+      number<&P::mem_base_w>("mem_base_w", 0.0, 100.0),
+      number<&P::mem_gpu_traffic_weight>("mem_gpu_traffic_weight", 0.0, 10.0),
+      number<&P::mem_nominal_voltage_v>("mem_nominal_voltage_v", 1e-3, 10.0),
+      number<&P::mem_nominal_frequency_hz>("mem_nominal_frequency_hz", 1.0,
+                                           1e12),
+  };
+}
+
+template <>
+Table<soc::PerfParams> make_fields() {
+  using P = soc::PerfParams;
+  return {
+      number<&P::big_ipc_scale>("big_ipc_scale", 1e-3, 100.0),
+      number<&P::little_ipc_scale>("little_ipc_scale", 1e-3, 100.0),
+      number<&P::cluster_switch_stall_s>("cluster_switch_stall_s", 0.0, 10.0),
+  };
+}
+
+template <>
+Table<thermal::FanParams> make_fields() {
+  using P = thermal::FanParams;
+  return {
+      number<&P::conductance_off>("conductance_off", 0.0, 1e6),
+      number<&P::conductance_low>("conductance_low", 0.0, 1e6),
+      number<&P::conductance_half>("conductance_half", 0.0, 1e6),
+      number<&P::conductance_full>("conductance_full", 0.0, 1e6),
+      number<&P::power_off>("power_off", 0.0, 1e3),
+      number<&P::power_low>("power_low", 0.0, 1e3),
+      number<&P::power_half>("power_half", 0.0, 1e3),
+      number<&P::power_full>("power_full", 0.0, 1e3),
+  };
+}
+
+template <>
+Table<thermal::TempSensorParams> make_fields() {
+  using P = thermal::TempSensorParams;
+  return {
+      number<&P::quantization_c>("quantization_c", 0.0, 100.0),
+      number<&P::noise_stddev_c>("noise_stddev_c", 0.0, 100.0),
+  };
+}
+
+template <>
+Table<power::PowerSensorParams> make_fields() {
+  using P = power::PowerSensorParams;
+  return {
+      number<&P::noise_fraction>("noise_fraction", 0.0, 1.0),
+      number<&P::quantization_w>("quantization_w", 0.0, 100.0),
+  };
+}
+
+template <>
+Table<power::PlatformLoadParams> make_fields() {
+  using P = power::PlatformLoadParams;
+  return {
+      number<&P::board_base_w>("board_base_w", 0.0, 1e3),
+      number<&P::display_w>("display_w", 0.0, 1e3),
+  };
+}
+
+template <>
+Table<workload::BackgroundParams> make_fields() {
+  using P = workload::BackgroundParams;
+  return {
+      integer<&P::thread_count>("thread_count", 0, 64),
+      number<&P::base_duty>("base_duty", 0.0, 1.0),
+      number<&P::duty_jitter>("duty_jitter", 0.0, 1.0),
+      number<&P::spike_probability>("spike_probability", 0.0, 1.0),
+      number<&P::spike_duty>("spike_duty", 0.0, 1.0),
+      number<&P::cpu_activity>("cpu_activity", 0.0, 1.0),
+      number<&P::mem_intensity>("mem_intensity", 0.0, 1.0),
+      boolean<&P::heavy_load>("heavy_load"),
+      integer<&P::heavy_threads>("heavy_threads", 0, 64),
+      number<&P::heavy_activity>("heavy_activity", 0.0, 1.0),
+      number<&P::heavy_mem_intensity>("heavy_mem_intensity", 0.0, 1.0),
+  };
+}
+
+/// Only the members from "dtpm" on: the ones before it are hand-written
+/// (see to_json(const ExperimentConfig&) and experiment_into).
+template <>
+Table<ExperimentConfig> make_fields() {
+  using C = ExperimentConfig;
+  return {
+      object<&C::dtpm>("dtpm"),
+      enumeration<&C::engine>("engine"),
+      number<&C::control_interval_s>("control_interval_s", 1e-4, 60.0),
+      number<&C::plant_substep_s>("plant_substep_s", 1e-5, 60.0),
+      number<&C::warmup_s>("warmup_s", 0.0, 1e6),
+      number<&C::warmup_activity>("warmup_activity", 0.0, 1.0),
+      number<&C::max_sim_time_s>("max_sim_time_s", 0.0, 1e9),
+      integer<&C::seed>("seed", 0, UINT64_MAX),
+      boolean<&C::record_trace>("record_trace"),
+      boolean<&C::observe_predictions>("observe_predictions"),
+      integer<&C::observe_horizon_steps>("observe_horizon_steps", 1, 100000),
+  };
 }
 
 }  // namespace
@@ -321,49 +789,15 @@ void enum_from_string(const std::vector<std::pair<Enum, std::string>>& table,
 // --- DtpmParams --------------------------------------------------------------
 
 JsonValue to_json(const core::DtpmParams& params) {
-  JsonValue json((JsonObject()));
-  json.set("t_max_c", params.t_max_c);
-  json.set("horizon_steps", params.horizon_steps);
-  json.set("guard_band_c", params.guard_band_c);
-  json.set("delta_hotspot_c", params.delta_hotspot_c);
-  json.set("min_big_cores", params.min_big_cores);
-  json.set("recovery_margin_c", params.recovery_margin_c);
-  json.set("restriction_dwell_s", params.restriction_dwell_s);
-  json.set("row_policy", to_string(params.row_policy));
-  return json;
+  return write_json(params);
 }
-
-namespace {
-
-void dtpm_params_into(core::DtpmParams& params, const JsonValue& json,
-                      const std::string& path, DiagnosticSink& sink) {
-  ObjectReader reader(json, path, sink);
-  reader.number("t_max_c", params.t_max_c, 0.0, 150.0);
-  reader.integer("horizon_steps", params.horizon_steps, 1, 1000);
-  reader.number("guard_band_c", params.guard_band_c, 0.0, 50.0);
-  reader.number("delta_hotspot_c", params.delta_hotspot_c, 0.0, 50.0);
-  reader.integer("min_big_cores", params.min_big_cores, 1,
-                 soc::kBigCoreCount);
-  reader.number("recovery_margin_c", params.recovery_margin_c, 0.0, 50.0);
-  reader.number("restriction_dwell_s", params.restriction_dwell_s, 0.0,
-                3600.0);
-  std::string row_policy;
-  reader.string("row_policy", row_policy);
-  if (!row_policy.empty()) {
-    row_policy_from_string(row_policy, path + ".row_policy",
-                           params.row_policy, sink);
-  }
-  reader.finish();
-}
-
-}  // namespace
 
 core::DtpmParams dtpm_params_from_json(const JsonValue& json,
                                        const std::string& path,
                                        const core::DtpmParams& base,
                                        DiagnosticSink& sink) {
   core::DtpmParams params = base;
-  with_recovery([&] { dtpm_params_into(params, json, path, sink); });
+  with_recovery([&] { read_object(params, json, path, sink); });
   return params;
 }
 
@@ -377,97 +811,18 @@ core::DtpmParams dtpm_params_from_json(const JsonValue& json,
 // --- workload::Benchmark -----------------------------------------------------
 
 JsonValue to_json(const workload::Benchmark& benchmark) {
-  JsonValue json((JsonObject()));
-  json.set("name", benchmark.name);
-  json.set("category", workload::to_string(benchmark.category));
-  json.set("power_class", workload::to_string(benchmark.power_class));
-  JsonArray phases;
-  for (const workload::Phase& phase : benchmark.phases) {
-    JsonValue p((JsonObject()));
-    p.set("work_fraction", phase.work_fraction);
-    p.set("cpu_activity", phase.cpu_activity);
-    p.set("mem_intensity", phase.mem_intensity);
-    p.set("gpu_load", phase.gpu_load);
-    p.set("threads", phase.threads);
-    p.set("duty", phase.duty);
-    phases.push_back(std::move(p));
-  }
-  json.set("phases", JsonValue(std::move(phases)));
-  json.set("total_work_units", benchmark.total_work_units);
-  json.set("cpu_cycles_per_unit", benchmark.cpu_cycles_per_unit);
-  json.set("mem_seconds_per_unit", benchmark.mem_seconds_per_unit);
-  json.set("gpu_cycles_per_unit", benchmark.gpu_cycles_per_unit);
-  json.set("multithreaded", benchmark.multithreaded);
-  return json;
+  return write_json(benchmark);
 }
-
-namespace {
-
-void benchmark_into(workload::Benchmark& benchmark, const JsonValue& json,
-                    const std::string& path, DiagnosticSink& sink) {
-  ObjectReader reader(json, path, sink);
-  reader.string("name", benchmark.name);
-  std::string category, power_class;
-  reader.string("category", category);
-  if (!category.empty()) {
-    enum_from_string(categories(), "category", category, path + ".category",
-                     benchmark.category, sink);
-  }
-  reader.string("power_class", power_class);
-  if (!power_class.empty()) {
-    enum_from_string(power_classes(), "power class", power_class,
-                     path + ".power_class", benchmark.power_class, sink);
-  }
-  if (const JsonValue* phases = reader.get("phases")) {
-    if (!phases->is_array()) {
-      sink.error(kCodeType, path + ".phases",
-                 "expected an array of phase objects, got " + type_of(*phases));
-    } else {
-      benchmark.phases.clear();
-      const JsonArray& array = phases->as_array();
-      for (std::size_t i = 0; i < array.size(); ++i) {
-        const std::string phase_path =
-            path + ".phases[" + std::to_string(i) + "]";
-        with_recovery([&] {
-          workload::Phase phase;
-          ObjectReader phase_reader(array[i], phase_path, sink);
-          phase_reader.number("work_fraction", phase.work_fraction, 0.0, 1.0);
-          phase_reader.number("cpu_activity", phase.cpu_activity, 0.0, 1.0);
-          phase_reader.number("mem_intensity", phase.mem_intensity, 0.0, 1.0);
-          phase_reader.number("gpu_load", phase.gpu_load, 0.0, 1.0);
-          phase_reader.integer("threads", phase.threads, 1, 64);
-          phase_reader.number("duty", phase.duty, 0.0, 1.0);
-          phase_reader.finish();
-          benchmark.phases.push_back(phase);
-        });
-      }
-    }
-  }
-  reader.number("total_work_units", benchmark.total_work_units, 0.0,
-                std::numeric_limits<double>::max());
-  reader.number("cpu_cycles_per_unit", benchmark.cpu_cycles_per_unit, 0.0,
-                std::numeric_limits<double>::max());
-  reader.number("mem_seconds_per_unit", benchmark.mem_seconds_per_unit, 0.0,
-                std::numeric_limits<double>::max());
-  reader.number("gpu_cycles_per_unit", benchmark.gpu_cycles_per_unit, 0.0,
-                std::numeric_limits<double>::max());
-  reader.boolean("multithreaded", benchmark.multithreaded);
-  reader.finish();
-  try {
-    benchmark.validate();
-  } catch (const std::exception& e) {
-    sink.error(kCodeConstraint, path,
-               std::string("invalid benchmark: ") + e.what());
-  }
-}
-
-}  // namespace
 
 workload::Benchmark benchmark_from_json(const JsonValue& json,
                                         const std::string& path,
                                         DiagnosticSink& sink) {
   workload::Benchmark benchmark;
-  with_recovery([&] { benchmark_into(benchmark, json, path, sink); });
+  with_recovery([&] {
+    read_object(benchmark, json, path, sink);
+    validate_into(sink, path, "invalid benchmark: ",
+                  [&] { benchmark.validate(); });
+  });
   return benchmark;
 }
 
@@ -480,25 +835,14 @@ workload::Benchmark benchmark_from_json(const JsonValue& json,
 // --- workload::ScenarioParams ------------------------------------------------
 
 JsonValue to_json(const workload::ScenarioParams& params) {
-  JsonValue json((JsonObject()));
-  json.set("nominal_duration_s", params.nominal_duration_s);
-  json.set("intensity", params.intensity);
-  json.set("thermal_time_constant_s", params.thermal_time_constant_s);
-  return json;
+  return write_json(params);
 }
 
 workload::ScenarioParams scenario_params_from_json(const JsonValue& json,
                                                    const std::string& path,
                                                    DiagnosticSink& sink) {
   workload::ScenarioParams params;
-  with_recovery([&] {
-    ObjectReader reader(json, path, sink);
-    reader.number("nominal_duration_s", params.nominal_duration_s, 1.0, 1e6);
-    reader.number("intensity", params.intensity, 0.0, 10.0);
-    reader.number("thermal_time_constant_s", params.thermal_time_constant_s,
-                  0.1, 1e4);
-    reader.finish();
-  });
+  with_recovery([&] { read_object(params, json, path, sink); });
   return params;
 }
 
@@ -512,105 +856,22 @@ workload::ScenarioParams scenario_params_from_json(const JsonValue& json,
 
 namespace {
 
-JsonValue leakage_to_json(const power::LeakageParams& params) {
-  JsonValue json((JsonObject()));
-  json.set("c1", params.c1);
-  json.set("c2_k", params.c2_k);
-  json.set("i_gate_a", params.i_gate_a);
-  json.set("v_ref", params.v_ref);
-  json.set("dibl_exponent", params.dibl_exponent);
-  return json;
-}
-
-void leakage_from_json(ObjectReader& parent, const std::string& key,
-                       power::LeakageParams& out, const std::string& path) {
-  const JsonValue* v = parent.get(key);
-  if (v == nullptr) return;
-  with_recovery([&] {
-    ObjectReader reader(*v, path + "." + key, parent.sink());
-    reader.number("c1", out.c1, 0.0, 1.0);
-    reader.number("c2_k", out.c2_k, -1e5, 0.0);
-    reader.number("i_gate_a", out.i_gate_a, 0.0, 10.0);
-    reader.number("v_ref", out.v_ref, 1e-3, 10.0);
-    reader.number("dibl_exponent", out.dibl_exponent, 0.0, 10.0);
-    reader.finish();
-  });
-}
-
-JsonValue opps_to_json(const std::vector<power::Opp>& opps) {
-  JsonArray array;
-  for (const power::Opp& opp : opps) {
-    JsonValue p((JsonObject()));
-    p.set("frequency_hz", opp.frequency_hz);
-    p.set("voltage_v", opp.voltage_v);
-    array.push_back(std::move(p));
+/// "nodes" or "edges": required, so a missing or non-array member aborts
+/// the floorplan.
+const JsonArray& required_array(ObjectReader& reader, const char* key,
+                                const char* element) {
+  const JsonValue* v = reader.get(key);
+  if (v == nullptr) {
+    fail(reader.sink(), kCodeConstraint, reader.member_path(key),
+         std::string("a floorplan requires ") +
+             (key[0] == 'e' ? "an '" : "a '") + key + "' array");
   }
-  return JsonValue(std::move(array));
-}
-
-void opps_from_json(ObjectReader& parent, const std::string& key,
-                    std::vector<power::Opp>& out, const std::string& path) {
-  const JsonValue* v = parent.get(key);
-  if (v == nullptr) return;
-  DiagnosticSink& sink = parent.sink();
-  const std::string list_path = path + "." + key;
   if (!v->is_array()) {
-    sink.error(kCodeType, list_path,
-               "expected an array of operating points, got " + type_of(*v));
-    return;
+    fail(reader.sink(), kCodeType, reader.member_path(key),
+         std::string("expected an array of ") + element + " objects, got " +
+             type_of(*v));
   }
-  out.clear();
-  const JsonArray& array = v->as_array();
-  for (std::size_t i = 0; i < array.size(); ++i) {
-    const std::string p = list_path + "[" + std::to_string(i) + "]";
-    with_recovery([&] {
-      power::Opp opp;
-      ObjectReader reader(array[i], p, sink);
-      reader.number("frequency_hz", opp.frequency_hz, 1.0, 1e12);
-      reader.number("voltage_v", opp.voltage_v, 1e-3, 10.0);
-      reader.finish();
-      if (opp.frequency_hz <= 0.0) {
-        sink.error(kCodeConstraint, p,
-                   "operating point needs a positive frequency_hz");
-        return;
-      }
-      out.push_back(opp);
-    });
-  }
-}
-
-JsonValue floorplan_to_json(const thermal::FloorplanSpec& spec) {
-  JsonValue json((JsonObject()));
-  JsonArray nodes;
-  for (const thermal::FloorplanNodeSpec& node : spec.nodes) {
-    JsonValue n((JsonObject()));
-    n.set("name", node.name);
-    n.set("capacitance_j_per_k", node.capacitance_j_per_k);
-    n.set("initial_temp_c", node.initial_temp_c);
-    if (node.is_boundary) n.set("boundary", true);
-    nodes.push_back(std::move(n));
-  }
-  json.set("nodes", JsonValue(std::move(nodes)));
-  JsonArray edges;
-  for (const thermal::FloorplanEdgeSpec& edge : spec.edges) {
-    JsonValue e((JsonObject()));
-    e.set("a", edge.node_a);
-    e.set("b", edge.node_b);
-    e.set("conductance_w_per_k", edge.conductance_w_per_k);
-    if (edge.fan_modulated) e.set("fan", true);
-    edges.push_back(std::move(e));
-  }
-  json.set("edges", JsonValue(std::move(edges)));
-  JsonArray cores;
-  for (const std::string& name : spec.core_nodes) cores.emplace_back(name);
-  json.set("core_nodes", JsonValue(std::move(cores)));
-  json.set("little_node", spec.little_node);
-  json.set("gpu_node", spec.gpu_node);
-  json.set("mem_node", spec.mem_node);
-  JsonArray sensors;
-  for (const std::string& name : spec.sensor_nodes) sensors.emplace_back(name);
-  json.set("sensor_nodes", JsonValue(std::move(sensors)));
-  return json;
+  return v->as_array();
 }
 
 void floorplan_into(thermal::FloorplanSpec& spec, const JsonValue& json,
@@ -618,41 +879,16 @@ void floorplan_into(thermal::FloorplanSpec& spec, const JsonValue& json,
   const std::size_t errors_before = sink.error_count();
   ObjectReader reader(json, path, sink);
 
-  const JsonValue* nodes = reader.get("nodes");
-  if (nodes == nullptr || !nodes->is_array()) {
-    fail(sink, nodes == nullptr ? kCodeConstraint : kCodeType, path + ".nodes",
-         nodes == nullptr ? "a floorplan requires a 'nodes' array"
-                          : "expected an array of node objects, "
-                            "got " + type_of(*nodes));
-  }
-  for (std::size_t i = 0; i < nodes->as_array().size(); ++i) {
-    const std::string node_path =
-        path + ".nodes[" + std::to_string(i) + "]";
-    with_recovery([&] {
-      thermal::FloorplanNodeSpec node;
-      ObjectReader node_reader(nodes->as_array()[i], node_path, sink);
-      node_reader.string("name", node.name);
-      if (node.name.empty()) {
-        fail(sink, kCodeConstraint, node_path,
-             "node needs a non-empty 'name'");
-      }
-      node_reader.number("capacitance_j_per_k", node.capacitance_j_per_k, 1e-9,
-                         1e9);
-      node_reader.number("initial_temp_c", node.initial_temp_c, -273.15,
-                         1000.0);
-      node_reader.boolean("boundary", node.is_boundary);
-      node_reader.finish();
-      spec.nodes.push_back(std::move(node));
-    });
-  }
+  read_elements(required_array(reader, "nodes", "node"),
+                path + ".nodes", sink, spec.nodes,
+                [&](const thermal::FloorplanNodeSpec& node,
+                    const std::string& node_path) {
+                  if (!node.name.empty()) return true;
+                  sink.error(kCodeConstraint, node_path,
+                             "node needs a non-empty 'name'");
+                  return false;
+                });
 
-  const JsonValue* edges = reader.get("edges");
-  if (edges == nullptr || !edges->is_array()) {
-    fail(sink, edges == nullptr ? kCodeConstraint : kCodeType, path + ".edges",
-         edges == nullptr ? "a floorplan requires an 'edges' array"
-                          : "expected an array of edge objects, "
-                            "got " + type_of(*edges));
-  }
   // Known node names, for reference checks that pin the exact member --
   // "$.platform.floorplan.edges[3].a: unknown node 'big9'" beats a
   // whole-floorplan error.
@@ -660,288 +896,106 @@ void floorplan_into(thermal::FloorplanSpec& spec, const JsonValue& json,
   for (const thermal::FloorplanNodeSpec& node : spec.nodes) {
     node_names.push_back(node.name);
   }
-  auto check_node_ref = [&](const std::string& name,
-                            const std::string& ref_path) {
-    if (std::find(node_names.begin(), node_names.end(), name) ==
-        node_names.end()) {
-      sink.error(kCodeUnknownName, ref_path,
-                 util::unknown_name_message("node", name, node_names));
+  read_elements(required_array(reader, "edges", "edge"),
+                path + ".edges", sink, spec.edges,
+                [&](const thermal::FloorplanEdgeSpec& edge,
+                    const std::string& edge_path) {
+                  if (edge.node_a.empty() || edge.node_b.empty()) {
+                    sink.error(kCodeConstraint, edge_path,
+                               "edge needs node names 'a' and 'b'");
+                    return false;
+                  }
+                  known_name("node", edge.node_a, node_names,
+                             edge_path + ".a", sink);
+                  known_name("node", edge.node_b, node_names,
+                             edge_path + ".b", sink);
+                  return true;
+                });
+
+  spec.core_nodes = name_list(reader, "core_nodes", "node", node_names);
+  for (auto [key, member] : {std::pair{"little_node", &spec.little_node},
+                             std::pair{"gpu_node", &spec.gpu_node},
+                             std::pair{"mem_node", &spec.mem_node}}) {
+    if (reader.string(key, *member) && !member->empty()) {
+      known_name("node", *member, node_names, reader.member_path(key), sink);
     }
-  };
-
-  for (std::size_t i = 0; i < edges->as_array().size(); ++i) {
-    const std::string edge_path =
-        path + ".edges[" + std::to_string(i) + "]";
-    with_recovery([&] {
-      thermal::FloorplanEdgeSpec edge;
-      ObjectReader edge_reader(edges->as_array()[i], edge_path, sink);
-      edge_reader.string("a", edge.node_a);
-      edge_reader.string("b", edge.node_b);
-      if (edge.node_a.empty() || edge.node_b.empty()) {
-        fail(sink, kCodeConstraint, edge_path,
-             "edge needs node names 'a' and 'b'");
-      }
-      check_node_ref(edge.node_a, edge_path + ".a");
-      check_node_ref(edge.node_b, edge_path + ".b");
-      edge_reader.number("conductance_w_per_k", edge.conductance_w_per_k,
-                         1e-12, 1e9);
-      edge_reader.boolean("fan", edge.fan_modulated);
-      edge_reader.finish();
-      spec.edges.push_back(std::move(edge));
-    });
   }
-
-  spec.core_nodes = string_list(reader, "core_nodes");
-  for (std::size_t i = 0; i < spec.core_nodes.size(); ++i) {
-    check_node_ref(spec.core_nodes[i],
-                   path + ".core_nodes[" + std::to_string(i) + "]");
-  }
-  reader.string("little_node", spec.little_node);
-  if (!spec.little_node.empty()) {
-    check_node_ref(spec.little_node, path + ".little_node");
-  }
-  reader.string("gpu_node", spec.gpu_node);
-  if (!spec.gpu_node.empty()) check_node_ref(spec.gpu_node, path + ".gpu_node");
-  reader.string("mem_node", spec.mem_node);
-  if (!spec.mem_node.empty()) check_node_ref(spec.mem_node, path + ".mem_node");
-  spec.sensor_nodes = string_list(reader, "sensor_nodes");
-  for (std::size_t i = 0; i < spec.sensor_nodes.size(); ++i) {
-    check_node_ref(spec.sensor_nodes[i],
-                   path + ".sensor_nodes[" + std::to_string(i) + "]");
-  }
+  spec.sensor_nodes = name_list(reader, "sensor_nodes", "node", node_names);
   reader.finish();
 
   // Whole-spec validation only when the members parsed clean: re-checking a
   // knowingly partial spec would bury the real findings under follow-ons.
   if (sink.error_count() != errors_before) return;
-  try {
-    thermal::validate_floorplan_spec(spec);
-  } catch (const std::exception& e) {
-    sink.error(kCodeConstraint, path, e.what());
-  }
+  validate_into(sink, path, "",
+                [&] { thermal::validate_floorplan_spec(spec); });
 }
 
-thermal::FloorplanSpec floorplan_from_json(const JsonValue& json,
-                                           const std::string& path,
-                                           DiagnosticSink& sink) {
-  thermal::FloorplanSpec spec;
-  with_recovery([&] { floorplan_into(spec, json, path, sink); });
-  return spec;
+JsonValue emit_floorplan(const PlatformDescriptor& d,
+                         const Field<PlatformDescriptor>&) {
+  const thermal::FloorplanSpec& spec = d.floorplan;
+  JsonValue json((JsonObject()));
+  json.set("nodes", write_json(spec.nodes));
+  json.set("edges", write_json(spec.edges));
+  json.set("core_nodes", array_of(spec.core_nodes));
+  json.set("little_node", spec.little_node);
+  json.set("gpu_node", spec.gpu_node);
+  json.set("mem_node", spec.mem_node);
+  json.set("sensor_nodes", array_of(spec.sensor_nodes));
+  return json;
 }
 
-void plant_power_from_json(ObjectReader& parent, const std::string& key,
-                           soc::PlantPowerParams& out,
-                           const std::string& parent_path) {
-  const JsonValue* v = parent.get(key);
+/// A present floorplan replaces the default one whole.
+void parse_floorplan(PlatformDescriptor& d, const Field<PlatformDescriptor>& f,
+                     ObjectReader& reader) {
+  const JsonValue* v = reader.get(f.key);
   if (v == nullptr) return;
-  const std::string path = parent_path + "." + key;
+  d.floorplan = {};
   with_recovery([&] {
-    ObjectReader reader(*v, path, parent.sink());
-    leakage_from_json(reader, "big_leakage", out.big_leakage, path);
-    leakage_from_json(reader, "little_leakage", out.little_leakage, path);
-    leakage_from_json(reader, "gpu_leakage", out.gpu_leakage, path);
-    leakage_from_json(reader, "mem_leakage", out.mem_leakage, path);
-    reader.number("big_core_alpha_c_max", out.big_core_alpha_c_max, 0.0, 1.0);
-    reader.number("little_core_alpha_c_max", out.little_core_alpha_c_max, 0.0,
-                  1.0);
-    reader.number("gpu_alpha_c_max", out.gpu_alpha_c_max, 0.0, 1.0);
-    reader.number("big_uncore_alpha_c", out.big_uncore_alpha_c, 0.0, 1.0);
-    reader.number("little_uncore_alpha_c", out.little_uncore_alpha_c, 0.0,
-                  1.0);
-    reader.number("big_idle_activity", out.big_idle_activity, 0.0, 1.0);
-    reader.number("little_idle_activity", out.little_idle_activity, 0.0, 1.0);
-    reader.number("gpu_idle_util", out.gpu_idle_util, 0.0, 1.0);
-    reader.number("mem_bandwidth_cap", out.mem_bandwidth_cap, 1e-3, 1e3);
-    reader.number("offline_core_leakage_fraction",
-                  out.offline_core_leakage_fraction, 0.0, 1.0);
-    reader.number("inactive_cluster_leakage_fraction",
-                  out.inactive_cluster_leakage_fraction, 0.0, 1.0);
-    reader.number("mem_dynamic_max_w", out.mem_dynamic_max_w, 0.0, 100.0);
-    reader.number("mem_base_w", out.mem_base_w, 0.0, 100.0);
-    reader.number("mem_gpu_traffic_weight", out.mem_gpu_traffic_weight, 0.0,
-                  10.0);
-    reader.number("mem_nominal_voltage_v", out.mem_nominal_voltage_v, 1e-3,
-                  10.0);
-    reader.number("mem_nominal_frequency_hz", out.mem_nominal_frequency_hz,
-                  1.0, 1e12);
-    reader.finish();
+    floorplan_into(d.floorplan, *v, reader.member_path(f.key), reader.sink());
   });
 }
 
-JsonValue plant_power_to_json(const soc::PlantPowerParams& p) {
-  JsonValue json((JsonObject()));
-  json.set("big_leakage", leakage_to_json(p.big_leakage));
-  json.set("little_leakage", leakage_to_json(p.little_leakage));
-  json.set("gpu_leakage", leakage_to_json(p.gpu_leakage));
-  json.set("mem_leakage", leakage_to_json(p.mem_leakage));
-  json.set("big_core_alpha_c_max", p.big_core_alpha_c_max);
-  json.set("little_core_alpha_c_max", p.little_core_alpha_c_max);
-  json.set("gpu_alpha_c_max", p.gpu_alpha_c_max);
-  json.set("big_uncore_alpha_c", p.big_uncore_alpha_c);
-  json.set("little_uncore_alpha_c", p.little_uncore_alpha_c);
-  json.set("big_idle_activity", p.big_idle_activity);
-  json.set("little_idle_activity", p.little_idle_activity);
-  json.set("gpu_idle_util", p.gpu_idle_util);
-  json.set("mem_bandwidth_cap", p.mem_bandwidth_cap);
-  json.set("offline_core_leakage_fraction", p.offline_core_leakage_fraction);
-  json.set("inactive_cluster_leakage_fraction",
-           p.inactive_cluster_leakage_fraction);
-  json.set("mem_dynamic_max_w", p.mem_dynamic_max_w);
-  json.set("mem_base_w", p.mem_base_w);
-  json.set("mem_gpu_traffic_weight", p.mem_gpu_traffic_weight);
-  json.set("mem_nominal_voltage_v", p.mem_nominal_voltage_v);
-  json.set("mem_nominal_frequency_hz", p.mem_nominal_frequency_hz);
-  return json;
+template <>
+Table<PlatformDescriptor> make_fields() {
+  using D = PlatformDescriptor;
+  return {
+      text<&D::name>("name"),
+      text<&D::description>("description"),
+      custom<D>("floorplan", emit_floorplan, parse_floorplan),
+      integer<&D::big_cores>("big_cores", 1, 64),
+      integer<&D::little_cores>("little_cores", 0, 64),
+      list<&D::big_opps>("big_opps", "operating points"),
+      list<&D::little_opps>("little_opps", "operating points"),
+      list<&D::gpu_opps>("gpu_opps", "operating points"),
+      object<&D::power>("power"),
+      object<&D::perf>("perf"),
+      object<&D::fan>("fan"),
+      object<&D::temp_sensor>("temp_sensor"),
+      object<&D::power_sensor>("power_sensor"),
+      object<&D::platform_load>("platform_load"),
+      number<&D::default_t_max_c>("default_t_max_c", 0.0, 150.0),
+      number<&D::runaway_abort_temp_c>("runaway_abort_temp_c", 0.0, 500.0),
+  };
 }
 
 }  // namespace
 
 JsonValue to_json(const PlatformDescriptor& d) {
-  JsonValue json((JsonObject()));
-  json.set("name", d.name);
-  json.set("description", d.description);
-  json.set("floorplan", floorplan_to_json(d.floorplan));
-  json.set("big_cores", d.big_cores);
-  json.set("little_cores", d.little_cores);
-  json.set("big_opps", opps_to_json(d.big_opps));
-  json.set("little_opps", opps_to_json(d.little_opps));
-  json.set("gpu_opps", opps_to_json(d.gpu_opps));
-  json.set("power", plant_power_to_json(d.power));
-  {
-    JsonValue perf((JsonObject()));
-    perf.set("big_ipc_scale", d.perf.big_ipc_scale);
-    perf.set("little_ipc_scale", d.perf.little_ipc_scale);
-    perf.set("cluster_switch_stall_s", d.perf.cluster_switch_stall_s);
-    json.set("perf", std::move(perf));
-  }
-  {
-    JsonValue fan((JsonObject()));
-    fan.set("conductance_off", d.fan.conductance_off);
-    fan.set("conductance_low", d.fan.conductance_low);
-    fan.set("conductance_half", d.fan.conductance_half);
-    fan.set("conductance_full", d.fan.conductance_full);
-    fan.set("power_off", d.fan.power_off);
-    fan.set("power_low", d.fan.power_low);
-    fan.set("power_half", d.fan.power_half);
-    fan.set("power_full", d.fan.power_full);
-    json.set("fan", std::move(fan));
-  }
-  {
-    JsonValue sensor((JsonObject()));
-    sensor.set("quantization_c", d.temp_sensor.quantization_c);
-    sensor.set("noise_stddev_c", d.temp_sensor.noise_stddev_c);
-    json.set("temp_sensor", std::move(sensor));
-  }
-  {
-    JsonValue sensor((JsonObject()));
-    sensor.set("noise_fraction", d.power_sensor.noise_fraction);
-    sensor.set("quantization_w", d.power_sensor.quantization_w);
-    json.set("power_sensor", std::move(sensor));
-  }
-  {
-    JsonValue load((JsonObject()));
-    load.set("board_base_w", d.platform_load.board_base_w);
-    load.set("display_w", d.platform_load.display_w);
-    json.set("platform_load", std::move(load));
-  }
-  json.set("default_t_max_c", d.default_t_max_c);
-  json.set("runaway_abort_temp_c", d.runaway_abort_temp_c);
-  return json;
+  return write_json(d);
 }
-
-namespace {
-
-void platform_into(PlatformDescriptor& d, const JsonValue& json,
-                   const std::string& path, DiagnosticSink& sink) {
-  const std::size_t errors_before = sink.error_count();
-  ObjectReader reader(json, path, sink);
-  reader.string("name", d.name);
-  reader.string("description", d.description);
-  if (const JsonValue* floorplan = reader.get("floorplan")) {
-    d.floorplan = floorplan_from_json(*floorplan, path + ".floorplan", sink);
-  }
-  reader.integer("big_cores", d.big_cores, 1, 64);
-  reader.integer("little_cores", d.little_cores, 0, 64);
-  opps_from_json(reader, "big_opps", d.big_opps, path);
-  opps_from_json(reader, "little_opps", d.little_opps, path);
-  opps_from_json(reader, "gpu_opps", d.gpu_opps, path);
-  plant_power_from_json(reader, "power", d.power, path);
-  if (const JsonValue* perf = reader.get("perf")) {
-    with_recovery([&] {
-      ObjectReader perf_reader(*perf, path + ".perf", sink);
-      perf_reader.number("big_ipc_scale", d.perf.big_ipc_scale, 1e-3, 100.0);
-      perf_reader.number("little_ipc_scale", d.perf.little_ipc_scale, 1e-3,
-                         100.0);
-      perf_reader.number("cluster_switch_stall_s",
-                         d.perf.cluster_switch_stall_s, 0.0, 10.0);
-      perf_reader.finish();
-    });
-  }
-  if (const JsonValue* fan = reader.get("fan")) {
-    with_recovery([&] {
-      ObjectReader fan_reader(*fan, path + ".fan", sink);
-      fan_reader.number("conductance_off", d.fan.conductance_off, 0.0, 1e6);
-      fan_reader.number("conductance_low", d.fan.conductance_low, 0.0, 1e6);
-      fan_reader.number("conductance_half", d.fan.conductance_half, 0.0, 1e6);
-      fan_reader.number("conductance_full", d.fan.conductance_full, 0.0, 1e6);
-      fan_reader.number("power_off", d.fan.power_off, 0.0, 1e3);
-      fan_reader.number("power_low", d.fan.power_low, 0.0, 1e3);
-      fan_reader.number("power_half", d.fan.power_half, 0.0, 1e3);
-      fan_reader.number("power_full", d.fan.power_full, 0.0, 1e3);
-      fan_reader.finish();
-    });
-  }
-  if (const JsonValue* sensor = reader.get("temp_sensor")) {
-    with_recovery([&] {
-      ObjectReader sensor_reader(*sensor, path + ".temp_sensor", sink);
-      sensor_reader.number("quantization_c", d.temp_sensor.quantization_c, 0.0,
-                           100.0);
-      sensor_reader.number("noise_stddev_c", d.temp_sensor.noise_stddev_c, 0.0,
-                           100.0);
-      sensor_reader.finish();
-    });
-  }
-  if (const JsonValue* sensor = reader.get("power_sensor")) {
-    with_recovery([&] {
-      ObjectReader sensor_reader(*sensor, path + ".power_sensor", sink);
-      sensor_reader.number("noise_fraction", d.power_sensor.noise_fraction,
-                           0.0, 1.0);
-      sensor_reader.number("quantization_w", d.power_sensor.quantization_w,
-                           0.0, 100.0);
-      sensor_reader.finish();
-    });
-  }
-  if (const JsonValue* load = reader.get("platform_load")) {
-    with_recovery([&] {
-      ObjectReader load_reader(*load, path + ".platform_load", sink);
-      load_reader.number("board_base_w", d.platform_load.board_base_w, 0.0,
-                         1e3);
-      load_reader.number("display_w", d.platform_load.display_w, 0.0, 1e3);
-      load_reader.finish();
-    });
-  }
-  reader.number("default_t_max_c", d.default_t_max_c, 0.0, 150.0);
-  reader.number("runaway_abort_temp_c", d.runaway_abort_temp_c, 0.0, 500.0);
-  reader.finish();
-
-  // Descriptor-level validation only on a member-clean parse (see
-  // floorplan_into).
-  if (sink.error_count() != errors_before) return;
-  try {
-    d.validate();
-  } catch (const std::exception& e) {
-    sink.error(kCodeConstraint, path,
-               std::string("invalid platform: ") + e.what());
-  }
-}
-
-}  // namespace
 
 PlatformDescriptor platform_from_json(const JsonValue& json,
                                       const std::string& path,
                                       DiagnosticSink& sink) {
   PlatformDescriptor d;  // defaults: the Odroid plant
-  with_recovery([&] { platform_into(d, json, path, sink); });
+  const std::size_t errors_before = sink.error_count();
+  with_recovery([&] {
+    read_object(d, json, path, sink);
+    // Descriptor-level validation only on a member-clean parse (see
+    // floorplan_into).
+    if (sink.error_count() != errors_before) return;
+    validate_into(sink, path, "invalid platform: ", [&] { d.validate(); });
+  });
   return d;
 }
 
@@ -977,20 +1031,7 @@ JsonValue to_json(const ExperimentConfig& config) {
   if (config.background.has_value()) {
     // Emitted only when set, so configs that derive their background from
     // the benchmark (the default) round-trip byte-identically.
-    const workload::BackgroundParams& b = *config.background;
-    JsonValue background((JsonObject()));
-    background.set("thread_count", b.thread_count);
-    background.set("base_duty", b.base_duty);
-    background.set("duty_jitter", b.duty_jitter);
-    background.set("spike_probability", b.spike_probability);
-    background.set("spike_duty", b.spike_duty);
-    background.set("cpu_activity", b.cpu_activity);
-    background.set("mem_intensity", b.mem_intensity);
-    background.set("heavy_load", b.heavy_load);
-    background.set("heavy_threads", b.heavy_threads);
-    background.set("heavy_activity", b.heavy_activity);
-    background.set("heavy_mem_intensity", b.heavy_mem_intensity);
-    json.set("background", std::move(background));
+    json.set("background", write_json(*config.background));
   }
   // Emit the compact registry reference when the descriptor is exactly a
   // registered one; a customized descriptor rides along fully inline so
@@ -1003,17 +1044,7 @@ JsonValue to_json(const ExperimentConfig& config) {
   } else {
     json.set("platform", to_json(*platform));
   }
-  json.set("dtpm", to_json(config.dtpm));
-  json.set("engine", to_string(config.engine));
-  json.set("control_interval_s", config.control_interval_s);
-  json.set("plant_substep_s", config.plant_substep_s);
-  json.set("warmup_s", config.warmup_s);
-  json.set("warmup_activity", config.warmup_activity);
-  json.set("max_sim_time_s", config.max_sim_time_s);
-  json.set("seed", config.seed);
-  json.set("record_trace", config.record_trace);
-  json.set("observe_predictions", config.observe_predictions);
-  json.set("observe_horizon_steps", config.observe_horizon_steps);
+  write_fields(config, json);
   return json;
 }
 
@@ -1023,20 +1054,7 @@ void experiment_into(ExperimentConfig& config, const JsonValue& json,
                      const std::string& path, DiagnosticSink& sink) {
   ObjectReader reader(json, path, sink);
 
-  bool benchmark_named = false;
-  {
-    const JsonValue* v = reader.get("benchmark");
-    if (v != nullptr) {
-      if (!v->is_string()) {
-        sink.error(kCodeType, path + ".benchmark",
-                   "expected a string, got " + type_of(*v));
-      } else {
-        config.benchmark = v->as_string();
-        benchmark_named = true;
-      }
-    }
-  }
-
+  const bool benchmark_named = reader.string("benchmark", config.benchmark);
   if (const JsonValue* scenario = reader.get("scenario")) {
     const std::string scenario_path = path + ".scenario";
     with_recovery([&] {
@@ -1054,7 +1072,7 @@ void experiment_into(ExperimentConfig& config, const JsonValue& json,
                "expected a string, got " + type_of(*family));
         }
         std::uint64_t seed = 1;
-        scenario_reader.integer("seed", seed, 0, INT64_MAX);
+        scenario_reader.integer("seed", seed, 0, UINT64_MAX);
         workload::ScenarioParams params;
         if (const JsonValue* p = scenario_reader.get("params")) {
           params = scenario_params_from_json(*p, scenario_path + ".params",
@@ -1062,10 +1080,9 @@ void experiment_into(ExperimentConfig& config, const JsonValue& json,
         }
         const ScenarioCatalog catalog = ScenarioCatalog::standard(params);
         const std::string& name = family->as_string();
-        if (!catalog.contains(name)) {
-          fail(sink, kCodeUnknownName, scenario_path + ".family",
-               util::unknown_name_message("scenario family", name,
-                                          catalog.family_names()));
+        if (!known_name("scenario family", name, catalog.family_names(),
+                        scenario_path + ".family", sink)) {
+          throw ParseAbort{};
         }
         config.scenario = std::make_shared<const workload::Benchmark>(
             catalog.make(name, seed));
@@ -1086,13 +1103,15 @@ void experiment_into(ExperimentConfig& config, const JsonValue& json,
     });
   } else if (benchmark_named) {
     // Without an inline scenario the benchmark must resolve in the suite.
-    validate_benchmark_name(config.benchmark, path + ".benchmark", sink);
+    known_name("benchmark", config.benchmark, workload::all_benchmark_names(),
+               path + ".benchmark", sink);
   }
 
   std::string policy;
-  reader.string("policy", policy);
-  if (!policy.empty() &&
-      validate_policy_name(policy, path + ".policy", sink)) {
+  if (reader.string("policy", policy) && !policy.empty() &&
+      known_name("policy", policy,
+                 governors::PolicyRegistry::instance().names(),
+                 path + ".policy", sink)) {
     set_policy(config, policy);
   }
 
@@ -1111,37 +1130,18 @@ void experiment_into(ExperimentConfig& config, const JsonValue& json,
   }
 
   std::string governor;
-  reader.string("governor", governor);
-  if (!governor.empty()) {
-    const governors::GovernorRegistry& registry =
-        governors::GovernorRegistry::instance();
-    if (!registry.contains(governor)) {
-      sink.error(kCodeUnknownName, path + ".governor",
-                 util::unknown_name_message("governor", governor,
-                                            registry.names()));
-    } else {
-      config.governor_name = governor;
-    }
+  if (reader.string("governor", governor) && !governor.empty() &&
+      known_name("governor", governor,
+                 governors::GovernorRegistry::instance().names(),
+                 path + ".governor", sink)) {
+    config.governor_name = governor;
   }
 
   if (const JsonValue* background = reader.get("background")) {
-    const std::string background_path = path + ".background";
     with_recovery([&] {
       workload::BackgroundParams params =
           config.background.value_or(workload::BackgroundParams{});
-      ObjectReader bg(*background, background_path, sink);
-      bg.integer("thread_count", params.thread_count, 0, 64);
-      bg.number("base_duty", params.base_duty, 0.0, 1.0);
-      bg.number("duty_jitter", params.duty_jitter, 0.0, 1.0);
-      bg.number("spike_probability", params.spike_probability, 0.0, 1.0);
-      bg.number("spike_duty", params.spike_duty, 0.0, 1.0);
-      bg.number("cpu_activity", params.cpu_activity, 0.0, 1.0);
-      bg.number("mem_intensity", params.mem_intensity, 0.0, 1.0);
-      bg.boolean("heavy_load", params.heavy_load);
-      bg.integer("heavy_threads", params.heavy_threads, 0, 64);
-      bg.number("heavy_activity", params.heavy_activity, 0.0, 1.0);
-      bg.number("heavy_mem_intensity", params.heavy_mem_intensity, 0.0, 1.0);
-      bg.finish();
+      read_object(params, *background, path + ".background", sink);
       config.background = params;
     });
   }
@@ -1154,11 +1154,8 @@ void experiment_into(ExperimentConfig& config, const JsonValue& json,
     if (platform->is_string()) {
       const PlatformRegistry& registry = PlatformRegistry::instance();
       const std::string& name = platform->as_string();
-      if (!registry.contains(name)) {
-        sink.error(kCodeUnknownName, platform_path,
-                   util::unknown_name_message("platform", name,
-                                              registry.names()));
-      } else {
+      if (known_name("platform", name, registry.names(), platform_path,
+                     sink)) {
         set_platform(config, registry.get(name));
       }
     } else if (platform->is_object()) {
@@ -1179,33 +1176,7 @@ void experiment_into(ExperimentConfig& config, const JsonValue& json,
     }
   }
 
-  if (const JsonValue* dtpm = reader.get("dtpm")) {
-    config.dtpm =
-        dtpm_params_from_json(*dtpm, path + ".dtpm", config.dtpm, sink);
-  }
-
-  std::string engine;
-  reader.string("engine", engine);
-  if (!engine.empty()) {
-    const std::optional<Engine> parsed = try_parse_engine(engine);
-    if (!parsed.has_value()) {
-      sink.error(kCodeUnknownName, path + ".engine",
-                 util::unknown_name_message("engine", engine, engine_names()));
-    } else {
-      config.engine = *parsed;
-    }
-  }
-
-  reader.number("control_interval_s", config.control_interval_s, 1e-4, 60.0);
-  reader.number("plant_substep_s", config.plant_substep_s, 1e-5, 60.0);
-  reader.number("warmup_s", config.warmup_s, 0.0, 1e6);
-  reader.number("warmup_activity", config.warmup_activity, 0.0, 1.0);
-  reader.number("max_sim_time_s", config.max_sim_time_s, 0.0, 1e9);
-  reader.integer("seed", config.seed, 0, INT64_MAX);
-  reader.boolean("record_trace", config.record_trace);
-  reader.boolean("observe_predictions", config.observe_predictions);
-  reader.integer("observe_horizon_steps", config.observe_horizon_steps, 1,
-                 100000);
+  read_fields(config, reader);
   reader.finish();
 
   if (config.plant_substep_s > config.control_interval_s) {
@@ -1230,20 +1201,39 @@ ExperimentConfig experiment_from_json(const JsonValue& json,
   return experiment_from_json(json, path, sink);
 }
 
+DocumentKind classify_document(const JsonValue& json) {
+  if (!json.is_object()) return DocumentKind::kExperiment;
+  // Fleet first: a fleet spec also has "base", which marks a sweep.
+  if (json.find("device_count") != nullptr) return DocumentKind::kFleet;
+  // An experiment uses the singular forms ("benchmark", "platform",
+  // "policy"), so any plural axis or a "base"/"scenarios" block marks a
+  // sweep grid.
+  for (const char* member : {"base", "benchmarks", "platforms", "policies",
+                             "seeds", "dtpm_grid", "scenarios"}) {
+    if (json.find(member) != nullptr) return DocumentKind::kSweep;
+  }
+  if (json.find("floorplan") != nullptr) return DocumentKind::kPlatform;
+  return DocumentKind::kExperiment;
+}
+
 ExperimentConfig load_experiment_config(const std::string& file_path) {
   const JsonValue json = util::json_parse_file(file_path);
-  if (json.is_object() && json.find("device_count") != nullptr) {
-    throw ConfigError(
-        "$", "this looks like a fleet spec (has 'device_count'); run it "
-             "with `dtpm serve` instead");
-  }
-  if (json.is_object() &&
-      (json.find("base") != nullptr || json.find("scenarios") != nullptr ||
-       json.find("benchmarks") != nullptr ||
-       json.find("platforms") != nullptr)) {
-    throw ConfigError(
-        "$", "this looks like a sweep grid (has 'base'/'benchmarks'/"
-             "'platforms'/'scenarios'); run it with `dtpm sweep` instead");
+  switch (classify_document(json)) {
+    case DocumentKind::kFleet:
+      throw ConfigError("$",
+                        "this looks like a fleet spec (has 'device_count'); "
+                        "run it with `dtpm serve` instead");
+    case DocumentKind::kSweep:
+      throw ConfigError("$",
+                        "this looks like a sweep grid (has 'base', an axis "
+                        "or 'scenarios'); run it with `dtpm sweep` instead");
+    case DocumentKind::kPlatform:
+      throw ConfigError("$",
+                        "this looks like a platform descriptor (has "
+                        "'floorplan'); select it through an experiment's "
+                        "'platform' member instead");
+    case DocumentKind::kExperiment:
+      break;
   }
   return experiment_from_json(json);
 }
@@ -1271,47 +1261,23 @@ std::vector<ExperimentConfig> SweepSpec::expand() const {
 }
 
 JsonValue to_json(const SweepSpec& spec) {
+  // Axes are written only when set: an empty axis inherits from the base.
+  const auto axis = [](JsonValue& json, const char* key, const auto& values) {
+    if (!values.empty()) json.set(key, array_of(values));
+  };
   JsonValue json((JsonObject()));
   json.set("base", to_json(spec.base));
-  if (!spec.benchmarks.empty()) {
-    JsonArray names;
-    for (const std::string& name : spec.benchmarks) names.emplace_back(name);
-    json.set("benchmarks", JsonValue(std::move(names)));
-  }
-  if (!spec.platforms.empty()) {
-    JsonArray names;
-    for (const std::string& name : spec.platforms) names.emplace_back(name);
-    json.set("platforms", JsonValue(std::move(names)));
-  }
-  if (!spec.policies.empty()) {
-    JsonArray names;
-    for (const std::string& name : spec.policies) names.emplace_back(name);
-    json.set("policies", JsonValue(std::move(names)));
-  }
-  if (!spec.seeds.empty()) {
-    JsonArray seeds;
-    for (std::uint64_t seed : spec.seeds) seeds.emplace_back(seed);
-    json.set("seeds", JsonValue(std::move(seeds)));
-  }
+  axis(json, "benchmarks", spec.benchmarks);
+  axis(json, "platforms", spec.platforms);
+  axis(json, "policies", spec.policies);
+  axis(json, "seeds", spec.seeds);
   if (!spec.dtpm_grid.empty()) {
-    JsonArray grid;
-    for (const core::DtpmParams& params : spec.dtpm_grid) {
-      grid.push_back(to_json(params));
-    }
-    json.set("dtpm_grid", JsonValue(std::move(grid)));
+    json.set("dtpm_grid", write_json(spec.dtpm_grid));
   }
   if (spec.has_scenarios) {
     JsonValue scenarios((JsonObject()));
-    if (!spec.families.empty()) {
-      JsonArray names;
-      for (const std::string& name : spec.families) names.emplace_back(name);
-      scenarios.set("families", JsonValue(std::move(names)));
-    }
-    if (!spec.scenario_seeds.empty()) {
-      JsonArray seeds;
-      for (std::uint64_t seed : spec.scenario_seeds) seeds.emplace_back(seed);
-      scenarios.set("seeds", JsonValue(std::move(seeds)));
-    }
+    axis(scenarios, "families", spec.families);
+    axis(scenarios, "seeds", spec.scenario_seeds);
     scenarios.set("params", to_json(spec.scenario_params));
     json.set("scenarios", std::move(scenarios));
   }
@@ -1328,31 +1294,13 @@ void sweep_into(SweepSpec& spec, const JsonValue& json,
     spec.base = experiment_from_json(*base, path + ".base", sink);
   }
 
-  spec.benchmarks = string_list(reader, "benchmarks");
-  for (std::size_t i = 0; i < spec.benchmarks.size(); ++i) {
-    validate_benchmark_name(
-        spec.benchmarks[i], path + ".benchmarks[" + std::to_string(i) + "]",
-        sink);
-  }
-
-  spec.platforms = string_list(reader, "platforms");
-  for (std::size_t i = 0; i < spec.platforms.size(); ++i) {
-    const PlatformRegistry& registry = PlatformRegistry::instance();
-    if (!registry.contains(spec.platforms[i])) {
-      sink.error(kCodeUnknownName,
-                 path + ".platforms[" + std::to_string(i) + "]",
-                 util::unknown_name_message("platform", spec.platforms[i],
-                                            registry.names()));
-    }
-  }
-
-  spec.policies = string_list(reader, "policies");
-  for (std::size_t i = 0; i < spec.policies.size(); ++i) {
-    validate_policy_name(spec.policies[i],
-                         path + ".policies[" + std::to_string(i) + "]", sink);
-  }
-
-  spec.seeds = seed_list(reader, "seeds");
+  spec.benchmarks = name_list(reader, "benchmarks", "benchmark",
+                              workload::all_benchmark_names());
+  spec.platforms = name_list(reader, "platforms", "platform",
+                             PlatformRegistry::instance().names());
+  spec.policies = name_list(reader, "policies", "policy",
+                            governors::PolicyRegistry::instance().names());
+  spec.seeds = value_list<std::uint64_t>(reader, "seeds");
 
   if (const JsonValue* grid = reader.get("dtpm_grid")) {
     if (!grid->is_array()) {
@@ -1363,8 +1311,8 @@ void sweep_into(SweepSpec& spec, const JsonValue& json,
       const JsonArray& array = grid->as_array();
       for (std::size_t i = 0; i < array.size(); ++i) {
         spec.dtpm_grid.push_back(dtpm_params_from_json(
-            array[i], path + ".dtpm_grid[" + std::to_string(i) + "]",
-            core::DtpmParams{}, sink));
+            array[i], indexed(path + ".dtpm_grid", i), core::DtpmParams{},
+            sink));
       }
     }
   }
@@ -1396,19 +1344,10 @@ void sweep_into(SweepSpec& spec, const JsonValue& json,
             scenario_params_from_json(*params, scenarios_path + ".params",
                                       sink);
       }
-      spec.families = string_list(scenario_reader, "families");
-      const ScenarioCatalog catalog =
-          ScenarioCatalog::standard(spec.scenario_params);
-      for (std::size_t i = 0; i < spec.families.size(); ++i) {
-        if (!catalog.contains(spec.families[i])) {
-          sink.error(
-              kCodeUnknownName,
-              scenarios_path + ".families[" + std::to_string(i) + "]",
-              util::unknown_name_message("scenario family", spec.families[i],
-                                         catalog.family_names()));
-        }
-      }
-      spec.scenario_seeds = seed_list(scenario_reader, "seeds");
+      spec.families = name_list(
+          scenario_reader, "families", "scenario family",
+          ScenarioCatalog::standard(spec.scenario_params).family_names());
+      spec.scenario_seeds = value_list<std::uint64_t>(scenario_reader, "seeds");
       scenario_reader.finish();
     });
   }
@@ -1434,173 +1373,158 @@ SweepSpec load_sweep_spec(const std::string& file_path) {
   return sweep_from_json(util::json_parse_file(file_path));
 }
 
-}  // namespace dtpm::sim
-
 // --- serve::FleetSpec --------------------------------------------------------
-// Lives here, not under src/serve/, so the fleet parser shares the exact
-// field-reading machinery (ObjectReader, L00x codes, recovery) of every
-// other config document.
-
-namespace dtpm::serve {
+// Parsed here, not under src/serve/, so the fleet parser shares the exact
+// field-table machinery (ObjectReader, L00x codes, recovery) of every other
+// config document.
 
 namespace {
 
-// Pull the TU-local parse machinery (anonymous namespace above) into scope.
-using namespace dtpm::sim;  // NOLINT(google-build-using-namespace)
+using serve::FleetRange;
+using serve::FleetSpec;
+using serve::FleetWeight;
 
-util::JsonValue weight_list_json(const std::vector<FleetWeight>& entries) {
+JsonValue emit_base(const FleetSpec& spec, const Field<FleetSpec>&) {
+  return to_json(spec.base);
+}
+
+void parse_base(FleetSpec& spec, const Field<FleetSpec>& f,
+                ObjectReader& reader) {
+  if (const JsonValue* base = reader.get(f.key)) {
+    spec.base =
+        experiment_from_json(*base, reader.member_path(f.key), reader.sink());
+  }
+}
+
+template <>
+Table<FleetWeight> make_fields() {
+  return {
+      text<&FleetWeight::name>("name"),
+      number<&FleetWeight::weight>("weight", 0.0, kHuge),
+  };
+}
+
+/// Weighted axis: an array whose elements are a bare name (weight 1) or a
+/// {"name", "weight"} object; omitted when empty. Name validity is the L703
+/// lint's job, not the parser's, so a spec with a typo still parses into a
+/// lintable value.
+template <auto M>
+JsonValue emit_weights(const FleetSpec& spec, const Field<FleetSpec>&) {
+  if ((spec.*M).empty()) return JsonValue();
   JsonArray array;
-  for (const FleetWeight& e : entries) {
-    if (e.weight == 1.0) {
-      array.emplace_back(e.name);
-    } else {
-      JsonValue entry((JsonObject()));
-      entry.set("name", e.name);
-      entry.set("weight", e.weight);
-      array.push_back(std::move(entry));
-    }
+  for (const FleetWeight& e : spec.*M) {
+    array.push_back(e.weight == 1.0 ? JsonValue(e.name) : write_json(e));
   }
   return JsonValue(std::move(array));
 }
 
-util::JsonValue range_json(const FleetRange& range) {
-  JsonValue json((JsonObject()));
-  json.set("lo", range.lo);
-  json.set("hi", range.hi);
-  return json;
-}
-
-/// Weighted-axis member: an array whose elements are either a bare name
-/// (weight 1) or a {"name", "weight"} object. Name validity is the L703
-/// lint's job, not the parser's, so a spec with a typo still parses into
-/// a lintable value.
-std::vector<FleetWeight> weight_list(ObjectReader& reader,
-                                     const std::string& key) {
-  std::vector<FleetWeight> out;
-  const JsonValue* v = reader.get(key);
-  if (v == nullptr) return out;
+template <auto M>
+void parse_weights(FleetSpec& spec, const Field<FleetSpec>& f,
+                   ObjectReader& reader) {
+  std::vector<FleetWeight>& out = spec.*M;
+  out.clear();
+  const JsonValue* v = reader.get(f.key);
+  if (v == nullptr) return;
+  DiagnosticSink& sink = reader.sink();
   if (!v->is_array()) {
-    reader.sink().error(
-        kCodeType, reader.member_path(key),
-        "expected an array of names or {name, weight} objects, got " +
-            type_of(*v));
-    return out;
+    sink.error(kCodeType, reader.member_path(f.key),
+               "expected an array of names or {name, weight} objects, got " +
+                   type_of(*v));
+    return;
   }
   const JsonArray& array = v->as_array();
   for (std::size_t i = 0; i < array.size(); ++i) {
-    const std::string path =
-        reader.member_path(key) + "[" + std::to_string(i) + "]";
-    const JsonValue& element = array[i];
-    if (element.is_string()) {
-      out.push_back({element.as_string(), 1.0});
-      continue;
-    }
-    if (!element.is_object()) {
-      reader.sink().error(kCodeType, path,
-                          "expected a name or a {name, weight} object, got " +
-                              type_of(element));
-      continue;
-    }
-    with_recovery([&] {
-      ObjectReader entry(element, path, reader.sink());
+    const std::string path = indexed(reader.member_path(f.key), i);
+    if (array[i].is_string()) {
+      out.push_back({array[i].as_string(), 1.0});
+    } else if (!array[i].is_object()) {
+      sink.error(kCodeType, path,
+                 "expected a name or a {name, weight} object, got " +
+                     type_of(array[i]));
+    } else {
       FleetWeight weight;
-      entry.string("name", weight.name);
-      entry.number("weight", weight.weight, 0.0,
-                   std::numeric_limits<double>::max());
-      entry.finish();
+      read_object(weight, array[i], path, sink);
       if (weight.name.empty()) {
-        reader.sink().error(kCodeConstraint, path,
-                            "a weighted entry needs a non-empty 'name'");
-        return;
+        sink.error(kCodeConstraint, path,
+                   "a weighted entry needs a non-empty 'name'");
+      } else {
+        out.push_back(std::move(weight));
       }
-      out.push_back(std::move(weight));
-    });
+    }
   }
-  return out;
 }
 
-/// Range member: a bare number pins lo == hi; an object reads {lo, hi}.
-/// An inverted range (hi < lo) parses fine -- flagging it is L701's job.
-void range_member(ObjectReader& reader, const std::string& key,
-                  FleetRange& out, double lo, double hi) {
-  const JsonValue* v = reader.get(key);
+/// Range: a bare number pins lo == hi; an object reads {lo, hi}, each
+/// within the row's [lo, hi]. An inverted range (hi < lo) parses fine --
+/// flagging it is L701's job.
+template <auto M>
+JsonValue emit_range(const FleetSpec& spec, const Field<FleetSpec>&) {
+  JsonValue json((JsonObject()));
+  json.set("lo", (spec.*M).lo);
+  json.set("hi", (spec.*M).hi);
+  return json;
+}
+
+template <auto M>
+void parse_range(FleetSpec& spec, const Field<FleetSpec>& f,
+                 ObjectReader& reader) {
+  FleetRange& out = spec.*M;
+  const JsonValue* v = reader.get(f.key);
   if (v == nullptr) return;
-  const std::string path = reader.member_path(key);
   if (v->is_number()) {
-    const double n = v->as_number();
-    if (n < lo || n > hi) {
-      reader.sink().error(kCodeRange, path,
-                          "value " + util::json_write(*v, 0) + " outside [" +
-                              util::json_write(JsonValue(lo), 0) + ", " +
-                              util::json_write(JsonValue(hi), 0) + "]");
-      return;
-    }
-    out.lo = n;
-    out.hi = n;
-    return;
-  }
-  if (!v->is_object()) {
-    reader.sink().error(kCodeType, path,
+    if (reader.in_range(f.key, *v, out.lo, f.lo, f.hi)) out.hi = out.lo;
+  } else if (!v->is_object()) {
+    reader.sink().error(kCodeType, reader.member_path(f.key),
                         "expected a number or a {lo, hi} object, got " +
                             type_of(*v));
-    return;
+  } else {
+    with_recovery([&] {
+      ObjectReader range(*v, reader.member_path(f.key), reader.sink());
+      range.number("lo", out.lo, f.lo, f.hi);
+      range.number("hi", out.hi, f.lo, f.hi);
+      range.finish();
+    });
   }
-  with_recovery([&] {
-    ObjectReader range(*v, path, reader.sink());
-    range.number("lo", out.lo, lo, hi);
-    range.number("hi", out.hi, lo, hi);
-    range.finish();
-  });
 }
 
-void fleet_into(FleetSpec& spec, const JsonValue& json, const std::string& path,
-                DiagnosticSink& sink) {
-  ObjectReader reader(json, path, sink);
-  reader.integer("device_count", spec.device_count, 1,
-                 std::numeric_limits<std::int64_t>::max());
-  reader.integer("seed", spec.seed, 0,
-                 std::numeric_limits<std::int64_t>::max());
-  reader.integer("wave_size", spec.wave_size, 1, 1 << 20);
-  if (const JsonValue* base = reader.get("base")) {
-    spec.base = experiment_from_json(*base, path + ".base", sink);
-  }
-  spec.platforms = weight_list(reader, "platforms");
-  spec.families = weight_list(reader, "families");
-  range_member(reader, "ambient_c", spec.ambient_c, -50.0, 150.0);
-  range_member(reader, "background_duty", spec.background_duty, 0.0, 1.0);
-  reader.number("scenario_nominal_duration_s",
-                spec.scenario_nominal_duration_s, 1e-3, 1e6);
-  reader.number("scenario_intensity", spec.scenario_intensity, 1e-3, 100.0);
-  reader.boolean("retain_traces", spec.retain_traces);
-  reader.finish();
+template <>
+Table<FleetSpec> make_fields() {
+  using F = FleetSpec;
+  return {
+      integer<&F::device_count>("device_count", 1, INT64_MAX),
+      integer<&F::seed>("seed", 0, UINT64_MAX),
+      integer<&F::wave_size>("wave_size", 1, 1 << 20),
+      custom<F>("base", emit_base, parse_base),
+      custom<F>("platforms", emit_weights<&F::platforms>,
+                parse_weights<&F::platforms>),
+      custom<F>("families", emit_weights<&F::families>,
+                parse_weights<&F::families>),
+      custom<F>("ambient_c", emit_range<&F::ambient_c>,
+                parse_range<&F::ambient_c>, -50.0, 150.0),
+      custom<F>("background_duty", emit_range<&F::background_duty>,
+                parse_range<&F::background_duty>, 0.0, 1.0),
+      number<&F::scenario_nominal_duration_s>("scenario_nominal_duration_s",
+                                              1e-3, 1e6),
+      number<&F::scenario_intensity>("scenario_intensity", 1e-3, 100.0),
+      boolean<&F::retain_traces>("retain_traces"),
+  };
 }
 
 }  // namespace
 
-util::JsonValue to_json(const FleetSpec& spec) {
-  JsonValue json((JsonObject()));
-  json.set("device_count", spec.device_count);
-  json.set("seed", spec.seed);
-  json.set("wave_size", spec.wave_size);
-  json.set("base", sim::to_json(spec.base));
-  if (!spec.platforms.empty()) {
-    json.set("platforms", weight_list_json(spec.platforms));
-  }
-  if (!spec.families.empty()) {
-    json.set("families", weight_list_json(spec.families));
-  }
-  json.set("ambient_c", range_json(spec.ambient_c));
-  json.set("background_duty", range_json(spec.background_duty));
-  json.set("scenario_nominal_duration_s", spec.scenario_nominal_duration_s);
-  json.set("scenario_intensity", spec.scenario_intensity);
-  json.set("retain_traces", spec.retain_traces);
-  return json;
-}
+}  // namespace dtpm::sim
+
+namespace dtpm::serve {
+
+// The parse machinery lives in sim's anonymous namespace above.
+using namespace dtpm::sim;  // NOLINT(google-build-using-namespace)
+
+util::JsonValue to_json(const FleetSpec& spec) { return write_json(spec); }
 
 FleetSpec fleet_from_json(const util::JsonValue& json, const std::string& path,
                           util::DiagnosticSink& sink) {
   FleetSpec spec;
-  with_recovery([&] { fleet_into(spec, json, path, sink); });
+  with_recovery([&] { read_object(spec, json, path, sink); });
   return spec;
 }
 

@@ -133,8 +133,22 @@ ExperimentConfig experiment_from_json(const util::JsonValue& json,
                                       util::DiagnosticSink& sink);
 
 /// Parses a `dtpm run` config file; JSON syntax errors carry line/column,
-/// validation errors carry their $.path.
+/// validation errors carry their $.path. A document that classify_document
+/// does not call an experiment is rejected with a pointer to the right
+/// subcommand.
 ExperimentConfig load_experiment_config(const std::string& file_path);
+
+// --- Document kinds ----------------------------------------------------------
+
+enum class DocumentKind { kFleet, kSweep, kPlatform, kExperiment };
+
+/// What a config document is, by its members, checked in this order: a
+/// fleet spec has "device_count"; a sweep grid has "base", a plural axis
+/// ("benchmarks", "platforms", "policies", "seeds"), "dtpm_grid" or
+/// "scenarios"; a standalone platform has "floorplan"; anything else
+/// (including a non-object) is an experiment. `dtpm lint` and
+/// load_experiment_config both classify through this.
+DocumentKind classify_document(const util::JsonValue& json);
 
 // --- Sweep documents ---------------------------------------------------------
 

@@ -58,19 +58,55 @@ double JsonValue::as_number() const {
   return number_;
 }
 
-std::int64_t JsonValue::as_integer(std::int64_t lo, std::int64_t hi) const {
-  const double n = as_number();
+JsonValue::JsonValue(long long n) : type_(Type::kNumber), number_(double(n)) {
+  if (n >= 0) {
+    exact_ = true;
+    unsigned_ = static_cast<std::uint64_t>(n);
+  }
+}
+
+namespace {
+
+/// The value of an integral number that is not held exactly; throws unless
+/// it is integral and within +-2^53, where doubles are exact.
+std::int64_t inexact_integer(const JsonValue& value) {
+  const double n = value.as_number();
   if (std::nearbyint(n) != n || std::fabs(n) > 9007199254740992.0 /* 2^53 */) {
     throw std::runtime_error("JSON: expected an integer, got " +
-                             json_write(*this, 0));
+                             json_write(value, 0));
   }
-  const auto i = static_cast<std::int64_t>(n);
-  if (i < lo || i > hi) {
-    throw std::runtime_error("JSON: integer " + std::to_string(i) +
-                             " outside [" + std::to_string(lo) + ", " +
-                             std::to_string(hi) + "]");
+  return static_cast<std::int64_t>(n);
+}
+
+template <typename Int>
+[[noreturn]] void integer_range_error(const std::string& value, Int lo,
+                                      Int hi) {
+  throw std::runtime_error("JSON: integer " + value + " outside [" +
+                           std::to_string(lo) + ", " + std::to_string(hi) +
+                           "]");
+}
+
+}  // namespace
+
+std::int64_t JsonValue::as_integer(std::int64_t lo, std::int64_t hi) const {
+  if (exact_ && unsigned_ > std::uint64_t(INT64_MAX)) {
+    integer_range_error(std::to_string(unsigned_), lo, hi);
   }
+  const std::int64_t i =
+      exact_ ? static_cast<std::int64_t>(unsigned_) : inexact_integer(*this);
+  if (i < lo || i > hi) integer_range_error(std::to_string(i), lo, hi);
   return i;
+}
+
+std::uint64_t JsonValue::as_unsigned(std::uint64_t lo, std::uint64_t hi) const {
+  std::uint64_t u = unsigned_;
+  if (!exact_) {
+    const std::int64_t i = inexact_integer(*this);
+    if (i < 0) integer_range_error(std::to_string(i), lo, hi);
+    u = static_cast<std::uint64_t>(i);
+  }
+  if (u < lo || u > hi) integer_range_error(std::to_string(u), lo, hi);
+  return u;
 }
 
 const std::string& JsonValue::as_string() const {
@@ -115,7 +151,8 @@ bool operator==(const JsonValue& a, const JsonValue& b) {
     case JsonValue::Type::kBool:
       return a.bool_ == b.bool_;
     case JsonValue::Type::kNumber:
-      return a.number_ == b.number_;
+      return a.exact_ && b.exact_ ? a.unsigned_ == b.unsigned_
+                                  : a.number_ == b.number_;
     case JsonValue::Type::kString:
       return a.string_ == b.string_;
     case JsonValue::Type::kArray:
@@ -420,6 +457,13 @@ class Parser {
     }
 
     const std::string token(text_.substr(start, pos_ - start));
+    // Integer literals are held exactly when they fit 64 bits unsigned.
+    std::uint64_t exact = 0;
+    const auto [end_of_integer, error] =
+        std::from_chars(token.data(), token.data() + token.size(), exact);
+    if (error == std::errc() && end_of_integer == token.data() + token.size()) {
+      return JsonValue(static_cast<unsigned long long>(exact));
+    }
     errno = 0;
     char* end = nullptr;
     const double value = std::strtod(token.c_str(), &end);
@@ -527,7 +571,11 @@ void write_value(std::string& out, const JsonValue& value, int indent,
       out += value.as_bool() ? "true" : "false";
       return;
     case JsonValue::Type::kNumber:
-      write_number(out, value.as_number());
+      if (value.is_exact_unsigned()) {
+        out += std::to_string(value.as_unsigned());
+      } else {
+        write_number(out, value.as_number());
+      }
       return;
     case JsonValue::Type::kString:
       write_escaped_string(out, value.as_string());

@@ -8,10 +8,12 @@
 //  - Objects preserve insertion order (configs diff cleanly) and reject
 //    duplicate keys at parse time (a duplicated config field is always a
 //    mistake, and silently keeping one of the two hides it).
-//  - Numbers are doubles. Integral values round-trip exactly up to 2^53;
-//    the writer prints them without a decimal point. Non-finite values are
-//    unrepresentable: the parser rejects overflowing literals and the
-//    writer refuses NaN/infinity.
+//  - Numbers are doubles, except that non-negative integers are also held
+//    exactly (every unsigned constructor and every integer literal up to
+//    2^64 - 1), so 64-bit seeds round-trip digit for digit. Other integral
+//    values round-trip exactly up to 2^53; the writer prints integers
+//    without a decimal point. Non-finite values are unrepresentable: the
+//    parser rejects overflowing literals and the writer refuses NaN/infinity.
 //  - Parse errors carry 1-based line/column; nesting is capped at
 //    kMaxJsonDepth so malicious inputs cannot blow the stack.
 #pragma once
@@ -45,11 +47,13 @@ class JsonValue {
   JsonValue() = default;  ///< null
   JsonValue(bool b) : type_(Type::kBool), bool_(b) {}
   JsonValue(double n) : type_(Type::kNumber), number_(n) {}
-  JsonValue(int n) : type_(Type::kNumber), number_(n) {}
-  JsonValue(unsigned n) : type_(Type::kNumber), number_(n) {}
-  JsonValue(long n) : type_(Type::kNumber), number_(double(n)) {}
-  JsonValue(unsigned long n) : type_(Type::kNumber), number_(double(n)) {}
-  JsonValue(unsigned long long n) : type_(Type::kNumber), number_(double(n)) {}
+  JsonValue(int n) : JsonValue(static_cast<long long>(n)) {}
+  JsonValue(long n) : JsonValue(static_cast<long long>(n)) {}
+  JsonValue(long long n);  ///< exact when non-negative
+  JsonValue(unsigned n) : JsonValue(static_cast<unsigned long long>(n)) {}
+  JsonValue(unsigned long n) : JsonValue(static_cast<unsigned long long>(n)) {}
+  JsonValue(unsigned long long n)
+      : type_(Type::kNumber), exact_(true), number_(double(n)), unsigned_(n) {}
   JsonValue(const char* s) : type_(Type::kString), string_(s) {}
   JsonValue(std::string s) : type_(Type::kString), string_(std::move(s)) {}
   JsonValue(JsonArray a) : type_(Type::kArray), array_(std::move(a)) {}
@@ -68,6 +72,11 @@ class JsonValue {
   /// as_number, checked to be integral and inside [lo, hi].
   std::int64_t as_integer(std::int64_t lo = INT64_MIN,
                           std::int64_t hi = INT64_MAX) const;
+  /// The unsigned counterpart, for 64-bit seeds past INT64_MAX.
+  std::uint64_t as_unsigned(std::uint64_t lo = 0,
+                            std::uint64_t hi = UINT64_MAX) const;
+  /// True for a number held as an exact non-negative integer (see above).
+  bool is_exact_unsigned() const { return exact_; }
   const std::string& as_string() const;
   const JsonArray& as_array() const;
   const JsonObject& as_object() const;
@@ -91,7 +100,9 @@ class JsonValue {
  private:
   Type type_ = Type::kNull;
   bool bool_ = false;
+  bool exact_ = false;  ///< number_ rounds unsigned_, which is exact
   double number_ = 0.0;
+  std::uint64_t unsigned_ = 0;
   std::string string_;
   JsonArray array_;
   JsonObject object_;

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -18,6 +19,7 @@
 #include "serve/fleet_io.hpp"
 #include "sim/batch.hpp"
 #include "sim/config_io.hpp"
+#include "sim/engine.hpp"
 #include "sim/platform_registry.hpp"
 #include "sim/run_plan.hpp"
 #include "util/json.hpp"
@@ -163,6 +165,38 @@ TEST(FleetSpecJson, ExampleSmokeSpecLoadsCleanly) {
   EXPECT_EQ(42u, spec.seed);
   EXPECT_FALSE(spec.retain_traces);
   EXPECT_NO_THROW(sample_fleet(spec));  // distributions are runnable
+}
+
+// Sampled devices carry full 64-bit seeds; a device config written with
+// to_json must parse back to the same config and the same run.
+TEST(FleetSpecJson, DeviceConfigsRoundTripThroughJson) {
+  FleetSpec spec =
+      load_fleet_spec(std::string(DTPM_CONFIG_DIR) + "/fleet_smoke.json");
+  apply_smoke_caps(spec);
+  spec.device_count = 3;
+  spec.base.max_sim_time_s = 3.0;
+  FleetMaterializer materializer(spec);
+  bool saw_wide_seed = false;
+  for (const DeviceProfile& device : sample_fleet(spec)) {
+    const sim::ExperimentConfig config = materializer.config_for(device);
+    saw_wide_seed |= config.seed > (std::uint64_t{1} << 53);
+    const util::JsonValue json = sim::to_json(config);
+    const sim::ExperimentConfig reparsed = sim::experiment_from_json(json);
+    EXPECT_EQ(config.seed, reparsed.seed);
+    EXPECT_EQ(*config.platform, *reparsed.platform);
+    EXPECT_EQ(util::json_write(json), util::json_write(sim::to_json(reparsed)));
+
+    const sim::RunResult a = sim::run_experiment(config);
+    const sim::RunResult b = sim::run_experiment(reparsed);
+    EXPECT_EQ(a.completed, b.completed);
+    EXPECT_EQ(a.execution_time_s, b.execution_time_s);
+    EXPECT_EQ(a.platform_energy_j, b.platform_energy_j);
+    EXPECT_EQ(a.violation_time_s, b.violation_time_s);
+    EXPECT_EQ(a.max_temp_stats.max(), b.max_temp_stats.max());
+    EXPECT_EQ(a.max_temp_stats.mean(), b.max_temp_stats.mean());
+    EXPECT_EQ(a.plant_substeps, b.plant_substeps);
+  }
+  EXPECT_TRUE(saw_wide_seed) << "no device drew a seed past 2^53";
 }
 
 /// Offline reference: the same profiles run through a plain BatchRunner in

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <string>
 
@@ -72,6 +73,47 @@ TEST(Json, NumberEdgeCases) {
   EXPECT_DOUBLE_EQ(parsed("-0").as_number(), 0.0);
   EXPECT_TRUE(std::signbit(parsed("-0").as_number()));
   EXPECT_DOUBLE_EQ(parsed("2.5E+2").as_number(), 250.0);
+}
+
+TEST(Json, IntegerLiteralsPast2To53StayExact) {
+  // A 64-bit seed keeps every digit through parse and write...
+  const JsonValue seed = parsed("16662371453428439381");
+  EXPECT_TRUE(seed.is_exact_unsigned());
+  EXPECT_EQ(seed.as_unsigned(), 16662371453428439381ULL);
+  EXPECT_EQ(json_write(seed), "16662371453428439381");
+  EXPECT_EQ(parsed("18446744073709551615").as_unsigned(), UINT64_MAX);
+  EXPECT_EQ(json_write(JsonValue(std::uint64_t{16662371453428439381ULL})),
+            "16662371453428439381");
+  // ...past 2^64 - 1 a literal is an ordinary, rounded double...
+  EXPECT_FALSE(parsed("18446744073709551616").is_exact_unsigned());
+  EXPECT_THROW(parsed("18446744073709551616").as_unsigned(),
+               std::runtime_error);
+  // ...and as_integer reports what does not fit an int64 as out of range.
+  EXPECT_THROW(seed.as_integer(), std::runtime_error);
+
+  // Everything that printed before prints the same.
+  EXPECT_EQ(json_write(JsonValue(42U)), "42");
+  EXPECT_EQ(json_write(parsed("9007199254740992")), "9007199254740992");
+  EXPECT_EQ(json_write(parsed("-7")), "-7");
+  EXPECT_EQ(json_write(parsed("-0")), "-0");
+  EXPECT_EQ(json_write(parsed("2.5")), "2.5");
+  EXPECT_EQ(json_write(parsed("1e300")), "1e+300");
+  EXPECT_EQ(json_write(JsonValue(1e19)), "1e+19");
+  // An exact integer equals the double of the same value.
+  EXPECT_EQ(parsed("5"), JsonValue(5.0));
+}
+
+TEST(Json, AsUnsignedChecksIntegralityAndRange) {
+  EXPECT_EQ(parsed("5").as_unsigned(1, 5), 5U);
+  EXPECT_THROW(parsed("6").as_unsigned(1, 5), std::runtime_error);
+  EXPECT_THROW(parsed("0.5").as_unsigned(), std::runtime_error);
+  try {
+    (void)parsed("-1").as_unsigned();
+    FAIL() << "a negative integer passed as unsigned";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ("JSON: integer -1 outside [0, 18446744073709551615]",
+                 e.what());
+  }
 }
 
 TEST(Json, RejectsMalformedNumbers) {

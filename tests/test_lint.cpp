@@ -13,6 +13,7 @@
 // the drift (the shared workflow in tests/golden.hpp).
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -196,6 +197,49 @@ TEST(LintModes, CleanDocumentCollectsNothing) {
   const sim::ExperimentConfig thrown = sim::experiment_from_json(json, "$");
   EXPECT_EQ(util::json_write(sim::to_json(thrown)),
             util::json_write(sim::to_json(collected)));
+}
+
+// --- document kinds ---------------------------------------------------------
+
+/// `dtpm lint` and `dtpm run` classify a document the same way: a plural
+/// axis makes it a sweep for both, so neither suggests the other's members.
+TEST(LintDocuments, LintAndRunAgreeOnTheDocumentKind) {
+  const std::string path = ::testing::TempDir() + "policies_axis.json";
+  std::ofstream(path) << R"({"benchmark": "crc32", "policies": ["dtpm"]})";
+
+  util::CollectingSink sink;
+  lint::lint_file(path, sink);
+  const std::vector<util::Diagnostic> found = sink.take();
+  ASSERT_EQ(1u, found.size());
+  EXPECT_EQ("$.benchmark: error L004: unknown field 'benchmark', did you "
+            "mean 'benchmarks'?",
+            util::format_diagnostic(found[0]));
+
+  try {
+    (void)sim::load_experiment_config(path);
+    FAIL() << "a sweep grid loaded as an experiment";
+  } catch (const sim::ConfigError& e) {
+    EXPECT_EQ("$", e.path());
+    EXPECT_NE(std::string(e.what()).find("dtpm sweep"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(LintDocuments, ClassifierChecksFleetThenSweepThenPlatform) {
+  using sim::DocumentKind;
+  const auto kind = [](const char* text) {
+    return sim::classify_document(util::json_parse(text));
+  };
+  EXPECT_EQ(DocumentKind::kFleet, kind(R"({"device_count": 1, "base": {}})"));
+  for (const char* sweep :
+       {R"({"base": {}})", R"({"benchmarks": []})", R"({"platforms": []})",
+        R"({"policies": []})", R"({"seeds": []})", R"({"dtpm_grid": []})",
+        R"({"scenarios": {}, "floorplan": {}})"}) {
+    EXPECT_EQ(DocumentKind::kSweep, kind(sweep)) << sweep;
+  }
+  EXPECT_EQ(DocumentKind::kPlatform, kind(R"({"floorplan": {}})"));
+  EXPECT_EQ(DocumentKind::kExperiment, kind(R"({"benchmark": "crc32"})"));
+  EXPECT_EQ(DocumentKind::kExperiment, kind("[]"));
 }
 
 // --- param-schema enforcement (L4xx) ----------------------------------------
