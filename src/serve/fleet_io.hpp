@@ -2,9 +2,10 @@
 // every other config parser (sim/config_io.hpp): a throwing mode for
 // programmatic use and a collecting mode that reports every problem in one
 // pass -- which is what both `dtpm lint` and the server's submit-time
-// validation build on. Implemented alongside the other parsers in
-// sim/config_io.cpp so the field-reading machinery (type/range checks,
-// unknown-member did-you-mean) stays in one place.
+// validation build on. Implemented in sim/config_io.cpp, where FleetSpec's
+// field table sits with every other struct's: its row order is the wire
+// order, and the weighted axes and {lo, hi} ranges are hand-written codecs
+// plugged into that table.
 #pragma once
 
 #include <string>

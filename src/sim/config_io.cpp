@@ -255,7 +255,7 @@ JsonValue array_of(const std::vector<T>& values) {
   return JsonValue(JsonArray(values.begin(), values.end()));
 }
 
-// --- Field tables -------------------------------------------------------------
+// --- Field tables ------------------------------------------------------------
 // Each config struct is described once, by the table fields<T>() returns:
 // one Field row per member, in wire order, giving the JSON key, the member
 // (bound as a member-pointer template argument), its kind and its range.
@@ -317,18 +317,14 @@ bool keep(const T&, const std::string&, DiagnosticSink&) {
   return true;
 }
 
+/// `object`'s members appended to `json` in table order.
 template <typename T>
-void write_fields(const T& object, JsonValue& json) {
+JsonValue write_json(const T& object,
+                     JsonValue json = JsonValue(JsonObject())) {
   for (const Field<T>& field : fields<T>()) {
     JsonValue value = field.emit(object, field);
     if (!value.is_null()) json.set(field.key, std::move(value));
   }
-}
-
-template <typename T>
-JsonValue write_json(const T& object) {
-  JsonValue json((JsonObject()));
-  write_fields(object, json);
   return json;
 }
 
@@ -513,10 +509,11 @@ Field<T> custom(const char* key, JsonValue (*emit)(const T&, const Field<T>&),
   return {key, Kind::kCustom, emit, parse, lo, hi};
 }
 
-// --- The tables ---------------------------------------------------------------
+// --- The tables --------------------------------------------------------------
 
 template <typename E>
-EnumNames<E> names_by_to_string(const char* kind, std::initializer_list<E> all) {
+EnumNames<E> names_by_to_string(const char* kind,
+                                std::initializer_list<E> all) {
   EnumNames<E> names{kind, {}};
   for (E e : all) names.entries.emplace_back(e, to_string(e));
   return names;
@@ -546,7 +543,8 @@ template <>
 const EnumNames<workload::PowerClass>& enum_names() {
   using workload::PowerClass;
   static const EnumNames<PowerClass> names = names_by_to_string(
-      "power class", {PowerClass::kLow, PowerClass::kMedium, PowerClass::kHigh});
+      "power class",
+      {PowerClass::kLow, PowerClass::kMedium, PowerClass::kHigh});
   return names;
 }
 
@@ -1044,8 +1042,7 @@ JsonValue to_json(const ExperimentConfig& config) {
   } else {
     json.set("platform", to_json(*platform));
   }
-  write_fields(config, json);
-  return json;
+  return write_json(config, std::move(json));
 }
 
 namespace {

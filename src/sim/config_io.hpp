@@ -25,6 +25,15 @@
 // The throwing mode is a thin wrapper over the collecting machinery (a
 // ThrowingSink turns the first error into the legacy ConfigError), so the
 // two modes cannot drift apart.
+//
+// Every config struct is described once, by a field table in
+// config_io.cpp (fields<T>()): one row per member giving its JSON key, the
+// member, its kind and its range. to_json and the parsers both walk those
+// rows, so table order is the wire order -- the key order to_json writes
+// and the order diagnostics come out in. Adding a member is one new row.
+// Members whose meaning spans several fields (the scenario shape, a
+// platform given by name or inline, policy_params, floorplan node
+// references, sweep axes) are hand-written beside the tables.
 #pragma once
 
 #include <cstdint>
