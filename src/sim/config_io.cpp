@@ -430,13 +430,15 @@ void parse(ClassOf<M>& object, const FieldOf<M>& f, ObjectReader& reader) {
   } else if constexpr (kKind == Kind::kEnum) {
     std::string name;
     if (!reader.string(f.key, name)) return;
-    std::vector<std::string> valid;
     for (const auto& [entry, entry_name] : enum_names<V>().entries) {
       if (entry_name == name) {
         value = entry;
         return;
       }
-      valid.push_back(entry_name);
+    }
+    std::vector<std::string> valid;
+    for (const auto& entry : enum_names<V>().entries) {
+      valid.push_back(entry.second);
     }
     known_name(enum_names<V>().kind, name, valid, reader.member_path(f.key),
                reader.sink());
@@ -854,19 +856,17 @@ workload::ScenarioParams scenario_params_from_json(const JsonValue& json,
 
 namespace {
 
-/// "nodes" or "edges": required, so a missing or non-array member aborts
-/// the floorplan.
+/// A required array of `elements`: missing (reported as `missing`) or not
+/// an array aborts the floorplan.
 const JsonArray& required_array(ObjectReader& reader, const char* key,
-                                const char* element) {
+                                const char* missing, const char* elements) {
   const JsonValue* v = reader.get(key);
   if (v == nullptr) {
-    fail(reader.sink(), kCodeConstraint, reader.member_path(key),
-         std::string("a floorplan requires ") +
-             (key[0] == 'e' ? "an '" : "a '") + key + "' array");
+    fail(reader.sink(), kCodeConstraint, reader.member_path(key), missing);
   }
   if (!v->is_array()) {
     fail(reader.sink(), kCodeType, reader.member_path(key),
-         std::string("expected an array of ") + element + " objects, got " +
+         std::string("expected an array of ") + elements + ", got " +
              type_of(*v));
   }
   return v->as_array();
@@ -877,7 +877,9 @@ void floorplan_into(thermal::FloorplanSpec& spec, const JsonValue& json,
   const std::size_t errors_before = sink.error_count();
   ObjectReader reader(json, path, sink);
 
-  read_elements(required_array(reader, "nodes", "node"),
+  read_elements(required_array(reader, "nodes",
+                               "a floorplan requires a 'nodes' array",
+                               "node objects"),
                 path + ".nodes", sink, spec.nodes,
                 [&](const thermal::FloorplanNodeSpec& node,
                     const std::string& node_path) {
@@ -894,7 +896,9 @@ void floorplan_into(thermal::FloorplanSpec& spec, const JsonValue& json,
   for (const thermal::FloorplanNodeSpec& node : spec.nodes) {
     node_names.push_back(node.name);
   }
-  read_elements(required_array(reader, "edges", "edge"),
+  read_elements(required_array(reader, "edges",
+                               "a floorplan requires an 'edges' array",
+                               "edge objects"),
                 path + ".edges", sink, spec.edges,
                 [&](const thermal::FloorplanEdgeSpec& edge,
                     const std::string& edge_path) {
