@@ -1,6 +1,9 @@
 // Golden-trace regression suite: pins the first kGoldenRows rows of the
 // 23-column trace for one Table-6.4 benchmark and one generated scenario,
-// both at fixed seeds, and fails on any numeric drift. Any intentional
+// both at fixed seeds, and fails on any numeric drift. Two more goldens pin
+// the propagator engine: a trace under a scripted policy that walks every
+// hotplug count, a cluster migration and every fan speed, and the summary
+// of a run whose benchmark finishes mid-interval. Any intentional
 // change to the plant, sensors, RNG streams, scheduler, or trace schema
 // must regenerate the goldens:
 //
@@ -17,9 +20,13 @@
 #include <string>
 
 #include "golden.hpp"
+#include "governors/governor.hpp"
+#include "serve/protocol.hpp"
 #include "sim/engine.hpp"
 #include "sim/scenario_catalog.hpp"
+#include "sim/simulation.hpp"
 #include "util/csv.hpp"
+#include "util/json.hpp"
 
 #ifndef DTPM_GOLDEN_DIR
 #error "build must define DTPM_GOLDEN_DIR (see CMakeLists.txt)"
@@ -61,8 +68,75 @@ ExperimentConfig generated_scenario_config() {
   return config;
 }
 
-util::TraceTable head_of_trace(const ExperimentConfig& config) {
-  const RunResult result = run_experiment(config);
+/// Walks the plant through every power-model branch the propagator's
+/// per-substep loop distinguishes, kIntervalsPerPhase control intervals per
+/// phase: the big cluster with 4, 3 and 1 cores online, the little cluster
+/// (a cluster migration, so a migration stall), then back on the big
+/// cluster through every fan speed (each new fan state takes one RK4
+/// fallback substep). Frequencies stay as the default governor proposes.
+class ScriptedPolicy final : public governors::ThermalPolicy {
+ public:
+  governors::Decision adjust(const soc::PlatformView& /*view*/,
+                             const governors::Decision& proposal) override {
+    governors::Decision out = proposal;
+    soc::SocConfig& soc = out.soc;
+    soc.active_cluster = soc::ClusterId::kBig;
+    soc.big_core_online = {true, true, true, true};
+    out.fan = thermal::FanSpeed::kOff;
+    switch (calls_++ / kIntervalsPerPhase) {
+      case 0:
+        break;
+      case 1:
+        soc.big_core_online = {true, true, true, false};
+        break;
+      case 2:
+        soc.big_core_online = {true, false, false, false};
+        break;
+      case 3:
+        soc.active_cluster = soc::ClusterId::kLittle;
+        break;
+      case 4:
+        out.fan = thermal::FanSpeed::kLow;
+        break;
+      case 5:
+        out.fan = thermal::FanSpeed::kHalf;
+        break;
+      case 6:
+        out.fan = thermal::FanSpeed::kFull;
+        break;
+      default:
+        break;
+    }
+    return out;
+  }
+  std::string_view name() const override { return "scripted"; }
+
+ private:
+  static constexpr int kIntervalsPerPhase = 6;
+  int calls_ = 0;
+};
+
+ExperimentConfig scripted_propagator_config() {
+  ExperimentConfig config;
+  config.benchmark = "crc32";
+  config.engine = Engine::kPropagator;
+  config.seed = 5;
+  config.warmup_s = 0.0;
+  config.max_sim_time_s = 8.0;
+  return config;
+}
+
+RunResult run_scripted(const ExperimentConfig& config) {
+  Simulation sim(config, nullptr, std::make_unique<ScriptedPolicy>());
+  while (sim.step()) {
+  }
+  return sim.finish();
+}
+
+util::TraceTable head_of_trace(const ExperimentConfig& config,
+                               bool scripted = false) {
+  const RunResult result =
+      scripted ? run_scripted(config) : run_experiment(config);
   EXPECT_TRUE(result.trace.has_value());
   EXPECT_GE(result.trace->size(), kGoldenRows)
       << config.benchmark << " produced too short a trace to pin";
@@ -74,8 +148,8 @@ util::TraceTable head_of_trace(const ExperimentConfig& config) {
 }
 
 void compare_against_golden(const ExperimentConfig& config,
-                            const std::string& name) {
-  const util::TraceTable head = head_of_trace(config);
+                            const std::string& name, bool scripted = false) {
+  const util::TraceTable head = head_of_trace(config, scripted);
   const std::string path = golden_path(name);
 
   if (golden::regenerating()) {
@@ -121,6 +195,33 @@ TEST(GoldenTrace, SeedBenchmarkPinned) {
 TEST(GoldenTrace, GeneratedScenarioPinned) {
   compare_against_golden(generated_scenario_config(),
                          "periodic_square_reactive_s7");
+}
+
+TEST(GoldenTrace, PropagatorScriptedPolicyPinned) {
+  compare_against_golden(scripted_propagator_config(),
+                         "propagator_scripted_crc32", /*scripted=*/true);
+}
+
+TEST(GoldenTrace, PropagatorRunSummaryPinned) {
+  // The benchmark completes inside a control interval, so the last
+  // interval ends early: the pin covers the partial-interval accounting.
+  ExperimentConfig config;
+  config.benchmark = "basicmath";
+  config.policy_name = "reactive";
+  config.engine = Engine::kPropagator;
+  config.seed = 11;
+  config.warmup_s = 2.0;
+  config.record_trace = false;
+  RunResult result = run_experiment(config);
+  ASSERT_TRUE(result.completed);
+  ASSERT_LT(result.plant_substeps,
+            result.control_steps * std::size_t(plant_substeps(config)))
+      << "the benchmark must finish mid-interval";
+  result.wall_time_s = 0.0;  // the only host-dependent member
+  golden::expect_text_matches(
+      std::string(DTPM_GOLDEN_DIR) + "/propagator_run_summary.json",
+      util::json_write(serve::run_summary_json(result)) + "\n",
+      "test_golden_trace");
 }
 
 TEST(GoldenTrace, GoldenFilesRoundTripExactly) {

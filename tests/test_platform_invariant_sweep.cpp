@@ -3,7 +3,9 @@
 // BatchRunner, with every trace checked against the physics invariants.
 // This is the acceptance sweep of the platform redesign -- the control
 // conclusions only generalize if the closed loop stays physical on plants
-// with different thermal coupling and power ratios.
+// with different thermal coupling and power ratios. The sweep runs on
+// every stepping engine, so the propagator's per-interval substep loop is
+// checked against the same invariants as the reference integrator.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -19,7 +21,10 @@
 namespace dtpm {
 namespace {
 
-TEST(PlatformInvariantSweep, AllFamiliesAllPaperPoliciesAllPlatforms) {
+class PlatformInvariantSweepPerEngine
+    : public ::testing::TestWithParam<sim::Engine> {};
+
+TEST_P(PlatformInvariantSweepPerEngine, AllFamiliesAllPaperPoliciesAllPlatforms) {
   const std::vector<std::string> platforms =
       sim::PlatformRegistry::instance().names();
   ASSERT_GE(platforms.size(), 3u);
@@ -28,6 +33,7 @@ TEST(PlatformInvariantSweep, AllFamiliesAllPaperPoliciesAllPlatforms) {
   sweep.base.warmup_s = 1.0;
   sweep.base.max_sim_time_s = 8.0;
   sweep.base.record_trace = true;
+  sweep.base.engine = GetParam();
   sweep.platforms = platforms;
   sweep.policy_names = {"default+fan", "no-fan", "reactive", "dtpm"};
   sweep.seeds = {1};
@@ -73,6 +79,14 @@ TEST(PlatformInvariantSweep, AllFamiliesAllPaperPoliciesAllPlatforms) {
     EXPECT_GT(outcome.results[i].control_steps, 0u) << label;
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, PlatformInvariantSweepPerEngine,
+    ::testing::Values(sim::Engine::kReferenceRk4, sim::Engine::kPropagator),
+    [](const ::testing::TestParamInfo<sim::Engine>& engine) {
+      return engine.param == sim::Engine::kReferenceRk4 ? "ReferenceRk4"
+                                                        : "Propagator";
+    });
 
 /// The platforms are genuinely different plants: the same scenario under
 /// the same policy draws different power and reaches different temperatures
