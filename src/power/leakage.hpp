@@ -43,53 +43,70 @@ inline bool operator==(const LeakageParams& a, const LeakageParams& b) {
 /// The voltage factors (including the DIBL term) fold into the two scale
 /// coefficients, leaving temperature as the only per-substep input -- the
 /// form soc::SocIntervalConstants carries into the stability analysis.
-/// Equal to LeakageModel::power_w up to floating-point reassociation.
+/// Equal to LeakageModel::power_w up to floating-point reassociation
+/// (LeakageTerm::coeffs builds it).
 struct LeakageCoeffs {
   double t2_scale_w = 0.0;  ///< vdd * c1 * dibl(vdd), W/K^2
   double c2_k = 0.0;        ///< exponent scale, Kelvin
   double gate_w = 0.0;      ///< vdd * i_gate, W
 };
 
+/// The leakage model at one fixed supply, with the voltage-only DIBL factor
+/// resolved: what soc::Soc captures per rail once per control interval.
+/// current_a/power_w are Eq. 4.2 in one fixed operation order --
+/// c1 * Tk * Tk * exp(c2 / Tk), then * dibl, then + i_gate, then * vdd --
+/// the order every plant substep evaluates.
+struct LeakageTerm {
+  double c1 = 0.0;
+  double c2_k = 0.0;
+  double dibl = 1.0;  ///< pow(vdd / v_ref, dibl_exponent); 1 without DIBL
+  double i_gate_a = 0.0;
+  double vdd_v = 0.0;
+
+  double current_a(double temp_c) const {
+    const double t_k = celsius_to_kelvin(temp_c);
+    return c1 * t_k * t_k * std::exp(c2_k / t_k) * dibl + i_gate_a;
+  }
+  double power_w(double temp_c) const { return vdd_v * current_a(temp_c); }
+
+  /// The coefficient form (see LeakageCoeffs).
+  LeakageCoeffs coeffs() const {
+    return {vdd_v * c1 * dibl, c2_k, vdd_v * i_gate_a};
+  }
+};
+
 /// Evaluates leakage current and power from the parameters.
 ///
 /// The DIBL factor pow(Vdd/v_ref, e) depends only on the supply voltage,
-/// which changes at DVFS decisions (at most once per control interval) while
-/// current_a runs every plant substep for every rail -- so the factor is
-/// memoized per voltage. The cache returns the exact pow() result, so
+/// which changes at DVFS decisions (at most once per control interval), so
+/// it is memoized per voltage. The cache returns the exact pow() result, so
 /// evaluation stays bit-identical to the uncached model.
 class LeakageModel {
  public:
   explicit LeakageModel(const LeakageParams& params = {}) : params_(params) {}
 
-  /// Leakage current in A at the given temperature (Celsius) and supply.
-  /// Inline: this runs for every rail on every plant substep.
-  double current_a(double temp_c, double vdd_v) const {
-    const double t_k = celsius_to_kelvin(temp_c);
-    double subthreshold = params_.c1 * t_k * t_k * std::exp(params_.c2_k / t_k);
+  /// The model at a fixed supply (see LeakageTerm).
+  LeakageTerm term_at(double vdd_v) const {
+    double dibl = 1.0;
     if (params_.dibl_exponent != 0.0 && params_.v_ref > 0.0) {
       if (vdd_v != cached_vdd_v_) {
         cached_vdd_v_ = vdd_v;
         cached_dibl_factor_ =
             std::pow(vdd_v / params_.v_ref, params_.dibl_exponent);
       }
-      subthreshold *= cached_dibl_factor_;
+      dibl = cached_dibl_factor_;
     }
-    return subthreshold + params_.i_gate_a;
+    return {params_.c1, params_.c2_k, dibl, params_.i_gate_a, vdd_v};
+  }
+
+  /// Leakage current in A at the given temperature (Celsius) and supply.
+  double current_a(double temp_c, double vdd_v) const {
+    return term_at(vdd_v).current_a(temp_c);
   }
 
   /// Leakage power in W: Vdd * I_leak.
   double power_w(double temp_c, double vdd_v) const {
-    return vdd_v * current_a(temp_c, vdd_v);
-  }
-
-  /// Coefficient form of this model at a fixed supply (see LeakageCoeffs).
-  LeakageCoeffs coeffs_at(double vdd_v) const {
-    double dibl = 1.0;
-    if (params_.dibl_exponent != 0.0 && params_.v_ref > 0.0) {
-      dibl = std::pow(vdd_v / params_.v_ref, params_.dibl_exponent);
-    }
-    return {vdd_v * params_.c1 * dibl, params_.c2_k,
-            vdd_v * params_.i_gate_a};
+    return term_at(vdd_v).power_w(temp_c);
   }
 
   const LeakageParams& params() const { return params_; }

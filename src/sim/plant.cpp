@@ -33,6 +33,25 @@ Plant::Plant(const PlatformDescriptor& platform, util::Rng& root,
         "Plant: platform '" + platform.name + "' must declare exactly " +
         std::to_string(soc::kBigCoreCount) + " core nodes");
   }
+  if (propagator_ != nullptr) {
+    // The node -> source map of assemble_node_power_into, where a later
+    // role overwrites an earlier one on a shared node.
+    const thermal::Floorplan& fp = floorplan_;
+    std::vector<std::size_t> source_of_node(fp.network.node_count(),
+                                            kNoPowerSource);
+    for (std::size_t c = 0; c < fp.core_node_index.size(); ++c) {
+      source_of_node[fp.core_node_index[c]] = c;
+    }
+    source_of_node[fp.little_node_index] = soc::kBigCoreCount;
+    source_of_node[fp.gpu_node_index] = soc::kBigCoreCount + 1;
+    source_of_node[fp.mem_node_index] = soc::kBigCoreCount + 2;
+    const std::vector<std::size_t>& free_nodes =
+        fp.network.compiled().free_nodes();
+    for (const std::size_t node : free_nodes) {
+      power_source_.push_back(source_of_node[node]);
+    }
+    propagator_input_.resize(2 * free_nodes.size());
+  }
   // Warm-start at the low end; ondemand ramps up from here.
   soc::SocConfig initial;
   initial.active_cluster = soc::ClusterId::kBig;
@@ -125,6 +144,44 @@ PlantIntervalResult Plant::interval_end() {
   return pending_;
 }
 
+void Plant::propagate_substeps(workload::WorkloadInstance* instance,
+                               int count, double sub_dt) {
+  if (count <= 0) return;
+  // Substep 1 left this (dt, fan state) entry cached; the conductances stay
+  // fixed for the rest of the interval.
+  const thermal::PropagatorMatrices& m =
+      propagator_->matrices_for(floorplan_.network, sub_dt);
+  std::vector<double>& temps = floorplan_.network.temperatures_mut();
+  const auto& cores = floorplan_.core_node_index;
+  const std::size_t n = m.free_count;
+  const std::size_t* free_nodes = m.free_nodes.data();
+  const std::size_t* source_of_slot = power_source_.data();
+  double* x = propagator_input_.data();
+  soc::SocStepResult& out = pending_.last_substep;
+  for (int s = 0; s < count; ++s) {
+    soc_.step_captured(
+        {temps[cores[0]], temps[cores[1]], temps[cores[2]], temps[cores[3]]},
+        temps[floorplan_.little_node_index], temps[floorplan_.gpu_node_index],
+        temps[floorplan_.mem_node_index], sub_dt, out);
+    const std::array<double, kNoPowerSource + 1> source{
+        out.big_core_power_w[0],
+        out.big_core_power_w[1],
+        out.big_core_power_w[2],
+        out.big_core_power_w[3],
+        out.rail_power_w[power::resource_index(
+            power::Resource::kLittleCluster)],
+        out.rail_power_w[power::resource_index(power::Resource::kGpu)],
+        out.rail_power_w[power::resource_index(power::Resource::kMem)],
+        0.0};
+    for (std::size_t i = 0; i < n; ++i) {
+      x[i] = temps[free_nodes[i]];
+      x[n + i] = source[source_of_slot[i]];
+    }
+    propagator_->step_resolved(m, x, temps);
+    if (!substep_commit(instance, sub_dt)) return;
+  }
+}
+
 PlantIntervalResult Plant::advance(
     const workload::Demand& demand,
     const std::vector<workload::ThreadDemand>& background_threads,
@@ -132,17 +189,28 @@ PlantIntervalResult Plant::advance(
     util::PhaseCycles* phases) {
   interval_begin();
   std::uint64_t mark = phases != nullptr ? util::cycle_now() : 0;
-  for (int s = 0; s < substeps; ++s) {
+  if (substeps > 0) {
     substep_prepare(demand, background_threads, sub_dt,
-                    /*reuse_schedule=*/s > 0);
-    if (phases != nullptr && s == 0) {
+                    /*reuse_schedule=*/false);
+    if (phases != nullptr) {
       // The schedule solve happens once, inside the first prepare.
       const std::uint64_t now = util::cycle_now();
       phases->add(util::Phase::kSchedule, now - mark);
       mark = now;
     }
     thermal_substep(sub_dt);
-    if (!substep_commit(instance, sub_dt)) break;
+    if (substep_commit(instance, sub_dt)) {
+      if (propagator_ != nullptr) {
+        propagate_substeps(instance, substeps - 1, sub_dt);
+      } else {
+        for (int s = 1; s < substeps; ++s) {
+          substep_prepare(demand, background_threads, sub_dt,
+                          /*reuse_schedule=*/true);
+          thermal_substep(sub_dt);
+          if (!substep_commit(instance, sub_dt)) break;
+        }
+      }
+    }
   }
   PlantIntervalResult result = interval_end();
   if (phases != nullptr) {

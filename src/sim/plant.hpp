@@ -109,10 +109,17 @@ class Plant {
   /// advance() is exactly this sequence:
   ///
   ///   interval_begin();
-  ///   for each substep:
-  ///     substep_prepare(...);   // SoC step + node-power assembly
-  ///     thermal_substep(sub_dt);
-  ///     if (!substep_commit(...)) break;  // benchmark finished early
+  ///   // Substep 1: the SoC schedule solve, which captures the interval's
+  ///   // power terms, then the engine step (on the propagator, the RK4
+  ///   // fallback on first sight of a fan state).
+  ///   substep_prepare(..., /*reuse_schedule=*/false);
+  ///   thermal_substep(sub_dt);
+  ///   if (substep_commit(...)) {  // false: benchmark finished early
+  ///     propagator ? propagate_substeps(...)   // substeps 2..N, one loop
+  ///                : for substeps 2..N: substep_prepare(..., true);
+  ///                                     thermal_substep(sub_dt);
+  ///                                     substep_commit(...);
+  ///   }
   ///   result = interval_end();
   void interval_begin();
   /// Reads the true node temperatures, steps the SoC model, and assembles
@@ -126,11 +133,24 @@ class Plant {
   /// Advances the thermal network by sub_dt with the engine this plant was
   /// built with, using the power assembled by the last substep_prepare().
   void thermal_substep(double sub_dt);
+  /// Runs `count` more substeps of the current interval on the propagator
+  /// engine: the [Phi | Gamma] entry substep 1 left cached is resolved
+  /// once, then each substep evaluates the SoC's captured power terms,
+  /// writes the node powers straight into propagator_input_ through
+  /// power_source_, takes one matvec, and commits. Stops early when the
+  /// benchmark finishes.
+  void propagate_substeps(workload::WorkloadInstance* instance, int count,
+                          double sub_dt);
   /// Accumulates rails/time/progress for the substep; returns false when
   /// the foreground workload completed (the interval ends early).
   bool substep_commit(workload::WorkloadInstance* instance, double sub_dt);
   /// Finalizes and returns the interval result (time-averaged rails).
   PlantIntervalResult interval_end();
+
+  /// The SoC outputs that heat a node, in power_source_'s numbering: the
+  /// four big cores, then the little, GPU and memory rails; kNoPowerSource
+  /// injects nothing.
+  static constexpr std::size_t kNoPowerSource = soc::kBigCoreCount + 3;
 
   thermal::Floorplan floorplan_;
   thermal::Fan fan_;
@@ -144,6 +164,12 @@ class Plant {
   std::unique_ptr<thermal::PropagatorRcModel> propagator_;
   /// Reused node-power injection buffer (advance() allocates nothing).
   std::vector<double> node_power_scratch_;
+  /// Free slot -> the SoC output that heats that node (or kNoPowerSource),
+  /// in the network's free-node order: Floorplan::assemble_node_power_into
+  /// as an index map. Built at construction.
+  std::vector<std::size_t> power_source_;
+  /// propagate_substeps()'s x = [T_free ; P_free], sized at construction.
+  std::vector<double> propagator_input_;
   /// Interval accumulation state between interval_begin()/interval_end().
   PlantIntervalResult pending_;
   power::ResourceVector rails_accum_{};

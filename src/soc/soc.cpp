@@ -85,6 +85,7 @@ void Soc::apply(const SocConfig& config) {
     migration_stall_remaining_s_ += perf_params_.cluster_switch_stall_s;
   }
   config_ = config;
+  schedule_valid_ = false;
   v_big_ = big_opps_.voltage_at(config_.big_freq_hz);
   v_little_ = little_opps_.voltage_at(config_.little_freq_hz);
   v_gpu_ = gpu_opps_.voltage_at(config_.gpu_freq_hz);
@@ -96,8 +97,18 @@ SocStepResult Soc::step(const workload::Demand& foreground,
                         double little_temp_c, double gpu_temp_c,
                         double mem_temp_c, double dt_s, bool reuse_schedule) {
   if (dt_s <= 0.0) throw std::invalid_argument("Soc::step: dt must be > 0");
+  if (!reuse_schedule || !schedule_valid_) {
+    solve_schedule(foreground, background);
+  }
   SocStepResult out;
+  step_captured(big_temps_c, little_temp_c, gpu_temp_c, mem_temp_c, dt_s,
+                out);
+  return out;
+}
 
+void Soc::solve_schedule(
+    const workload::Demand& foreground,
+    const std::vector<workload::ThreadDemand>& background) {
   const bool big_active = config_.active_cluster == ClusterId::kBig;
   const double f_cpu = big_active ? config_.big_freq_hz : config_.little_freq_hz;
   const double v_cpu = big_active ? v_big_ : v_little_;
@@ -109,123 +120,112 @@ SocStepResult Soc::step(const workload::Demand& foreground,
   const double idle_activity = big_active ? power_params_.big_idle_activity
                                           : power_params_.little_idle_activity;
 
-  if (!reuse_schedule) {
-    // --- Thread placement on the active cluster ----------------------------
-    all_threads_scratch_.clear();
-    all_threads_scratch_.insert(all_threads_scratch_.end(),
-                                foreground.threads.begin(),
-                                foreground.threads.end());
-    all_threads_scratch_.insert(all_threads_scratch_.end(), background.begin(),
-                                background.end());
-    place_threads_into(all_threads_scratch_, config_, placement_scratch_,
-                       order_scratch_);
-    const Placement& placement = placement_scratch_;
-    schedule_.cpu_max_util = placement.max_util;
-    schedule_.cpu_avg_util = placement.avg_util;
+  // --- Thread placement on the active cluster ----------------------------
+  all_threads_scratch_.clear();
+  all_threads_scratch_.insert(all_threads_scratch_.end(),
+                              foreground.threads.begin(),
+                              foreground.threads.end());
+  all_threads_scratch_.insert(all_threads_scratch_.end(), background.begin(),
+                              background.end());
+  place_threads_into(all_threads_scratch_, config_, placement_scratch_,
+                     order_scratch_);
+  const Placement& placement = placement_scratch_;
+  schedule_.cpu_max_util = placement.max_util;
+  schedule_.cpu_avg_util = placement.avg_util;
 
-    // --- GPU demand (needed before the memory contention computation) ------
-    const double gpu_demand_hz =
-        foreground.gpu_load * gpu_opps_.max().frequency_hz;
-    const double gpu_achieved_hz = std::min(gpu_demand_hz, config_.gpu_freq_hz);
-    const double gpu_busy =
-        std::min(gpu_achieved_hz / config_.gpu_freq_hz +
-                     power_params_.gpu_idle_util,
-                 1.0);
-    schedule_.gpu_busy = gpu_busy;
+  // --- GPU demand (needed before the memory contention computation) ------
+  const double gpu_demand_hz =
+      foreground.gpu_load * gpu_opps_.max().frequency_hz;
+  const double gpu_achieved_hz = std::min(gpu_demand_hz, config_.gpu_freq_hz);
+  const double gpu_busy =
+      std::min(gpu_achieved_hz / config_.gpu_freq_hz +
+                   power_params_.gpu_idle_util,
+               1.0);
+  schedule_.gpu_busy = gpu_busy;
 
-    // --- Memory bandwidth saturation ---------------------------------------
-    // Each foreground work unit occupies the DDR for mem_seconds_per_unit at
-    // full bandwidth, so the feasibility constraint is
-    //     sum_t rate_t * m_t + bg_traffic <= cpu_cap,
-    // with rate_t = share_t / (c_t/(ipc*f) + m_t * x) and x >= 1 a common
-    // queueing-slowdown factor. We find the smallest feasible x by fixed-point
-    // iteration. rate_t stays monotone non-decreasing in f (saturating at the
-    // bandwidth bound), which is what makes DVFS throttling nearly free for
-    // bandwidth-bound multithreaded workloads -- the paper's matmul behaviour.
-    const double gpu_bw = gpu_busy * power_params_.mem_gpu_traffic_weight;
-    const double cpu_cap =
-        std::max(0.15, power_params_.mem_bandwidth_cap - gpu_bw);
-    constexpr double kBackgroundBwCoeff = 0.3;
-    double bg_bw = 0.0;
-    for (const auto& placed : placement.threads) {
-      if (placed.demand.cpu_cycles_per_unit <= 0.0) {
-        bg_bw += placed.share * placed.demand.mem_intensity * kBackgroundBwCoeff;
-      }
-    }
-    auto fg_bw_demand = [&](double x) {
-      double d = 0.0;
-      for (const auto& placed : placement.threads) {
-        const auto& td = placed.demand;
-        if (td.cpu_cycles_per_unit <= 0.0 || td.mem_seconds_per_unit <= 0.0) {
-          continue;
-        }
-        const double t_unit =
-            td.cpu_cycles_per_unit / (ipc * f_cpu) + td.mem_seconds_per_unit * x;
-        d += placed.share / t_unit * td.mem_seconds_per_unit;
-      }
-      return d;
-    };
-    // Demand is strictly decreasing in the slowdown x, so bisection gives the
-    // exact equilibrium; the precision matters because any residual would make
-    // progress non-monotone in frequency.
-    const double fg_bw_unit = fg_bw_demand(1.0);
-    double slowdown = 1.0;
-    double fg_bw_final = fg_bw_unit;
-    if (fg_bw_unit + bg_bw > cpu_cap) {
-      double lo = 1.0, hi = 2.0;
-      while (fg_bw_demand(hi) + bg_bw > cpu_cap && hi < 1e6) hi *= 2.0;
-      for (int iter = 0; iter < 60; ++iter) {
-        const double mid = 0.5 * (lo + hi);
-        (fg_bw_demand(mid) + bg_bw > cpu_cap ? lo : hi) = mid;
-      }
-      slowdown = 0.5 * (lo + hi);
-      fg_bw_final = fg_bw_demand(slowdown);
-    }
-
-    // Per-physical-core effective switching activity and progress. Stalled
-    // cycles do not switch, so contention also scales the activity factor.
-    schedule_.core_activity.fill(0.0);
-    double cpu_progress_rate = 0.0;  // units/s from foreground threads
-    for (const auto& placed : placement.threads) {
-      const auto& td = placed.demand;
-      double stall_scale = 1.0;
-      if (td.cpu_cycles_per_unit > 0.0 && td.mem_seconds_per_unit > 0.0 &&
-          slowdown > 1.0) {
-        const double cpu_time = td.cpu_cycles_per_unit / (ipc * f_cpu);
-        stall_scale = (cpu_time + td.mem_seconds_per_unit) /
-                      (cpu_time + td.mem_seconds_per_unit * slowdown);
-      }
-      schedule_.core_activity[placed.core] +=
-          placed.share * stall_scale * td.cpu_activity;
-      if (td.counts_progress && td.cpu_cycles_per_unit > 0.0) {
-        const double seconds_per_unit =
-            td.cpu_cycles_per_unit / (ipc * f_cpu) +
-            td.mem_seconds_per_unit * slowdown;
-        cpu_progress_rate += placed.share / seconds_per_unit;
-      }
-    }
-    schedule_.mem_traffic = std::min(fg_bw_final + bg_bw + gpu_bw,
-                                     power_params_.mem_bandwidth_cap);
-
-    schedule_.progress_rate = cpu_progress_rate;
-    if (foreground.gpu_cycles_per_unit > 0.0) {
-      const double gpu_rate = gpu_achieved_hz / foreground.gpu_cycles_per_unit;
-      schedule_.progress_rate = std::min(cpu_progress_rate, gpu_rate);
+  // --- Memory bandwidth saturation ---------------------------------------
+  // Each foreground work unit occupies the DDR for mem_seconds_per_unit at
+  // full bandwidth, so the feasibility constraint is
+  //     sum_t rate_t * m_t + bg_traffic <= cpu_cap,
+  // with rate_t = share_t / (c_t/(ipc*f) + m_t * x) and x >= 1 a common
+  // queueing-slowdown factor. We find the smallest feasible x by fixed-point
+  // iteration. rate_t stays monotone non-decreasing in f (saturating at the
+  // bandwidth bound), which is what makes DVFS throttling nearly free for
+  // bandwidth-bound multithreaded workloads -- the paper's matmul behaviour.
+  const double gpu_bw = gpu_busy * power_params_.mem_gpu_traffic_weight;
+  const double cpu_cap =
+      std::max(0.15, power_params_.mem_bandwidth_cap - gpu_bw);
+  constexpr double kBackgroundBwCoeff = 0.3;
+  double bg_bw = 0.0;
+  for (const auto& placed : placement.threads) {
+    if (placed.demand.cpu_cycles_per_unit <= 0.0) {
+      bg_bw += placed.share * placed.demand.mem_intensity * kBackgroundBwCoeff;
     }
   }
+  auto fg_bw_demand = [&](double x) {
+    double d = 0.0;
+    for (const auto& placed : placement.threads) {
+      const auto& td = placed.demand;
+      if (td.cpu_cycles_per_unit <= 0.0 || td.mem_seconds_per_unit <= 0.0) {
+        continue;
+      }
+      const double t_unit =
+          td.cpu_cycles_per_unit / (ipc * f_cpu) + td.mem_seconds_per_unit * x;
+      d += placed.share / t_unit * td.mem_seconds_per_unit;
+    }
+    return d;
+  };
+  // Demand is strictly decreasing in the slowdown x, so bisection gives the
+  // exact equilibrium; the precision matters because any residual would make
+  // progress non-monotone in frequency.
+  const double fg_bw_unit = fg_bw_demand(1.0);
+  double slowdown = 1.0;
+  double fg_bw_final = fg_bw_unit;
+  if (fg_bw_unit + bg_bw > cpu_cap) {
+    double lo = 1.0, hi = 2.0;
+    while (fg_bw_demand(hi) + bg_bw > cpu_cap && hi < 1e6) hi *= 2.0;
+    for (int iter = 0; iter < 60; ++iter) {
+      const double mid = 0.5 * (lo + hi);
+      (fg_bw_demand(mid) + bg_bw > cpu_cap ? lo : hi) = mid;
+    }
+    slowdown = 0.5 * (lo + hi);
+    fg_bw_final = fg_bw_demand(slowdown);
+  }
 
-  out.cpu_max_util = schedule_.cpu_max_util;
-  out.cpu_avg_util = schedule_.cpu_avg_util;
-  out.gpu_util = schedule_.gpu_busy;
-  const double gpu_v = v_gpu_;
-  const double gpu_busy = schedule_.gpu_busy;
-  const double mem_traffic = schedule_.mem_traffic;
-  const double progress_rate = schedule_.progress_rate;
-  const std::array<double, kBigCoreCount>& core_activity =
-      schedule_.core_activity;
+  // Per-physical-core effective switching activity and progress. Stalled
+  // cycles do not switch, so contention also scales the activity factor.
+  std::array<double, kBigCoreCount> core_activity{};
+  double cpu_progress_rate = 0.0;  // units/s from foreground threads
+  for (const auto& placed : placement.threads) {
+    const auto& td = placed.demand;
+    double stall_scale = 1.0;
+    if (td.cpu_cycles_per_unit > 0.0 && td.mem_seconds_per_unit > 0.0 &&
+        slowdown > 1.0) {
+      const double cpu_time = td.cpu_cycles_per_unit / (ipc * f_cpu);
+      stall_scale = (cpu_time + td.mem_seconds_per_unit) /
+                    (cpu_time + td.mem_seconds_per_unit * slowdown);
+    }
+    core_activity[placed.core] +=
+        placed.share * stall_scale * td.cpu_activity;
+    if (td.counts_progress && td.cpu_cycles_per_unit > 0.0) {
+      const double seconds_per_unit =
+          td.cpu_cycles_per_unit / (ipc * f_cpu) +
+          td.mem_seconds_per_unit * slowdown;
+      cpu_progress_rate += placed.share / seconds_per_unit;
+    }
+  }
+  const double mem_traffic = std::min(fg_bw_final + bg_bw + gpu_bw,
+                                     power_params_.mem_bandwidth_cap);
 
-  // --- CPU cluster power ------------------------------------------------
-  auto& rails = out.rail_power_w;
+  schedule_.progress_rate = cpu_progress_rate;
+  if (foreground.gpu_cycles_per_unit > 0.0) {
+    const double gpu_rate = gpu_achieved_hz / foreground.gpu_cycles_per_unit;
+    schedule_.progress_rate = std::min(cpu_progress_rate, gpu_rate);
+  }
+
+  // --- Temperature-independent power terms ----------------------------------
+  PowerTerms& k = terms_;
+  k.big_active = big_active;
   if (big_active) {
     const int online = std::max(config_.online_big_cores(), 1);
     // Shared uncore clocked with the cluster; driven by the busiest core and
@@ -237,100 +237,55 @@ SocStepResult Soc::step(const workload::Demand& foreground,
             max_activity, std::min(core_activity[c] + idle_activity, 1.0));
       }
     }
-    const double uncore_w = power::dynamic_power_w(
-        max_activity * power_params_.big_uncore_alpha_c, v_cpu, f_cpu);
+    k.uncore_share_w =
+        power::dynamic_power_w(max_activity * power_params_.big_uncore_alpha_c,
+                               v_cpu, f_cpu) /
+        double(online);
+    k.online_mask = 0;
     for (int c = 0; c < kBigCoreCount; ++c) {
-      double p_core = 0.0;
-      const double core_leak_w = big_leak_.power_w(big_temps_c[c], v_cpu) /
-                                 double(kBigCoreCount);
+      k.core_dyn_w[c] = 0.0;
       if (config_.big_core_online[c]) {
         const double act = std::min(core_activity[c] + idle_activity, 1.0);
-        p_core = power::dynamic_power_w(act * core_alpha_c_max, v_cpu, f_cpu) +
-                 core_leak_w + uncore_w / double(online);
-      } else {
-        p_core = core_leak_w * power_params_.offline_core_leakage_fraction;
+        k.core_dyn_w[c] =
+            power::dynamic_power_w(act * core_alpha_c_max, v_cpu, f_cpu);
+        k.online_mask |= 1u << c;
       }
-      out.big_core_power_w[c] = p_core;
-      rails[power::resource_index(power::Resource::kBigCluster)] += p_core;
     }
+    k.big_leak = big_leak_.term_at(v_cpu);
     // Little cluster parked: residual leakage only.
-    rails[power::resource_index(power::Resource::kLittleCluster)] =
-        little_leak_.power_w(little_temp_c,
-                             little_opps_.min().voltage_v) *
-        power_params_.inactive_cluster_leakage_fraction;
+    k.little_leak = little_leak_.term_at(little_opps_.min().voltage_v);
   } else {
     // Little cluster active; big cores power-collapsed.
-    double p_little = little_leak_.power_w(little_temp_c, v_cpu);
     double max_activity = 0.0;
     for (int c = 0; c < kLittleCoreCount; ++c) {
       const double act = std::min(core_activity[c] + idle_activity, 1.0);
       max_activity = std::max(max_activity, act);
-      p_little += power::dynamic_power_w(act * core_alpha_c_max, v_cpu, f_cpu);
+      k.little_dyn_w[c] =
+          power::dynamic_power_w(act * core_alpha_c_max, v_cpu, f_cpu);
     }
-    p_little += power::dynamic_power_w(
+    k.little_uncore_w = power::dynamic_power_w(
         max_activity * power_params_.little_uncore_alpha_c, v_cpu, f_cpu);
-    rails[power::resource_index(power::Resource::kLittleCluster)] = p_little;
-    const double big_residual =
-        big_leak_.power_w(big_temps_c[0], big_opps_.min().voltage_v) *
-        power_params_.inactive_cluster_leakage_fraction;
-    for (int c = 0; c < kBigCoreCount; ++c) {
-      out.big_core_power_w[c] = big_residual / double(kBigCoreCount);
-      rails[power::resource_index(power::Resource::kBigCluster)] +=
-          out.big_core_power_w[c];
-    }
+    k.little_leak = little_leak_.term_at(v_cpu);
+    k.big_leak = big_leak_.term_at(big_opps_.min().voltage_v);
   }
-
-  // --- GPU power ----------------------------------------------------------
-  rails[power::resource_index(power::Resource::kGpu)] =
-      power::dynamic_power_w(gpu_busy * power_params_.gpu_alpha_c_max, gpu_v,
-                             config_.gpu_freq_hz) +
-      gpu_leak_.power_w(gpu_temp_c, gpu_v);
-
-  // --- Memory power ---------------------------------------------------------
-  const double mem_activity = mem_traffic;
-  rails[power::resource_index(power::Resource::kMem)] =
-      power_params_.mem_base_w +
-      mem_activity * power_params_.mem_dynamic_max_w +
-      mem_leak_.power_w(mem_temp_c, power_params_.mem_nominal_voltage_v);
-
-  // --- Progress (with cluster-migration stall) -------------------------------
-  out.progress_units = progress_rate * consume_migration_stall(dt_s);
-  return out;
+  k.gpu_dyn_w = power::dynamic_power_w(
+      gpu_busy * power_params_.gpu_alpha_c_max, v_gpu_, config_.gpu_freq_hz);
+  k.gpu_leak = gpu_leak_.term_at(v_gpu_);
+  k.mem_const_w =
+      power_params_.mem_base_w + mem_traffic * power_params_.mem_dynamic_max_w;
+  k.mem_leak = mem_leak_.term_at(power_params_.mem_nominal_voltage_v);
+  schedule_valid_ = true;
 }
 
 SocIntervalConstants Soc::interval_constants() const {
+  const PowerTerms& t = terms_;
   SocIntervalConstants k;
-  k.big_active = config_.active_cluster == ClusterId::kBig;
-  const double f_cpu =
-      k.big_active ? config_.big_freq_hz : config_.little_freq_hz;
-  const double v_cpu = k.big_active ? v_big_ : v_little_;
-  const double core_alpha_c_max = k.big_active
-                                      ? power_params_.big_core_alpha_c_max
-                                      : power_params_.little_core_alpha_c_max;
-  const double idle_activity = k.big_active
-                                   ? power_params_.big_idle_activity
-                                   : power_params_.little_idle_activity;
-
-  if (k.big_active) {
-    const int online = std::max(config_.online_big_cores(), 1);
-    double max_activity = 0.0;
-    for (int c = 0; c < kBigCoreCount; ++c) {
-      if (config_.big_core_online[c]) {
-        max_activity = std::max(
-            max_activity,
-            std::min(schedule_.core_activity[c] + idle_activity, 1.0));
-      }
-    }
-    const double uncore_w = power::dynamic_power_w(
-        max_activity * power_params_.big_uncore_alpha_c, v_cpu, f_cpu);
+  k.big_active = t.big_active;
+  if (t.big_active) {
     for (int c = 0; c < kBigCoreCount; ++c) {
       k.core_leak0_mult[c] = 0.0;
-      if (config_.big_core_online[c]) {
-        const double act =
-            std::min(schedule_.core_activity[c] + idle_activity, 1.0);
-        k.core_const_w[c] =
-            power::dynamic_power_w(act * core_alpha_c_max, v_cpu, f_cpu) +
-            uncore_w / double(online);
+      if (((t.online_mask >> c) & 1u) != 0) {
+        k.core_const_w[c] = t.core_dyn_w[c] + t.uncore_share_w;
         k.core_leak_mult[c] = 1.0 / double(kBigCoreCount);
       } else {
         k.core_const_w[c] = 0.0;
@@ -338,26 +293,14 @@ SocIntervalConstants Soc::interval_constants() const {
                               double(kBigCoreCount);
       }
     }
-    k.big_leak = big_leak_.coeffs_at(v_cpu);
-    k.little_leak = little_leak_.coeffs_at(little_opps_.min().voltage_v);
     k.little_const_w = 0.0;
     k.little_leak_mult = power_params_.inactive_cluster_leakage_fraction;
   } else {
     double little_dyn = 0.0;
-    double max_activity = 0.0;
-    for (int c = 0; c < kLittleCoreCount; ++c) {
-      const double act =
-          std::min(schedule_.core_activity[c] + idle_activity, 1.0);
-      max_activity = std::max(max_activity, act);
-      little_dyn +=
-          power::dynamic_power_w(act * core_alpha_c_max, v_cpu, f_cpu);
-    }
-    little_dyn += power::dynamic_power_w(
-        max_activity * power_params_.little_uncore_alpha_c, v_cpu, f_cpu);
-    k.little_leak = little_leak_.coeffs_at(v_cpu);
+    for (const double dyn_w : t.little_dyn_w) little_dyn += dyn_w;
+    little_dyn += t.little_uncore_w;
     k.little_const_w = little_dyn;
     k.little_leak_mult = 1.0;
-    k.big_leak = big_leak_.coeffs_at(big_opps_.min().voltage_v);
     for (int c = 0; c < kBigCoreCount; ++c) {
       k.core_const_w[c] = 0.0;
       k.core_leak_mult[c] = 0.0;
@@ -366,14 +309,12 @@ SocIntervalConstants Soc::interval_constants() const {
           double(kBigCoreCount);
     }
   }
-
-  k.gpu_leak = gpu_leak_.coeffs_at(v_gpu_);
-  k.gpu_const_w = power::dynamic_power_w(
-      schedule_.gpu_busy * power_params_.gpu_alpha_c_max, v_gpu_,
-      config_.gpu_freq_hz);
-  k.mem_leak = mem_leak_.coeffs_at(power_params_.mem_nominal_voltage_v);
-  k.mem_const_w = power_params_.mem_base_w +
-                  schedule_.mem_traffic * power_params_.mem_dynamic_max_w;
+  k.big_leak = t.big_leak.coeffs();
+  k.little_leak = t.little_leak.coeffs();
+  k.gpu_leak = t.gpu_leak.coeffs();
+  k.gpu_const_w = t.gpu_dyn_w;
+  k.mem_leak = t.mem_leak.coeffs();
+  k.mem_const_w = t.mem_const_w;
   k.progress_rate = schedule_.progress_rate;
   return k;
 }

@@ -161,11 +161,13 @@ class Soc {
   ///
   /// `reuse_schedule` skips the workload-schedule phase (thread placement,
   /// GPU demand, memory-contention equilibrium, per-core activity, progress
-  /// rate) and reuses the previous call's results. Those quantities are pure
-  /// functions of (foreground, background, applied config), so a caller that
-  /// holds them fixed across consecutive substeps -- Plant::advance within
-  /// one control interval -- gets bit-identical outputs at a fraction of the
-  /// cost: only the temperature-dependent leakage is re-evaluated.
+  /// rate) and evaluates the power terms the last schedule solve captured:
+  /// step_captured(). Those quantities are pure functions of (foreground,
+  /// background, applied config), so a caller that holds them fixed across
+  /// consecutive substeps -- Plant::advance within one control interval --
+  /// gets bit-identical outputs at a fraction of the cost: only the
+  /// temperature-dependent leakage is re-evaluated. With no schedule solved
+  /// for the applied config yet, a reuse step solves one.
   SocStepResult step(const workload::Demand& foreground,
                      const std::vector<workload::ThreadDemand>& background,
                      const std::array<double, kBigCoreCount>& big_temps_c,
@@ -173,9 +175,64 @@ class Soc {
                      double mem_temp_c, double dt_s,
                      bool reuse_schedule = false);
 
-  /// Captures the temperature-independent power/progress inputs of the
-  /// current schedule + applied config (see SocIntervalConstants). Call
-  /// after the first (reuse_schedule=false) step of a control interval.
+  /// One substep under the terms the last schedule solve captured: exactly
+  /// step(..., reuse_schedule=true), written into `out` (every member).
+  /// dt_s must be > 0 and a schedule must have been solved for the applied
+  /// config. Inline: the propagator plant's substep loop calls it directly.
+  ///
+  /// Operation order, which bit-identity depends on: each rail's leakage is
+  /// LeakageTerm::power_w; a big core draws dynamic + leakage/4 + uncore
+  /// share (online) or leakage/4 * offline fraction; the little rail is its
+  /// leakage, then each core's dynamic term, then the uncore; each rail sums
+  /// from 0.0, core by core.
+  void step_captured(const std::array<double, kBigCoreCount>& big_temps_c,
+                     double little_temp_c, double gpu_temp_c,
+                     double mem_temp_c, double dt_s, SocStepResult& out) {
+    const PowerTerms& k = terms_;
+    auto& rails = out.rail_power_w;
+    double big_rail = 0.0;
+    if (k.big_active) {
+      for (int c = 0; c < kBigCoreCount; ++c) {
+        const double core_leak_w =
+            k.big_leak.power_w(big_temps_c[c]) / double(kBigCoreCount);
+        const double p_core =
+            ((k.online_mask >> c) & 1u) != 0
+                ? k.core_dyn_w[c] + core_leak_w + k.uncore_share_w
+                : core_leak_w * power_params_.offline_core_leakage_fraction;
+        out.big_core_power_w[c] = p_core;
+        big_rail += p_core;
+      }
+      rails[power::resource_index(power::Resource::kLittleCluster)] =
+          k.little_leak.power_w(little_temp_c) *
+          power_params_.inactive_cluster_leakage_fraction;
+    } else {
+      double p_little = k.little_leak.power_w(little_temp_c);
+      for (const double dyn_w : k.little_dyn_w) p_little += dyn_w;
+      p_little += k.little_uncore_w;
+      rails[power::resource_index(power::Resource::kLittleCluster)] = p_little;
+      const double big_residual =
+          k.big_leak.power_w(big_temps_c[0]) *
+          power_params_.inactive_cluster_leakage_fraction;
+      for (int c = 0; c < kBigCoreCount; ++c) {
+        out.big_core_power_w[c] = big_residual / double(kBigCoreCount);
+        big_rail += out.big_core_power_w[c];
+      }
+    }
+    rails[power::resource_index(power::Resource::kBigCluster)] = big_rail;
+    rails[power::resource_index(power::Resource::kGpu)] =
+        k.gpu_dyn_w + k.gpu_leak.power_w(gpu_temp_c);
+    rails[power::resource_index(power::Resource::kMem)] =
+        k.mem_const_w + k.mem_leak.power_w(mem_temp_c);
+    out.cpu_max_util = schedule_.cpu_max_util;
+    out.cpu_avg_util = schedule_.cpu_avg_util;
+    out.gpu_util = schedule_.gpu_busy;
+    out.progress_units =
+        schedule_.progress_rate * consume_migration_stall(dt_s);
+  }
+
+  /// The temperature-independent power/progress inputs the last schedule
+  /// solve captured, in closed form (see SocIntervalConstants). Call after
+  /// the first (reuse_schedule=false) step of a control interval.
   SocIntervalConstants interval_constants() const;
 
   const PlantPowerParams& power_params() const { return power_params_; }
@@ -188,10 +245,34 @@ class Soc {
     double cpu_max_util = 0.0;
     double cpu_avg_util = 0.0;
     double gpu_busy = 0.0;
-    double mem_traffic = 0.0;
     double progress_rate = 0.0;
-    std::array<double, kBigCoreCount> core_activity{};
   };
+
+  /// The power model's temperature-independent terms under the solved
+  /// schedule and the applied config, captured by solve_schedule().
+  struct PowerTerms {
+    bool big_active = true;
+    unsigned online_mask = 0;  ///< bit c set: big core c online
+    /// Big cluster active: each online core's dynamic power, and the
+    /// uncore's power split over the online cores.
+    std::array<double, kBigCoreCount> core_dyn_w{};
+    double uncore_share_w = 0.0;
+    /// Little cluster active: each core's dynamic power and the uncore's.
+    std::array<double, kLittleCoreCount> little_dyn_w{};
+    double little_uncore_w = 0.0;
+    double gpu_dyn_w = 0.0;
+    double mem_const_w = 0.0;  ///< base + traffic-proportional dynamic
+    /// Per rail at its supply: the big/little rail at the active cluster's
+    /// voltage, or at the cluster's minimum voltage while parked.
+    power::LeakageTerm big_leak;
+    power::LeakageTerm little_leak;
+    power::LeakageTerm gpu_leak;
+    power::LeakageTerm mem_leak;
+  };
+
+  /// The workload-schedule phase of step(): fills schedule_ and terms_.
+  void solve_schedule(const workload::Demand& foreground,
+                      const std::vector<workload::ThreadDemand>& background);
 
   /// Consumes up to dt_s of the pending cluster-migration stall and returns
   /// the effective progress time.
@@ -230,6 +311,9 @@ class Soc {
   std::vector<std::size_t> order_scratch_;
 
   Schedule schedule_;
+  PowerTerms terms_;
+  /// schedule_/terms_ belong to the applied config (cleared by apply()).
+  bool schedule_valid_ = false;
 };
 
 }  // namespace dtpm::soc

@@ -305,18 +305,22 @@ void PropagatorRcModel::step(RcNetwork& network, double dt_s,
     return;
   }
 
-  ++propagator_steps_;
   const std::size_t n = m->free_count;
-  const std::size_t width = 2 * n;
-  std::vector<double>& temps = network.temperatures_mut();
-  x_.resize(width);
-  double* x = x_.data();
-  const std::size_t* free_nodes = m->free_nodes.data();
+  x_.resize(2 * n);
+  const std::vector<double>& temps = network.temperatures_c();
   for (std::size_t i = 0; i < n; ++i) {
-    x[i] = temps[free_nodes[i]];
-    x[n + i] = power_w[free_nodes[i]];
+    x_[i] = temps[m->free_nodes[i]];
+    x_[n + i] = power_w[m->free_nodes[i]];
   }
-  for (const PropagatorMatrices::BoundaryTerm& bt : m->boundary_terms) {
+  step_resolved(*m, x_.data(), network.temperatures_mut());
+}
+
+void PropagatorRcModel::step_resolved(const PropagatorMatrices& m, double* x,
+                                      std::vector<double>& temps) {
+  ++propagator_steps_;
+  const std::size_t n = m.free_count;
+  const std::size_t width = 2 * n;
+  for (const PropagatorMatrices::BoundaryTerm& bt : m.boundary_terms) {
     x[n + bt.free_slot] += bt.g * temps[bt.boundary_node];
   }
   // x holds copies of every input, so results go straight into temps.
@@ -324,7 +328,8 @@ void PropagatorRcModel::step(RcNetwork& network, double dt_s,
   // register is exactly row r+k's scalar sum in column order.
   using v2d = double __attribute__((vector_size(16)));
   constexpr std::size_t kPanel = PropagatorMatrices::kPanelRows;
-  const double* a = m->packed.data();
+  const std::size_t* free_nodes = m.free_nodes.data();
+  const double* a = m.packed.data();
   std::size_t row = 0;
   for (; row + kPanel <= n; row += kPanel) {
     v2d acc01 = {0.0, 0.0};

@@ -146,6 +146,17 @@ class PropagatorRcModel {
   const PropagatorMatrices& matrices_for(const RcNetwork& network,
                                          double dt_s);
 
+  /// One matvec step with matrices already resolved (a matrices_for()
+  /// result): the cache-hit half of step(), which calls it. `x` holds
+  /// 2 free_count doubles, [T_free ; P_free] -- the free nodes'
+  /// temperatures, then the power injected into them, both in
+  /// m.free_nodes order. Adds the boundary coupling into the power half,
+  /// then writes Phi T + Gamma z into the free nodes of `temps` (the
+  /// network's temperatures_mut()). Counts as a propagator step.
+  /// sim::Plant runs a control interval's later substeps through it.
+  void step_resolved(const PropagatorMatrices& m, double* x,
+                     std::vector<double>& temps);
+
   /// Steps taken through the cached-matvec path.
   std::uint64_t propagator_steps() const { return propagator_steps_; }
   /// Steps taken through the RK4 fallback (cache-miss) path.
