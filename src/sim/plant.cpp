@@ -36,19 +36,19 @@ Plant::Plant(const PlatformDescriptor& platform, util::Rng& root,
   if (propagator_ != nullptr) {
     // The node -> source map of assemble_node_power_into, where a later
     // role overwrites an earlier one on a shared node.
-    const thermal::Floorplan& fp = floorplan_;
-    std::vector<std::size_t> source_of_node(fp.network.node_count(),
+    std::vector<std::size_t> source_of_node(floorplan_.network.node_count(),
                                             kNoPowerSource);
-    for (std::size_t c = 0; c < fp.core_node_index.size(); ++c) {
-      source_of_node[fp.core_node_index[c]] = c;
+    for (std::size_t c = 0; c < floorplan_.core_node_index.size(); ++c) {
+      source_of_node[floorplan_.core_node_index[c]] = c;
     }
-    source_of_node[fp.little_node_index] = soc::kBigCoreCount;
-    source_of_node[fp.gpu_node_index] = soc::kBigCoreCount + 1;
-    source_of_node[fp.mem_node_index] = soc::kBigCoreCount + 2;
+    source_of_node[floorplan_.little_node_index] = soc::kBigCoreCount;
+    source_of_node[floorplan_.gpu_node_index] = soc::kBigCoreCount + 1;
+    source_of_node[floorplan_.mem_node_index] = soc::kBigCoreCount + 2;
     const std::vector<std::size_t>& free_nodes =
-        fp.network.compiled().free_nodes();
-    for (const std::size_t node : free_nodes) {
-      power_source_.push_back(source_of_node[node]);
+        floorplan_.network.compiled().free_nodes();
+    power_source_.resize(free_nodes.size());
+    for (std::size_t i = 0; i < free_nodes.size(); ++i) {
+      power_source_[i] = source_of_node[free_nodes[i]];
     }
     propagator_input_.resize(2 * free_nodes.size());
   }

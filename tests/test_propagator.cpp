@@ -402,6 +402,13 @@ TEST(PropagatorPlan, PlantOnPrecompiledPlanCompilesNothing) {
     EXPECT_GT(own_model.compiles(), 0u);
     EXPECT_EQ(shared_model.fallback_steps(), own_model.fallback_steps());
     EXPECT_EQ(shared_model.propagator_steps(), own_model.propagator_steps());
+    // One RK4 fallback substep per distinct fan state (off, full, low,
+    // half; the second "off" hits the cache; a fanless platform has one
+    // state); every other substep is one propagator step.
+    EXPECT_EQ(own_model.fallback_steps(),
+              own.floorplan().has_fan_edge() ? 4u : 1u);
+    EXPECT_EQ(own_model.propagator_steps(),
+              std::uint64_t(25 * substeps) - own_model.fallback_steps());
   }
 }
 
