@@ -109,16 +109,12 @@ class Plant {
   /// advance() is exactly this sequence:
   ///
   ///   interval_begin();
-  ///   // Substep 1: the SoC schedule solve, which captures the interval's
-  ///   // power terms, then the engine step (on the propagator, the RK4
-  ///   // fallback on first sight of a fan state).
-  ///   substep_prepare(..., /*reuse_schedule=*/false);
-  ///   thermal_substep(sub_dt);
+  ///   substep_prepare(..., /*reuse_schedule=*/false);  // schedule solve
+  ///   thermal_substep(sub_dt);  // propagator: RK4 fallback on a new state
   ///   if (substep_commit(...)) {  // false: benchmark finished early
-  ///     propagator ? propagate_substeps(...)   // substeps 2..N, one loop
-  ///                : for substeps 2..N: substep_prepare(..., true);
-  ///                                     thermal_substep(sub_dt);
-  ///                                     substep_commit(...);
+  ///     propagator:    propagate_substeps(..., substeps - 1, ...);
+  ///     reference-rk4: substeps 2..N as substep_prepare(..., true),
+  ///                    thermal_substep(sub_dt), substep_commit(...)
   ///   }
   ///   result = interval_end();
   void interval_begin();

@@ -1,9 +1,9 @@
 // Golden-trace regression suite: pins the first kGoldenRows rows of the
 // 23-column trace for one Table-6.4 benchmark and one generated scenario,
 // both at fixed seeds, and fails on any numeric drift. Two more goldens pin
-// the propagator engine: a trace under a scripted policy that walks every
-// hotplug count, a cluster migration and every fan speed, and the summary
-// of a run whose benchmark finishes mid-interval. Any intentional
+// the propagator engine: a trace under a scripted policy that walks 4, 3
+// and 1 online big cores, a cluster migration and every fan speed, and the
+// summary of a run whose benchmark finishes mid-interval. Any intentional
 // change to the plant, sensors, RNG streams, scheduler, or trace schema
 // must regenerate the goldens:
 //
