@@ -1,9 +1,10 @@
 // Golden-trace regression suite: pins the first kGoldenRows rows of the
 // 23-column trace for one Table-6.4 benchmark and one generated scenario,
-// both at fixed seeds, and fails on any numeric drift. Two more goldens pin
-// the propagator engine: a trace under a scripted policy that walks 4, 3
-// and 1 online big cores, a cluster migration and every fan speed, and the
-// summary of a run whose benchmark finishes mid-interval. Any intentional
+// both at fixed seeds, and fails on any numeric drift. A trace under a
+// scripted policy that walks 4, 3 and 1 online big cores, a cluster
+// migration and every fan speed is pinned once per stepping engine, and the
+// summary of a propagator run whose benchmark finishes mid-interval is
+// pinned too. Any intentional
 // change to the plant, sensors, RNG streams, scheduler, or trace schema
 // must regenerate the goldens:
 //
@@ -68,12 +69,13 @@ ExperimentConfig generated_scenario_config() {
   return config;
 }
 
-/// Walks the plant through every power-model branch the propagator's
-/// per-substep loop distinguishes, kIntervalsPerPhase control intervals per
+/// Walks the plant through every power-model branch the per-substep loop
+/// distinguishes, kIntervalsPerPhase control intervals per
 /// phase: the big cluster with 4, 3 and 1 cores online, the little cluster
 /// (a cluster migration, so a migration stall), then back on the big
-/// cluster through every fan speed (each new fan state takes one RK4
-/// fallback substep). Frequencies stay as the default governor proposes.
+/// cluster through every fan speed (on the propagator each new fan state
+/// takes one RK4 fallback substep). Frequencies stay as the default governor
+/// proposes.
 class ScriptedPolicy final : public governors::ThermalPolicy {
  public:
   governors::Decision adjust(const soc::PlatformView& /*view*/,
@@ -116,10 +118,10 @@ class ScriptedPolicy final : public governors::ThermalPolicy {
   int calls_ = 0;
 };
 
-ExperimentConfig scripted_propagator_config() {
+ExperimentConfig scripted_config(Engine engine) {
   ExperimentConfig config;
   config.benchmark = "crc32";
-  config.engine = Engine::kPropagator;
+  config.engine = engine;
   config.seed = 5;
   config.warmup_s = 0.0;
   config.max_sim_time_s = 8.0;
@@ -197,10 +199,22 @@ TEST(GoldenTrace, GeneratedScenarioPinned) {
                          "periodic_square_reactive_s7");
 }
 
-TEST(GoldenTrace, PropagatorScriptedPolicyPinned) {
-  compare_against_golden(scripted_propagator_config(),
-                         "propagator_scripted_crc32", /*scripted=*/true);
+class ScriptedPolicyPerEngine : public ::testing::TestWithParam<Engine> {};
+
+TEST_P(ScriptedPolicyPerEngine, TracePinned) {
+  const std::string engine =
+      GetParam() == Engine::kReferenceRk4 ? "reference" : "propagator";
+  compare_against_golden(scripted_config(GetParam()),
+                         engine + "_scripted_crc32", /*scripted=*/true);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, ScriptedPolicyPerEngine,
+    ::testing::Values(Engine::kReferenceRk4, Engine::kPropagator),
+    [](const ::testing::TestParamInfo<Engine>& engine) {
+      return engine.param == Engine::kReferenceRk4 ? "ReferenceRk4"
+                                                   : "Propagator";
+    });
 
 TEST(GoldenTrace, PropagatorRunSummaryPinned) {
   // The benchmark completes inside a control interval, so the last
