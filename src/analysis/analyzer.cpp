@@ -120,18 +120,9 @@ OperatingPointAnalysis analyze_operating_point(
   config.gpu_freq_hz = soc.gpu_opps().min().frequency_hz;
   soc.apply(config);
 
-  // One schedule-populating probe step (placement, contention, activity are
-  // temperature-independent), then capture the closed-form power model.
-  {
-    const auto& temps = rc.temperatures_c();
-    std::array<double, soc::kBigCoreCount> big{};
-    for (int c = 0; c < soc::kBigCoreCount; ++c) {
-      big[std::size_t(c)] = temps[floorplan.core_node_index[std::size_t(c)]];
-    }
-    soc.step(request.demand, {}, big, temps[floorplan.little_node_index],
-             temps[floorplan.gpu_node_index], temps[floorplan.mem_node_index],
-             1e-4);
-  }
+  // The schedule (placement, contention, activity) is temperature-
+  // independent: solve it, then capture the closed-form power model.
+  soc.solve_schedule(request.demand, {});
   const CoupledPowerModel model(floorplan, soc.interval_constants());
 
   const EquilibriumResult equilibrium = solve_coupled_equilibrium(

@@ -35,9 +35,9 @@ namespace dtpm::analysis {
 /// The plant's power as an explicit function of node temperatures at one
 /// applied (config, schedule) operating point: the temperature-independent
 /// constants plus the leakage curves of SocIntervalConstants, mapped onto
-/// floorplan nodes through the role indices. Construct it after one
-/// reuse_schedule=false Soc::step so the schedule-dependent constants are
-/// captured (Soc::interval_constants' contract).
+/// floorplan nodes through the role indices. Construct it after
+/// Soc::solve_schedule so the schedule-dependent constants are captured
+/// (Soc::interval_constants' contract).
 class CoupledPowerModel {
  public:
   CoupledPowerModel(const thermal::Floorplan& floorplan,

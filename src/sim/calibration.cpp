@@ -33,7 +33,7 @@ struct PlantBundle {
   soc::Soc soc;
   thermal::TempSensorBank temp_bank;
   power::PowerSensorBank power_bank;
-  std::vector<double> node_power_scratch;  ///< plant_substep's node powers
+  std::vector<double> node_power_scratch;  ///< interval()'s node powers
 
   PlantBundle(const PlatformDescriptor& platform, util::Rng& root)
       : floorplan(thermal::build_floorplan(platform.floorplan)),
@@ -50,30 +50,24 @@ struct PlantBundle {
             temps[cores[3]]};
   }
 
-  /// `reuse_schedule` follows Soc::step's contract: false on an interval's
-  /// first substep, true on the rest (demand and config held fixed).
-  soc::SocStepResult plant_substep(const workload::Demand& demand, double dt_s,
-                                   bool reuse_schedule) {
-    const auto& temps = floorplan.network.temperatures_c();
-    soc::SocStepResult out =
-        soc.step(demand, {}, big_true_temps(),
-                 temps[floorplan.little_node_index],
-                 temps[floorplan.gpu_node_index],
-                 temps[floorplan.mem_node_index], dt_s, reuse_schedule);
-    floorplan.assemble_node_power_into(out.big_core_power_w, out.rail_power_w,
-                                       node_power_scratch);
-    floorplan.network.step(dt_s, node_power_scratch);
-    return out;
-  }
-
-  /// One control interval; returns the average true rail powers.
+  /// One control interval: the schedule solved once (demand and config are
+  /// fixed), then each substep's SoC evaluation and RK4 step; returns the
+  /// average true rail powers.
   power::ResourceVector interval(const workload::Demand& demand, double dt_s,
                                  double substep_s) {
     const int n = std::max(1, int(std::lround(dt_s / substep_s)));
     const double h = dt_s / n;
+    const auto& temps = floorplan.network.temperatures_c();
+    soc.solve_schedule(demand, {});
+    soc::SocStepResult out;
     power::ResourceVector accum{};
     for (int s = 0; s < n; ++s) {
-      const soc::SocStepResult out = plant_substep(demand, h, s > 0);
+      soc.step_captured(big_true_temps(), temps[floorplan.little_node_index],
+                        temps[floorplan.gpu_node_index],
+                        temps[floorplan.mem_node_index], h, out);
+      floorplan.assemble_node_power_into(out.big_core_power_w,
+                                         out.rail_power_w, node_power_scratch);
+      floorplan.network.step(h, node_power_scratch);
       for (std::size_t r = 0; r < power::kResourceCount; ++r) {
         accum[r] += out.rail_power_w[r] / double(n);
       }

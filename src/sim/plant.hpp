@@ -82,9 +82,18 @@ class Plant {
   /// re-evaluating leakage-temperature feedback per substep. When `instance`
   /// is non-null the foreground progress advances it, and the interval ends
   /// early if it completes.
-  /// When `phases` is non-null, the first substep's SoC schedule solve is
-  /// billed to Phase::kSchedule and the rest of the interval to
-  /// Phase::kPlant.
+  ///
+  /// The sequence, on either engine: Soc::solve_schedule once, then per
+  /// substep Soc::step_captured, the seven SoC heat outputs written into
+  /// the node-power vector (Floorplan::write_heat), one thermal step, and
+  /// the commit
+  /// of rails, time and progress. The thermal step is RcNetwork::step on
+  /// reference-rk4. On the propagator it is PropagatorRcModel::step on the
+  /// first substep (a cache hit, or the RK4 fallback on a new fan state),
+  /// which resolves the interval's [Phi | Gamma] entry, then step_resolved.
+  ///
+  /// When `phases` is non-null, the schedule solve is billed to
+  /// Phase::kSchedule and the substep loop to Phase::kPlant.
   PlantIntervalResult advance(
       const workload::Demand& demand,
       const std::vector<workload::ThreadDemand>& background_threads,
@@ -106,48 +115,6 @@ class Plant {
   /// Tests read the propagator's step and compile counters through it.
   friend struct PlantTestPeer;
 
-  /// advance() is exactly this sequence:
-  ///
-  ///   interval_begin();
-  ///   substep_prepare(..., /*reuse_schedule=*/false);  // schedule solve
-  ///   thermal_substep(sub_dt);  // propagator: RK4 fallback on a new state
-  ///   if (substep_commit(...)) {  // false: benchmark finished early
-  ///     propagator:    propagate_substeps(..., substeps - 1, ...);
-  ///     reference-rk4: substeps 2..N as substep_prepare(..., true),
-  ///                    thermal_substep(sub_dt), substep_commit(...)
-  ///   }
-  ///   result = interval_end();
-  void interval_begin();
-  /// Reads the true node temperatures, steps the SoC model, and assembles
-  /// the per-node power injection into node_power_scratch_.
-  /// `reuse_schedule` must be false on the first substep of an interval and
-  /// true after.
-  void substep_prepare(
-      const workload::Demand& demand,
-      const std::vector<workload::ThreadDemand>& background_threads,
-      double sub_dt, bool reuse_schedule);
-  /// Advances the thermal network by sub_dt with the engine this plant was
-  /// built with, using the power assembled by the last substep_prepare().
-  void thermal_substep(double sub_dt);
-  /// Runs `count` more substeps of the current interval on the propagator
-  /// engine: the [Phi | Gamma] entry substep 1 left cached is resolved
-  /// once, then each substep evaluates the SoC's captured power terms,
-  /// writes the node powers straight into propagator_input_ through
-  /// power_source_, takes one matvec, and commits. Stops early when the
-  /// benchmark finishes.
-  void propagate_substeps(workload::WorkloadInstance* instance, int count,
-                          double sub_dt);
-  /// Accumulates rails/time/progress for the substep; returns false when
-  /// the foreground workload completed (the interval ends early).
-  bool substep_commit(workload::WorkloadInstance* instance, double sub_dt);
-  /// Finalizes and returns the interval result (time-averaged rails).
-  PlantIntervalResult interval_end();
-
-  /// The SoC outputs that heat a node, in power_source_'s numbering: the
-  /// four big cores, then the little, GPU and memory rails; kNoPowerSource
-  /// injects nothing.
-  static constexpr std::size_t kNoPowerSource = soc::kBigCoreCount + 3;
-
   thermal::Floorplan floorplan_;
   thermal::Fan fan_;
   soc::Soc soc_;
@@ -155,20 +122,13 @@ class Plant {
   power::PowerSensorBank power_bank_;
   power::ExternalPowerMeter meter_;
   Engine engine_;
-  /// Backs thermal_substep() for the propagator engine; null for
-  /// reference-rk4.
+  /// The propagator engine's thermal step; null for reference-rk4.
   std::unique_ptr<thermal::PropagatorRcModel> propagator_;
-  /// Reused node-power injection buffer (advance() allocates nothing).
-  std::vector<double> node_power_scratch_;
-  /// Free slot -> the SoC output that heats that node (or kNoPowerSource),
-  /// in the network's free-node order: Floorplan::assemble_node_power_into
-  /// as an index map. Built at construction.
-  std::vector<std::size_t> power_source_;
-  /// propagate_substeps()'s x = [T_free ; P_free], sized at construction.
-  std::vector<double> propagator_input_;
-  /// Interval accumulation state between interval_begin()/interval_end().
-  PlantIntervalResult pending_;
-  power::ResourceVector rails_accum_{};
+  /// floorplan_.heat_nodes(), resolved at construction.
+  thermal::Floorplan::HeatNodes heat_nodes_;
+  /// Node-power injection, zeroed at construction; advance() rewrites only
+  /// the heat_nodes_ entries (it allocates nothing).
+  std::vector<double> node_power_;
 };
 
 }  // namespace dtpm::sim

@@ -85,7 +85,6 @@ void Soc::apply(const SocConfig& config) {
     migration_stall_remaining_s_ += perf_params_.cluster_switch_stall_s;
   }
   config_ = config;
-  schedule_valid_ = false;
   v_big_ = big_opps_.voltage_at(config_.big_freq_hz);
   v_little_ = little_opps_.voltage_at(config_.little_freq_hz);
   v_gpu_ = gpu_opps_.voltage_at(config_.gpu_freq_hz);
@@ -95,11 +94,9 @@ SocStepResult Soc::step(const workload::Demand& foreground,
                         const std::vector<workload::ThreadDemand>& background,
                         const std::array<double, kBigCoreCount>& big_temps_c,
                         double little_temp_c, double gpu_temp_c,
-                        double mem_temp_c, double dt_s, bool reuse_schedule) {
+                        double mem_temp_c, double dt_s) {
   if (dt_s <= 0.0) throw std::invalid_argument("Soc::step: dt must be > 0");
-  if (!reuse_schedule || !schedule_valid_) {
-    solve_schedule(foreground, background);
-  }
+  solve_schedule(foreground, background);
   SocStepResult out;
   step_captured(big_temps_c, little_temp_c, gpu_temp_c, mem_temp_c, dt_s,
                 out);
@@ -274,7 +271,6 @@ void Soc::solve_schedule(
   k.mem_const_w =
       power_params_.mem_base_w + mem_traffic * power_params_.mem_dynamic_max_w;
   k.mem_leak = mem_leak_.term_at(power_params_.mem_nominal_voltage_v);
-  schedule_valid_ = true;
 }
 
 SocIntervalConstants Soc::interval_constants() const {

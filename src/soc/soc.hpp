@@ -88,7 +88,7 @@ bool operator==(const PerfParams& a, const PerfParams& b);
 /// The temperature-independent inputs of Soc::step's power/progress phase
 /// for the current schedule and applied config, captured once per control
 /// interval. Combined with per-substep temperatures these reproduce
-/// step(reuse_schedule=true) up to floating-point reassociation -- the
+/// step_captured() up to floating-point reassociation -- the
 /// closed-form power model the stability analysis (analysis/stability.hpp)
 /// linearizes.
 ///
@@ -158,27 +158,28 @@ class Soc {
   /// Advances the plant by dt seconds: places foreground + background
   /// threads, computes true rail powers using the supplied true node
   /// temperatures (leakage feedback), and returns workload progress.
-  ///
-  /// `reuse_schedule` skips the workload-schedule phase (thread placement,
-  /// GPU demand, memory-contention equilibrium, per-core activity, progress
-  /// rate) and evaluates the power terms the last schedule solve captured:
-  /// step_captured(). Those quantities are pure functions of (foreground,
-  /// background, applied config), so a caller that holds them fixed across
-  /// consecutive substeps -- Plant::advance within one control interval --
-  /// gets bit-identical outputs at a fraction of the cost: only the
-  /// temperature-dependent leakage is re-evaluated. With no schedule solved
-  /// for the applied config yet, a reuse step solves one.
+  /// Exactly solve_schedule() followed by step_captured().
   SocStepResult step(const workload::Demand& foreground,
                      const std::vector<workload::ThreadDemand>& background,
                      const std::array<double, kBigCoreCount>& big_temps_c,
                      double little_temp_c, double gpu_temp_c,
-                     double mem_temp_c, double dt_s,
-                     bool reuse_schedule = false);
+                     double mem_temp_c, double dt_s);
 
-  /// One substep under the terms the last schedule solve captured: exactly
-  /// step(..., reuse_schedule=true), written into `out` (every member).
-  /// dt_s must be > 0 and a schedule must have been solved for the applied
-  /// config. Inline: the propagator plant's substep loop calls it directly.
+  /// The workload-schedule phase of step(): thread placement, GPU demand,
+  /// memory-contention equilibrium, per-core activity and progress rate,
+  /// plus the power model's temperature-independent terms under them.
+  /// These are pure functions of (foreground, background, applied config),
+  /// so a caller that holds all three fixed across consecutive substeps --
+  /// sim::Plant::advance within one control interval -- solves once and
+  /// then calls step_captured() per substep: only the temperature-dependent
+  /// leakage is re-evaluated.
+  void solve_schedule(const workload::Demand& foreground,
+                      const std::vector<workload::ThreadDemand>& background);
+
+  /// One substep under the terms the last solve_schedule() captured,
+  /// written into `out` (every member). dt_s must be > 0, and
+  /// solve_schedule() must have run for the applied config.
+  /// Inline: the plant's substep loop calls it directly.
   ///
   /// Operation order, which bit-identity depends on: each rail's leakage is
   /// LeakageTerm::power_w; a big core draws dynamic + leakage/4 + uncore
@@ -232,7 +233,7 @@ class Soc {
 
   /// The temperature-independent power/progress inputs the last schedule
   /// solve captured, in closed form (see SocIntervalConstants). Call after
-  /// the first (reuse_schedule=false) step of a control interval.
+  /// solve_schedule().
   SocIntervalConstants interval_constants() const;
 
   const PlantPowerParams& power_params() const { return power_params_; }
@@ -240,7 +241,7 @@ class Soc {
 
  private:
   /// Interval-invariant schedule outputs, valid while the workload and the
-  /// applied config are unchanged (see step()'s reuse_schedule).
+  /// applied config are unchanged (see solve_schedule()).
   struct Schedule {
     double cpu_max_util = 0.0;
     double cpu_avg_util = 0.0;
@@ -269,10 +270,6 @@ class Soc {
     power::LeakageTerm gpu_leak;
     power::LeakageTerm mem_leak;
   };
-
-  /// The workload-schedule phase of step(): fills schedule_ and terms_.
-  void solve_schedule(const workload::Demand& foreground,
-                      const std::vector<workload::ThreadDemand>& background);
 
   /// Consumes up to dt_s of the pending cluster-migration stall and returns
   /// the effective progress time.
@@ -312,8 +309,6 @@ class Soc {
 
   Schedule schedule_;
   PowerTerms terms_;
-  /// schedule_/terms_ belong to the applied config (cleared by apply()).
-  bool schedule_valid_ = false;
 };
 
 }  // namespace dtpm::soc

@@ -170,21 +170,23 @@ Floorplan build_floorplan(const FloorplanSpec& spec) {
                    std::move(sensor_index)};
 }
 
+Floorplan::HeatNodes Floorplan::heat_nodes() const {
+  if (core_node_index.size() != 4) {
+    throw std::logic_error(
+        "Floorplan::heat_nodes: the SoC heats exactly four core nodes, got " +
+        std::to_string(core_node_index.size()));
+  }
+  return {core_node_index[0], core_node_index[1], core_node_index[2],
+          core_node_index[3], little_node_index,  gpu_node_index,
+          mem_node_index};
+}
+
 void Floorplan::assemble_node_power_into(
     const std::array<double, 4>& big_core_power_w,
     const power::ResourceVector& rail_power_w,
     std::vector<double>& node_power_out) const {
   node_power_out.assign(network.node_count(), 0.0);
-  for (std::size_t c = 0;
-       c < big_core_power_w.size() && c < core_node_index.size(); ++c) {
-    node_power_out[core_node_index[c]] = big_core_power_w[c];
-  }
-  node_power_out[little_node_index] =
-      rail_power_w[power::resource_index(power::Resource::kLittleCluster)];
-  node_power_out[gpu_node_index] =
-      rail_power_w[power::resource_index(power::Resource::kGpu)];
-  node_power_out[mem_node_index] =
-      rail_power_w[power::resource_index(power::Resource::kMem)];
+  write_heat(heat_nodes(), big_core_power_w, rail_power_w, node_power_out);
 }
 
 std::array<std::size_t, 4> Floorplan::big_core_nodes() {

@@ -165,10 +165,39 @@ struct Floorplan {
 
   bool has_fan_edge() const { return fan_edge != kNoFanEdge; }
 
-  /// Maps the SoC's power draws onto this floorplan's heat-injection nodes
-  /// through the role indices: each big core heats its own core node and the
-  /// little/GPU/memory rails heat their cluster nodes. Allocation-free after
-  /// the first call on a reused buffer.
+  /// The SoC outputs that heat a node: the four big cores, then the little,
+  /// GPU and memory rails.
+  static constexpr std::size_t kHeatSourceCount = 7;
+  using HeatNodes = std::array<std::size_t, kHeatSourceCount>;
+
+  /// The node each heat source is written to, in that role order: each big
+  /// core heats its own core node and the little/GPU/memory rails heat their
+  /// cluster nodes. @throws std::logic_error unless the floorplan has exactly
+  /// four core nodes.
+  HeatNodes heat_nodes() const;
+
+  /// Writes the SoC's heat sources into their `nodes` entries of
+  /// `node_power` in role order -- a later role overwrites an earlier one on
+  /// a shared node -- and leaves every other entry as it is.
+  static void write_heat(const HeatNodes& nodes,
+                         const std::array<double, 4>& big_core_power_w,
+                         const power::ResourceVector& rail_power_w,
+                         std::vector<double>& node_power) {
+    const std::array<double, kHeatSourceCount> source{
+        big_core_power_w[0],
+        big_core_power_w[1],
+        big_core_power_w[2],
+        big_core_power_w[3],
+        rail_power_w[power::resource_index(power::Resource::kLittleCluster)],
+        rail_power_w[power::resource_index(power::Resource::kGpu)],
+        rail_power_w[power::resource_index(power::Resource::kMem)]};
+    for (std::size_t k = 0; k < kHeatSourceCount; ++k) {
+      node_power[nodes[k]] = source[k];
+    }
+  }
+
+  /// The whole node-power vector: zeros, then write_heat() through
+  /// heat_nodes(). Allocation-free after the first call on a reused buffer.
   void assemble_node_power_into(const std::array<double, 4>& big_core_power_w,
                                 const power::ResourceVector& rail_power_w,
                                 std::vector<double>& node_power_out) const;

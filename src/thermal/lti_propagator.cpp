@@ -1,6 +1,5 @@
 #include "thermal/lti_propagator.hpp"
 
-#include <cmath>
 #include <cstring>
 #include <stdexcept>
 
@@ -27,35 +26,6 @@ std::uint64_t bits_of(double v) {
   std::uint64_t out;
   std::memcpy(&out, &v, sizeof(out));
   return out;
-}
-
-/// expm(W) by scaling-and-squaring with a Taylor series on the scaled
-/// matrix. W is small (2 x free node count) and, for RC networks, mildly
-/// normed once scaled, so ~20 terms reach full double precision.
-util::Matrix expm(const util::Matrix& w) {
-  const std::size_t n = w.rows();
-  // Infinity norm (max absolute row sum).
-  double norm = 0.0;
-  for (std::size_t r = 0; r < n; ++r) {
-    double row = 0.0;
-    for (std::size_t c = 0; c < n; ++c) row += std::abs(w(r, c));
-    norm = std::max(norm, row);
-  }
-  int squarings = 0;
-  double scale = 1.0;
-  while (norm * scale > 0.5) {
-    scale *= 0.5;
-    ++squarings;
-  }
-  const util::Matrix ws = w * scale;
-  util::Matrix result = util::Matrix::identity(n);
-  util::Matrix term = util::Matrix::identity(n);
-  for (int k = 1; k <= 20; ++k) {
-    term = term * ws * (1.0 / double(k));
-    result += term;
-  }
-  for (int s = 0; s < squarings; ++s) result = result * result;
-  return result;
 }
 
 /// The exact affine map of one RK4 substep on dT/dt = A T + c:
@@ -100,8 +70,7 @@ std::uint64_t conductance_signature(const CompiledRcModel& model) {
 }
 
 std::unique_ptr<const PropagatorMatrices> compile(const RcNetwork& network,
-                                                  double dt_s,
-                                                  PropagatorMode mode) {
+                                                  double dt_s) {
   const CompiledRcModel& model = network.compiled();
   auto compiled = std::make_unique<PropagatorMatrices>();
   PropagatorMatrices& out = *compiled;
@@ -142,49 +111,27 @@ std::unique_ptr<const PropagatorMatrices> compile(const RcNetwork& network,
     }
   }
 
-  util::Matrix phi, gamma;
-  if (mode == PropagatorMode::kRk4Map) {
-    // The substep subdivision CompiledRcModel::step uses for this dt, so the
-    // map is the composition of exactly the substeps the RK4 loop takes.
-    const unsigned substeps = model.substeps_for(dt_s);
-    const double h = dt_s / double(substeps);
-    util::Matrix r, s;
-    rk4_substep_map(a, h, r, s);
-    // Fold D into the substep input map: z arrives in W.
-    util::Matrix g1(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double inv_c =
-          1.0 / model.capacitance_j_per_k(out.free_nodes[i]);
-      for (std::size_t j = 0; j < n; ++j) g1(j, i) = s(j, i) * inv_c;
-    }
-    // Square-and-multiply composition over the substep count.
-    phi = util::Matrix::identity(n);
-    gamma = util::Matrix(n, n);
-    util::Matrix base_p = r, base_g = g1;
-    unsigned m = substeps;
-    while (m > 0) {
-      if (m & 1u) compose(base_p, base_g, phi, gamma);
-      m >>= 1u;
-      if (m > 0) compose(base_p, base_g, base_p, base_g);
-    }
-  } else {
-    // Augmented-matrix exponential: exp([[A, D], [0, 0]] dt) =
-    // [[Phi, Gamma], [0, I]]; handles singular A (no boundary node).
-    util::Matrix w(2 * n, 2 * n);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) w(i, j) = a(i, j) * dt_s;
-      w(i, n + i) =
-          dt_s / model.capacitance_j_per_k(out.free_nodes[i]);
-    }
-    const util::Matrix e = expm(w);
-    phi = util::Matrix(n, n);
-    gamma = util::Matrix(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        phi(i, j) = e(i, j);
-        gamma(i, j) = e(i, n + j);
-      }
-    }
+  // The substep subdivision CompiledRcModel::step uses for this dt, so the
+  // map is the composition of exactly the substeps the RK4 loop takes.
+  const unsigned substeps = model.substeps_for(dt_s);
+  const double h = dt_s / double(substeps);
+  util::Matrix r, s;
+  rk4_substep_map(a, h, r, s);
+  // Fold D into the substep input map: z arrives in W.
+  util::Matrix g1(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double inv_c = 1.0 / model.capacitance_j_per_k(out.free_nodes[i]);
+    for (std::size_t j = 0; j < n; ++j) g1(j, i) = s(j, i) * inv_c;
+  }
+  // Square-and-multiply composition over the substep count.
+  util::Matrix phi = util::Matrix::identity(n);
+  util::Matrix gamma(n, n);
+  util::Matrix base_p = r, base_g = g1;
+  unsigned m = substeps;
+  while (m > 0) {
+    if (m & 1u) compose(base_p, base_g, phi, gamma);
+    m >>= 1u;
+    if (m > 0) compose(base_p, base_g, base_p, base_g);
   }
 
   out.packed.resize(2 * n * n);
@@ -197,14 +144,22 @@ std::unique_ptr<const PropagatorMatrices> compile(const RcNetwork& network,
   return compiled;
 }
 
-/// The packed step from x = [T_free ; P_free] (see step_resolved): adds the
-/// boundary coupling into x's power half, then writes Phi T + Gamma z into
-/// the free nodes of `temps`. Always inlined, so step()'s cache-hit path
-/// stays one function.
+/// The packed step: gathers x = [T_free ; P_free] from `temps` and
+/// `power_w`, adds the boundary coupling into x's power half, then writes
+/// Phi T + Gamma z into the free nodes of `temps`. Always inlined, so
+/// step()'s cache-hit path stays one function.
 inline __attribute__((always_inline)) void propagate(
-    const PropagatorMatrices& m, double* x, std::vector<double>& temps) {
+    const PropagatorMatrices& m, const std::vector<double>& power_w,
+    std::vector<double>& x_buffer, std::vector<double>& temps) {
   const std::size_t n = m.free_count;
   const std::size_t width = 2 * n;
+  const std::size_t* free_nodes = m.free_nodes.data();
+  x_buffer.resize(width);
+  double* x = x_buffer.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    x[i] = temps[free_nodes[i]];
+    x[n + i] = power_w[free_nodes[i]];
+  }
   for (const PropagatorMatrices::BoundaryTerm& bt : m.boundary_terms) {
     x[n + bt.free_slot] += bt.g * temps[bt.boundary_node];
   }
@@ -213,7 +168,6 @@ inline __attribute__((always_inline)) void propagate(
   // register is exactly row r+k's scalar sum in column order.
   using v2d = double __attribute__((vector_size(16)));
   constexpr std::size_t kPanel = PropagatorMatrices::kPanelRows;
-  const std::size_t* free_nodes = m.free_nodes.data();
   const double* a = m.packed.data();
   std::size_t row = 0;
   for (; row + kPanel <= n; row += kPanel) {
@@ -256,8 +210,7 @@ void PropagatorTable::add(const RcNetwork& network, double dt_s) {
   }
   const std::uint64_t sig = conductance_signature(network.compiled());
   if (find(dt_s, sig) != nullptr) return;
-  entries_.push_back(
-      {dt_s, sig, compile(network, dt_s, PropagatorMode::kRk4Map)});
+  entries_.push_back({dt_s, sig, compile(network, dt_s)});
 }
 
 const PropagatorMatrices* PropagatorTable::find(double dt_s,
@@ -268,11 +221,8 @@ const PropagatorMatrices* PropagatorTable::find(double dt_s,
   return nullptr;
 }
 
-PropagatorRcModel::PropagatorRcModel(PropagatorMode mode)
-    : mode_(mode), shared_(nullptr) {}
-
 PropagatorRcModel::PropagatorRcModel(const PropagatorTable* shared)
-    : mode_(PropagatorMode::kRk4Map), shared_(shared) {}
+    : shared_(shared) {}
 
 std::uint64_t PropagatorRcModel::signature_of(const RcNetwork& network) {
   const CompiledRcModel& model = network.compiled();
@@ -299,7 +249,7 @@ PropagatorRcModel::Entry& PropagatorRcModel::entry_for(
   entry.m = shared_ != nullptr ? shared_->find(dt_s, sig) : nullptr;
   if (entry.m == nullptr) {
     ++compiles_;
-    entry.owned = compile(network, dt_s, mode_);
+    entry.owned = compile(network, dt_s);
     entry.m = entry.owned.get();
   }
   if (cache_.size() < kCacheCapacity) {
@@ -348,22 +298,14 @@ void PropagatorRcModel::step(RcNetwork& network, double dt_s,
   }
 
   ++propagator_steps_;
-  const std::size_t n = m->free_count;
-  std::vector<double>& temps = network.temperatures_mut();
-  x_.resize(2 * n);
-  double* x = x_.data();
-  const std::size_t* free_nodes = m->free_nodes.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    x[i] = temps[free_nodes[i]];
-    x[n + i] = power_w[free_nodes[i]];
-  }
-  propagate(*m, x, temps);
+  propagate(*m, power_w, x_, network.temperatures_mut());
 }
 
-void PropagatorRcModel::step_resolved(const PropagatorMatrices& m, double* x,
-                                      std::vector<double>& temps) {
+void PropagatorRcModel::step_resolved(const PropagatorMatrices& m,
+                                      RcNetwork& network,
+                                      const std::vector<double>& power_w) {
   ++propagator_steps_;
-  propagate(m, x, temps);
+  propagate(m, power_w, x_, network.temperatures_mut());
 }
 
 }  // namespace dtpm::thermal

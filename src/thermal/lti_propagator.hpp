@@ -13,19 +13,12 @@
 // keyed on CompiledRcModel's conductance epoch, and replaces the per-step
 // stage sweeps with a single matvec.
 //
-// Two construction modes:
-//
-//   * kRk4Map (default): Phi/Gamma are built by repeated squaring of the
-//     exact one-substep RK4 affine map (R = I + hA + (hA)^2/2 + (hA)^3/6 +
-//     (hA)^4/24, S = h(I + hA/2 + (hA)^2/6 + (hA)^3/24), composed over the
-//     same substep count CompiledRcModel::step would use). In exact
-//     arithmetic this IS the RK4 loop, so the propagator tracks the
-//     reference integrator to floating-point rounding (~1e-13 C/step) --
-//     the bounded-error mode.
-//   * kExpm: Phi = expm(A dt) and Gamma = integral_0^dt expm(A s) ds * D via
-//     scaling-and-squaring on the augmented matrix [[A, D], [0, 0]] (handles
-//     boundary-free, hence singular-A, networks). Exact for the continuous
-//     dynamics; differs from RK4 by the integrator's own truncation error.
+// Phi/Gamma are built by repeated squaring of the exact one-substep RK4
+// affine map (R = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24,
+// S = h(I + hA/2 + (hA)^2/6 + (hA)^3/24), composed over the same substep
+// count CompiledRcModel::step would use). In exact arithmetic this IS the
+// RK4 loop, so the propagator tracks the reference integrator to
+// floating-point rounding (~1e-13 C/step).
 //
 // Steps whose (dt, conductance state) pair has no cached matrices -- the
 // first step after construction and the first step after a fan transition --
@@ -50,11 +43,6 @@
 namespace dtpm::thermal {
 
 class RcNetwork;
-
-enum class PropagatorMode {
-  kRk4Map,  ///< repeated-squaring of the RK4 substep map (bounded error)
-  kExpm,    ///< true matrix exponential (exact continuous-time propagator)
-};
 
 /// One compiled (dt, conductance state) propagator: the affine step map and
 /// the boundary-coupling pattern needed to form z. Shared read-only by
@@ -86,7 +74,7 @@ struct PropagatorMatrices {
   }
 };
 
-/// kRk4Map propagators for networks of one structure (topology,
+/// Propagators for networks of one structure (topology,
 /// capacitances, boundary nodes), keyed by (dt, conductance state) the same
 /// way PropagatorRcModel keys its own cache. Filled single-threaded, then
 /// shared read-only: find() takes no lock, so any number of models may read
@@ -120,16 +108,12 @@ class PropagatorTable {
 ///
 class PropagatorRcModel {
  public:
-  explicit PropagatorRcModel(PropagatorMode mode = PropagatorMode::kRk4Map);
-
-  /// A kRk4Map model over a network of `shared`'s structure (sim::RunPlan
-  /// builds one table per structure). A cache miss takes its matrices from
-  /// the table before compiling; numerics, fallback steps and step counts
-  /// are the same either way. Null `shared` compiles everything itself. The
-  /// table must outlive this object.
-  explicit PropagatorRcModel(const PropagatorTable* shared);
-
-  PropagatorMode mode() const { return mode_; }
+  /// A model over networks of `shared`'s structure (sim::RunPlan builds one
+  /// table per structure). A cache miss takes its matrices from the table
+  /// before compiling; numerics, fallback steps and step counts are the
+  /// same either way. Null `shared` compiles everything itself. The table
+  /// must outlive this object.
+  explicit PropagatorRcModel(const PropagatorTable* shared = nullptr);
 
   /// Advances `network` by dt_s. Cache hit: one matvec. Cache miss (first
   /// sight of this dt + conductance state): advances through the
@@ -147,15 +131,12 @@ class PropagatorRcModel {
                                          double dt_s);
 
   /// One matvec step with matrices already resolved (a matrices_for()
-  /// result): the cache-hit half of step(), which calls it. `x` holds
-  /// 2 free_count doubles, [T_free ; P_free] -- the free nodes'
-  /// temperatures, then the power injected into them, both in
-  /// m.free_nodes order. Adds the boundary coupling into the power half,
-  /// then writes Phi T + Gamma z into the free nodes of `temps` (the
-  /// network's temperatures_mut()). Counts as a propagator step.
-  /// sim::Plant runs a control interval's later substeps through it.
-  void step_resolved(const PropagatorMatrices& m, double* x,
-                     std::vector<double>& temps);
+  /// result for `network`'s current conductance state and this dt): the
+  /// cache-hit half of step(), without its checks or its cache scan.
+  /// Counts as a propagator step. sim::Plant runs every substep of a
+  /// control interval after the first through it.
+  void step_resolved(const PropagatorMatrices& m, RcNetwork& network,
+                     const std::vector<double>& power_w);
 
   /// Steps taken through the cached-matvec path.
   std::uint64_t propagator_steps() const { return propagator_steps_; }
@@ -179,7 +160,6 @@ class PropagatorRcModel {
   std::uint64_t signature_of(const RcNetwork& network);
   Entry& entry_for(const RcNetwork& network, double dt_s);
 
-  PropagatorMode mode_;
   const PropagatorTable* shared_;
   std::vector<Entry> cache_;  ///< FIFO-bounded (fan states x dt values)
   std::size_t next_evict_ = 0;
@@ -193,7 +173,8 @@ class PropagatorRcModel {
   std::uint64_t fallback_steps_ = 0;
   std::uint64_t compiles_ = 0;
 
-  /// step() scratch: x = [T_free ; z] (no allocation on the hot path).
+  /// The matvec input x = [T_free ; z], sized on the first matvec step
+  /// (no allocation on the hot path after it).
   std::vector<double> x_;
 };
 

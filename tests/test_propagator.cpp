@@ -135,7 +135,8 @@ std::vector<double> row_by_row_step(const PropagatorMatrices& m,
 }
 
 /// Steps `network` through the propagator with random power and checks every
-/// matvec step against row_by_row_step bit for bit.
+/// matvec step, through step() and step_resolved(), against row_by_row_step
+/// bit for bit.
 void expect_packed_step_matches_oracle(RcNetwork& network,
                                        std::mt19937_64& rng) {
   constexpr double kDt = 0.01;
@@ -146,9 +147,15 @@ void expect_packed_step_matches_oracle(RcNetwork& network,
   ASSERT_EQ(engine.fallback_steps(), 1u);
   for (int k = 0; k < 64; ++k) {
     for (double& p : power) p = watts(rng);
-    const std::vector<double> expected = row_by_row_step(
-        engine.matrices_for(network, kDt), network.temperatures_c(), power);
-    engine.step(network, kDt, power);
+    const PropagatorMatrices& m = engine.matrices_for(network, kDt);
+    const std::vector<double> expected =
+        row_by_row_step(m, network.temperatures_c(), power);
+    // Alternate the checked step() and the resolved step sim::Plant runs.
+    if (k % 2 == 0) {
+      engine.step(network, kDt, power);
+    } else {
+      engine.step_resolved(m, network, power);
+    }
     for (std::size_t i = 0; i < expected.size(); ++i) {
       ASSERT_EQ(bits(expected[i]), bits(network.temperature_c(i)))
           << "node " << i << " step " << k;
@@ -168,32 +175,28 @@ util::Matrix phi_as_matrix(const PropagatorMatrices& m) {
   return phi;
 }
 
-// Every registry platform, every fan state, both construction modes: the
-// one-step transition matrix must be a strict contraction (all eigenvalues
-// inside the unit circle) -- the discrete-time stability condition of the
-// power-temperature analysis literature.
+// Every registry platform, every fan state: the one-step transition matrix
+// must be a strict contraction (all eigenvalues inside the unit circle) --
+// the discrete-time stability condition of the power-temperature analysis
+// literature.
 TEST(PropagatorSpectral, RegistryPlatformsAllFanStatesInsideUnitCircle) {
   const auto& registry = sim::PlatformRegistry::instance();
   const FanSpeed speeds[] = {FanSpeed::kOff, FanSpeed::kLow, FanSpeed::kHalf,
                              FanSpeed::kFull};
-  const PropagatorMode modes[] = {PropagatorMode::kRk4Map,
-                                  PropagatorMode::kExpm};
   for (const std::string& name : registry.names()) {
     const sim::PlatformPtr platform = registry.get(name);
-    for (PropagatorMode mode : modes) {
-      for (FanSpeed speed : speeds) {
-        Floorplan fp = build_floorplan(platform->floorplan);
-        if (fp.has_fan_edge()) {
-          fp.network.set_edge_conductance(
-              fp.fan_edge, Fan(platform->fan).conductance_w_per_k(speed));
-        }
-        PropagatorRcModel engine(mode);
-        const PropagatorMatrices& m = engine.matrices_for(fp.network, 0.01);
-        ASSERT_GT(m.free_count, 0u) << name;
-        const double radius = phi_as_matrix(m).spectral_radius();
-        EXPECT_GT(radius, 0.0) << name << " " << to_string(speed);
-        EXPECT_LT(radius, 1.0) << name << " " << to_string(speed);
+    for (FanSpeed speed : speeds) {
+      Floorplan fp = build_floorplan(platform->floorplan);
+      if (fp.has_fan_edge()) {
+        fp.network.set_edge_conductance(
+            fp.fan_edge, Fan(platform->fan).conductance_w_per_k(speed));
       }
+      PropagatorRcModel engine;
+      const PropagatorMatrices& m = engine.matrices_for(fp.network, 0.01);
+      ASSERT_GT(m.free_count, 0u) << name;
+      const double radius = phi_as_matrix(m).spectral_radius();
+      EXPECT_GT(radius, 0.0) << name << " " << to_string(speed);
+      EXPECT_LT(radius, 1.0) << name << " " << to_string(speed);
     }
   }
 }
@@ -299,26 +302,6 @@ TEST(PropagatorFallback, FanTransitionStraddlingStepIsBitIdenticalRk4) {
   engine.step(stepped.network, 0.01, power);
   EXPECT_EQ(engine.fallback_steps(), 2u);
   EXPECT_EQ(engine.propagator_steps(), 3u);
-}
-
-// The exact-exponential mode differs from RK4 only by the integrator's own
-// truncation error: small for the floorplan's time constants at dt = 10 ms.
-TEST(PropagatorExpm, TracksRk4WithinTruncationError) {
-  Floorplan reference = make_default_floorplan();
-  Floorplan stepped = make_default_floorplan();
-  PropagatorRcModel engine(PropagatorMode::kExpm);
-  double max_err = 0.0;
-  for (int k = 0; k < 1000; ++k) {
-    const std::vector<double> power =
-        sinusoid_power(kFloorplanNodeCount, k);
-    reference.network.step(0.01, power);
-    engine.step(stepped.network, 0.01, power);
-    for (std::size_t i = 0; i < kFloorplanNodeCount; ++i) {
-      max_err = std::max(max_err, std::abs(reference.network.temperature_c(i) -
-                                           stepped.network.temperature_c(i)));
-    }
-  }
-  EXPECT_LE(max_err, 1e-6);
 }
 
 // The packed [Phi | Gamma] step is bit-identical to the row-by-row dot on

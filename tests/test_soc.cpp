@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
+#include <string>
 
 namespace dtpm::soc {
 namespace {
@@ -216,6 +219,71 @@ TEST(Soc, MemoryPowerTracksTraffic) {
   const double light = run(soc, cpu_demand(1, 0.5, 0.05)).rail_power_w[mem_idx];
   const double heavy = run(soc, cpu_demand(4, 0.5, 0.6)).rail_power_w[mem_idx];
   EXPECT_GT(heavy, light + 0.2);
+}
+
+std::uint64_t bits(double v) {
+  std::uint64_t out;
+  std::memcpy(&out, &v, sizeof(out));
+  return out;
+}
+
+void expect_same_bits(const SocStepResult& a, const SocStepResult& b) {
+  for (std::size_t r = 0; r < power::kResourceCount; ++r) {
+    EXPECT_EQ(bits(a.rail_power_w[r]), bits(b.rail_power_w[r])) << "rail " << r;
+  }
+  for (int c = 0; c < kBigCoreCount; ++c) {
+    EXPECT_EQ(bits(a.big_core_power_w[c]), bits(b.big_core_power_w[c]))
+        << "core " << c;
+  }
+  EXPECT_EQ(bits(a.progress_units), bits(b.progress_units));
+  EXPECT_EQ(bits(a.cpu_max_util), bits(b.cpu_max_util));
+  EXPECT_EQ(bits(a.cpu_avg_util), bits(b.cpu_avg_util));
+  EXPECT_EQ(bits(a.gpu_util), bits(b.gpu_util));
+}
+
+// One schedule solve followed by step_captured per substep -- what
+// sim::Plant::advance runs -- equals a full Soc::step per substep bit for
+// bit: on the big cluster with 1-4 cores online and on the little cluster
+// (reached by a migration, so the stall is consumed too), across GPU loads
+// and a sweep of per-node temperatures.
+TEST(Soc, SolveOnceThenCapturedStepsEqualFullSteps) {
+  std::vector<SocConfig> configs;
+  for (int online = 4; online >= 1; --online) {
+    configs.push_back(config_at(1400, online));
+  }
+  SocConfig little = config_at(1400);
+  little.active_cluster = ClusterId::kLittle;
+  little.little_freq_hz = 1.2e9;
+  configs.push_back(little);
+  workload::ThreadDemand daemon;
+  daemon.cpu_activity = 0.3;
+  daemon.counts_progress = false;
+  const std::vector<workload::ThreadDemand> background{daemon};
+  Soc full;
+  Soc captured;
+  for (const SocConfig& config : configs) {
+    full.apply(config);
+    captured.apply(config);
+    for (double gpu_load : {0.0, 0.4, 0.95}) {
+      workload::Demand d = cpu_demand(3, 0.7, 0.35);
+      d.gpu_load = gpu_load;
+      d.gpu_cycles_per_unit = gpu_load > 0.0 ? 4.2e8 : 0.0;
+      SCOPED_TRACE("online " + std::to_string(config.online_big_cores()) +
+                   (config.active_cluster == ClusterId::kLittle ? " little"
+                                                                : " big") +
+                   " gpu " + std::to_string(gpu_load));
+      captured.solve_schedule(d, background);
+      SocStepResult out;
+      for (double t = 30.0; t <= 105.0; t += 7.5) {
+        const std::array<double, kBigCoreCount> cores{t, t + 1.5, t - 2.0,
+                                                      t + 4.0};
+        const SocStepResult expected =
+            full.step(d, background, cores, t - 5.0, t + 2.5, t - 8.0, 0.01);
+        captured.step_captured(cores, t - 5.0, t + 2.5, t - 8.0, 0.01, out);
+        expect_same_bits(expected, out);
+      }
+    }
+  }
 }
 
 TEST(Soc, StepRejectsNonPositiveDt) {
