@@ -4,12 +4,21 @@
 #include <stdexcept>
 
 namespace dtpm::power {
+namespace {
+
+/// A noise or quantization parameter is finite and >= 0: a NaN would pass a
+/// bare `< 0` check and turn every reading into NaN.
+bool valid_sensor_parameter(double v) { return std::isfinite(v) && v >= 0.0; }
+
+}  // namespace
 
 PowerSensorBank::PowerSensorBank(const PowerSensorParams& params,
                                  util::Rng rng)
     : params_(params), rng_(rng) {
-  if (params_.noise_fraction < 0.0 || params_.quantization_w < 0.0) {
-    throw std::invalid_argument("PowerSensorBank: negative parameter");
+  if (!valid_sensor_parameter(params_.noise_fraction) ||
+      !valid_sensor_parameter(params_.quantization_w)) {
+    throw std::invalid_argument(
+        "PowerSensorBank: negative or non-finite parameter");
   }
 }
 
@@ -29,8 +38,9 @@ ResourceVector PowerSensorBank::read(const ResourceVector& true_power_w) {
 ExternalPowerMeter::ExternalPowerMeter(const PlatformLoadParams& params,
                                        util::Rng rng, double noise_fraction)
     : params_(params), rng_(rng), noise_fraction_(noise_fraction) {
-  if (noise_fraction_ < 0.0) {
-    throw std::invalid_argument("ExternalPowerMeter: negative noise");
+  if (!valid_sensor_parameter(noise_fraction_)) {
+    throw std::invalid_argument(
+        "ExternalPowerMeter: negative or non-finite noise");
   }
 }
 

@@ -11,8 +11,13 @@ TempSensorBank::TempSensorBank(std::vector<std::size_t> observed_nodes,
   if (observed_nodes_.empty()) {
     throw std::invalid_argument("TempSensorBank: no observed nodes");
   }
-  if (params_.quantization_c < 0.0 || params_.noise_stddev_c < 0.0) {
-    throw std::invalid_argument("TempSensorBank: negative sensor parameter");
+  // Finite and >= 0: a NaN would pass a bare `< 0` check and turn every
+  // reading into NaN.
+  for (const double v : {params_.quantization_c, params_.noise_stddev_c}) {
+    if (!std::isfinite(v) || v < 0.0) {
+      throw std::invalid_argument(
+          "TempSensorBank: negative or non-finite sensor parameter");
+    }
   }
 }
 

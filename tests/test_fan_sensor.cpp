@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -107,6 +109,23 @@ TEST(TempSensor, Validation) {
   TempSensorBank bank({5}, TempSensorParams{}, util::Rng(1));
   std::vector<double> readings;
   EXPECT_THROW(bank.read_into({1.0, 2.0}, readings), std::invalid_argument);
+}
+
+// A NaN parameter slips past a bare `< 0` check and makes every reading NaN
+// (Rng::gaussian draws when `stddev <= 0` is false); infinities are no
+// sensor either.
+TEST(TempSensor, RejectsNonFiniteParameters) {
+  for (const double v : {std::nan(""), std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    TempSensorParams noise;
+    noise.noise_stddev_c = v;
+    EXPECT_THROW(TempSensorBank({0}, noise, util::Rng(1)),
+                 std::invalid_argument);
+    TempSensorParams quantization;
+    quantization.quantization_c = v;
+    EXPECT_THROW(TempSensorBank({0}, quantization, util::Rng(1)),
+                 std::invalid_argument);
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace dtpm::power {
@@ -47,6 +49,22 @@ TEST(PowerSensorBank, NegativeParamsThrow) {
   EXPECT_THROW(PowerSensorBank(bad, util::Rng(1)), std::invalid_argument);
 }
 
+// A NaN parameter slips past a bare `< 0` check and makes every reading NaN
+// (Rng::gaussian draws when `stddev <= 0` is false); infinities are no
+// sensor either.
+TEST(PowerSensorBank, NonFiniteParamsThrow) {
+  for (const double v : {std::nan(""), std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    PowerSensorParams noise;
+    noise.noise_fraction = v;
+    EXPECT_THROW(PowerSensorBank(noise, util::Rng(1)), std::invalid_argument);
+    PowerSensorParams quantization;
+    quantization.quantization_w = v;
+    EXPECT_THROW(PowerSensorBank(quantization, util::Rng(1)),
+                 std::invalid_argument);
+  }
+}
+
 TEST(ExternalPowerMeter, SumsRailsFanAndFixedLoads) {
   PlatformLoadParams loads;
   loads.board_base_w = 1.2;
@@ -68,6 +86,13 @@ TEST(ExternalPowerMeter, FanPowerVisibleOnlyAtTheMeter) {
 TEST(ExternalPowerMeter, NegativeNoiseThrows) {
   EXPECT_THROW(ExternalPowerMeter(PlatformLoadParams{}, util::Rng(1), -0.1),
                std::invalid_argument);
+}
+
+TEST(ExternalPowerMeter, NonFiniteNoiseThrows) {
+  for (const double v : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(ExternalPowerMeter(PlatformLoadParams{}, util::Rng(1), v),
+                 std::invalid_argument);
+  }
 }
 
 }  // namespace
