@@ -2,11 +2,10 @@
 // 23-column trace for one Table-6.4 benchmark and one generated scenario,
 // both at fixed seeds, and fails on any numeric drift. A trace under a
 // scripted policy that walks 4, 3 and 1 online big cores, a cluster
-// migration and every fan speed is pinned once per stepping engine, and the
-// summary of a propagator run whose benchmark finishes mid-interval is
-// pinned too. Any intentional
-// change to the plant, sensors, RNG streams, scheduler, or trace schema
-// must regenerate the goldens:
+// migration and every fan speed is pinned once per stepping engine, and so
+// is the summary of a propagator run whose benchmark finishes mid-interval.
+// Any intentional change to the plant, sensors, RNG streams, scheduler, or
+// trace schema must regenerate the goldens:
 //
 //   DTPM_REGEN_GOLDEN=1 ./test_golden_trace
 //
