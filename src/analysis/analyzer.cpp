@@ -121,9 +121,9 @@ OperatingPointAnalysis analyze_operating_point(
   soc.apply(config);
 
   // The schedule (placement, contention, activity) is temperature-
-  // independent: solve it, then capture the closed-form power model.
+  // independent: solve it once, then evaluate the plant's power model.
   soc.solve_schedule(request.demand, {});
-  const CoupledPowerModel model(floorplan, soc.interval_constants());
+  CoupledPowerModel model(floorplan, soc);
 
   const EquilibriumResult equilibrium = solve_coupled_equilibrium(
       rc,

@@ -1,27 +1,16 @@
 #include "analysis/stability.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <stdexcept>
+#include <array>
 
-#include "power/leakage.hpp"
 #include "thermal/compiled_rc_model.hpp"
 
 namespace dtpm::analysis {
 
 namespace {
 
-/// Leakage power (W) of collapsed coefficients at one temperature.
-double leakage_w(const power::LeakageCoeffs& k, double temp_c) {
-  const double tk = power::celsius_to_kelvin(temp_c);
-  return k.t2_scale_w * tk * tk * std::exp(k.c2_k / tk) + k.gate_w;
-}
-
-/// d(leakage)/dT in W/K: d/dT [s Tk^2 e^(c2/Tk)] = s e^(c2/Tk) (2 Tk - c2).
-double leakage_slope_w_per_k(const power::LeakageCoeffs& k, double temp_c) {
-  const double tk = power::celsius_to_kelvin(temp_c);
-  return k.t2_scale_w * std::exp(k.c2_k / tk) * (2.0 * tk - k.c2_k);
-}
+static_assert(soc::kHeatSourceCount == thermal::Floorplan::kHeatSourceCount,
+              "the SoC's heat sources and the floorplan's heat nodes pair up");
 
 /// Position of `node` within free_nodes (ascending), or npos for boundary.
 std::size_t free_position(const std::vector<std::size_t>& free_nodes,
@@ -36,72 +25,40 @@ std::size_t free_position(const std::vector<std::size_t>& free_nodes,
 }  // namespace
 
 CoupledPowerModel::CoupledPowerModel(const thermal::Floorplan& floorplan,
-                                     const soc::SocIntervalConstants& constants)
-    : floorplan_(floorplan), constants_(constants) {
-  if (floorplan.core_node_index.size() != std::size_t(soc::kBigCoreCount)) {
-    throw std::invalid_argument(
-        "CoupledPowerModel: floorplan must map one node per big core");
-  }
-}
+                                     const soc::Soc& soc)
+    : floorplan_(floorplan), heat_nodes_(floorplan.heat_nodes()), soc_(soc) {}
 
 void CoupledPowerModel::node_power(const std::vector<double>& temps_c,
-                                   std::vector<double>& node_power_w) const {
+                                   std::vector<double>& node_power_w) {
+  const auto at = [&](std::size_t i) { return temps_c[heat_nodes_[i]]; };
+  soc::SocStepResult out;
+  // Any positive dt: it only drains the copy's migration stall into the
+  // progress output, which node power does not read.
+  soc_.step_captured({at(0), at(1), at(2), at(3)}, at(4), at(5), at(6), 1.0,
+                     out);
   node_power_w.assign(temps_c.size(), 0.0);
-  const soc::SocIntervalConstants& k = constants_;
-  const double leak0 =
-      leakage_w(k.big_leak, temps_c[floorplan_.core_node_index[0]]);
-  for (int c = 0; c < soc::kBigCoreCount; ++c) {
-    const std::size_t node = floorplan_.core_node_index[std::size_t(c)];
-    node_power_w[node] = k.core_const_w[c] +
-                         k.core_leak_mult[c] * leakage_w(k.big_leak,
-                                                         temps_c[node]) +
-                         k.core_leak0_mult[c] * leak0;
-  }
-  node_power_w[floorplan_.little_node_index] +=
-      k.little_const_w +
-      k.little_leak_mult *
-          leakage_w(k.little_leak, temps_c[floorplan_.little_node_index]);
-  node_power_w[floorplan_.gpu_node_index] +=
-      k.gpu_const_w + leakage_w(k.gpu_leak,
-                                temps_c[floorplan_.gpu_node_index]);
-  node_power_w[floorplan_.mem_node_index] +=
-      k.mem_const_w + leakage_w(k.mem_leak,
-                                temps_c[floorplan_.mem_node_index]);
+  thermal::Floorplan::write_heat(heat_nodes_, out.big_core_power_w,
+                                 out.rail_power_w, node_power_w);
 }
 
 util::Matrix CoupledPowerModel::free_power_jacobian(
     const std::vector<double>& temps_c) const {
   const auto& free_nodes = floorplan_.network.compiled().free_nodes();
-  const std::size_t n = free_nodes.size();
-  util::Matrix j(n, n);
-  const soc::SocIntervalConstants& k = constants_;
-
-  const std::size_t core0 = floorplan_.core_node_index[0];
-  const std::size_t core0_pos = free_position(free_nodes, core0);
-  const double slope0 = leakage_slope_w_per_k(k.big_leak, temps_c[core0]);
-  for (int c = 0; c < soc::kBigCoreCount; ++c) {
-    const std::size_t node = floorplan_.core_node_index[std::size_t(c)];
-    const std::size_t pos = free_position(free_nodes, node);
-    j(pos, pos) += k.core_leak_mult[c] *
-                   leakage_slope_w_per_k(k.big_leak, temps_c[node]);
-    // The offline-cluster leakage rides on core 0's temperature (the
-    // core_leak0_mult term), so it contributes an off-diagonal column.
-    j(pos, core0_pos) += k.core_leak0_mult[c] * slope0;
+  const auto at = [&](std::size_t i) { return temps_c[heat_nodes_[i]]; };
+  const soc::HeatJacobian source_jacobian = soc_.heat_jacobian(
+      {at(0), at(1), at(2), at(3)}, at(4), at(5), at(6));
+  std::array<std::size_t, soc::kHeatSourceCount> pos{};
+  for (std::size_t i = 0; i < pos.size(); ++i) {
+    pos[i] = free_position(free_nodes, heat_nodes_[i]);
   }
-  const std::size_t little_pos =
-      free_position(free_nodes, floorplan_.little_node_index);
-  j(little_pos, little_pos) +=
-      k.little_leak_mult *
-      leakage_slope_w_per_k(k.little_leak,
-                            temps_c[floorplan_.little_node_index]);
-  const std::size_t gpu_pos =
-      free_position(free_nodes, floorplan_.gpu_node_index);
-  j(gpu_pos, gpu_pos) +=
-      leakage_slope_w_per_k(k.gpu_leak, temps_c[floorplan_.gpu_node_index]);
-  const std::size_t mem_pos =
-      free_position(free_nodes, floorplan_.mem_node_index);
-  j(mem_pos, mem_pos) +=
-      leakage_slope_w_per_k(k.mem_leak, temps_c[floorplan_.mem_node_index]);
+  // Heat nodes are distinct (validate_floorplan_spec), so each source pair
+  // owns one entry.
+  util::Matrix j(free_nodes.size(), free_nodes.size());
+  for (std::size_t r = 0; r < pos.size(); ++r) {
+    for (std::size_t c = 0; c < pos.size(); ++c) {
+      j(pos[r], pos[c]) = source_jacobian[r][c];
+    }
+  }
   return j;
 }
 

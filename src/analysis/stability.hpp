@@ -5,11 +5,12 @@
 //     C dT/dt = -G.T + P(T) + g_b.T_boundary
 //
 // where G is the conductance matrix reduced to the free (non-boundary)
-// nodes, C the diagonal heat-capacity matrix, and P(T) the closed-form
-// per-node power at the applied operating point -- constants plus leakage
-// terms captured by soc::SocIntervalConstants. Linearizing at an
-// equilibrium T* folds the leakage Jacobian J = dP/dT into the conductance
-// matrix:
+// nodes, C the diagonal heat-capacity matrix, and P(T) the per-node power
+// at the applied operating point -- the plant's own power model,
+// soc::Soc::step_captured written through Floorplan::write_heat, so the
+// analyzer and the simulator cannot disagree on P. Linearizing at an
+// equilibrium T* folds the leakage Jacobian J = dP/dT (Soc::heat_jacobian
+// mapped through the same heat nodes) into the conductance matrix:
 //
 //     C dx/dt = (-G + J) x,       x = T - T*
 //
@@ -33,30 +34,28 @@
 namespace dtpm::analysis {
 
 /// The plant's power as an explicit function of node temperatures at one
-/// applied (config, schedule) operating point: the temperature-independent
-/// constants plus the leakage curves of SocIntervalConstants, mapped onto
-/// floorplan nodes through the role indices. Construct it after
-/// Soc::solve_schedule so the schedule-dependent constants are captured
-/// (Soc::interval_constants' contract).
+/// applied (config, schedule) operating point: Soc::step_captured at the
+/// heat-source nodes' temperatures, written onto the floorplan through
+/// Floorplan::heat_nodes/write_heat exactly as sim::Plant does. Construct it
+/// after Soc::solve_schedule; it keeps its own copy of the solved Soc.
 class CoupledPowerModel {
  public:
-  CoupledPowerModel(const thermal::Floorplan& floorplan,
-                    const soc::SocIntervalConstants& constants);
+  CoupledPowerModel(const thermal::Floorplan& floorplan, const soc::Soc& soc);
 
   /// Node power vector (W, indexed like the network) at `temps_c`; the
-  /// NodePowerFn shape solve_coupled_equilibrium consumes.
+  /// NodePowerFn shape solve_coupled_equilibrium consumes. Non-const only
+  /// because step_captured also books workload progress on the copy.
   void node_power(const std::vector<double>& temps_c,
-                  std::vector<double>& node_power_w) const;
+                  std::vector<double>& node_power_w);
 
   /// Leakage Jacobian dP/dT restricted to the free nodes, ordered like
   /// CompiledRcModel::free_nodes().
   util::Matrix free_power_jacobian(const std::vector<double>& temps_c) const;
 
-  const soc::SocIntervalConstants& constants() const { return constants_; }
-
  private:
   const thermal::Floorplan& floorplan_;
-  soc::SocIntervalConstants constants_;
+  thermal::Floorplan::HeatNodes heat_nodes_;
+  soc::Soc soc_;
 };
 
 struct StabilityReport {

@@ -49,13 +49,25 @@ void lint_floorplan(const thermal::FloorplanSpec& spec,
     sink.error("L102", at, message);
     return false;
   };
-  for (std::size_t i = 0; i < spec.core_nodes.size(); ++i) {
-    check_role(spec.core_nodes[i],
-               path + ".core_nodes[" + std::to_string(i) + "]");
+  const auto heat_roles = spec.heat_source_roles();
+  for (const auto& [role, name] : heat_roles) {
+    check_role(name, path + "." + role);
   }
-  check_role(spec.little_node, path + ".little_node");
-  check_role(spec.gpu_node, path + ".gpu_node");
-  check_role(spec.mem_node, path + ".mem_node");
+
+  // L109: two heat sources on one node. The plant writes one source per
+  // node, so every earlier source's heat would be silently dropped.
+  for (auto later = heat_roles.begin(); later != heat_roles.end(); ++later) {
+    const std::string& name = later->second;
+    const auto earlier =
+        std::find_if(heat_roles.begin(), later,
+                     [&](const auto& role) { return role.second == name; });
+    if (name.empty() || earlier == later) continue;
+    sink.error("L109", path + "." + later->first,
+               later->first + " shares node '" + name + "' with " +
+                   earlier->first +
+                   "; the plant heats a node from one source only -- give "
+                   "each heat source its own node");
+  }
   bool sensors_resolved = true;
   for (std::size_t i = 0; i < spec.sensor_nodes.size(); ++i) {
     sensors_resolved &=

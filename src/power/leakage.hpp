@@ -8,6 +8,10 @@
 // not capture -- this is a deliberate, realistic structural mismatch between
 // what the hardware does and what the modeling methodology of Chapter 4 can
 // recover from furnace measurements at a single fixed voltage.
+//
+// LeakageTerm is the one evaluated form: the plant's substeps, the stability
+// analyzer's node power and its Jacobian (analysis/stability.hpp) all go
+// through soc::Soc, which captures one LeakageTerm per rail.
 #pragma once
 
 #include <cmath>
@@ -35,27 +39,13 @@ inline bool operator==(const LeakageParams& a, const LeakageParams& b) {
          a.v_ref == b.v_ref && a.dibl_exponent == b.dibl_exponent;
 }
 
-/// The leakage model collapsed to coefficients at a fixed supply voltage:
-///
-///     power_w(T, vdd) == t2_scale_w * Tk^2 * exp(c2_k / Tk) + gate_w,
-///     Tk = celsius_to_kelvin(T).
-///
-/// The voltage factors (including the DIBL term) fold into the two scale
-/// coefficients, leaving temperature as the only per-substep input -- the
-/// form soc::SocIntervalConstants carries into the stability analysis.
-/// Equal to LeakageModel::power_w up to floating-point reassociation
-/// (LeakageTerm::coeffs builds it).
-struct LeakageCoeffs {
-  double t2_scale_w = 0.0;  ///< vdd * c1 * dibl(vdd), W/K^2
-  double c2_k = 0.0;        ///< exponent scale, Kelvin
-  double gate_w = 0.0;      ///< vdd * i_gate, W
-};
-
 /// The leakage model at one fixed supply, with the voltage-only DIBL factor
 /// resolved: what soc::Soc captures per rail once per control interval.
 /// current_a/power_w are Eq. 4.2 in one fixed operation order --
 /// c1 * Tk * Tk * exp(c2 / Tk), then * dibl, then + i_gate, then * vdd --
-/// the order every plant substep evaluates.
+/// the order every plant substep evaluates. slope_w_per_k is power_w's
+/// temperature derivative, the leakage feedback gain the stability analysis
+/// (analysis/stability.hpp) linearizes.
 struct LeakageTerm {
   double c1 = 0.0;
   double c2_k = 0.0;
@@ -69,9 +59,10 @@ struct LeakageTerm {
   }
   double power_w(double temp_c) const { return vdd_v * current_a(temp_c); }
 
-  /// The coefficient form (see LeakageCoeffs).
-  LeakageCoeffs coeffs() const {
-    return {vdd_v * c1 * dibl, c2_k, vdd_v * i_gate_a};
+  /// d(power_w)/dT in W/K: d/dT [Tk^2 e^(c2/Tk)] = e^(c2/Tk) (2 Tk - c2).
+  double slope_w_per_k(double temp_c) const {
+    const double t_k = celsius_to_kelvin(temp_c);
+    return vdd_v * c1 * dibl * std::exp(c2_k / t_k) * (2.0 * t_k - c2_k);
   }
 };
 

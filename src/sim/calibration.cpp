@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "analysis/equilibrium.hpp"
+#include "analysis/stability.hpp"
 #include "power/dynamic_power.hpp"
 #include "soc/soc.hpp"
 #include "thermal/floorplan.hpp"
@@ -43,13 +44,6 @@ struct PlantBundle {
                   root.fork()),
         power_bank(platform.power_sensor, root.fork()) {}
 
-  std::array<double, soc::kBigCoreCount> big_true_temps() const {
-    const auto& temps = floorplan.network.temperatures_c();
-    const auto& cores = floorplan.core_node_index;
-    return {temps[cores[0]], temps[cores[1]], temps[cores[2]],
-            temps[cores[3]]};
-  }
-
   /// One control interval: the schedule solved once (demand and config are
   /// fixed), then each substep's SoC evaluation and RK4 step; returns the
   /// average true rail powers.
@@ -58,13 +52,14 @@ struct PlantBundle {
     const int n = std::max(1, int(std::lround(dt_s / substep_s)));
     const double h = dt_s / n;
     const auto& temps = floorplan.network.temperatures_c();
+    const thermal::Floorplan::HeatNodes nodes = floorplan.heat_nodes();
+    const auto at = [&](std::size_t i) { return temps[nodes[i]]; };
     soc.solve_schedule(demand, {});
     soc::SocStepResult out;
     power::ResourceVector accum{};
     for (int s = 0; s < n; ++s) {
-      soc.step_captured(big_true_temps(), temps[floorplan.little_node_index],
-                        temps[floorplan.gpu_node_index],
-                        temps[floorplan.mem_node_index], h, out);
+      soc.step_captured({at(0), at(1), at(2), at(3)}, at(4), at(5), at(6), h,
+                        out);
       floorplan.assemble_node_power_into(out.big_core_power_w,
                                          out.rail_power_w, node_power_scratch);
       floorplan.network.step(h, node_power_scratch);
@@ -80,25 +75,18 @@ struct PlantBundle {
   /// network's steady state under temperature-dependent power reproduces the
   /// temperatures the power was computed at, to a tight tolerance. Loud
   /// failure instead of a silently-unconverged plant: calibration data taken
-  /// off-equilibrium would poison every coefficient fitted from it.
+  /// off-equilibrium would poison every coefficient fitted from it. The
+  /// probe is the analyzer's CoupledPowerModel: the schedule solved once,
+  /// then the plant's power model at each trial temperature.
   void equilibrate(const workload::Demand& demand) {
-    const analysis::NodePowerFn probe = [&](const std::vector<double>& temps,
-                                            std::vector<double>& node_power) {
-      // Probe powers at the solver's trial temperatures without advancing
-      // time meaningfully (the network still holds `temps`; the SoC step is
-      // fed from it directly).
-      const auto& cores = floorplan.core_node_index;
-      const std::array<double, soc::kBigCoreCount> big = {
-          temps[cores[0]], temps[cores[1]], temps[cores[2]], temps[cores[3]]};
-      soc::SocStepResult out =
-          soc.step(demand, {}, big, temps[floorplan.little_node_index],
-                   temps[floorplan.gpu_node_index],
-                   temps[floorplan.mem_node_index], 1e-4);
-      floorplan.assemble_node_power_into(out.big_core_power_w,
-                                         out.rail_power_w, node_power);
-    };
-    const analysis::EquilibriumResult eq =
-        analysis::solve_coupled_equilibrium(floorplan.network, probe);
+    soc.solve_schedule(demand, {});
+    analysis::CoupledPowerModel model(floorplan, soc);
+    const analysis::EquilibriumResult eq = analysis::solve_coupled_equilibrium(
+        floorplan.network,
+        [&model](const std::vector<double>& temps,
+                 std::vector<double>& node_power) {
+          model.node_power(temps, node_power);
+        });
     if (!eq.converged) {
       throw std::runtime_error(
           "calibration: plant failed to reach a leakage-consistent "

@@ -273,46 +273,36 @@ void Soc::solve_schedule(
   k.mem_leak = mem_leak_.term_at(power_params_.mem_nominal_voltage_v);
 }
 
-SocIntervalConstants Soc::interval_constants() const {
-  const PowerTerms& t = terms_;
-  SocIntervalConstants k;
-  k.big_active = t.big_active;
-  if (t.big_active) {
+HeatJacobian Soc::heat_jacobian(
+    const std::array<double, kBigCoreCount>& big_temps_c,
+    double little_temp_c, double gpu_temp_c, double mem_temp_c) const {
+  constexpr std::size_t kLittle = kBigCoreCount;
+  constexpr std::size_t kGpu = kLittle + 1;
+  constexpr std::size_t kMem = kGpu + 1;
+  const PowerTerms& k = terms_;
+  HeatJacobian j{};
+  if (k.big_active) {
     for (int c = 0; c < kBigCoreCount; ++c) {
-      k.core_leak0_mult[c] = 0.0;
-      if (((t.online_mask >> c) & 1u) != 0) {
-        k.core_const_w[c] = t.core_dyn_w[c] + t.uncore_share_w;
-        k.core_leak_mult[c] = 1.0 / double(kBigCoreCount);
-      } else {
-        k.core_const_w[c] = 0.0;
-        k.core_leak_mult[c] = power_params_.offline_core_leakage_fraction /
-                              double(kBigCoreCount);
-      }
+      const double core_slope =
+          k.big_leak.slope_w_per_k(big_temps_c[c]) / double(kBigCoreCount);
+      j[c][c] = ((k.online_mask >> c) & 1u) != 0
+                    ? core_slope
+                    : core_slope * power_params_.offline_core_leakage_fraction;
     }
-    k.little_const_w = 0.0;
-    k.little_leak_mult = power_params_.inactive_cluster_leakage_fraction;
+    j[kLittle][kLittle] = k.little_leak.slope_w_per_k(little_temp_c) *
+                          power_params_.inactive_cluster_leakage_fraction;
   } else {
-    double little_dyn = 0.0;
-    for (const double dyn_w : t.little_dyn_w) little_dyn += dyn_w;
-    little_dyn += t.little_uncore_w;
-    k.little_const_w = little_dyn;
-    k.little_leak_mult = 1.0;
+    j[kLittle][kLittle] = k.little_leak.slope_w_per_k(little_temp_c);
+    const double residual_slope =
+        k.big_leak.slope_w_per_k(big_temps_c[0]) *
+        power_params_.inactive_cluster_leakage_fraction;
     for (int c = 0; c < kBigCoreCount; ++c) {
-      k.core_const_w[c] = 0.0;
-      k.core_leak_mult[c] = 0.0;
-      k.core_leak0_mult[c] =
-          power_params_.inactive_cluster_leakage_fraction /
-          double(kBigCoreCount);
+      j[c][0] = residual_slope / double(kBigCoreCount);
     }
   }
-  k.big_leak = t.big_leak.coeffs();
-  k.little_leak = t.little_leak.coeffs();
-  k.gpu_leak = t.gpu_leak.coeffs();
-  k.gpu_const_w = t.gpu_dyn_w;
-  k.mem_leak = t.mem_leak.coeffs();
-  k.mem_const_w = t.mem_const_w;
-  k.progress_rate = schedule_.progress_rate;
-  return k;
+  j[kGpu][kGpu] = k.gpu_leak.slope_w_per_k(gpu_temp_c);
+  j[kMem][kMem] = k.mem_leak.slope_w_per_k(mem_temp_c);
+  return j;
 }
 
 }  // namespace dtpm::soc

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstddef>
 #include <vector>
 
 #include "power/leakage.hpp"
@@ -85,41 +86,14 @@ struct PerfParams {
 
 bool operator==(const PerfParams& a, const PerfParams& b);
 
-/// The temperature-independent inputs of Soc::step's power/progress phase
-/// for the current schedule and applied config, captured once per control
-/// interval. Combined with per-substep temperatures these reproduce
-/// step_captured() up to floating-point reassociation -- the
-/// closed-form power model the stability analysis (analysis/stability.hpp)
-/// linearizes.
-///
-/// The per-core formula is branch-free across cluster modes:
-///
-///   p_core[c] = core_const_w[c]
-///             + core_leak_mult[c]   * big_leak(T_core[c])
-///             + core_leak0_mult[c]  * big_leak(T_core[0])
-///
-/// With the big cluster active each core uses its own term (const =
-/// dynamic + uncore share, mult = 1/4 online or offline_fraction/4); with
-/// the little cluster active the cores use the shared core-0 residual term
-/// exactly as step() does.
-struct SocIntervalConstants {
-  bool big_active = true;
-  std::array<double, kBigCoreCount> core_const_w{};
-  std::array<double, kBigCoreCount> core_leak_mult{};
-  std::array<double, kBigCoreCount> core_leak0_mult{};
-  power::LeakageCoeffs big_leak;  ///< at v_cpu (big active) / big min V
-  /// Little rail: little_const_w + little_leak_mult * little_leak(T_little).
-  power::LeakageCoeffs little_leak;
-  double little_const_w = 0.0;
-  double little_leak_mult = 1.0;
-  /// GPU rail: gpu_const_w + gpu_leak(T_gpu).
-  power::LeakageCoeffs gpu_leak;
-  double gpu_const_w = 0.0;
-  /// Memory rail: mem_const_w + mem_leak(T_mem).
-  power::LeakageCoeffs mem_leak;
-  double mem_const_w = 0.0;
-  double progress_rate = 0.0;  ///< work units per effective second
-};
+/// The SoC's heat sources in step_captured()'s temperature-input and
+/// power-output order: the four big cores, then the little, GPU and memory
+/// rails.
+constexpr std::size_t kHeatSourceCount = std::size_t(kBigCoreCount) + 3;
+/// d(heat source i)/d(temperature of heat source j), W/K, both indices in
+/// kHeatSourceCount order.
+using HeatJacobian =
+    std::array<std::array<double, kHeatSourceCount>, kHeatSourceCount>;
 
 /// True plant outputs for one interval.
 struct SocStepResult {
@@ -231,10 +205,14 @@ class Soc {
         schedule_.progress_rate * consume_migration_stall(dt_s);
   }
 
-  /// The temperature-independent power/progress inputs the last schedule
-  /// solve captured, in closed form (see SocIntervalConstants). Call after
-  /// solve_schedule().
-  SocIntervalConstants interval_constants() const;
+  /// step_captured()'s power outputs differentiated by its temperature
+  /// inputs at the given temperatures, through the same branches. Only
+  /// leakage depends on temperature, so the result is diagonal except while
+  /// the little cluster is active: then every big core's residual rides on
+  /// core 0's temperature (column 0). Call after solve_schedule().
+  HeatJacobian heat_jacobian(
+      const std::array<double, kBigCoreCount>& big_temps_c,
+      double little_temp_c, double gpu_temp_c, double mem_temp_c) const;
 
   const PlantPowerParams& power_params() const { return power_params_; }
   const PerfParams& perf_params() const { return perf_params_; }

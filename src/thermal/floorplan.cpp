@@ -1,7 +1,9 @@
 #include "thermal/floorplan.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 
 namespace dtpm::thermal {
 
@@ -50,6 +52,18 @@ bool FloorplanSpec::has_fan_edge() const {
     if (edge.fan_modulated) return true;
   }
   return false;
+}
+
+std::vector<std::pair<std::string, std::string>>
+FloorplanSpec::heat_source_roles() const {
+  std::vector<std::pair<std::string, std::string>> roles;
+  for (std::size_t i = 0; i < core_nodes.size(); ++i) {
+    roles.emplace_back("core_nodes[" + std::to_string(i) + "]", core_nodes[i]);
+  }
+  roles.emplace_back("little_node", little_node);
+  roles.emplace_back("gpu_node", gpu_node);
+  roles.emplace_back("mem_node", mem_node);
+  return roles;
 }
 
 bool operator==(const FloorplanNodeSpec& a, const FloorplanNodeSpec& b) {
@@ -119,6 +133,21 @@ void validate_floorplan_spec(const FloorplanSpec& spec) {
   for (const std::string& name : spec.sensor_nodes) {
     check_role(name, "sensor_nodes");
   }
+
+  // The plant writes one heat source per node, so a shared node would
+  // silently drop every earlier source's heat.
+  const auto heat_roles = spec.heat_source_roles();
+  for (auto later = heat_roles.begin(); later != heat_roles.end(); ++later) {
+    const auto earlier = std::find_if(
+        heat_roles.begin(), later,
+        [&](const auto& role) { return role.second == later->second; });
+    if (earlier != later) {
+      throw std::invalid_argument("floorplan: " + earlier->first + " and " +
+                                  later->first + " share node '" +
+                                  later->second +
+                                  "'; each heat source needs its own node");
+    }
+  }
 }
 
 Floorplan build_floorplan(const FloorplanSpec& spec) {
@@ -187,19 +216,6 @@ void Floorplan::assemble_node_power_into(
     std::vector<double>& node_power_out) const {
   node_power_out.assign(network.node_count(), 0.0);
   write_heat(heat_nodes(), big_core_power_w, rail_power_w, node_power_out);
-}
-
-std::array<std::size_t, 4> Floorplan::big_core_nodes() {
-  return {node_index(FloorplanNode::kBig0), node_index(FloorplanNode::kBig1),
-          node_index(FloorplanNode::kBig2), node_index(FloorplanNode::kBig3)};
-}
-
-const std::vector<std::size_t>& Floorplan::big_core_node_indices() {
-  static const std::vector<std::size_t> kIndices = [] {
-    const auto nodes = big_core_nodes();
-    return std::vector<std::size_t>{nodes.begin(), nodes.end()};
-  }();
-  return kIndices;
 }
 
 FloorplanSpec default_floorplan_spec(const FloorplanParams& p) {

@@ -14,6 +14,7 @@
 #include <array>
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "power/resource.hpp"
@@ -133,6 +134,11 @@ struct FloorplanSpec {
 
   /// True when some edge is fan-modulated.
   bool has_fan_edge() const;
+
+  /// The heat-source role members as (member name, node name) pairs in the
+  /// SoC's heat-source order: core_nodes[0..], little_node, gpu_node,
+  /// mem_node.
+  std::vector<std::pair<std::string, std::string>> heat_source_roles() const;
 };
 
 bool operator==(const FloorplanNodeSpec& a, const FloorplanNodeSpec& b);
@@ -177,8 +183,7 @@ struct Floorplan {
   HeatNodes heat_nodes() const;
 
   /// Writes the SoC's heat sources into their `nodes` entries of
-  /// `node_power` in role order -- a later role overwrites an earlier one on
-  /// a shared node -- and leaves every other entry as it is.
+  /// `node_power` and leaves every other entry as it is.
   static void write_heat(const HeatNodes& nodes,
                          const std::array<double, 4>& big_core_power_w,
                          const power::ResourceVector& rail_power_w,
@@ -201,13 +206,6 @@ struct Floorplan {
   void assemble_node_power_into(const std::array<double, 4>& big_core_power_w,
                                 const power::ResourceVector& rail_power_w,
                                 std::vector<double>& node_power_out) const;
-
-  /// Indices of the four big-core nodes of the *default* floorplan, in
-  /// order. Kept for the enum-addressed legacy call sites and tests.
-  static std::array<std::size_t, 4> big_core_nodes();
-
-  /// The same indices as a shared immutable vector, built once per process.
-  static const std::vector<std::size_t>& big_core_node_indices();
 };
 
 /// The default Exynos-5410-like topology as a data-driven spec. The result
@@ -217,7 +215,8 @@ FloorplanSpec default_floorplan_spec(const FloorplanParams& params = {});
 
 /// Builds a floorplan from its data description. Validates the spec first:
 /// duplicate/empty node names, edges or role members referencing unknown
-/// nodes, more than one fan-modulated edge, boundary role nodes, or not
+/// nodes, more than one fan-modulated edge, boundary role nodes, two heat
+/// sources (core_nodes, little_node, gpu_node, mem_node) on one node, or not
 /// exactly one boundary node all throw std::invalid_argument.
 Floorplan build_floorplan(const FloorplanSpec& spec);
 

@@ -7,11 +7,14 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "analysis/equilibrium.hpp"
 #include "analysis/stability.hpp"
 #include "sim/platform_registry.hpp"
+#include "soc/soc.hpp"
+#include "thermal/floorplan.hpp"
 #include "thermal/rc_network.hpp"
 #include "util/json.hpp"
 
@@ -96,6 +99,66 @@ TEST(Analysis, EveryRegistryPlatformPassesTheRegistrationGate) {
   for (const std::string& name : registry.names()) {
     EXPECT_NO_THROW(validate_platform_stability(*registry.get(name)))
         << "platform " << name;
+  }
+}
+
+/// The analyzer linearizes the plant's own power model: on every registry
+/// platform, CoupledPowerModel::node_power equals a full Soc::step written
+/// through assemble_node_power_into -- what the simulator heats its network
+/// with -- on every node, with the big cluster fully or partly online and
+/// with the little cluster active, across a range of temperatures.
+TEST(Analysis, CoupledPowerModelEqualsThePlantBitForBit) {
+  const sim::PlatformRegistry& registry = sim::PlatformRegistry::instance();
+  AnalysisWorkload workload;
+  workload.threads = 3;
+  workload.gpu_load = 0.4;
+  const workload::Demand demand = analysis_demand(workload);
+  for (const std::string& name : registry.names()) {
+    const sim::PlatformDescriptor& platform = *registry.get(name);
+    const thermal::Floorplan floorplan =
+        thermal::build_floorplan(platform.floorplan);
+    soc::Soc soc(platform.power, platform.perf, platform.big_opp_table(),
+                 platform.little_opp_table(), platform.gpu_opp_table());
+    soc::SocConfig config;
+    config.big_freq_hz = soc.big_opps().max().frequency_hz;
+    config.little_freq_hz = soc.little_opps().max().frequency_hz;
+    config.gpu_freq_hz = soc.gpu_opps().max().frequency_hz;
+    std::vector<soc::SocConfig> configs{config};
+    config.big_core_online = {true, false, true, false};
+    configs.push_back(config);
+    config.active_cluster = soc::ClusterId::kLittle;
+    configs.push_back(config);
+
+    for (const soc::SocConfig& applied : configs) {
+      soc.apply(applied);
+      soc.solve_schedule(demand, {});
+      CoupledPowerModel model(floorplan, soc);
+      for (double base_c = 30.0; base_c <= 105.0; base_c += 15.0) {
+        std::vector<double> temps(floorplan.network.node_count());
+        for (std::size_t i = 0; i < temps.size(); ++i) {
+          temps[i] = base_c + 1.75 * double(i % 5) - 0.5 * double(i % 3);
+        }
+        std::vector<double> analyzed;
+        model.node_power(temps, analyzed);
+
+        const auto& cores = floorplan.core_node_index;
+        const soc::SocStepResult step = soc.step(
+            demand, {},
+            {temps[cores[0]], temps[cores[1]], temps[cores[2]],
+             temps[cores[3]]},
+            temps[floorplan.little_node_index],
+            temps[floorplan.gpu_node_index], temps[floorplan.mem_node_index],
+            0.01);
+        std::vector<double> simulated;
+        floorplan.assemble_node_power_into(step.big_core_power_w,
+                                           step.rail_power_w, simulated);
+        EXPECT_EQ(analyzed, simulated)
+            << name << ", " << applied.online_big_cores() << " big online, "
+            << (applied.active_cluster == soc::ClusterId::kLittle ? "little"
+                                                                   : "big")
+            << " active, base " << base_c << " C";
+      }
+    }
   }
 }
 

@@ -14,12 +14,16 @@
 #include <string>
 #include <vector>
 
+#include "golden.hpp"
 #include "governors/policy_registry.hpp"
 #include "sim/config_io.hpp"
 #include "util/json.hpp"
 
 #ifndef DTPM_CONFIG_DIR
 #error "build must define DTPM_CONFIG_DIR (see CMakeLists.txt)"
+#endif
+#ifndef DTPM_GOLDEN_DIR
+#error "build must define DTPM_GOLDEN_DIR (see CMakeLists.txt)"
 #endif
 
 namespace dtpm {
@@ -426,6 +430,28 @@ TEST(DtpmCli, AnalyzeSinglePlatformWritesJsonAndEnvelope) {
   const util::JsonValue doc = util::json_parse(json);
   EXPECT_EQ(doc.find("platform")->as_string(), "compact");
   EXPECT_EQ(doc.find("envelope")->as_array().size(), 3u);
+}
+
+/// The full-registry listing is pinned against
+/// tests/golden/analysis_listing.txt, the file CI's cli-smoke job diffs
+/// `dtpm analyze --out cli-analysis` against. Only the `json:` lines depend
+/// on --out, so their directory is normalised to CI's.
+TEST(DtpmCli, AnalyzeListingMatchesGolden) {
+  const CliResult r = run_cli({"analyze", "--out", temp_dir() + "golden"});
+  ASSERT_EQ(r.exit_code, 0) << r.err;
+  const std::string json_prefix = "  json: ";
+  std::istringstream lines(r.out);
+  std::string listing;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind(json_prefix, 0) == 0) {
+      const std::filesystem::path json(line.substr(json_prefix.size()));
+      line = json_prefix + "cli-analysis/" + json.filename().string();
+    }
+    listing += line + '\n';
+  }
+  golden::expect_text_matches(
+      std::string(DTPM_GOLDEN_DIR) + "/analysis_listing.txt", listing,
+      "test_dtpm_cli");
 }
 
 TEST(DtpmCli, AnalyzeQuietStillWritesJson) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace dtpm::thermal {
 namespace {
 
@@ -71,9 +74,41 @@ TEST(Floorplan, BigCoresAreHotspots) {
 }
 
 TEST(Floorplan, BigCoreNodesOrder) {
-  const auto nodes = Floorplan::big_core_nodes();
+  const Floorplan::HeatNodes nodes = make_default_floorplan().heat_nodes();
   EXPECT_EQ(nodes[0], node_index(FloorplanNode::kBig0));
   EXPECT_EQ(nodes[3], node_index(FloorplanNode::kBig3));
+  EXPECT_EQ(nodes[4], node_index(FloorplanNode::kLittleCluster));
+  EXPECT_EQ(nodes[5], node_index(FloorplanNode::kGpu));
+  EXPECT_EQ(nodes[6], node_index(FloorplanNode::kMem));
+}
+
+/// The plant writes one heat source per node, so two sources on one node
+/// would silently lose the earlier one's heat: the spec is rejected instead,
+/// naming both roles.
+TEST(Floorplan, HeatSourcesSharingANodeAreRejected) {
+  auto expect_rejected = [](const FloorplanSpec& spec, const std::string& a,
+                            const std::string& b) {
+    try {
+      validate_floorplan_spec(spec);
+      ADD_FAILURE() << "expected " << a << " and " << b << " to be rejected";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(a), std::string::npos) << what;
+      EXPECT_NE(what.find(b), std::string::npos) << what;
+    }
+  };
+  FloorplanSpec gpu_on_mem = default_floorplan_spec();
+  gpu_on_mem.gpu_node = gpu_on_mem.mem_node;
+  expect_rejected(gpu_on_mem, "gpu_node", "mem_node");
+  EXPECT_THROW(build_floorplan(gpu_on_mem), std::invalid_argument);
+
+  FloorplanSpec repeated_core = default_floorplan_spec();
+  repeated_core.core_nodes[2] = repeated_core.core_nodes[0];
+  expect_rejected(repeated_core, "core_nodes[0]", "core_nodes[2]");
+
+  // Sensor sites are not heat sources: the default spec puts them on the
+  // core nodes and passes.
+  EXPECT_NO_THROW(validate_floorplan_spec(default_floorplan_spec()));
 }
 
 TEST(Floorplan, TotalResistanceMatchesSeriesStages) {

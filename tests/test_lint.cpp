@@ -307,6 +307,37 @@ TEST(LintPlatform, DanglingRoleAndBadCapacitance) {
   EXPECT_TRUE(codes.count("L103"));
 }
 
+/// Two heat sources on one node: the spec validator throws, so only a
+/// descriptor built in C++ reaches the lint pass.
+TEST(LintPlatform, HeatSourcesSharingANode) {
+  sim::PlatformDescriptor descriptor =
+      *sim::PlatformRegistry::instance().get("odroid-xu-e");
+  descriptor.floorplan.gpu_node = descriptor.floorplan.mem_node;
+  descriptor.floorplan.core_nodes[3] = descriptor.floorplan.core_nodes[1];
+
+  util::CollectingSink sink;
+  lint::lint_platform(descriptor, "$", sink, {});
+  std::vector<std::string> l109;
+  for (const util::Diagnostic& d : sink.diagnostics()) {
+    if (d.code == "L109") l109.push_back(util::format_diagnostic(d));
+  }
+  const std::string fix =
+      "; the plant heats a node from one source only -- give each heat "
+      "source its own node";
+  EXPECT_EQ(l109, (std::vector<std::string>{
+                      "$.floorplan.core_nodes[3]: error L109: core_nodes[3] "
+                      "shares node 'big1' with core_nodes[1]" + fix,
+                      "$.floorplan.mem_node: error L109: mem_node shares "
+                      "node 'mem' with gpu_node" + fix}));
+
+  util::CollectingSink clean;
+  lint::lint_platform(*sim::PlatformRegistry::instance().get("odroid-xu-e"),
+                      "$", clean, {});
+  for (const util::Diagnostic& d : clean.diagnostics()) {
+    EXPECT_NE(d.code, "L109");
+  }
+}
+
 TEST(LintPlatform, OppTableOrderingAndDuplicates) {
   sim::PlatformDescriptor descriptor =
       *sim::PlatformRegistry::instance().get("odroid-xu-e");

@@ -54,9 +54,12 @@ TEST(Floorplan, SpecBuiltDefaultMatchesEnumLayout) {
   // Role indices resolved from the data-driven spec land exactly on the
   // historical enum positions.
   ASSERT_EQ(fp.core_node_index.size(), 4u);
-  for (int c = 0; c < 4; ++c) {
-    EXPECT_EQ(fp.core_node_index[c], thermal::Floorplan::big_core_nodes()[c]);
-  }
+  const std::vector<std::size_t> big_core_nodes{
+      thermal::node_index(thermal::FloorplanNode::kBig0),
+      thermal::node_index(thermal::FloorplanNode::kBig1),
+      thermal::node_index(thermal::FloorplanNode::kBig2),
+      thermal::node_index(thermal::FloorplanNode::kBig3)};
+  EXPECT_EQ(fp.core_node_index, big_core_nodes);
   EXPECT_EQ(fp.little_node_index,
             thermal::node_index(thermal::FloorplanNode::kLittleCluster));
   EXPECT_EQ(fp.gpu_node_index,
@@ -65,7 +68,7 @@ TEST(Floorplan, SpecBuiltDefaultMatchesEnumLayout) {
             thermal::node_index(thermal::FloorplanNode::kMem));
   EXPECT_EQ(fp.ambient_node_index,
             thermal::node_index(thermal::FloorplanNode::kAmbient));
-  EXPECT_EQ(fp.sensor_node_index, thermal::Floorplan::big_core_node_indices());
+  EXPECT_EQ(fp.sensor_node_index, big_core_nodes);
   EXPECT_TRUE(fp.has_fan_edge());
   // The fan edge is still the last one (board-to-ambient).
   EXPECT_EQ(fp.fan_edge, fp.network.edge_count() - 1);

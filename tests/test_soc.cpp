@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace dtpm::soc {
 namespace {
@@ -281,6 +284,76 @@ TEST(Soc, SolveOnceThenCapturedStepsEqualFullSteps) {
             full.step(d, background, cores, t - 5.0, t + 2.5, t - 8.0, 0.01);
         captured.step_captured(cores, t - 5.0, t + 2.5, t - 8.0, 0.01, out);
         expect_same_bits(expected, out);
+      }
+    }
+  }
+}
+
+/// step_captured()'s heat sources at `temps`, both in kHeatSourceCount
+/// order.
+std::array<double, kHeatSourceCount> heat_sources(
+    Soc& soc, const std::array<double, kHeatSourceCount>& temps) {
+  SocStepResult out;
+  soc.step_captured({temps[0], temps[1], temps[2], temps[3]}, temps[4],
+                    temps[5], temps[6], 0.01, out);
+  const auto rail = [&](power::Resource r) {
+    return out.rail_power_w[power::resource_index(r)];
+  };
+  return {out.big_core_power_w[0], out.big_core_power_w[1],
+          out.big_core_power_w[2], out.big_core_power_w[3],
+          rail(power::Resource::kLittleCluster), rail(power::Resource::kGpu),
+          rail(power::Resource::kMem)};
+}
+
+// heat_jacobian is step_captured differentiated: it matches a central
+// difference of step_captured in every entry, on the big cluster with 4, 3
+// and 1 cores online and on the little cluster, from 30 to 105 C. Entries it
+// reports as zero are exactly zero; the only off-diagonal column is the
+// little-active big residual's dependence on core 0.
+TEST(Soc, HeatJacobianMatchesCentralDifferenceOfStepCaptured) {
+  std::vector<SocConfig> configs{config_at(1400, 4), config_at(1400, 3),
+                                 config_at(1400, 1)};
+  SocConfig little = config_at(1400);
+  little.active_cluster = ClusterId::kLittle;
+  little.little_freq_hz = 1.2e9;
+  configs.push_back(little);
+  constexpr double kStepK = 1e-3;
+  Soc soc;
+  for (const SocConfig& config : configs) {
+    soc.apply(config);
+    soc.solve_schedule(cpu_demand(3, 0.7, 0.35), {});
+    const bool little_active = config.active_cluster == ClusterId::kLittle;
+    for (double t = 30.0; t <= 105.0; t += 7.5) {
+      const std::array<double, kHeatSourceCount> temps{
+          t, t + 1.5, t - 2.0, t + 4.0, t - 5.0, t + 2.5, t - 8.0};
+      const HeatJacobian analytic = soc.heat_jacobian(
+          {temps[0], temps[1], temps[2], temps[3]}, temps[4], temps[5],
+          temps[6]);
+      for (std::size_t j = 0; j < kHeatSourceCount; ++j) {
+        std::array<double, kHeatSourceCount> hot = temps;
+        std::array<double, kHeatSourceCount> cold = temps;
+        hot[j] += kStepK;
+        cold[j] -= kStepK;
+        const auto p_hot = heat_sources(soc, hot);
+        const auto p_cold = heat_sources(soc, cold);
+        for (std::size_t i = 0; i < kHeatSourceCount; ++i) {
+          SCOPED_TRACE("online " + std::to_string(config.online_big_cores()) +
+                       (little_active ? " little" : " big") + " at " +
+                       std::to_string(t) + " C, d source " +
+                       std::to_string(i) + " / d T " + std::to_string(j));
+          const double numeric = (p_hot[i] - p_cold[i]) / (2.0 * kStepK);
+          EXPECT_NEAR(analytic[i][j], numeric,
+                      1e-9 + 1e-6 * std::abs(analytic[i][j]));
+          const bool coupled =
+              i == j || (little_active && j == 0 && i < kBigCoreCount);
+          if (!coupled) {
+            EXPECT_EQ(analytic[i][j], 0.0);
+          }
+        }
+      }
+      // The little cluster's parked big cores heat off core 0 only.
+      if (little_active) {
+        EXPECT_GT(analytic[3][0], 0.0);
       }
     }
   }
