@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <functional>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -517,24 +518,33 @@ JobPtr Server::find_job(const std::string& id) {
 
 namespace {
 
-/// Minimal blocking streambuf over a file descriptor. Reads honor the
-/// interrupted-read contract the stdin path relies on: EINTR surfaces as a
-/// retry (checking the external stop through the owning loop's getline
-/// failure), every other error as EOF.
+/// Minimal blocking streambuf over a file descriptor. A read waits in
+/// poll() with a timeout and consults `stopping` between waits, so a stop
+/// ends a session that is waiting on an idle client. A signal that
+/// interrupts the wait or the read (EINTR) is retried unless the server is
+/// stopping; only a peer close, a real error or a stop reads as EOF.
 class FdStreamBuf : public std::streambuf {
  public:
-  explicit FdStreamBuf(int fd) : fd_(fd) { setg(buf_, buf_, buf_); }
+  FdStreamBuf(int fd, std::function<bool()> stopping)
+      : fd_(fd), stopping_(std::move(stopping)) {
+    setg(buf_, buf_, buf_);
+  }
 
  protected:
   int underflow() override {
-    const ssize_t n = ::read(fd_, buf_, sizeof(buf_));
-    if (n > 0) {
-      setg(buf_, buf_, buf_ + n);
-      return traits_type::to_int_type(buf_[0]);
+    for (;;) {
+      if (stopping_()) return traits_type::eof();
+      pollfd pfd{fd_, POLLIN, 0};
+      const int ready = ::poll(&pfd, 1, 200);
+      if (ready < 0 && errno != EINTR) return traits_type::eof();
+      if (ready <= 0) continue;  // timeout or signal: re-check the stop
+      const ssize_t n = ::read(fd_, buf_, sizeof(buf_));
+      if (n > 0) {
+        setg(buf_, buf_, buf_ + n);
+        return traits_type::to_int_type(buf_[0]);
+      }
+      if (n == 0 || errno != EINTR) return traits_type::eof();
     }
-    // 0 = peer closed; < 0 covers both real errors and EINTR -- either way
-    // the session's getline fails and serve() consults the stop flag.
-    return traits_type::eof();
   }
 
   std::streamsize xsputn(const char* data, std::streamsize count) override {
@@ -559,6 +569,7 @@ class FdStreamBuf : public std::streambuf {
 
  private:
   int fd_;
+  std::function<bool()> stopping_;
   char buf_[4096];
 };
 
@@ -613,8 +624,9 @@ ServeStatus Server::serve_unix(const std::string& socket_path) {
     FdCloser connection;
     connection.fd = ::accept(listener.fd, nullptr, nullptr);
     if (connection.fd < 0) continue;  // EINTR or client vanished; re-poll
-    FdStreamBuf in_buf(connection.fd);
-    FdStreamBuf out_buf(connection.fd);
+    const auto stop = [this] { return stopping(); };
+    FdStreamBuf in_buf(connection.fd, stop);
+    FdStreamBuf out_buf(connection.fd, stop);
     std::istream in(&in_buf);
     std::ostream out(&out_buf);
     status = serve(in, out);

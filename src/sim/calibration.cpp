@@ -14,6 +14,7 @@
 #include "power/dynamic_power.hpp"
 #include "soc/soc.hpp"
 #include "thermal/floorplan.hpp"
+#include "thermal/lti_propagator.hpp"
 #include "thermal/sensor.hpp"
 #include "util/prbs.hpp"
 #include "util/rng.hpp"
@@ -24,45 +25,85 @@ namespace {
 using power::Resource;
 using power::resource_index;
 
-/// A fresh plant instance (floorplan + SoC + sensors) for one experiment,
-/// built from the platform descriptor's topology and role indices. Each
-/// bundle forks the root stream kRootDraws times (once per sensor bank).
+/// What every PlantBundle of one calibration copies or shares, built on the
+/// calling thread before any pipeline starts and read-only after it: the
+/// platform, the control interval's substep grid (substep count rounded, at
+/// least one), the as-built floorplan and its [Phi | Gamma] at that substep
+/// length. A bundle never moves the fan edge, so the one table entry serves
+/// every step.
+struct BundleTemplate {
+  const PlatformDescriptor& platform;
+  int substeps;
+  double substep_s;
+  thermal::Floorplan floorplan;
+  thermal::PropagatorTable propagators;
+
+  explicit BundleTemplate(const CalibrationOptions& opt)
+      : platform(*opt.platform),
+        substeps(std::max(1, int(std::lround(opt.control_interval_s /
+                                             opt.plant_substep_s)))),
+        substep_s(opt.control_interval_s / substeps),
+        floorplan(thermal::build_floorplan(platform.floorplan)) {
+    propagators.add(floorplan.network, substep_s);
+  }
+};
+
+/// A fresh plant instance (floorplan + SoC + sensors) for one experiment: a
+/// copy of the template's floorplan, stepped through the propagator over
+/// the template's table. Each bundle forks the root stream kRootDraws times
+/// (once per sensor bank).
 struct PlantBundle {
   static constexpr std::size_t kRootDraws = 2;
 
+  const BundleTemplate& shared;
   thermal::Floorplan floorplan;
   soc::Soc soc;
   thermal::TempSensorBank temp_bank;
   power::PowerSensorBank power_bank;
-  std::vector<double> node_power_scratch;  ///< interval()'s node powers
+  thermal::Floorplan::HeatNodes heat_nodes;
+  /// Zeroed here; interval() rewrites only the heat_nodes entries.
+  std::vector<double> node_power;
+  thermal::PropagatorRcModel propagator;
 
-  PlantBundle(const PlatformDescriptor& platform, util::Rng& root)
-      : floorplan(thermal::build_floorplan(platform.floorplan)),
-        soc(platform.power, platform.perf, platform.big_opp_table(),
-            platform.little_opp_table(), platform.gpu_opp_table()),
-        temp_bank(floorplan.sensor_node_index, platform.temp_sensor,
+  PlantBundle(const BundleTemplate& from, util::Rng& root)
+      : shared(from),
+        floorplan(from.floorplan),
+        soc(from.platform.power, from.platform.perf,
+            from.platform.big_opp_table(), from.platform.little_opp_table(),
+            from.platform.gpu_opp_table()),
+        temp_bank(floorplan.sensor_node_index, from.platform.temp_sensor,
                   root.fork()),
-        power_bank(platform.power_sensor, root.fork()) {}
+        power_bank(from.platform.power_sensor, root.fork()),
+        heat_nodes(floorplan.heat_nodes()),
+        node_power(floorplan.network.node_count(), 0.0),
+        propagator(&from.propagators) {}
 
   /// One control interval: the schedule solved once (demand and config are
-  /// fixed), then each substep's SoC evaluation and RK4 step; returns the
-  /// average true rail powers.
-  power::ResourceVector interval(const workload::Demand& demand, double dt_s,
-                                 double substep_s) {
-    const int n = std::max(1, int(std::lround(dt_s / substep_s)));
-    const double h = dt_s / n;
-    const auto& temps = floorplan.network.temperatures_c();
-    const thermal::Floorplan::HeatNodes nodes = floorplan.heat_nodes();
-    const auto at = [&](std::size_t i) { return temps[nodes[i]]; };
+  /// fixed), then each substep's SoC evaluation and thermal step, in
+  /// sim::Plant::advance's sequence (`step` on the first substep, which
+  /// resolves the table entry, then `step_resolved`); returns the average
+  /// true rail powers.
+  power::ResourceVector interval(const workload::Demand& demand) {
+    const int n = shared.substeps;
+    const double h = shared.substep_s;
+    thermal::RcNetwork& network = floorplan.network;
+    const auto& temps = network.temperatures_c();
+    const auto at = [&](std::size_t i) { return temps[heat_nodes[i]]; };
     soc.solve_schedule(demand, {});
     soc::SocStepResult out;
     power::ResourceVector accum{};
+    const thermal::PropagatorMatrices* resolved = nullptr;
     for (int s = 0; s < n; ++s) {
       soc.step_captured({at(0), at(1), at(2), at(3)}, at(4), at(5), at(6), h,
                         out);
-      floorplan.assemble_node_power_into(out.big_core_power_w,
-                                         out.rail_power_w, node_power_scratch);
-      floorplan.network.step(h, node_power_scratch);
+      thermal::Floorplan::write_heat(heat_nodes, out.big_core_power_w,
+                                     out.rail_power_w, node_power);
+      if (resolved != nullptr) {
+        propagator.step_resolved(*resolved, network, node_power);
+      } else {
+        propagator.step(network, h, node_power);
+        resolved = &propagator.matrices_for(network, h);
+      }
       for (std::size_t r = 0; r < power::kResourceCount; ++r) {
         accum[r] += out.rail_power_w[r] / double(n);
       }
@@ -84,8 +125,8 @@ struct PlantBundle {
     const analysis::EquilibriumResult eq = analysis::solve_coupled_equilibrium(
         floorplan.network,
         [&model](const std::vector<double>& temps,
-                 std::vector<double>& node_power) {
-          model.node_power(temps, node_power);
+                 std::vector<double>& power_w) {
+          model.node_power(temps, power_w);
         });
     if (!eq.converged) {
       throw std::runtime_error(
@@ -128,13 +169,13 @@ workload::Demand heavy_cpu_demand(int threads, double activity,
 
 /// Furnace sweep for one resource at one fixed operating point; appends to
 /// `samples`.
-void furnace_run(const CalibrationOptions& opt,
-                 const PlatformDescriptor& platform, util::Rng& root,
-                 Resource target, std::size_t op_index,
+void furnace_run(const CalibrationOptions& opt, const BundleTemplate& shared,
+                 util::Rng& root, Resource target, std::size_t op_index,
                  std::vector<sysid::FurnaceSample>& samples) {
+  const PlatformDescriptor& platform = shared.platform;
   std::vector<double> temps;
   for (double t_furnace : opt.furnace_temps_c) {
-    PlantBundle plant(platform, root);
+    PlantBundle plant(shared, root);
     auto& rc = plant.floorplan.network;
     const std::size_t ambient = plant.floorplan.ambient_node_index;
     rc.set_boundary_temperature_c(ambient, t_furnace);
@@ -200,8 +241,7 @@ void furnace_run(const CalibrationOptions& opt,
     const int n_samples =
         std::max(1, int(opt.furnace_sample_s / opt.control_interval_s));
     for (int n = 0; n < n_samples; ++n) {
-      const power::ResourceVector rails = plant.interval(
-          demand, opt.control_interval_s, opt.plant_substep_s);
+      const power::ResourceVector rails = plant.interval(demand);
       const power::ResourceVector sensed = plant.power_bank.read(rails);
       plant.temp_bank.read_into(rc.temperatures_c(), temps);
       double t_mean = 0.0;
@@ -256,10 +296,11 @@ struct ExcitationRecord {
 /// extremes while everything else idles; record sensor T/P traces.
 /// Appends to `result`.
 void excitation_run(const CalibrationOptions& opt,
-                    const PlatformDescriptor& platform, util::Rng& root,
+                    const BundleTemplate& shared, util::Rng& root,
                     Resource target, const power::LeakageParams& fitted_leakage,
                     ExcitationRecord& result) {
-  PlantBundle plant(platform, root);
+  PlantBundle plant(shared, root);
+  const PlatformDescriptor& platform = shared.platform;
   auto& rc = plant.floorplan.network;
   util::Prbs prbs(15, opt.prbs_hold_intervals,
                   std::uint32_t(0x1234 + 97 * resource_index(target)));
@@ -332,8 +373,7 @@ void excitation_run(const CalibrationOptions& opt,
     plant.soc.apply(config);
 
     plant.temp_bank.read_into(rc.temperatures_c(), temps_before);
-    const power::ResourceVector rails =
-        plant.interval(demand, opt.control_interval_s, opt.plant_substep_s);
+    const power::ResourceVector rails = plant.interval(demand);
     const power::ResourceVector sensed = plant.power_bank.read(rails);
 
     if (k >= schedule.warmup) {
@@ -434,12 +474,12 @@ struct Pipeline {
 
   /// `furnace_rng` and `excitation_rng` are the root stream advanced to the
   /// draw positions the serial order reaches each stage at.
-  void run(const CalibrationOptions& opt, const PlatformDescriptor& platform,
+  void run(const CalibrationOptions& opt, const BundleTemplate& shared,
            Resource r, util::Rng furnace_rng, util::Rng excitation_rng) noexcept {
     try {
-      furnace_run(opt, platform, furnace_rng, r, 0, furnace_samples);
+      furnace_run(opt, shared, furnace_rng, r, 0, furnace_samples);
       if (furnace_op_count(r) > 1) {
-        furnace_run(opt, platform, furnace_rng, r, second_op_index(r),
+        furnace_run(opt, shared, furnace_rng, r, second_op_index(r),
                     furnace_samples);
       }
       sysid::LeakageFitOptions fit_options;
@@ -450,7 +490,7 @@ struct Pipeline {
       return;
     }
     try {
-      excitation_run(opt, platform, excitation_rng, r, leakage_fit.params,
+      excitation_run(opt, shared, excitation_rng, r, leakage_fit.params,
                      excitation);
     } catch (...) {
       excitation_error = std::current_exception();
@@ -487,8 +527,10 @@ CalibrationArtifacts calibrate_platform_full(const CalibrationOptions& options) 
     p.excitation.temps.reserve(rows * platform.floorplan.sensor_nodes.size());
     p.excitation.powers.reserve(rows * power::kResourceCount);
   }
+  // Compiled here, before any thread starts; the pipelines only read it.
+  const BundleTemplate shared(options);
   auto run = [&](std::size_t i) {
-    pipelines[i].run(options, platform, power::all_resources()[i],
+    pipelines[i].run(options, shared, power::all_resources()[i],
                      advanced(root, furnace_offset[i]),
                      advanced(root, furnace_draws + PlantBundle::kRootDraws * i));
   };

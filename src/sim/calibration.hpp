@@ -16,6 +16,23 @@
 //
 // The result is the IdentifiedPlatformModel consumed by the DTPM governor.
 //
+// Stepping. Every experiment's plant steps its RC network through the LTI
+// propagator (thermal/lti_propagator.hpp) in sim::Plant::advance's sequence,
+// over one PropagatorTable per calibration: the as-built conductances (no
+// experiment moves the fan edge) at the substep length
+// control_interval_s / round(control_interval_s / plant_substep_s), compiled
+// on the calling thread before any pipeline starts and only read after.
+// The propagator is the RK4 substep loop in exact arithmetic, so the two
+// differ by rounding (~1e-13 C per step). Every calibration output passes
+// through the temperature and power sensors' quantizers, so on every
+// registry platform the outputs are byte-identical to stepping with
+// RcNetwork::step (tests/golden/calibration_*.model pin them). On a
+// platform whose sensors do not quantize, the rounding reaches the model:
+// measured on the three registry platforms with quantization set to zero,
+// the thermal model's A and B agree to 1e-12 relative and the leakage
+// coefficients to 5e-7 relative (the golden-section search over c2 sits on
+// a flat residual).
+//
 // Concurrency and RNG streams. Stages 1-2 are four independent pipelines, one
 // per resource (furnace -> leakage fit -> excitation); calibrate_platform_full
 // runs one on the calling thread and the other three on threads of their own,

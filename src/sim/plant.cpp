@@ -24,10 +24,10 @@ Plant::Plant(const PlatformDescriptor& platform, util::Rng& root,
                             plant_template != nullptr
                                 ? plant_template->propagators
                                 : nullptr)) {
-  // advance() indexes core_node_index[0..kBigCoreCount-1] unconditionally;
-  // a descriptor that bypassed validate() (built by hand and stuffed
-  // straight into ExperimentConfig::platform) must fail here -- whichever
-  // path built the floorplan -- not read out of bounds.
+  // heat_nodes() needs exactly kBigCoreCount core nodes; a descriptor that
+  // bypassed validate() (built by hand and stuffed straight into
+  // ExperimentConfig::platform) must fail here with the platform's name --
+  // whichever path built the floorplan.
   if (floorplan_.core_node_index.size() != std::size_t(soc::kBigCoreCount)) {
     throw std::invalid_argument(
         "Plant: platform '" + platform.name + "' must declare exactly " +
@@ -90,15 +90,13 @@ PlantIntervalResult Plant::advance(
   soc::SocStepResult& out = result.last_substep;
   thermal::RcNetwork& network = floorplan_.network;
   const std::vector<double>& temps = network.temperatures_c();
-  const auto& cores = floorplan_.core_node_index;
+  const auto at = [&](std::size_t i) { return temps[heat_nodes_[i]]; };
   // The propagator's [Phi | Gamma] entry, resolved by the first substep;
   // the conductances stay fixed for the rest of the interval.
   const thermal::PropagatorMatrices* resolved = nullptr;
   for (int s = 0; s < substeps; ++s) {
-    soc_.step_captured(
-        {temps[cores[0]], temps[cores[1]], temps[cores[2]], temps[cores[3]]},
-        temps[floorplan_.little_node_index], temps[floorplan_.gpu_node_index],
-        temps[floorplan_.mem_node_index], sub_dt, out);
+    soc_.step_captured({at(0), at(1), at(2), at(3)}, at(4), at(5), at(6),
+                       sub_dt, out);
     thermal::Floorplan::write_heat(heat_nodes_, out.big_core_power_w,
                                    out.rail_power_w, node_power_);
     if (resolved != nullptr) {

@@ -124,7 +124,8 @@ class Plant {
   Engine engine_;
   /// The propagator engine's thermal step; null for reference-rk4.
   std::unique_ptr<thermal::PropagatorRcModel> propagator_;
-  /// floorplan_.heat_nodes(), resolved at construction.
+  /// floorplan_.heat_nodes(), resolved at construction: advance() reads the
+  /// SoC's seven heat-source temperatures and writes its heat through it.
   thermal::Floorplan::HeatNodes heat_nodes_;
   /// Node-power injection, zeroed at construction; advance() rewrites only
   /// the heat_nodes_ entries (it allocates nothing).

@@ -210,14 +210,6 @@ Floorplan::HeatNodes Floorplan::heat_nodes() const {
           mem_node_index};
 }
 
-void Floorplan::assemble_node_power_into(
-    const std::array<double, 4>& big_core_power_w,
-    const power::ResourceVector& rail_power_w,
-    std::vector<double>& node_power_out) const {
-  node_power_out.assign(network.node_count(), 0.0);
-  write_heat(heat_nodes(), big_core_power_w, rail_power_w, node_power_out);
-}
-
 FloorplanSpec default_floorplan_spec(const FloorplanParams& p) {
   FloorplanSpec spec;
   spec.nodes.resize(kFloorplanNodeCount);

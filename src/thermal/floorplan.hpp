@@ -200,12 +200,6 @@ struct Floorplan {
       node_power[nodes[k]] = source[k];
     }
   }
-
-  /// The whole node-power vector: zeros, then write_heat() through
-  /// heat_nodes(). Allocation-free after the first call on a reused buffer.
-  void assemble_node_power_into(const std::array<double, 4>& big_core_power_w,
-                                const power::ResourceVector& rail_power_w,
-                                std::vector<double>& node_power_out) const;
 };
 
 /// The default Exynos-5410-like topology as a data-driven spec. The result

@@ -104,9 +104,10 @@ TEST(Analysis, EveryRegistryPlatformPassesTheRegistrationGate) {
 
 /// The analyzer linearizes the plant's own power model: on every registry
 /// platform, CoupledPowerModel::node_power equals a full Soc::step written
-/// through assemble_node_power_into -- what the simulator heats its network
-/// with -- on every node, with the big cluster fully or partly online and
-/// with the little cluster active, across a range of temperatures.
+/// through write_heat into a zeroed vector -- what the simulator heats its
+/// network with -- on every node, with the big cluster fully or partly
+/// online and with the little cluster active, across a range of
+/// temperatures.
 TEST(Analysis, CoupledPowerModelEqualsThePlantBitForBit) {
   const sim::PlatformRegistry& registry = sim::PlatformRegistry::instance();
   AnalysisWorkload workload;
@@ -149,9 +150,10 @@ TEST(Analysis, CoupledPowerModelEqualsThePlantBitForBit) {
             temps[floorplan.little_node_index],
             temps[floorplan.gpu_node_index], temps[floorplan.mem_node_index],
             0.01);
-        std::vector<double> simulated;
-        floorplan.assemble_node_power_into(step.big_core_power_w,
-                                           step.rail_power_w, simulated);
+        std::vector<double> simulated(floorplan.network.node_count(), 0.0);
+        thermal::Floorplan::write_heat(floorplan.heat_nodes(),
+                                       step.big_core_power_w,
+                                       step.rail_power_w, simulated);
         EXPECT_EQ(analyzed, simulated)
             << name << ", " << applied.online_big_cores() << " big online, "
             << (applied.active_cluster == soc::ClusterId::kLittle ? "little"

@@ -125,7 +125,7 @@ TEST(Floorplan, TotalResistanceMatchesSeriesStages) {
               1e-9);
 }
 
-TEST(Floorplan, AssembleNodePowerMapsRailsToNodes) {
+TEST(Floorplan, WriteHeatMapsRailsToNodes) {
   const std::array<double, 4> big{1.0, 2.0, 3.0, 4.0};
   power::ResourceVector rails{};
   rails[power::resource_index(power::Resource::kBigCluster)] = 10.0;  // unused
@@ -133,8 +133,9 @@ TEST(Floorplan, AssembleNodePowerMapsRailsToNodes) {
   rails[power::resource_index(power::Resource::kGpu)] = 1.5;
   rails[power::resource_index(power::Resource::kMem)] = 0.25;
 
-  std::vector<double> node_power;
-  make_default_floorplan().assemble_node_power_into(big, rails, node_power);
+  std::vector<double> node_power(kFloorplanNodeCount, 0.0);
+  Floorplan::write_heat(make_default_floorplan().heat_nodes(), big, rails,
+                        node_power);
   ASSERT_EQ(node_power.size(), kFloorplanNodeCount);
   EXPECT_EQ(node_power[node_index(FloorplanNode::kBig0)], 1.0);
   EXPECT_EQ(node_power[node_index(FloorplanNode::kBig1)], 2.0);

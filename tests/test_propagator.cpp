@@ -11,9 +11,12 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <random>
+#include <string>
 #include <vector>
 
+#include "sim/calibration.hpp"
 #include "sim/config.hpp"
 #include "sim/plant.hpp"
 #include "sim/platform_registry.hpp"
@@ -232,24 +235,50 @@ TEST(PropagatorDrift, TenThousandStepSoakWithinBoundPerStep) {
   }
 }
 
-// The default floorplan through the propagator over a long soak: this is
-// the exact plant configuration behind the golden traces.
-TEST(PropagatorDrift, DefaultFloorplanSoak) {
-  Floorplan reference = make_default_floorplan();
-  Floorplan stepped = make_default_floorplan();
-  PropagatorRcModel engine;
-  double max_err = 0.0;
-  for (int k = 0; k < 10000; ++k) {
-    const std::vector<double> power =
-        sinusoid_power(kFloorplanNodeCount, k);
-    reference.network.step(0.01, power);
-    engine.step(stepped.network, 0.01, power);
-    for (std::size_t i = 0; i < kFloorplanNodeCount; ++i) {
-      max_err = std::max(max_err, std::abs(reference.network.temperature_c(i) -
-                                           stepped.network.temperature_c(i)));
+// Every registry floorplan through the propagator over a long soak, at both
+// plant substeps in use -- runs' and calibration's -- from the as-built
+// state behind the golden traces and, as calibration's furnace runs it, with
+// the ambient boundary and the start state pinned at each furnace setpoint.
+TEST(PropagatorDrift, RegistryFloorplanSoak) {
+  const auto& registry = sim::PlatformRegistry::instance();
+  const sim::CalibrationOptions calibration;
+  const double substeps[] = {sim::ExperimentConfig().plant_substep_s,
+                             calibration.plant_substep_s};
+  ASSERT_NE(substeps[0], substeps[1]);
+  // No setpoint: the as-built temperatures and ambient.
+  std::vector<std::optional<double>> setpoints{std::nullopt};
+  setpoints.insert(setpoints.end(), calibration.furnace_temps_c.begin(),
+                   calibration.furnace_temps_c.end());
+  for (const std::string& name : registry.names()) {
+    for (double dt : substeps) {
+      for (const std::optional<double>& setpoint : setpoints) {
+        Floorplan reference = build_floorplan(registry.get(name)->floorplan);
+        if (setpoint.has_value()) {
+          reference.network.set_boundary_temperature_c(
+              reference.ambient_node_index, *setpoint);
+          reference.network.set_all_temperatures_c(*setpoint);
+        }
+        Floorplan stepped = reference;
+        const std::size_t nodes = reference.network.node_count();
+        PropagatorRcModel engine;
+        double max_err = 0.0;
+        for (int k = 0; k < 10000; ++k) {
+          const std::vector<double> power = sinusoid_power(nodes, k);
+          reference.network.step(dt, power);
+          engine.step(stepped.network, dt, power);
+          for (std::size_t i = 0; i < nodes; ++i) {
+            max_err = std::max(max_err,
+                               std::abs(reference.network.temperature_c(i) -
+                                        stepped.network.temperature_c(i)));
+          }
+        }
+        EXPECT_LE(max_err, 1e-8)
+            << name << ", dt " << dt << " s, setpoint "
+            << (setpoint.has_value() ? std::to_string(*setpoint) : "none");
+        EXPECT_EQ(engine.fallback_steps(), 1u) << name;
+      }
     }
   }
-  EXPECT_LE(max_err, 1e-8);
 }
 
 // A step in a conductance state the cache has not seen -- the step after a

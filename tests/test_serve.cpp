@@ -4,7 +4,8 @@
 // the restart-determinism guarantee -- the same fleet spec submitted to two
 // fresh Server instances (and across fleet worker counts) produces
 // byte-identical aggregate JSON -- and, over a real Unix socket, that every
-// job's ack reaches the client before its result.
+// job's ack reaches the client before its result and that an interrupting
+// signal leaves the session open.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -15,6 +16,8 @@
 #include <thread>
 #include <vector>
 
+#include <pthread.h>
+#include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -346,8 +349,8 @@ class SocketClient {
     const std::string data = line + "\n";
     std::size_t written = 0;
     while (written < data.size()) {
-      const ssize_t n =
-          ::write(fd_, data.data() + written, data.size() - written);
+      const ssize_t n = ::send(fd_, data.data() + written,
+                               data.size() - written, MSG_NOSIGNAL);
       if (n <= 0) return;
       written += std::size_t(n);
     }
@@ -416,6 +419,51 @@ TEST(ServeOrdering, AckPrecedesResultForOneAtATimeRunJobs) {
   serving.join();
   EXPECT_EQ(kJobs, completed);
   EXPECT_EQ(0, result_before_ack);
+}
+
+void ignore_signal(int) {}
+
+// A signal installed without SA_RESTART -- a profiler's SIGPROF, say --
+// interrupts the serving thread's wait on the socket (EINTR). The session
+// must stay open and answer the next request, and request_stop() must still
+// end serve_unix promptly while the client sits idle on the connection.
+TEST(ServeSignals, InterruptedReadKeepsTheSessionOpen) {
+  struct sigaction noop {};
+  noop.sa_handler = ignore_signal;
+  sigemptyset(&noop.sa_mask);
+  noop.sa_flags = 0;
+  struct sigaction previous {};
+  ASSERT_EQ(0, ::sigaction(SIGUSR1, &noop, &previous));
+
+  const std::string path = ::testing::TempDir() + "dtpm_serve_eintr_" +
+                           std::to_string(::getpid()) + ".sock";
+  Server server(quiet_options());
+  ServeStatus status = ServeStatus::kEof;
+  std::thread serving([&] { status = server.serve_unix(path); });
+  std::chrono::steady_clock::duration stop_took{};
+  {
+    SocketClient client(path);
+    EXPECT_TRUE(client.connected());
+    client.send_line(R"({"op":"status"})");
+    EXPECT_NE(std::string::npos,
+              client.read_line().find(R"("reply":"status")"));
+    // The serving thread now waits on the idle client.
+    for (int i = 0; i < 5; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      ::pthread_kill(serving.native_handle(), SIGUSR1);
+    }
+    client.send_line(R"({"op":"status"})");
+    EXPECT_NE(std::string::npos,
+              client.read_line().find(R"("reply":"status")"));
+
+    const auto start = std::chrono::steady_clock::now();
+    server.request_stop();
+    serving.join();
+    stop_took = std::chrono::steady_clock::now() - start;
+  }
+  ::sigaction(SIGUSR1, &previous, nullptr);
+  EXPECT_EQ(ServeStatus::kStopped, status);
+  EXPECT_LT(stop_took, std::chrono::seconds(2));
 }
 
 TEST(BoundedJobQueue, BackpressureAtCapacity) {
