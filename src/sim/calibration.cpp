@@ -12,10 +12,11 @@
 #include "analysis/equilibrium.hpp"
 #include "analysis/stability.hpp"
 #include "power/dynamic_power.hpp"
+#include "sim/config.hpp"
+#include "sim/plant.hpp"
 #include "soc/soc.hpp"
 #include "thermal/floorplan.hpp"
 #include "thermal/lti_propagator.hpp"
-#include "thermal/sensor.hpp"
 #include "util/prbs.hpp"
 #include "util/rng.hpp"
 
@@ -25,132 +26,112 @@ namespace {
 using power::Resource;
 using power::resource_index;
 
-/// What every PlantBundle of one calibration copies or shares, built on the
+/// What every experiment Plant of one calibration shares, built on the
 /// calling thread before any pipeline starts and read-only after it: the
-/// platform, the control interval's substep grid (substep count rounded, at
-/// least one), the as-built floorplan and its [Phi | Gamma] at that substep
-/// length. A bundle never moves the fan edge, so the one table entry serves
-/// every step.
-struct BundleTemplate {
-  const PlatformDescriptor& platform;
+/// control interval's substep grid, [Phi | Gamma] at that substep length and
+/// the plant template over the as-built floorplan and that table. No
+/// experiment moves the fan edge, so the one table entry serves every step.
+struct ExperimentTemplate {
   int substeps;
   double substep_s;
-  thermal::Floorplan floorplan;
   thermal::PropagatorTable propagators;
+  PlantTemplate plant;
 
-  explicit BundleTemplate(const CalibrationOptions& opt)
-      : platform(*opt.platform),
-        substeps(std::max(1, int(std::lround(opt.control_interval_s /
-                                             opt.plant_substep_s)))),
+  explicit ExperimentTemplate(const CalibrationOptions& opt)
+      : substeps(plant_substeps(opt.control_interval_s, opt.plant_substep_s)),
         substep_s(opt.control_interval_s / substeps),
-        floorplan(thermal::build_floorplan(platform.floorplan)) {
-    propagators.add(floorplan.network, substep_s);
+        plant{thermal::build_floorplan(opt.platform->floorplan),
+              &propagators} {
+    propagators.add(plant.floorplan.network, substep_s);
   }
 };
 
-/// A fresh plant instance (floorplan + SoC + sensors) for one experiment: a
-/// copy of the template's floorplan, stepped through the propagator over
-/// the template's table. Each bundle forks the root stream kRootDraws times
-/// (once per sensor bank).
-struct PlantBundle {
-  static constexpr std::size_t kRootDraws = 2;
+/// Root draws per experiment. A Plant forks three streams from the root
+/// (temperature bank, power bank, external meter; sim/plant.hpp), but the
+/// pinned calibration streams give each experiment two draws and
+/// calibration never reads the meter: each Plant forks from a copy of the
+/// root, and the root then skips kRootDraws.
+constexpr std::size_t kRootDraws = 2;
 
-  const BundleTemplate& shared;
-  thermal::Floorplan floorplan;
-  soc::Soc soc;
-  thermal::TempSensorBank temp_bank;
-  power::PowerSensorBank power_bank;
-  thermal::Floorplan::HeatNodes heat_nodes;
-  /// Zeroed here; interval() rewrites only the heat_nodes entries.
-  std::vector<double> node_power;
-  thermal::PropagatorRcModel propagator;
+/// A fresh plant for one experiment, stepped through the propagator over the
+/// template's table.
+Plant experiment_plant(const CalibrationOptions& opt,
+                       const ExperimentTemplate& shared, util::Rng& root) {
+  util::Rng stream = root;
+  root.engine().discard(kRootDraws);
+  return Plant(*opt.platform, stream, &shared.plant, Engine::kPropagator);
+}
 
-  PlantBundle(const BundleTemplate& from, util::Rng& root)
-      : shared(from),
-        floorplan(from.floorplan),
-        soc(from.platform.power, from.platform.perf,
-            from.platform.big_opp_table(), from.platform.little_opp_table(),
-            from.platform.gpu_opp_table()),
-        temp_bank(floorplan.sensor_node_index, from.platform.temp_sensor,
-                  root.fork()),
-        power_bank(from.platform.power_sensor, root.fork()),
-        heat_nodes(floorplan.heat_nodes()),
-        node_power(floorplan.network.node_count(), 0.0),
-        propagator(&from.propagators) {}
+const std::vector<workload::ThreadDemand> kNoBackground;
 
-  /// One control interval: the schedule solved once (demand and config are
-  /// fixed), then each substep's SoC evaluation and thermal step, in
-  /// sim::Plant::advance's sequence (`step` on the first substep, which
-  /// resolves the table entry, then `step_resolved`); returns the average
-  /// true rail powers.
-  power::ResourceVector interval(const workload::Demand& demand) {
-    const int n = shared.substeps;
-    const double h = shared.substep_s;
-    thermal::RcNetwork& network = floorplan.network;
-    const auto& temps = network.temperatures_c();
-    const auto at = [&](std::size_t i) { return temps[heat_nodes[i]]; };
-    soc.solve_schedule(demand, {});
-    soc::SocStepResult out;
-    power::ResourceVector accum{};
-    const thermal::PropagatorMatrices* resolved = nullptr;
-    for (int s = 0; s < n; ++s) {
-      soc.step_captured({at(0), at(1), at(2), at(3)}, at(4), at(5), at(6), h,
-                        out);
-      thermal::Floorplan::write_heat(heat_nodes, out.big_core_power_w,
-                                     out.rail_power_w, node_power);
-      if (resolved != nullptr) {
-        propagator.step_resolved(*resolved, network, node_power);
-      } else {
-        propagator.step(network, h, node_power);
-        resolved = &propagator.matrices_for(network, h);
-      }
-      for (std::size_t r = 0; r < power::kResourceCount; ++r) {
-        accum[r] += out.rail_power_w[r] / double(n);
-      }
-    }
-    return accum;
+/// One control interval of `plant` under `demand`; returns the average true
+/// rail powers.
+power::ResourceVector interval(Plant& plant, const ExperimentTemplate& shared,
+                               const workload::Demand& demand) {
+  return plant
+      .advance(demand, kNoBackground, nullptr, shared.substeps,
+               shared.substep_s)
+      .rails_avg_w;
+}
+
+/// Leakage-consistent equilibration through the shared coupled solver
+/// (analysis/equilibrium.hpp): iterate to the fixed point where the
+/// network's steady state under temperature-dependent power reproduces the
+/// temperatures the power was computed at, to a tight tolerance. Loud
+/// failure instead of a silently-unconverged plant: calibration data taken
+/// off-equilibrium would poison every coefficient fitted from it. The probe
+/// is the analyzer's CoupledPowerModel: the schedule solved once, then the
+/// plant's power model at each trial temperature.
+void equilibrate(Plant& plant, const workload::Demand& demand) {
+  plant.soc().solve_schedule(demand, kNoBackground);
+  analysis::CoupledPowerModel model(plant.floorplan(), plant.soc());
+  const analysis::EquilibriumResult eq = analysis::solve_coupled_equilibrium(
+      plant.floorplan().network,
+      [&model](const std::vector<double>& temps, std::vector<double>& power_w) {
+        model.node_power(temps, power_w);
+      });
+  if (!eq.converged) {
+    throw std::runtime_error(
+        "calibration: plant failed to reach a leakage-consistent "
+        "equilibrium (" +
+        std::string(eq.diverged ? "diverged -- thermal runaway"
+                                : "did not converge") +
+        " after " + std::to_string(eq.iterations) + " iterations, residual " +
+        std::to_string(eq.residual_c) + " C)");
   }
+}
 
-  /// Leakage-consistent equilibration through the shared coupled solver
-  /// (analysis/equilibrium.hpp): iterate to the fixed point where the
-  /// network's steady state under temperature-dependent power reproduces the
-  /// temperatures the power was computed at, to a tight tolerance. Loud
-  /// failure instead of a silently-unconverged plant: calibration data taken
-  /// off-equilibrium would poison every coefficient fitted from it. The
-  /// probe is the analyzer's CoupledPowerModel: the schedule solved once,
-  /// then the plant's power model at each trial temperature.
-  void equilibrate(const workload::Demand& demand) {
-    soc.solve_schedule(demand, {});
-    analysis::CoupledPowerModel model(floorplan, soc);
-    const analysis::EquilibriumResult eq = analysis::solve_coupled_equilibrium(
-        floorplan.network,
-        [&model](const std::vector<double>& temps,
-                 std::vector<double>& power_w) {
-          model.node_power(temps, power_w);
-        });
-    if (!eq.converged) {
-      throw std::runtime_error(
-          "calibration: plant failed to reach a leakage-consistent "
-          "equilibrium (" +
-          std::string(eq.diverged ? "diverged -- thermal runaway"
-                                  : "did not converge") +
-          " after " + std::to_string(eq.iterations) +
-          " iterations, residual " + std::to_string(eq.residual_c) + " C)");
-    }
+/// The characterization config: the big cluster active and every knob at
+/// its minimum OPP, except `target`'s, which runs at `freq_hz` (the little
+/// cluster is active when it is the target). Memory has no knob, so its
+/// config ignores `freq_hz`.
+soc::SocConfig pinned_config(const soc::Soc& soc, Resource target,
+                             double freq_hz) {
+  const auto pick = [&](Resource r, const power::OppTable& opps) {
+    return r == target ? freq_hz : opps.min().frequency_hz;
+  };
+  soc::SocConfig config;
+  config.active_cluster = target == Resource::kLittleCluster
+                              ? soc::ClusterId::kLittle
+                              : soc::ClusterId::kBig;
+  config.big_freq_hz = pick(Resource::kBigCluster, soc.big_opps());
+  config.little_freq_hz = pick(Resource::kLittleCluster, soc.little_opps());
+  config.gpu_freq_hz = pick(Resource::kGpu, soc.gpu_opps());
+  return config;
+}
+
+/// The OPP table of a resource's knob; memory has none.
+const power::OppTable& knob_opps(const soc::Soc& soc, Resource r) {
+  switch (r) {
+    case Resource::kBigCluster:
+      return soc.big_opps();
+    case Resource::kLittleCluster:
+      return soc.little_opps();
+    case Resource::kGpu:
+      return soc.gpu_opps();
+    default:
+      throw std::invalid_argument("calibration: resource has no OPP knob");
   }
-};
-
-/// Light characterization workload for a CPU cluster (single low-activity
-/// thread, §4.1.1's "light workload ... with fixed f and Vdd").
-workload::Demand light_cpu_demand(double activity, double mem_intensity) {
-  workload::Demand d;
-  workload::ThreadDemand td;
-  td.duty = 1.0;
-  td.cpu_activity = activity;
-  td.mem_intensity = mem_intensity;
-  td.counts_progress = false;
-  d.threads.push_back(td);
-  return d;
 }
 
 workload::Demand heavy_cpu_demand(int threads, double activity,
@@ -167,83 +148,64 @@ workload::Demand heavy_cpu_demand(int threads, double activity,
   return d;
 }
 
+/// Light characterization workload for a CPU cluster (single low-activity
+/// thread, §4.1.1's "light workload ... with fixed f and Vdd").
+workload::Demand light_cpu_demand(double activity, double mem_intensity) {
+  return heavy_cpu_demand(1, activity, mem_intensity);
+}
+
 /// Furnace sweep for one resource at one fixed operating point; appends to
 /// `samples`.
-void furnace_run(const CalibrationOptions& opt, const BundleTemplate& shared,
-                 util::Rng& root, Resource target, std::size_t op_index,
+void furnace_run(const CalibrationOptions& opt,
+                 const ExperimentTemplate& shared, util::Rng& root,
+                 Resource target, std::size_t op_index,
                  std::vector<sysid::FurnaceSample>& samples) {
-  const PlatformDescriptor& platform = shared.platform;
+  const PlatformDescriptor& platform = *opt.platform;
   std::vector<double> temps;
   for (double t_furnace : opt.furnace_temps_c) {
-    PlantBundle plant(shared, root);
-    auto& rc = plant.floorplan.network;
-    const std::size_t ambient = plant.floorplan.ambient_node_index;
-    rc.set_boundary_temperature_c(ambient, t_furnace);
-    rc.set_all_temperatures_c(t_furnace);
+    Plant plant = experiment_plant(opt, shared, root);
+    thermal::Floorplan& floorplan = plant.floorplan();
+    floorplan.network.set_boundary_temperature_c(floorplan.ambient_node_index,
+                                                 t_furnace);
+    floorplan.network.set_all_temperatures_c(t_furnace);
 
-    soc::SocConfig config;
     workload::Demand demand;
-    double sample_v = 0.0, sample_f = 0.0;
     switch (target) {
-      case Resource::kBigCluster: {
-        const auto& opp = plant.soc.big_opps().at(op_index);
-        config.active_cluster = soc::ClusterId::kBig;
-        config.big_freq_hz = opp.frequency_hz;
-        config.little_freq_hz = plant.soc.little_opps().min().frequency_hz;
-        config.gpu_freq_hz = plant.soc.gpu_opps().min().frequency_hz;
+      case Resource::kBigCluster:
         demand = light_cpu_demand(0.25, 0.05);
-        sample_v = opp.voltage_v;
-        sample_f = opp.frequency_hz;
         break;
-      }
-      case Resource::kLittleCluster: {
-        const auto& opp = plant.soc.little_opps().at(op_index);
-        config.active_cluster = soc::ClusterId::kLittle;
-        config.big_freq_hz = plant.soc.big_opps().min().frequency_hz;
-        config.little_freq_hz = opp.frequency_hz;
-        config.gpu_freq_hz = plant.soc.gpu_opps().min().frequency_hz;
+      case Resource::kLittleCluster:
         demand = light_cpu_demand(0.30, 0.05);
-        sample_v = opp.voltage_v;
-        sample_f = opp.frequency_hz;
         break;
-      }
-      case Resource::kGpu: {
-        const auto& opp = plant.soc.gpu_opps().at(op_index);
-        config.active_cluster = soc::ClusterId::kBig;
-        config.big_freq_hz = plant.soc.big_opps().min().frequency_hz;
-        config.little_freq_hz = plant.soc.little_opps().min().frequency_hz;
-        config.gpu_freq_hz = opp.frequency_hz;
+      case Resource::kGpu:
         demand = light_cpu_demand(0.15, 0.05);
         // Saturating load: the GPU is 100 % busy at both characterization
         // OPPs, so the (V^2 f) basis column actually varies between them and
         // the dynamic term separates from gate leakage.
         demand.gpu_load = 1.0;
-        sample_v = opp.voltage_v;
-        sample_f = opp.frequency_hz;
         break;
-      }
-      case Resource::kMem: {
-        config.active_cluster = soc::ClusterId::kBig;
-        config.big_freq_hz = plant.soc.big_opps().min().frequency_hz;
-        config.little_freq_hz = plant.soc.little_opps().min().frequency_hz;
-        config.gpu_freq_hz = plant.soc.gpu_opps().min().frequency_hz;
+      case Resource::kMem:
         demand = light_cpu_demand(0.15, 0.30);
-        sample_v = platform.power.mem_nominal_voltage_v;
-        sample_f = platform.power.mem_nominal_frequency_hz;
         break;
-      }
       case Resource::kCount:
         throw std::invalid_argument("furnace_run: bad resource");
     }
-    plant.soc.apply(config);
-    plant.equilibrate(demand);
+    double sample_v = platform.power.mem_nominal_voltage_v;
+    double sample_f = platform.power.mem_nominal_frequency_hz;
+    if (target != Resource::kMem) {
+      const auto& opp = knob_opps(plant.soc(), target).at(op_index);
+      sample_v = opp.voltage_v;
+      sample_f = opp.frequency_hz;
+    }
+    plant.apply(pinned_config(plant.soc(), target, sample_f));
+    equilibrate(plant, demand);
 
     const int n_samples =
         std::max(1, int(opt.furnace_sample_s / opt.control_interval_s));
     for (int n = 0; n < n_samples; ++n) {
-      const power::ResourceVector rails = plant.interval(demand);
-      const power::ResourceVector sensed = plant.power_bank.read(rails);
-      plant.temp_bank.read_into(rc.temperatures_c(), temps);
+      const power::ResourceVector sensed =
+          plant.read_rails(interval(plant, shared, demand));
+      plant.read_temps_into(temps);
       double t_mean = 0.0;
       for (double x : temps) t_mean += x / double(temps.size());
       samples.push_back(
@@ -296,17 +258,16 @@ struct ExcitationRecord {
 /// extremes while everything else idles; record sensor T/P traces.
 /// Appends to `result`.
 void excitation_run(const CalibrationOptions& opt,
-                    const BundleTemplate& shared, util::Rng& root,
+                    const ExperimentTemplate& shared, util::Rng& root,
                     Resource target, const power::LeakageParams& fitted_leakage,
                     ExcitationRecord& result) {
-  PlantBundle plant(shared, root);
-  const PlatformDescriptor& platform = shared.platform;
-  auto& rc = plant.floorplan.network;
+  Plant plant = experiment_plant(opt, shared, root);
+  const PlatformDescriptor& platform = *opt.platform;
   util::Prbs prbs(15, opt.prbs_hold_intervals,
                   std::uint32_t(0x1234 + 97 * resource_index(target)));
   const ExcitationSchedule schedule = excitation_schedule(opt);
 
-  result.temp_width = plant.temp_bank.observed_nodes().size();
+  result.temp_width = plant.floorplan().sensor_node_index.size();
   std::vector<double> temps_before;
   power::ResourceVector last_sensed{};
   power::LeakageModel leak(fitted_leakage);
@@ -316,65 +277,35 @@ void excitation_run(const CalibrationOptions& opt,
   for (std::size_t k = 0; k < schedule.total; ++k) {
     const bool bit = prbs.next();
 
-    soc::SocConfig config;
     workload::Demand demand;
-    double knob_v = 0.0, knob_f = 0.0;
     switch (target) {
-      case Resource::kBigCluster: {
-        const auto& opp = bit ? plant.soc.big_opps().max()
-                              : plant.soc.big_opps().min();
-        config.active_cluster = soc::ClusterId::kBig;
-        config.big_freq_hz = opp.frequency_hz;
-        config.little_freq_hz = plant.soc.little_opps().min().frequency_hz;
-        config.gpu_freq_hz = plant.soc.gpu_opps().min().frequency_hz;
+      case Resource::kBigCluster:
+      case Resource::kLittleCluster:
         demand = heavy_cpu_demand(4, 0.8, 0.2);
-        knob_v = opp.voltage_v;
-        knob_f = opp.frequency_hz;
         break;
-      }
-      case Resource::kLittleCluster: {
-        const auto& opp = bit ? plant.soc.little_opps().max()
-                              : plant.soc.little_opps().min();
-        config.active_cluster = soc::ClusterId::kLittle;
-        config.big_freq_hz = plant.soc.big_opps().min().frequency_hz;
-        config.little_freq_hz = opp.frequency_hz;
-        config.gpu_freq_hz = plant.soc.gpu_opps().min().frequency_hz;
-        demand = heavy_cpu_demand(4, 0.8, 0.2);
-        knob_v = opp.voltage_v;
-        knob_f = opp.frequency_hz;
-        break;
-      }
-      case Resource::kGpu: {
-        const auto& opp = bit ? plant.soc.gpu_opps().max()
-                              : plant.soc.gpu_opps().min();
-        config.active_cluster = soc::ClusterId::kBig;
-        config.big_freq_hz = plant.soc.big_opps().min().frequency_hz;
-        config.little_freq_hz = plant.soc.little_opps().min().frequency_hz;
-        config.gpu_freq_hz = opp.frequency_hz;
+      case Resource::kGpu:
         demand = light_cpu_demand(0.3, 0.1);
         demand.gpu_load = 0.9;
-        knob_v = opp.voltage_v;
-        knob_f = opp.frequency_hz;
         break;
-      }
-      case Resource::kMem: {
-        config.active_cluster = soc::ClusterId::kBig;
-        config.big_freq_hz = plant.soc.big_opps().min().frequency_hz;
-        config.little_freq_hz = plant.soc.little_opps().min().frequency_hz;
-        config.gpu_freq_hz = plant.soc.gpu_opps().min().frequency_hz;
+      case Resource::kMem:
         demand = heavy_cpu_demand(2, 0.3, bit ? 0.95 : 0.02);
-        knob_v = platform.power.mem_nominal_voltage_v;
-        knob_f = platform.power.mem_nominal_frequency_hz;
         break;
-      }
       case Resource::kCount:
         throw std::invalid_argument("excitation_run: bad resource");
     }
-    plant.soc.apply(config);
+    double knob_v = platform.power.mem_nominal_voltage_v;
+    double knob_f = platform.power.mem_nominal_frequency_hz;
+    if (target != Resource::kMem) {
+      const power::OppTable& opps = knob_opps(plant.soc(), target);
+      const auto& opp = bit ? opps.max() : opps.min();
+      knob_v = opp.voltage_v;
+      knob_f = opp.frequency_hz;
+    }
+    plant.apply(pinned_config(plant.soc(), target, knob_f));
 
-    plant.temp_bank.read_into(rc.temperatures_c(), temps_before);
-    const power::ResourceVector rails = plant.interval(demand);
-    const power::ResourceVector sensed = plant.power_bank.read(rails);
+    plant.read_temps_into(temps_before);
+    const power::ResourceVector sensed =
+        plant.read_rails(interval(plant, shared, demand));
 
     if (k >= schedule.warmup) {
       result.temps.insert(result.temps.end(), temps_before.begin(),
@@ -395,7 +326,7 @@ void excitation_run(const CalibrationOptions& opt,
   }
   // Close the segment with a final temperature sample so the last recorded
   // (T, P) pair has a successor.
-  plant.temp_bank.read_into(rc.temperatures_c(), temps_before);
+  plant.read_temps_into(temps_before);
   result.temps.insert(result.temps.end(), temps_before.begin(),
                       temps_before.end());
   result.powers.insert(result.powers.end(), last_sensed.begin(),
@@ -474,7 +405,7 @@ struct Pipeline {
 
   /// `furnace_rng` and `excitation_rng` are the root stream advanced to the
   /// draw positions the serial order reaches each stage at.
-  void run(const CalibrationOptions& opt, const BundleTemplate& shared,
+  void run(const CalibrationOptions& opt, const ExperimentTemplate& shared,
            Resource r, util::Rng furnace_rng, util::Rng excitation_rng) noexcept {
     try {
       furnace_run(opt, shared, furnace_rng, r, 0, furnace_samples);
@@ -510,14 +441,15 @@ CalibrationArtifacts calibrate_platform_full(const CalibrationOptions& options) 
   const PlatformDescriptor& platform = *options.platform;
   const util::Rng root(options.seed);
 
-  // The serial workflow forks the root stream only through PlantBundles:
-  // every furnace stage in resource order, then one excitation bundle per
-  // resource. Each pipeline starts from the positions that order gives it.
+  // The serial workflow draws from the root stream only through experiment
+  // Plants, kRootDraws each: every furnace stage in resource order, then one
+  // excitation plant per resource. Each pipeline starts from the positions
+  // that order gives it.
   std::array<std::size_t, power::kResourceCount> furnace_offset{};
   std::size_t furnace_draws = 0;
   for (Resource r : power::all_resources()) {
     furnace_offset[resource_index(r)] = furnace_draws;
-    furnace_draws += PlantBundle::kRootDraws * furnace_op_count(r) *
+    furnace_draws += kRootDraws * furnace_op_count(r) *
                      options.furnace_temps_c.size();
   }
   std::array<Pipeline, power::kResourceCount> pipelines;
@@ -528,11 +460,11 @@ CalibrationArtifacts calibrate_platform_full(const CalibrationOptions& options) 
     p.excitation.powers.reserve(rows * power::kResourceCount);
   }
   // Compiled here, before any thread starts; the pipelines only read it.
-  const BundleTemplate shared(options);
+  const ExperimentTemplate shared(options);
   auto run = [&](std::size_t i) {
     pipelines[i].run(options, shared, power::all_resources()[i],
                      advanced(root, furnace_offset[i]),
-                     advanced(root, furnace_draws + PlantBundle::kRootDraws * i));
+                     advanced(root, furnace_draws + kRootDraws * i));
   };
 
   // The calling thread runs pipeline 0 and one thread each runs the others;

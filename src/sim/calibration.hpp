@@ -16,12 +16,14 @@
 //
 // The result is the IdentifiedPlatformModel consumed by the DTPM governor.
 //
-// Stepping. Every experiment's plant steps its RC network through the LTI
-// propagator (thermal/lti_propagator.hpp) in sim::Plant::advance's sequence,
-// over one PropagatorTable per calibration: the as-built conductances (no
-// experiment moves the fan edge) at the substep length
-// control_interval_s / round(control_interval_s / plant_substep_s), compiled
-// on the calling thread before any pipeline starts and only read after.
+// Stepping. Every furnace and excitation experiment is a sim::Plant on the
+// propagator engine (thermal/lti_propagator.hpp), stepped through
+// Plant::advance, over one PlantTemplate and one PropagatorTable per
+// calibration: the as-built floorplan and its conductances (no experiment
+// moves the fan edge) at the substep length
+// control_interval_s / plant_substeps(control_interval_s, plant_substep_s),
+// compiled on the calling thread before any pipeline starts and only read
+// after.
 // The propagator is the RK4 substep loop in exact arithmetic, so the two
 // differ by rounding (~1e-13 C per step). Every calibration output passes
 // through the temperature and power sensors' quantizers, so on every
@@ -38,11 +40,14 @@
 // runs one on the calling thread and the other three on threads of their own,
 // joins them, then fits the ARX model on the calling thread. The output is
 // byte-identical to running the pipelines one after another: the root Rng
-// (seeded from `seed`) is only ever consumed by plant forks, two per plant --
-// 2 x furnace_temps_c.size() per furnace operating point (two points for big,
-// little and GPU, one for memory), then 2 per excitation run -- so each
-// pipeline starts from a copy of the root advanced to the draw position the
-// serial order (furnace stages in resource order, then excitations) gives it.
+// (seeded from `seed`) is only ever consumed by experiment plants, two draws
+// per plant -- 2 x furnace_temps_c.size() per furnace operating point (two
+// points for big, little and GPU, one for memory), then 2 per excitation
+// run -- so each pipeline starts from a copy of the root advanced to the
+// draw position the serial order (furnace stages in resource order, then
+// excitations) gives it. A Plant forks three streams (temperature bank,
+// power bank, external meter); calibration never reads the meter, so each
+// plant forks from a copy of the root, which then skips two draws.
 // When pipelines fail, the error that order would have raised first is
 // rethrown after every thread has joined. Options are validated before any
 // thread starts. The workers never touch default_calibration() or

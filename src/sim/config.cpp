@@ -45,8 +45,11 @@ void set_platform(ExperimentConfig& config, PlatformPtr platform) {
 }
 
 int plant_substeps(const ExperimentConfig& config) {
-  return std::max(
-      1, int(std::lround(config.control_interval_s / config.plant_substep_s)));
+  return plant_substeps(config.control_interval_s, config.plant_substep_s);
+}
+
+int plant_substeps(double control_interval_s, double plant_substep_s) {
+  return std::max(1, int(std::lround(control_interval_s / plant_substep_s)));
 }
 
 void set_policy(ExperimentConfig& config, const std::string& name) {

@@ -81,6 +81,7 @@ struct ExperimentConfig {
 /// plant_substep_s, rounded, at least one. Each substep lasts
 /// control_interval_s / plant_substeps(config).
 int plant_substeps(const ExperimentConfig& config);
+int plant_substeps(double control_interval_s, double plant_substep_s);
 
 /// The default-governor registry name ("ondemand" when unset).
 std::string resolved_governor_name(const ExperimentConfig& config);

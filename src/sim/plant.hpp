@@ -47,8 +47,14 @@ struct PlantTemplate {
 /// built from a data-driven PlatformDescriptor (floorplan topology, role
 /// indices, OPP tables, power physics, sensor models).
 ///
+/// Simulation drives one Plant per run; calibration (sim/calibration.hpp)
+/// builds one per furnace and excitation experiment.
+///
 /// Forks three RNG streams from `root` in a fixed order (temperature bank,
 /// power bank, external meter) so experiments replay bit-identically.
+/// Simulation forks its background stream after them, and calibration,
+/// which never reads the meter, counts on the first two: both depend on
+/// this order and count.
 ///
 /// When `plant_template` is non-null its floorplan is copied instead of
 /// rebuilding (validating + compiling) the network from the descriptor, and
@@ -102,6 +108,7 @@ class Plant {
 
   Engine engine() const { return engine_; }
   const thermal::Floorplan& floorplan() const { return floorplan_; }
+  thermal::Floorplan& floorplan() { return floorplan_; }
 
   const soc::Soc& soc() const { return soc_; }
   soc::Soc& soc() { return soc_; }

@@ -67,9 +67,6 @@ class CompiledRcModel {
 
   /// Node structure for derived stepping engines.
   const std::vector<std::size_t>& free_nodes() const { return free_nodes_; }
-  const std::vector<std::size_t>& boundary_nodes() const {
-    return boundary_nodes_;
-  }
   double capacitance_j_per_k(std::size_t node) const {
     return capacitance_.at(node);
   }

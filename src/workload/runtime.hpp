@@ -59,7 +59,6 @@ class WorkloadInstance {
 
   bool done() const { return completed_units_ >= benchmark_->total_work_units; }
   double progress_fraction() const;
-  double completed_units() const { return completed_units_; }
   const Benchmark& benchmark() const { return *benchmark_; }
 
  private:

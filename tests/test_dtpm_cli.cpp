@@ -358,6 +358,20 @@ TEST(DtpmCli, RunReportsUnknownPlatformInConfigWithPath) {
             std::string::npos);
 }
 
+/// The calibrated-DTPM path end to end: the quickstart config runs crc32
+/// under the dtpm policy, so `dtpm run` calibrates the platform model first.
+/// Its summary is pinned against tests/golden/quickstart_summary.csv.
+TEST(DtpmCli, QuickstartSummaryMatchesGolden) {
+  const std::string out_dir = temp_dir() + "quickstart-out";
+  const CliResult r =
+      run_cli({"run", std::string(DTPM_CONFIG_DIR) + "/quickstart.json",
+               "--out", out_dir, "--quiet"});
+  ASSERT_EQ(r.exit_code, 0) << r.err;
+  golden::expect_text_matches(
+      std::string(DTPM_GOLDEN_DIR) + "/quickstart_summary.csv",
+      slurp(out_dir + "/summary.csv"), "test_dtpm_cli");
+}
+
 // --- sweep ------------------------------------------------------------------
 
 TEST(DtpmCli, SweepSmokeWritesSummaryRows) {

@@ -6,7 +6,9 @@
 
 #include "sim/calibration.hpp"
 #include "sim/engine.hpp"
+#include "sim/plant.hpp"
 #include "sim/trace_recorder.hpp"
+#include "thermal/sensor.hpp"
 
 namespace dtpm::sim {
 namespace {
@@ -139,6 +141,40 @@ TEST(SimulationStep, TraceColumnsComeFromRecorderSchema) {
   ASSERT_TRUE(r.trace.has_value());
   EXPECT_EQ(r.trace->header(), TraceRecorder::column_names());
   EXPECT_EQ(TraceRecorder::column_names().size(), 23u);
+}
+
+/// Plant's root-stream contract: construction takes exactly three root draws
+/// (temperature bank, power bank, external meter) and the temperature bank
+/// reads from the first fork. Simulation forks its background stream after
+/// the Plant's, and calibration builds each experiment Plant from a copy of
+/// the root and skips two draws; both rest on this order and count.
+TEST(SimulationStep, PlantForksThreeRootStreamsTemperatureBankFirst) {
+  const PlatformPtr platform = default_platform();
+  ASSERT_GT(platform->temp_sensor.noise_stddev_c, 0.0);
+  const util::Rng seeded(42);
+
+  util::Rng root = seeded;
+  Plant plant(*platform, root);
+  util::Rng after_three = seeded;
+  after_three.engine().discard(3);
+  EXPECT_EQ(root.engine()(), after_three.engine()());
+
+  util::Rng copy = seeded;
+  thermal::TempSensorBank first(plant.floorplan().sensor_node_index,
+                                platform->temp_sensor, copy.fork());
+  thermal::TempSensorBank second(plant.floorplan().sensor_node_index,
+                                 platform->temp_sensor, copy.fork());
+  std::vector<double> from_plant, from_first, from_second;
+  bool second_differs = false;
+  for (int i = 0; i < 10; ++i) {
+    plant.read_temps_into(from_plant);
+    first.read_into(plant.true_temps_c(), from_first);
+    second.read_into(plant.true_temps_c(), from_second);
+    EXPECT_EQ(from_plant, from_first) << "reading " << i;
+    second_differs = second_differs || from_plant != from_second;
+  }
+  // The comparison tells streams apart: the second fork reads differently.
+  EXPECT_TRUE(second_differs);
 }
 
 }  // namespace
