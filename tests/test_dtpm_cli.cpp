@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -365,11 +366,58 @@ TEST(DtpmCli, QuickstartSummaryMatchesGolden) {
   const std::string out_dir = temp_dir() + "quickstart-out";
   const CliResult r =
       run_cli({"run", std::string(DTPM_CONFIG_DIR) + "/quickstart.json",
-               "--out", out_dir, "--quiet"});
+               "--engine", "reference-rk4", "--out", out_dir, "--quiet"});
   ASSERT_EQ(r.exit_code, 0) << r.err;
   golden::expect_text_matches(
       std::string(DTPM_GOLDEN_DIR) + "/quickstart_summary.csv",
       slurp(out_dir + "/summary.csv"), "test_dtpm_cli");
+}
+
+/// The columns of `csv` whose header names start with `prefix`, as CSV
+/// text: each kept cell is copied byte for byte.
+std::string columns_with_prefix(const std::string& csv,
+                                const std::string& prefix) {
+  std::istringstream lines(csv);
+  std::string line, out;
+  std::vector<std::size_t> keep;
+  bool header = true;
+  while (std::getline(lines, line)) {
+    std::istringstream cells(line);
+    std::string cell, row;
+    for (std::size_t c = 0; std::getline(cells, cell, ','); ++c) {
+      if (header && cell.rfind(prefix, 0) == 0) keep.push_back(c);
+      if (std::find(keep.begin(), keep.end(), c) == keep.end()) continue;
+      row += (row.empty() ? "" : ",") + cell;
+    }
+    out += row + '\n';
+    header = false;
+  }
+  return out;
+}
+
+/// The quickstart at a 55 C cap, where the calibrated model matters: at the
+/// config's 63 C the DTPM governor never caps, so that run's summary equals
+/// no-fan's. Here DTPM throttles (73.12 s, 54.5 C peak, against 70.01 s and
+/// 58 C uncapped), so the summary and the trace's pred_* columns -- the
+/// calibrated model's predictions -- are pinned against
+/// tests/golden/quickstart_55c.csv.
+TEST(DtpmCli, QuickstartAt55CMatchesGolden) {
+  std::string config = slurp(std::string(DTPM_CONFIG_DIR) + "/quickstart.json");
+  const std::string cap = "\"t_max_c\": 63.0";
+  const std::size_t at = config.find(cap);
+  ASSERT_NE(at, std::string::npos) << "quickstart.json no longer sets " << cap;
+  config.replace(at, cap.size(), "\"t_max_c\": 55.0");
+  const std::string out_dir = temp_dir() + "quickstart-55c-out";
+  const CliResult r =
+      run_cli({"run", write_file("quickstart_55c.json", config), "--engine",
+               "reference-rk4", "--out", out_dir, "--quiet"});
+  ASSERT_EQ(r.exit_code, 0) << r.err;
+  golden::expect_text_matches(
+      std::string(DTPM_GOLDEN_DIR) + "/quickstart_55c.csv",
+      slurp(out_dir + "/summary.csv") +
+          columns_with_prefix(slurp(out_dir + "/crc32_dtpm_trace.csv"),
+                              "pred_"),
+      "test_dtpm_cli");
 }
 
 // --- sweep ------------------------------------------------------------------

@@ -48,10 +48,12 @@ bool same_cell(double a, double b) {
 }
 
 /// The two pinned runs. Both avoid the identified model so the goldens pin
-/// the plant/sensor/governor stack alone, not the calibration artifacts.
+/// the plant/sensor/governor stack alone, not the calibration artifacts, and
+/// both name their engine so the goldens stay put whatever the default is.
 ExperimentConfig seed_benchmark_config() {
   ExperimentConfig config;
   config.benchmark = "crc32";
+  config.engine = Engine::kReferenceRk4;
   config.policy_name = "default+fan";
   config.seed = 1;
   return config;
@@ -63,6 +65,7 @@ ExperimentConfig generated_scenario_config() {
   config.scenario = std::make_shared<const workload::Benchmark>(
       workload::make_scenario(workload::ScenarioFamily::kPeriodicSquare, 7));
   config.policy_name = "reactive";
+  config.engine = Engine::kReferenceRk4;
   config.seed = 7;
   config.max_sim_time_s = 120.0;
   return config;
@@ -214,6 +217,42 @@ INSTANTIATE_TEST_SUITE_P(
       return engine.param == Engine::kReferenceRk4 ? "ReferenceRk4"
                                                    : "Propagator";
     });
+
+// The cross-engine oracle: the scripted run, live on both engines, must
+// agree on every sensor, frequency, cluster, core, fan, utilisation,
+// progress and prediction cell exactly, and on the five power columns to
+// 1e-12 relative (the propagator tracks RK4 to floating-point rounding, and
+// the power model reads the true temperatures). This is what checks a
+// regenerated propagator golden against reference-rk4.
+TEST(GoldenTrace, ScriptedRunAgreesAcrossEngines) {
+  const RunResult reference = run_scripted(scripted_config(Engine::kReferenceRk4));
+  const RunResult propagator = run_scripted(scripted_config(Engine::kPropagator));
+  ASSERT_TRUE(reference.trace.has_value());
+  ASSERT_TRUE(propagator.trace.has_value());
+  const util::TraceTable& a = *reference.trace;
+  const util::TraceTable& b = *propagator.trace;
+  ASSERT_EQ(a.header(), b.header());
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_GE(a.size(), kGoldenRows);
+  int power_columns = 0;
+  for (std::size_t c = 0; c < a.header().size(); ++c) {
+    const std::string& column = a.header()[c];
+    const bool power = column.rfind("p_", 0) == 0;
+    power_columns += power ? 1 : 0;
+    for (std::size_t r = 0; r < a.size(); ++r) {
+      const double x = a.rows()[r][c];
+      const double y = b.rows()[r][c];
+      if (power) {
+        ASSERT_LE(std::abs(x - y), 1e-12 * std::abs(x))
+            << column << " row " << r << ": " << x << " vs " << y;
+      } else {
+        ASSERT_TRUE(same_cell(x, y))
+            << column << " row " << r << ": " << x << " vs " << y;
+      }
+    }
+  }
+  EXPECT_EQ(power_columns, 5);
+}
 
 TEST(GoldenTrace, PropagatorRunSummaryPinned) {
   // The benchmark completes inside a control interval, so the last
