@@ -91,9 +91,11 @@ PlantIntervalResult Plant::advance(
   thermal::RcNetwork& network = floorplan_.network;
   const std::vector<double>& temps = network.temperatures_c();
   const auto at = [&](std::size_t i) { return temps[heat_nodes_[i]]; };
-  // The propagator's [Phi | Gamma] entry, resolved by the first substep;
-  // the conductances stay fixed for the rest of the interval.
-  const thermal::PropagatorMatrices* resolved = nullptr;
+  // The propagator's [Phi | Gamma] entry: the conductances stay fixed
+  // for the whole interval.
+  const thermal::PropagatorMatrices* resolved =
+      propagator_ != nullptr ? &propagator_->matrices_for(network, sub_dt)
+                             : nullptr;
   for (int s = 0; s < substeps; ++s) {
     soc_.step_captured({at(0), at(1), at(2), at(3)}, at(4), at(5), at(6),
                        sub_dt, out);
@@ -101,9 +103,6 @@ PlantIntervalResult Plant::advance(
                                    out.rail_power_w, node_power_);
     if (resolved != nullptr) {
       propagator_->step_resolved(*resolved, network, node_power_);
-    } else if (propagator_ != nullptr) {
-      propagator_->step(network, sub_dt, node_power_);
-      resolved = &propagator_->matrices_for(network, sub_dt);
     } else {
       network.step(sub_dt, node_power_);
     }

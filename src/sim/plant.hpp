@@ -65,7 +65,7 @@ class Plant {
  public:
   /// `engine` selects the thermal integrator advance() runs
   /// (sim/stepping_engine.hpp): reference-rk4 is the bit-exact RK4 loop,
-  /// propagator swaps in the cached LTI step map.
+  /// propagator swaps in the compiled LTI step map.
   Plant(const PlatformDescriptor& platform, util::Rng& root,
         const PlantTemplate* plant_template = nullptr,
         Engine engine = Engine::kReferenceRk4);
@@ -94,9 +94,9 @@ class Plant {
   /// the node-power vector (Floorplan::write_heat), one thermal step, and
   /// the commit
   /// of rails, time and progress. The thermal step is RcNetwork::step on
-  /// reference-rk4. On the propagator it is PropagatorRcModel::step on the
-  /// first substep (a cache hit, or the RK4 fallback on a new fan state),
-  /// which resolves the interval's [Phi | Gamma] entry, then step_resolved.
+  /// reference-rk4. On the propagator the interval's [Phi | Gamma] entry is
+  /// resolved once, before the loop (PropagatorRcModel::matrices_for), and
+  /// every substep is one PropagatorRcModel::step_resolved matvec.
   ///
   /// When `phases` is non-null, the schedule solve is billed to
   /// Phase::kSchedule and the substep loop to Phase::kPlant.

@@ -4,11 +4,11 @@
 //
 //   * reference-rk4: the per-substep RK4 loop (RcNetwork::step). The
 //     bit-exact baseline that the golden traces pin.
-//   * propagator: the cached exact LTI propagator
-//     (thermal::PropagatorRcModel) -- one matvec per substep, falling back
-//     to RK4 on steps that straddle a fan transition. Tracks the reference
-//     to floating-point rounding. Fleets and sweeps step one Simulation
-//     per run on it through the BatchRunner pool.
+//   * propagator: the exact LTI propagator (thermal::PropagatorRcModel) --
+//     one matvec per substep, on matrices compiled once per (fan state,
+//     substep dt). Tracks the reference to floating-point rounding. Fleets
+//     and sweeps step one Simulation per run on it through the BatchRunner
+//     pool.
 //
 // Lives in its own header (not sim/config.hpp) so the Plant layer can name
 // the engine without pulling in the whole experiment-configuration surface.
@@ -22,7 +22,7 @@ namespace dtpm::sim {
 
 enum class Engine {
   kReferenceRk4,  ///< per-substep RK4 loop (golden-trace baseline)
-  kPropagator,    ///< cached LTI propagator, one matvec per substep
+  kPropagator,    ///< exact LTI propagator, one matvec per substep
 };
 
 /// Selection name of the enumerator ("reference-rk4", "propagator").

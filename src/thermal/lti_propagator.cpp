@@ -10,9 +10,6 @@ namespace dtpm::thermal {
 
 namespace {
 
-/// Entries alive at once: fan speed levels x the (usually one) step dt.
-constexpr std::size_t kCacheCapacity = 16;
-
 std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t value) {
   constexpr std::uint64_t kPrime = 1099511628211ull;
   for (int byte = 0; byte < 8; ++byte) {
@@ -146,9 +143,8 @@ std::unique_ptr<const PropagatorMatrices> compile(const RcNetwork& network,
 
 /// The packed step: gathers x = [T_free ; P_free] from `temps` and
 /// `power_w`, adds the boundary coupling into x's power half, then writes
-/// Phi T + Gamma z into the free nodes of `temps`. Always inlined, so
-/// step()'s cache-hit path stays one function.
-inline __attribute__((always_inline)) void propagate(
+/// Phi T + Gamma z into the free nodes of `temps`.
+void propagate(
     const PropagatorMatrices& m, const std::vector<double>& power_w,
     std::vector<double>& x_buffer, std::vector<double>& temps) {
   const std::size_t n = m.free_count;
@@ -204,13 +200,15 @@ std::size_t PropagatorMatrices::packed_index(std::size_t row,
          row % kPanelRows;
 }
 
-void PropagatorTable::add(const RcNetwork& network, double dt_s) {
+const PropagatorMatrices& PropagatorTable::add(const RcNetwork& network,
+                                               double dt_s) {
   if (dt_s <= 0.0) {
     throw std::invalid_argument("PropagatorTable: dt must be > 0");
   }
   const std::uint64_t sig = conductance_signature(network.compiled());
-  if (find(dt_s, sig) != nullptr) return;
+  if (const PropagatorMatrices* m = find(dt_s, sig)) return *m;
   entries_.push_back({dt_s, sig, compile(network, dt_s)});
+  return *entries_.back().m;
 }
 
 const PropagatorMatrices* PropagatorTable::find(double dt_s,
@@ -237,68 +235,27 @@ std::uint64_t PropagatorRcModel::signature_of(const RcNetwork& network) {
   return memo_signature_;
 }
 
-PropagatorRcModel::Entry& PropagatorRcModel::entry_for(
-    const RcNetwork& network, double dt_s) {
-  const std::uint64_t sig = signature_of(network);
-  for (Entry& e : cache_) {
-    if (e.dt_s == dt_s && e.signature == sig) return e;
-  }
-  Entry entry;
-  entry.dt_s = dt_s;
-  entry.signature = sig;
-  entry.m = shared_ != nullptr ? shared_->find(dt_s, sig) : nullptr;
-  if (entry.m == nullptr) {
-    ++compiles_;
-    entry.owned = compile(network, dt_s);
-    entry.m = entry.owned.get();
-  }
-  if (cache_.size() < kCacheCapacity) {
-    cache_.push_back(std::move(entry));
-    return cache_.back();
-  }
-  cache_[next_evict_] = std::move(entry);
-  Entry& slot = cache_[next_evict_];
-  next_evict_ = (next_evict_ + 1) % kCacheCapacity;
-  return slot;
-}
-
 const PropagatorMatrices& PropagatorRcModel::matrices_for(
     const RcNetwork& network, double dt_s) {
   if (dt_s <= 0.0) {
     throw std::invalid_argument("PropagatorRcModel: dt must be > 0");
   }
-  return *entry_for(network, dt_s).m;
+  const std::uint64_t sig = signature_of(network);
+  if (shared_ != nullptr) {
+    if (const PropagatorMatrices* m = shared_->find(dt_s, sig)) return *m;
+  }
+  if (const PropagatorMatrices* m = own_.find(dt_s, sig)) return *m;
+  ++compiles_;
+  return own_.add(network, dt_s);
 }
 
 void PropagatorRcModel::step(RcNetwork& network, double dt_s,
                              const std::vector<double>& power_w) {
-  if (dt_s <= 0.0) {
-    throw std::invalid_argument("PropagatorRcModel::step: dt must be > 0");
-  }
   if (power_w.size() != network.node_count()) {
     throw std::invalid_argument(
         "PropagatorRcModel::step: power vector size mismatch");
   }
-  const std::uint64_t sig = signature_of(network);
-  const PropagatorMatrices* m = nullptr;
-  for (const Entry& e : cache_) {
-    if (e.dt_s == dt_s && e.signature == sig) {
-      m = e.m;
-      break;
-    }
-  }
-  if (m == nullptr) {
-    // First sight of this (dt, conductance state) -- e.g. the step after a
-    // fan transition. Advance through the bit-identical RK4 path and fetch
-    // or compile the matrices so the next such step is one matvec.
-    ++fallback_steps_;
-    network.step(dt_s, power_w);
-    entry_for(network, dt_s);
-    return;
-  }
-
-  ++propagator_steps_;
-  propagate(*m, power_w, x_, network.temperatures_mut());
+  step_resolved(matrices_for(network, dt_s), network, power_w);
 }
 
 void PropagatorRcModel::step_resolved(const PropagatorMatrices& m,

@@ -9,9 +9,9 @@
 //
 // so the whole internally-subdivided RK4 substep loop of a fixed-dt step
 // collapses to one affine map  T' = Phi T + Gamma z.  PropagatorRcModel
-// precomputes (Phi, Gamma) per distinct (dt, conductance state), caches them
-// keyed on CompiledRcModel's conductance epoch, and replaces the per-step
-// stage sweeps with a single matvec.
+// compiles (Phi, Gamma) once per distinct (dt, conductance state) into a
+// PropagatorTable and replaces the per-step stage sweeps with a single
+// matvec.
 //
 // Phi/Gamma are built by repeated squaring of the exact one-substep RK4
 // affine map (R = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24,
@@ -20,12 +20,10 @@
 // RK4 loop, so the propagator tracks the reference integrator to
 // floating-point rounding (~1e-13 C/step).
 //
-// Steps whose (dt, conductance state) pair has no cached matrices -- the
-// first step after construction and the first step after a fan transition --
-// fall back to the bit-identical RK4 path (RcNetwork::step) and then take
-// the matrices from a shared PropagatorTable when one holds them, else
-// compile their own; propagator_steps()/fallback_steps() expose which path
-// ran.
+// Every step is a matvec, the first one in a new (dt, conductance state)
+// too: its matrices come from a shared PropagatorTable when one holds them,
+// else from the model's own table, which compiles them on first sight.
+// RcNetwork::step stays the reference engine and the test oracle.
 //
 // Storage and kernel: [Phi | Gamma] is one n x 2n matrix packed in 4-row
 // panels (column-major within a panel), then the n % 4 tail rows
@@ -46,7 +44,7 @@ class RcNetwork;
 
 /// One compiled (dt, conductance state) propagator: the affine step map and
 /// the boundary-coupling pattern needed to form z. Shared read-only by
-/// every step through the cache or table that owns it.
+/// every step through the table that owns it.
 struct PropagatorMatrices {
   /// Rows per register-blocked panel of `packed`.
   static constexpr std::size_t kPanelRows = 4;
@@ -75,16 +73,16 @@ struct PropagatorMatrices {
 };
 
 /// Propagators for networks of one structure (topology,
-/// capacitances, boundary nodes), keyed by (dt, conductance state) the same
-/// way PropagatorRcModel keys its own cache. Filled single-threaded, then
-/// shared read-only: find() takes no lock, so any number of models may read
-/// one table concurrently while nothing adds to it.
+/// capacitances, boundary nodes), keyed by (dt, conductance state). Filled
+/// single-threaded, then shared read-only: find() takes no lock, so any
+/// number of models may read one table concurrently while nothing adds to
+/// it.
 class PropagatorTable {
  public:
-  /// Compiles the matrices for `network`'s current conductance state at
-  /// dt_s unless the table already holds them. Not thread-safe.
+  /// The entry for `network`'s current conductance state at dt_s, compiled
+  /// unless the table already holds it. Not thread-safe.
   /// @throws std::invalid_argument on non-positive dt.
-  void add(const RcNetwork& network, double dt_s);
+  const PropagatorMatrices& add(const RcNetwork& network, double dt_s);
 
   /// The entry for (dt_s, conductance signature), else null. Pointers stay
   /// valid for the table's lifetime.
@@ -101,68 +99,53 @@ class PropagatorTable {
   std::vector<Entry> entries_;
 };
 
-/// Caching discrete-time stepping engine over an RcNetwork. Not
-/// thread-safe; every network handed to step()/matrices_for() must share
-/// the topology of the first one seen and outlive this object (the
-/// signature memo is keyed on the compiled model's address + epoch).
-///
+/// Discrete-time stepping engine over an RcNetwork. Not thread-safe;
+/// every network handed to step()/matrices_for() must share the topology of
+/// the first one seen and outlive this object (the signature memo is keyed
+/// on the compiled model's address + epoch).
 class PropagatorRcModel {
  public:
   /// A model over networks of `shared`'s structure (sim::RunPlan builds one
-  /// table per structure). A cache miss takes its matrices from the table
-  /// before compiling; numerics, fallback steps and step counts are the
-  /// same either way. Null `shared` compiles everything itself. The table
-  /// must outlive this object.
+  /// table per structure). A lookup tries the shared table before the
+  /// model's own; numerics and step counts are the same either way. Null
+  /// `shared` compiles everything itself. The table must outlive this
+  /// object.
   explicit PropagatorRcModel(const PropagatorTable* shared = nullptr);
 
-  /// Advances `network` by dt_s. Cache hit: one matvec. Cache miss (first
-  /// sight of this dt + conductance state): advances through the
-  /// bit-identical RK4 path and compiles + caches the matrices for
-  /// subsequent steps. @throws std::invalid_argument on non-positive dt or
-  /// a power vector size mismatch (same conditions as RcNetwork::step).
+  /// Advances `network` by dt_s: step_resolved() on matrices_for().
+  /// @throws std::invalid_argument on non-positive dt or a power vector
+  /// size mismatch (same conditions as RcNetwork::step).
   void step(RcNetwork& network, double dt_s,
             const std::vector<double>& power_w);
 
-  /// The cached matrices for the network's current conductance state and
-  /// dt, compiling them on first sight (without advancing any state). The
-  /// reference stays valid until the cache evicts the entry (bounded FIFO;
-  /// do not hold it across unrelated step()/matrices_for() calls).
+  /// The matrices for the network's current conductance state and dt: the
+  /// shared table's entry, else the model's own, compiled on first sight
+  /// (without advancing any state). The reference stays valid for the
+  /// model's lifetime. @throws std::invalid_argument on non-positive dt.
   const PropagatorMatrices& matrices_for(const RcNetwork& network,
                                          double dt_s);
 
   /// One matvec step with matrices already resolved (a matrices_for()
-  /// result for `network`'s current conductance state and this dt): the
-  /// cache-hit half of step(), without its checks or its cache scan.
-  /// Counts as a propagator step. sim::Plant runs every substep of a
-  /// control interval after the first through it.
+  /// result for `network`'s current conductance state and this dt),
+  /// without step()'s checks or its lookup. sim::Plant resolves once per
+  /// control interval and runs every substep through it.
   void step_resolved(const PropagatorMatrices& m, RcNetwork& network,
                      const std::vector<double>& power_w);
 
-  /// Steps taken through the cached-matvec path.
+  /// Steps taken, through step() or step_resolved().
   std::uint64_t propagator_steps() const { return propagator_steps_; }
-  /// Steps taken through the RK4 fallback (cache-miss) path.
-  std::uint64_t fallback_steps() const { return fallback_steps_; }
-  /// Matrices this model compiled itself (cache misses the shared table
-  /// could not serve).
+  /// Matrices this model compiled itself (lookups the shared table could
+  /// not serve).
   std::uint64_t compiles() const { return compiles_; }
 
  private:
-  struct Entry {
-    double dt_s = 0.0;
-    std::uint64_t signature = 0;
-    const PropagatorMatrices* m = nullptr;  ///< into `owned` or the table
-    std::unique_ptr<const PropagatorMatrices> owned;
-  };
-
   /// Value signature of the network's current conductance state (FNV-1a
   /// over the edge-conductance bit patterns), memoized per (compiled model,
   /// epoch) so the hot path never rehashes an unchanged network.
   std::uint64_t signature_of(const RcNetwork& network);
-  Entry& entry_for(const RcNetwork& network, double dt_s);
 
   const PropagatorTable* shared_;
-  std::vector<Entry> cache_;  ///< FIFO-bounded (fan states x dt values)
-  std::size_t next_evict_ = 0;
+  PropagatorTable own_;  ///< what `shared_` could not serve
 
   const void* memo_model_ = nullptr;
   std::uint64_t memo_epoch_ = 0;
@@ -170,11 +153,10 @@ class PropagatorRcModel {
   bool memo_valid_ = false;
 
   std::uint64_t propagator_steps_ = 0;
-  std::uint64_t fallback_steps_ = 0;
   std::uint64_t compiles_ = 0;
 
-  /// The matvec input x = [T_free ; z], sized on the first matvec step
-  /// (no allocation on the hot path after it).
+  /// The matvec input x = [T_free ; z], sized on the first step (no
+  /// allocation on the hot path after it).
   std::vector<double> x_;
 };
 

@@ -76,7 +76,7 @@ ExperimentConfig generated_scenario_config() {
 /// phase: the big cluster with 4, 3 and 1 cores online, the little cluster
 /// (a cluster migration, so a migration stall), then back on the big
 /// cluster through every fan speed (on the propagator each new fan state
-/// takes one RK4 fallback substep). Frequencies stay as the default governor
+/// compiles its own matrices). Frequencies stay as the default governor
 /// proposes.
 class ScriptedPolicy final : public governors::ThermalPolicy {
  public:

@@ -1,9 +1,9 @@
 // Correctness of the LTI propagator (thermal/lti_propagator.hpp) against
 // the reference RK4 integrator: spectral stability of the compiled step map
-// for every registry platform and fan state, bounded long-soak drift,
-// bit-identical RK4 fallback on fan-transition-straddling steps, the packed
-// register-blocked step against a row-by-row dot product, and Plants that
-// share a RunPlan's precompiled matrices.
+// for every registry platform and fan state, bounded long-soak drift, the
+// matvec step after a fan transition, the packed register-blocked step
+// against a row-by-row dot product, and Plants that share a RunPlan's
+// precompiled matrices.
 #include "thermal/lti_propagator.hpp"
 
 #include <gtest/gtest.h>
@@ -146,8 +146,6 @@ void expect_packed_step_matches_oracle(RcNetwork& network,
   std::uniform_real_distribution<double> watts(0.0, 3.0);
   std::vector<double> power(network.node_count());
   PropagatorRcModel engine;
-  engine.step(network, kDt, power);  // first sight: RK4 fallback + compile
-  ASSERT_EQ(engine.fallback_steps(), 1u);
   for (int k = 0; k < 64; ++k) {
     for (double& p : power) p = watts(rng);
     const PropagatorMatrices& m = engine.matrices_for(network, kDt);
@@ -164,8 +162,8 @@ void expect_packed_step_matches_oracle(RcNetwork& network,
           << "node " << i << " step " << k;
     }
   }
-  EXPECT_EQ(engine.fallback_steps(), 1u);
   EXPECT_EQ(engine.propagator_steps(), 64u);
+  EXPECT_EQ(engine.compiles(), 1u);
 }
 
 util::Matrix phi_as_matrix(const PropagatorMatrices& m) {
@@ -230,8 +228,7 @@ TEST(PropagatorDrift, TenThousandStepSoakWithinBoundPerStep) {
     }
     // The accumulated drift should in fact be far below the linear bound.
     EXPECT_LE(max_err, 1e-6) << "trial " << trial;
-    EXPECT_EQ(engine.fallback_steps(), 1u);
-    EXPECT_EQ(engine.propagator_steps(), std::uint64_t(kSteps) - 1u);
+    EXPECT_EQ(engine.propagator_steps(), std::uint64_t(kSteps));
   }
 }
 
@@ -275,16 +272,18 @@ TEST(PropagatorDrift, RegistryFloorplanSoak) {
         EXPECT_LE(max_err, 1e-8)
             << name << ", dt " << dt << " s, setpoint "
             << (setpoint.has_value() ? std::to_string(*setpoint) : "none");
-        EXPECT_EQ(engine.fallback_steps(), 1u) << name;
+        EXPECT_EQ(engine.propagator_steps(), 10000u) << name;
       }
     }
   }
 }
 
-// A step in a conductance state the cache has not seen -- the step after a
-// fan transition -- must run the RK4 fallback bit-identically to the
-// reference, and the state must be compiled so the *next* step is a matvec.
-TEST(PropagatorFallback, FanTransitionStraddlingStepIsBitIdenticalRk4) {
+// The step after a conductance change -- a fan transition -- is already a
+// matvec on the new state's matrices: bit-identical to the row-by-row dot on
+// them and within rounding of the RK4 reference from the same state.
+// Returning to a state the model has seen compiles nothing.
+TEST(PropagatorConductanceChange, StepAfterFanTransitionIsNewStateMatvec) {
+  constexpr double kDt = 0.01;
   Floorplan reference = make_default_floorplan();
   Floorplan stepped = make_default_floorplan();
   const Fan fan;
@@ -292,45 +291,38 @@ TEST(PropagatorFallback, FanTransitionStraddlingStepIsBitIdenticalRk4) {
   ASSERT_TRUE(reference.has_fan_edge());
 
   const std::vector<double> power(kFloorplanNodeCount, 2.0);
-  // Warm the fan-off state: first step is the cold-cache fallback.
-  engine.step(stepped.network, 0.01, power);
-  reference.network.step(0.01, power);
-  EXPECT_EQ(engine.fallback_steps(), 1u);
-  engine.step(stepped.network, 0.01, power);
-  reference.network.step(0.01, power);
-  EXPECT_EQ(engine.propagator_steps(), 1u);
+  engine.step(stepped.network, kDt, power);
+  engine.step(stepped.network, kDt, power);
+  EXPECT_EQ(engine.compiles(), 1u);
 
-  // Fan transition: the next step straddles the conductance change, takes
-  // the fallback, and matches the reference bit for bit. The reference is
-  // first synced to the propagator's state (the earlier matvec step differs
-  // from RK4 at rounding level) so the comparison isolates this one step.
-  for (std::size_t i = 0; i < kFloorplanNodeCount; ++i) {
-    reference.network.set_temperature_c(i, stepped.network.temperature_c(i));
-  }
+  // Fan transition. The reference starts from the propagator's state, so
+  // the comparison isolates this one step.
+  reference.network = stepped.network;
   const double g_full = fan.conductance_w_per_k(FanSpeed::kFull);
   reference.network.set_edge_conductance(reference.fan_edge, g_full);
   stepped.network.set_edge_conductance(stepped.fan_edge, g_full);
-  reference.network.step(0.01, power);
-  engine.step(stepped.network, 0.01, power);
-  EXPECT_EQ(engine.fallback_steps(), 2u);
+  PropagatorTable oracle_table;
+  const std::vector<double> expected =
+      row_by_row_step(oracle_table.add(stepped.network, kDt),
+                      stepped.network.temperatures_c(), power);
+  reference.network.step(kDt, power);
+  engine.step(stepped.network, kDt, power);
+  EXPECT_EQ(engine.compiles(), 2u);
+  EXPECT_EQ(engine.propagator_steps(), 3u);
   for (std::size_t i = 0; i < kFloorplanNodeCount; ++i) {
-    EXPECT_EQ(reference.network.temperature_c(i),
-              stepped.network.temperature_c(i))
+    EXPECT_EQ(bits(expected[i]), bits(stepped.network.temperature_c(i)))
+        << "node " << i;
+    EXPECT_NEAR(reference.network.temperature_c(i),
+                stepped.network.temperature_c(i), 1e-8)
         << "node " << i;
   }
 
-  // The fan-full state is now compiled: stepping again uses the matvec.
-  engine.step(stepped.network, 0.01, power);
-  EXPECT_EQ(engine.fallback_steps(), 2u);
-  EXPECT_EQ(engine.propagator_steps(), 2u);
-
-  // Returning to the previously-seen fan-off state hits the cache: no
-  // further fallback.
+  // Back to the fan-off state the model compiled first: nothing compiles.
   const double g_off = fan.conductance_w_per_k(FanSpeed::kOff);
   stepped.network.set_edge_conductance(stepped.fan_edge, g_off);
-  engine.step(stepped.network, 0.01, power);
-  EXPECT_EQ(engine.fallback_steps(), 2u);
-  EXPECT_EQ(engine.propagator_steps(), 3u);
+  engine.step(stepped.network, kDt, power);
+  EXPECT_EQ(engine.compiles(), 2u);
+  EXPECT_EQ(engine.propagator_steps(), 4u);
 }
 
 // The packed [Phi | Gamma] step is bit-identical to the row-by-row dot on
@@ -365,8 +357,8 @@ TEST(PropagatorPacked, GeneratedNetworksOneToThirteenFreeNodes) {
 }
 
 // A Plant built from a RunPlan that precompiled its structure's matrices
-// compiles nothing itself, yet takes the same RK4 fallback steps and lands
-// on the same bits as a Plant that compiles its own.
+// compiles nothing itself, yet takes the same matvec steps and lands on the
+// same bits as a Plant that compiles its own.
 TEST(PropagatorPlan, PlantOnPrecompiledPlanCompilesNothing) {
   const auto& registry = sim::PlatformRegistry::instance();
   for (const std::string& name : registry.names()) {
@@ -410,17 +402,13 @@ TEST(PropagatorPlan, PlantOnPrecompiledPlanCompilesNothing) {
         sim::PlantTestPeer::propagator(shared);
     const thermal::PropagatorRcModel& own_model =
         sim::PlantTestPeer::propagator(own);
+    // Every substep is a propagator step. The Plant without a plan compiles
+    // once per distinct fan state (off, full, low, half; the second "off"
+    // finds its entry; a fanless platform has one state).
     EXPECT_EQ(shared_model.compiles(), 0u);
-    EXPECT_GT(own_model.compiles(), 0u);
-    EXPECT_EQ(shared_model.fallback_steps(), own_model.fallback_steps());
-    EXPECT_EQ(shared_model.propagator_steps(), own_model.propagator_steps());
-    // One RK4 fallback substep per distinct fan state (off, full, low,
-    // half; the second "off" hits the cache; a fanless platform has one
-    // state); every other substep is one propagator step.
-    EXPECT_EQ(own_model.fallback_steps(),
-              own.floorplan().has_fan_edge() ? 4u : 1u);
-    EXPECT_EQ(own_model.propagator_steps(),
-              std::uint64_t(25 * substeps) - own_model.fallback_steps());
+    EXPECT_EQ(own_model.compiles(), own.floorplan().has_fan_edge() ? 4u : 1u);
+    EXPECT_EQ(shared_model.propagator_steps(), std::uint64_t(25 * substeps));
+    EXPECT_EQ(own_model.propagator_steps(), std::uint64_t(25 * substeps));
   }
 }
 
