@@ -141,54 +141,6 @@ std::unique_ptr<const PropagatorMatrices> compile(const RcNetwork& network,
   return compiled;
 }
 
-/// The packed step: gathers x = [T_free ; P_free] from `temps` and
-/// `power_w`, adds the boundary coupling into x's power half, then writes
-/// Phi T + Gamma z into the free nodes of `temps`.
-void propagate(
-    const PropagatorMatrices& m, const std::vector<double>& power_w,
-    std::vector<double>& x_buffer, std::vector<double>& temps) {
-  const std::size_t n = m.free_count;
-  const std::size_t width = 2 * n;
-  const std::size_t* free_nodes = m.free_nodes.data();
-  x_buffer.resize(width);
-  double* x = x_buffer.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    x[i] = temps[free_nodes[i]];
-    x[n + i] = power_w[free_nodes[i]];
-  }
-  for (const PropagatorMatrices::BoundaryTerm& bt : m.boundary_terms) {
-    x[n + bt.free_slot] += bt.g * temps[bt.boundary_node];
-  }
-  // x holds copies of every input, so results go straight into temps.
-  // Panels: rows r..r+3 accumulate in two 2-lane registers; lane k of a
-  // register is exactly row r+k's scalar sum in column order.
-  using v2d = double __attribute__((vector_size(16)));
-  constexpr std::size_t kPanel = PropagatorMatrices::kPanelRows;
-  const double* a = m.packed.data();
-  std::size_t row = 0;
-  for (; row + kPanel <= n; row += kPanel) {
-    v2d acc01 = {0.0, 0.0};
-    v2d acc23 = {0.0, 0.0};
-    for (std::size_t c = 0; c < width; ++c, a += kPanel) {
-      const v2d xc = {x[c], x[c]};
-      v2d a01, a23;
-      std::memcpy(&a01, a, sizeof(a01));
-      std::memcpy(&a23, a + 2, sizeof(a23));
-      acc01 += a01 * xc;
-      acc23 += a23 * xc;
-    }
-    temps[free_nodes[row]] = acc01[0];
-    temps[free_nodes[row + 1]] = acc01[1];
-    temps[free_nodes[row + 2]] = acc23[0];
-    temps[free_nodes[row + 3]] = acc23[1];
-  }
-  for (; row < n; ++row, a += width) {
-    double acc = 0.0;
-    for (std::size_t c = 0; c < width; ++c) acc += a[c] * x[c];
-    temps[free_nodes[row]] = acc;
-  }
-}
-
 }  // namespace
 
 std::size_t PropagatorMatrices::packed_index(std::size_t row,
@@ -258,11 +210,54 @@ void PropagatorRcModel::step(RcNetwork& network, double dt_s,
   step_resolved(matrices_for(network, dt_s), network, power_w);
 }
 
+/// The packed step: gathers x = [T_free ; P_free] from the temperatures and
+/// `power_w`, adds the boundary coupling into x's power half, then writes
+/// Phi T + Gamma z into the free nodes.
 void PropagatorRcModel::step_resolved(const PropagatorMatrices& m,
                                       RcNetwork& network,
                                       const std::vector<double>& power_w) {
   ++propagator_steps_;
-  propagate(m, power_w, x_, network.temperatures_mut());
+  const std::size_t n = m.free_count;
+  const std::size_t width = 2 * n;
+  const std::size_t* free_nodes = m.free_nodes.data();
+  std::vector<double>& temps = network.temperatures_mut();
+  x_.resize(width);
+  double* x = x_.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    x[i] = temps[free_nodes[i]];
+    x[n + i] = power_w[free_nodes[i]];
+  }
+  for (const PropagatorMatrices::BoundaryTerm& bt : m.boundary_terms) {
+    x[n + bt.free_slot] += bt.g * temps[bt.boundary_node];
+  }
+  // x holds copies of every input, so results go straight into temps.
+  // Panels: rows r..r+3 accumulate in two 2-lane registers; lane k of a
+  // register is exactly row r+k's scalar sum in column order.
+  using v2d = double __attribute__((vector_size(16)));
+  constexpr std::size_t kPanel = PropagatorMatrices::kPanelRows;
+  const double* a = m.packed.data();
+  std::size_t row = 0;
+  for (; row + kPanel <= n; row += kPanel) {
+    v2d acc01 = {0.0, 0.0};
+    v2d acc23 = {0.0, 0.0};
+    for (std::size_t c = 0; c < width; ++c, a += kPanel) {
+      const v2d xc = {x[c], x[c]};
+      v2d a01, a23;
+      std::memcpy(&a01, a, sizeof(a01));
+      std::memcpy(&a23, a + 2, sizeof(a23));
+      acc01 += a01 * xc;
+      acc23 += a23 * xc;
+    }
+    temps[free_nodes[row]] = acc01[0];
+    temps[free_nodes[row + 1]] = acc01[1];
+    temps[free_nodes[row + 2]] = acc23[0];
+    temps[free_nodes[row + 3]] = acc23[1];
+  }
+  for (; row < n; ++row, a += width) {
+    double acc = 0.0;
+    for (std::size_t c = 0; c < width; ++c) acc += a[c] * x[c];
+    temps[free_nodes[row]] = acc;
+  }
 }
 
 }  // namespace dtpm::thermal

@@ -225,8 +225,10 @@ INSTANTIATE_TEST_SUITE_P(
 // the power model reads the true temperatures). This is what checks a
 // regenerated propagator golden against reference-rk4.
 TEST(GoldenTrace, ScriptedRunAgreesAcrossEngines) {
-  const RunResult reference = run_scripted(scripted_config(Engine::kReferenceRk4));
-  const RunResult propagator = run_scripted(scripted_config(Engine::kPropagator));
+  const RunResult reference =
+      run_scripted(scripted_config(Engine::kReferenceRk4));
+  const RunResult propagator =
+      run_scripted(scripted_config(Engine::kPropagator));
   ASSERT_TRUE(reference.trace.has_value());
   ASSERT_TRUE(propagator.trace.has_value());
   const util::TraceTable& a = *reference.trace;
