@@ -1,10 +1,9 @@
 // Open, string-keyed registries for the two pluggable layers of the Fig. 3.1
 // software stack: thermal policies (PolicyRegistry) and default governors
-// (GovernorRegistry). The registries -- not the sim::Policy enum, which
-// survives only as a thin compatibility shim mapped onto registry names --
-// are the source of truth for what can run in a ControlStack. Anything
-// registered here is selectable by name from an ExperimentConfig, a JSON
-// config file, or the `dtpm` CLI without touching library code:
+// (GovernorRegistry). The registries are the one source of truth for what
+// can run in a ControlStack: anything registered here is selectable by name
+// from an ExperimentConfig, a JSON config file, or the `dtpm` CLI without
+// touching library code:
 //
 //   namespace {
 //   const dtpm::governors::PolicyRegistration kMine{
