@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
@@ -99,6 +100,19 @@ struct Options {
   unsigned workers = 0;  // 0 = hardware concurrency
 };
 
+/// Parses the value of a count flag (-j, --executors, --queue): a
+/// non-negative decimal integer with nothing after it, so "2x" and "1.9" are
+/// usage errors rather than 2 and 1. Returns false after reporting.
+bool parse_count(const std::string& flag, const std::string& value,
+                 unsigned& count, std::ostream& err) {
+  const char* end = value.data() + value.size();
+  const auto [stop, status] = std::from_chars(value.data(), end, count);
+  if (!value.empty() && status == std::errc() && stop == end) return true;
+  err << "dtpm: " << flag << " expects a non-negative count, got '" << value
+      << "'\n";
+  return false;
+}
+
 /// Parses flags shared by run/sweep; returns false (after reporting) on a
 /// malformed invocation. `allow_workers` gates -j, which only the sweep's
 /// BatchRunner consumes -- accepting it on `run` would silently ignore it.
@@ -124,16 +138,8 @@ bool parse_options(const std::vector<std::string>& args, std::size_t start,
         options.platform = value;
       } else if (arg == "--engine") {
         options.engine = value;
-      } else {
-        try {
-          const int n = std::stoi(value);
-          if (n < 0) throw std::invalid_argument("negative");
-          options.workers = unsigned(n);
-        } catch (const std::exception&) {
-          err << "dtpm: -j expects a non-negative worker count, got '" << value
-              << "'\n";
-          return false;
-        }
+      } else if (!parse_count(arg, value, options.workers, err)) {
+        return false;
       }
     } else if (arg == "--with-model") {
       options.with_model = true;
@@ -602,16 +608,8 @@ int fleet_command(const std::vector<std::string>& args, std::ostream& out,
       const std::string& value = args[++i];
       if (arg == "--out") {
         out_dir = value;
-      } else {
-        try {
-          const int n = std::stoi(value);
-          if (n < 0) throw std::invalid_argument("negative");
-          workers = unsigned(n);
-        } catch (const std::exception&) {
-          err << "dtpm: -j expects a non-negative worker count, got '" << value
-              << "'\n";
-          return kUsage;
-        }
+      } else if (!parse_count(arg, value, workers, err)) {
+        return kUsage;
       }
     } else if (arg == "--smoke") {
       smoke = true;
@@ -695,21 +693,14 @@ int serve_command(const std::vector<std::string>& args, std::ostream& out,
         socket_path = value;
         continue;
       }
-      int n = 0;
-      try {
-        n = std::stoi(value);
-        if (n < 0) throw std::invalid_argument("negative");
-      } catch (const std::exception&) {
-        err << "dtpm: " << arg << " expects a non-negative count, got '"
-            << value << "'\n";
-        return kUsage;
-      }
+      unsigned n = 0;
+      if (!parse_count(arg, value, n, err)) return kUsage;
       if (arg == "-j") {
-        options.fleet_workers = unsigned(n);
+        options.fleet_workers = n;
       } else if (arg == "--executors") {
-        options.executors = unsigned(std::max(1, n));
+        options.executors = std::max(1u, n);
       } else {
-        options.queue_capacity = std::size_t(std::max(1, n));
+        options.queue_capacity = std::max(1u, n);
       }
     } else if (arg == "--smoke") {
       options.smoke = true;

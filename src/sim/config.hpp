@@ -68,8 +68,9 @@ struct ExperimentConfig {
   /// Per-phase cycle accounting (util/phase.hpp): when true, every control
   /// interval stamps sensor/policy/schedule/plant tick deltas into
   /// RunResult::phase_cycles. The stamps are TSC reads -- cheap, but not
-  /// free -- so the default keeps the hot path unstamped; bench_throughput
-  /// runs a second, profiled pass per cell to build its phase breakdown.
+  /// free -- so the default keeps the hot path unstamped; perfbench's traced
+  /// pass runs a second, profiled copy of each sampled run to report its
+  /// sim.phase_* shares, which the CI perf gate bounds.
   bool profile_phases = false;
   /// Observe-only prediction validation (§6.3.1): log T[k+h] predictions and
   /// compare them against later measurements. Requires an identified model.

@@ -44,8 +44,8 @@ struct RunResult {
   /// DTPM actuation counters (zero for other policies).
   core::DtpmDiagnostics dtpm;
 
-  /// Per-run cost counters (filled by Simulation::finish); the raw material
-  /// of bench_throughput's steps/sec and latency-percentile report.
+  /// Per-run cost counters (filled by Simulation::finish); perfbench reads
+  /// them for its sim.control_steps and thermal.plant_substeps layer metrics.
   std::size_t control_steps = 0;   ///< Simulation::step() calls executed
   std::size_t plant_substeps = 0;  ///< plant substeps actually taken
   double wall_time_s = 0.0;        ///< wall-clock from construction to finish

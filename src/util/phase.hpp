@@ -1,6 +1,7 @@
 // Per-phase cycle accounting for the control-interval hot path, so "where
-// does the interval go" is a measured number (bench_throughput's phase
-// breakdown), not folklore. Phases follow the interval anatomy:
+// does the interval go" is a measured number (perfbench's sim.phase_* layer
+// metrics, which the CI perf gate bounds), not folklore. Phases follow the
+// interval anatomy:
 //
 //   sensor    sensor-bank reads + noise draws
 //   policy    governor/policy decisions + actuation
@@ -10,7 +11,7 @@
 // Stamps come from the TSC on x86 (a ~20-cycle read, cheap enough to leave
 // compiled in behind a runtime flag) and from steady_clock elsewhere; the
 // unit is therefore "ticks", comparable only as ratios within one run --
-// exactly how the bench artifact and its CI gate consume them.
+// exactly how perfbench reports them (percent of the profiled runs' ticks).
 #pragma once
 
 #include <array>

@@ -154,6 +154,14 @@ TEST(DtpmCli, UsageErrors) {
   EXPECT_EQ(run_cli({"run"}).exit_code, 2);
   EXPECT_EQ(run_cli({"run", "a.json", "b.json"}).exit_code, 2);
   EXPECT_EQ(run_cli({"sweep", "g.json", "-j", "nope"}).exit_code, 2);
+  // A count must be all digits: a trailing suffix is rejected while the
+  // arguments are parsed, before any file is read or pool/server exists.
+  const CliResult suffixed = run_cli({"sweep", "g.json", "-j", "2x"});
+  EXPECT_EQ(suffixed.exit_code, 2);
+  EXPECT_NE(suffixed.err.find("-j expects a non-negative count, got '2x'"),
+            std::string::npos);
+  EXPECT_EQ(run_cli({"fleet", "f.json", "-j", "1.9"}).exit_code, 2);
+  EXPECT_EQ(run_cli({"serve", "--executors", "3x"}).exit_code, 2);
   EXPECT_EQ(run_cli({"run", "c.json", "--bogus"}).exit_code, 2);
   // -j only drives the sweep's BatchRunner; run must reject it rather than
   // silently ignore it.
