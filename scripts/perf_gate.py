@@ -1,52 +1,57 @@
 #!/usr/bin/env python3
-"""CI perf gate: bound perfbench's self-normalising layer metrics by noise.
+"""CI perf gate: a change's perfbench layer metrics against its base commit's.
 
 Usage:
-    perf_gate.py BASELINE DTPM FLEET_SPEC PASS.out...
+    perf_gate.py BASE_TREE BASE_PASSES CHANGE_TREE CHANGE_PASSES
 
-BASELINE is scripts/perf_gate_baseline.json. DTPM is a built `dtpm` CLI and
-FLEET_SPEC examples/configs/fleet_smoke.json. Each PASS.out is the standard
-output of one traced perfbench pass,
+BASE_TREE is a checkout of the commit the change applies to and CHANGE_TREE
+one of the change; each has run perfbench, so its `dtpm` CLI sits at
+TREE/.bench_build/dtpm/dtpm. Each *_PASSES directory holds, as *.out files,
+the standard output of at least N traced passes per gated workload from its
+tree,
 
     python3 perfbench/run.py --workload W --seed 1 --seconds 1 --trace 1
 
-whose `digest` line names its workload and whose last line is the result
-JSON. Every gated workload needs at least N passes, each with "correct":
-true and "failed": 0. The checks, per workload:
+whose `digest` line names the workload and whose last line is the result
+JSON, with "correct": true and "failed": 0. Run the two sides' passes
+alternately on one host, so both see the same machine. Every check compares
+the change's median with the base's median, and fails when the change is
+worse by more than a multiple of the base sample's IQR:
 
-    rk4/propagator   thermal.rk4_substep_ns / thermal.propagator_substep_ns
-                     of each pass. Fails when the median falls below the
-                     baseline median by more than K x the baseline's IQR.
-    sim.phase_*      each phase's share of the profiled control interval.
-                     Fails when the median grows past the baseline median by
-                     more than K x the baseline's IQR. A traced sweep-paper
-                     pass profiles reference-rk4 runs, a traced fleet-smoke
-                     pass propagator runs, so both engines are covered.
-
-and once, on DTPM itself:
-
-    scaling          after one untimed warm-up run per width, N alternating
-                     `DTPM fleet FLEET_SPEC --smoke --quiet` runs at -j 1 and
-                     -j <cpus>, gated on each pair's wall-time ratio
-                     (-j <cpus> over -j 1; 1 means no gain). Fails unless the
-                     median ratio is below 1 by more than K x the ratios'
-                     IQR, or when any run's fleet_aggregate.json differs byte
-                     for byte from another's. Skipped on a 1-cpu host, where
-                     both widths run the same configuration.
+    thermal rk4/propagator   thermal.rk4_substep_ns /
+                             thermal.propagator_substep_ns of each pass,
+                             pooled over both workloads (the thermal probe
+                             steps fixed floorplans whatever the workload).
+                             Fails when it drops by more than K_RATIO x IQR.
+    W sim.phase_*            each phase's share of the profiled control
+                             interval of workload W. A traced sweep-paper
+                             pass profiles reference-rk4 runs, a traced
+                             fleet-smoke pass propagator runs, so both
+                             engines are covered. Fails when it grows by more
+                             than K_SHARE x IQR.
+    scaling -j C / -j 1      after one untimed round, N rounds that each run
+                             `dtpm fleet TREE/examples/configs/fleet_smoke.json
+                             --smoke --quiet` at -j 1 and -j C (C = usable
+                             cpus) on the base, then on the change; each
+                             pair's wall-time ratio, -j C over -j 1. Fails
+                             when it grows by more than K_RATIO x IQR, or
+                             when the change's fleet_aggregate.json files
+                             differ byte for byte. Skipped on a 1-cpu host,
+                             where both widths run the same configuration.
 
 IQR is Q3 - Q1 with the quartiles of statistics.quantiles(values, n=4). The
-ratio and share bounds come from the baseline sample only, so one slow fresh
-pass cannot widen them. Only ratios and shares are gated: absolute times
-swing with the host, by over 20 % between neighbouring fleet runs here.
+bounds come from the base sample only, so a noisy change cannot widen them.
+Only ratios and shares are gated: on the measuring host absolute substep
+times moved 2x between neighbouring passes while their ratio held.
 
 Prints one line per check, then the verdict as one JSON object on the last
-line; its "values" have the layout of the baseline's, so re-baselining copies
-them. Exit status: 0 every check passed or was skipped, 1 a check failed,
+line. Exit status: 0 every check passed or was skipped, 1 a check failed,
 2 malformed input.
 """
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import statistics
@@ -56,28 +61,37 @@ import tempfile
 import time
 from typing import Any
 
-# Measured on the baseline's host (4-vCPU Xeon VM, gcc 12.2, Release). In ten
-# gate runs of N = 5 fresh passes on unchanged code no check came closer than
-# 0.62 of its K = 3 x IQR bound, while a propagator matvec done twice (ratio
-# 6.2 -> 3.6, bound 1.56), a doubled sensor read (sweep-paper sensor share
-# 9.4 -> 16.3 %, bound 3.3) and a one-worker BatchRunner (-j 4 / -j 1 at 1.17)
-# each failed their check. A traced pass takes 11-14 s, so N = 5 per workload
-# keeps the gate near 2.5 minutes.
+# Measured on a 4-vCPU Xeon VM (gcc 12.2, Release) with both sides built
+# from one commit and their passes alternating, as in CI. In ten such gate
+# runs the change's median drifted from the base's by at most 1.4 x the base
+# IQR for the substep ratio, 0.8 x for the scaling ratio and 2.0 x for a
+# phase share (fleet-smoke profiles few configs, so its shares have heavy
+# tails). Resampling 100 earlier passes per workload put a share past 3 x IQR
+# in 3.8 % of gate runs and past 4 x in 1.6 %. A propagator matvec done twice
+# dropped the substep ratio by 4.9 x, a doubled sensor read raised the sensor
+# shares by 5.6 x (fleet-smoke) and 11.3 x (sweep-paper), and a one-worker
+# BatchRunner raised the scaling ratio by 6.1 x. On 2 cpus (taskset) the
+# scaling check is weak: a one-worker pool added 0.33-0.43 to the ratio
+# while the base IQR read 0.09-0.22, so one of two such runs caught it. A
+# traced pass takes 11-14 s, so N = 5 per workload and side keeps the
+# passes near four minutes.
 N = 5
-K = 3.0
+K_RATIO = 2.5
+K_SHARE = 4.0
 
 WORKLOADS = ("fleet-smoke", "sweep-paper")
-RATIO = "rk4/propagator"
+RATIO = "thermal rk4/propagator"
 PHASES = tuple(
     "sim.phase_" + phase for phase in ("sensor", "policy", "schedule", "plant")
 )
-GATED = (RATIO, *PHASES)
+SIDES = ("base", "change")
 
-Values = dict[str, dict[str, list[float]]]
+# {workload: {phase: [share per pass]}, RATIO: [ratio per pass]}
+Values = dict[str, Any]
 
 
 class InputError(Exception):
-    """A pass file or the baseline is not what the gate reads."""
+    """A pass file or directory is not what the gate reads."""
 
 
 def iqr(values: list[float]) -> float:
@@ -87,20 +101,21 @@ def iqr(values: list[float]) -> float:
 
 
 def compare(
-    name: str, reference: list[float], fresh: list[float], higher_is_worse: bool
+    name: str, base: list[float], change: list[float], k: float,
+    higher_is_worse: bool,
 ) -> dict[str, Any]:
-    """Fails when fresh's median is worse than the reference median by more
-    than K x the reference sample's IQR."""
-    base_median = statistics.median(reference)
-    fresh_median = statistics.median(fresh)
-    bound = K * iqr(reference)
-    worse_by = fresh_median - base_median
+    """Fails when the change's median is worse than the base's by more than
+    k x the base sample's IQR."""
+    base_median = statistics.median(base)
+    change_median = statistics.median(change)
+    worse_by = change_median - base_median
     if not higher_is_worse:
         worse_by = -worse_by
+    bound = k * iqr(base)
     return {
         "check": name,
-        "baseline": base_median,
-        "fresh": fresh_median,
+        "base": base_median,
+        "change": change_median,
         "worse_by": worse_by,
         "bound": bound,
         "status": "fail" if worse_by > bound else "pass",
@@ -108,31 +123,24 @@ def compare(
 
 
 def scaling_check(
-    narrow_s: list[float], wide_s: list[float], width: int, identical: bool
+    base: list[float], change: list[float], width: int, identical: bool
 ) -> dict[str, Any]:
-    """Each pair's -j <width> / -j 1 wall-time ratio must sit below 1 (no
-    gain) by more than K x the ratios' IQR, with byte-identical aggregates;
-    skipped when width is 1."""
+    """Per-pair -j width / -j 1 wall-time ratios of both sides, compared with
+    K_RATIO; the change's aggregates must also be byte-identical. Skipped
+    when width is 1."""
     name = f"scaling -j {width} / -j 1"
     if width <= 1:
         return {"check": name, "status": "skip",
                 "reason": "1 cpu: both widths run the same configuration"}
-    ratios = [wide / narrow for narrow, wide in zip(narrow_s, wide_s)]
-    median = statistics.median(ratios)
-    bound = K * iqr(ratios)
-    return {
-        "check": name,
-        "baseline": 1.0,
-        "fresh": median,
-        "gain": 1.0 - median,
-        "bound": bound,
-        "identical_aggregates": identical,
-        "status": "pass" if 1.0 - median > bound and identical else "fail",
-    }
+    check = compare(name, base, change, K_RATIO, higher_is_worse=True)
+    check["identical_aggregates"] = identical
+    if not identical:
+        check["status"] = "fail"
+    return check
 
 
 def read_pass(path: str) -> tuple[str, dict[str, float]]:
-    """Returns (workload, {gated quantity: value}) of one traced pass."""
+    """Returns (workload, {RATIO or phase: value}) of one traced pass."""
     with open(path) as f:
         lines = f.read().splitlines()
     workloads = [line.split()[1] for line in lines if line.startswith("digest ")]
@@ -157,81 +165,81 @@ def read_pass(path: str) -> tuple[str, dict[str, float]]:
 
 
 def read_passes(paths: list[str]) -> Values:
-    values: Values = {w: {q: [] for q in GATED} for w in WORKLOADS}
+    values: Values = {w: {phase: [] for phase in PHASES} for w in WORKLOADS}
+    values[RATIO] = []
     for path in paths:
         workload, quantities = read_pass(path)
-        for name, value in quantities.items():
-            values[workload][name].append(value)
+        values[RATIO].append(quantities.pop(RATIO))
+        for phase, share in quantities.items():
+            values[workload][phase].append(share)
     for workload in WORKLOADS:
-        count = len(values[workload][RATIO])
+        count = len(values[workload][PHASES[0]])
         if count < N:
             raise InputError(f"{workload}: {count} passes, the gate needs {N}")
     return values
 
 
-def read_baseline(path: str) -> Values:
-    with open(path) as f:
-        doc = json.load(f)
-    values: Values = doc["values"]
-    for workload in WORKLOADS:
-        for name in GATED:
-            if len(values[workload][name]) != doc["passes"]:
-                raise InputError(f"{path}: {workload} {name} needs "
-                                 f"{doc['passes']} values")
-    return values
-
-
 def time_fleets(
-    dtpm: str, spec: str, width: int
-) -> tuple[list[float], list[float], bool]:
-    """N alternating smoke-fleet runs at -j 1 and -j width after a warm-up
-    run of each; returns their wall times and whether every aggregate is
-    byte-identical."""
-    narrow: list[float] = []
-    wide: list[float] = []
+    trees: dict[str, str], width: int
+) -> tuple[dict[str, list[float]], bool]:
+    """N + 1 rounds of smoke-fleet runs at -j 1 and -j width, base then
+    change; returns each side's per-pair wall-time ratios (the first round
+    dropped) and whether the change's aggregates are all byte-identical."""
+    ratios: dict[str, list[float]] = {side: [] for side in SIDES}
     aggregates: set[bytes] = set()
     with tempfile.TemporaryDirectory() as scratch:
         out = os.path.join(scratch, "fleet")
         for _ in range(N + 1):
-            for workers, times in ((1, narrow), (width, wide)):
-                start = time.perf_counter()
-                subprocess.run(
-                    [dtpm, "fleet", spec, "--smoke", "--quiet",
-                     "-j", str(workers), "--out", out],
-                    check=True,
-                )
-                times.append(time.perf_counter() - start)
-                with open(os.path.join(out, "fleet_aggregate.json"), "rb") as f:
-                    aggregates.add(f.read())
-    return narrow[1:], wide[1:], len(aggregates) == 1
+            for side in SIDES:
+                tree = trees[side]
+                seconds: list[float] = []
+                for workers in (1, width):
+                    start = time.perf_counter()
+                    subprocess.run(
+                        [os.path.join(tree, ".bench_build", "dtpm", "dtpm"),
+                         "fleet",
+                         os.path.join(tree, "examples", "configs",
+                                      "fleet_smoke.json"),
+                         "--smoke", "--quiet", "-j", str(workers),
+                         "--out", out],
+                        check=True,
+                    )
+                    seconds.append(time.perf_counter() - start)
+                    if side == "change":
+                        path = os.path.join(out, "fleet_aggregate.json")
+                        with open(path, "rb") as f:
+                            aggregates.add(f.read())
+                ratios[side].append(seconds[1] / seconds[0])
+    return {side: r[1:] for side, r in ratios.items()}, len(aggregates) == 1
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) < 4:
+    if len(argv) != 4:
         print(__doc__, file=sys.stderr)
         return 2
-    baseline_path, dtpm, spec, *pass_paths = argv
+    trees = {"base": argv[0], "change": argv[2]}
     try:
-        baseline = read_baseline(baseline_path)
-        fresh = read_passes(pass_paths)
-    except (InputError, OSError, ValueError, KeyError) as error:
+        values = {side: read_passes(sorted(glob.glob(
+                      os.path.join(directory, "*.out"))))
+                  for side, directory in zip(SIDES, argv[1::2])}
+    except (InputError, OSError) as error:
         print(f"perf_gate: {error}", file=sys.stderr)
         return 2
+    base, change = values["base"], values["change"]
 
-    checks = [
-        compare(f"{workload} {name}", baseline[workload][name],
-                fresh[workload][name], higher_is_worse=name != RATIO)
-        for workload in WORKLOADS
-        for name in GATED
-    ]
+    checks = [compare(RATIO, base[RATIO], change[RATIO], K_RATIO,
+                      higher_is_worse=False)]
+    checks += [compare(f"{workload} {phase}", base[workload][phase],
+                       change[workload][phase], K_SHARE, higher_is_worse=True)
+               for workload in WORKLOADS for phase in PHASES]
     width = len(os.sched_getaffinity(0))
-    narrow: list[float] = []
-    wide: list[float] = []
+    scaling: dict[str, list[float]] = {side: [] for side in SIDES}
     identical = True
     try:
         if width > 1:
-            narrow, wide, identical = time_fleets(dtpm, spec, width)
-        checks.append(scaling_check(narrow, wide, width, identical))
+            scaling, identical = time_fleets(trees, width)
+        checks.append(scaling_check(scaling["base"], scaling["change"],
+                                    width, identical))
     except (OSError, subprocess.CalledProcessError) as error:
         checks.append({"check": "scaling", "status": "fail",
                        "reason": str(error)})
@@ -241,12 +249,13 @@ def main(argv: list[str]) -> int:
             print(f"{check['status']:<5} {check['check']}: {check['reason']}")
             continue
         print(f"{check['status']:<5} {check['check']:<32} "
-              f"baseline {check['baseline']:.4g}  fresh {check['fresh']:.4g}  "
-              f"bound {check['bound']:.3g}")
+              f"base {check['base']:.4g}  change {check['change']:.4g}  "
+              f"worse by {check['worse_by']:.3g}  bound {check['bound']:.3g}")
     ok = all(check["status"] != "fail" for check in checks)
-    print(json.dumps({"ok": ok, "k": K, "passes": N, "checks": checks,
-                      "values": fresh,
-                      "scaling_s": {"1": narrow, str(width): wide}}))
+    print(json.dumps({"ok": ok, "k_ratio": K_RATIO, "k_share": K_SHARE,
+                      "passes": N,
+                      "checks": checks, "values": values,
+                      "scaling_ratios": scaling}))
     return 0 if ok else 1
 
 

@@ -32,77 +32,71 @@ class Quartiles(unittest.TestCase):
 
 
 class Bound(unittest.TestCase):
-    """A shift just past K x IQR fails, one just inside passes."""
+    """A shift of the change just past k x the base IQR fails, one just
+    inside passes."""
 
     def shifted(self, delta: float) -> list[float]:
         return [value + delta for value in SAMPLE]
 
-    def bound(self) -> float:
-        return perf_gate.K * perf_gate.iqr(SAMPLE)
+    def verdicts(self, k: float, sign: float,
+                 higher_is_worse: bool) -> tuple[str, str]:
+        bound = k * perf_gate.iqr(SAMPLE)
+        inside, past = (
+            perf_gate.compare("x", SAMPLE, self.shifted(sign * f * bound), k,
+                              higher_is_worse)["status"]
+            for f in (0.99, 1.01))
+        return inside, past
 
     def test_share_growth(self) -> None:
-        inside = perf_gate.compare("share", SAMPLE, self.shifted(
-            0.99 * self.bound()), higher_is_worse=True)
-        past = perf_gate.compare("share", SAMPLE, self.shifted(
-            1.01 * self.bound()), higher_is_worse=True)
-        self.assertEqual(inside["status"], "pass")
-        self.assertEqual(past["status"], "fail")
+        self.assertEqual(self.verdicts(perf_gate.K_SHARE, 1.0, True),
+                         ("pass", "fail"))
 
     def test_ratio_drop(self) -> None:
-        inside = perf_gate.compare("ratio", SAMPLE, self.shifted(
-            -0.99 * self.bound()), higher_is_worse=False)
-        past = perf_gate.compare("ratio", SAMPLE, self.shifted(
-            -1.01 * self.bound()), higher_is_worse=False)
-        self.assertEqual(inside["status"], "pass")
-        self.assertEqual(past["status"], "fail")
+        self.assertEqual(self.verdicts(perf_gate.K_RATIO, -1.0, False),
+                         ("pass", "fail"))
 
     def test_improvement_passes(self) -> None:
-        gain = perf_gate.compare("ratio", SAMPLE, self.shifted(
-            10 * self.bound()), higher_is_worse=False)
-        self.assertEqual(gain["status"], "pass")
+        for sign, higher_is_worse in ((1.0, False), (-1.0, True)):
+            verdict = perf_gate.compare("x", SAMPLE, self.shifted(sign * 10.0),
+                                        perf_gate.K_SHARE, higher_is_worse)
+            self.assertEqual(verdict["status"], "pass")
 
-    def test_noisy_fresh_sample_does_not_widen_the_bound(self) -> None:
+    def test_noisy_change_does_not_widen_the_bound(self) -> None:
         noisy = [SAMPLE[0] - 4.0, *SAMPLE[1:4], SAMPLE[4] + 4.0]
-        verdict = perf_gate.compare("share", SAMPLE, noisy, higher_is_worse=True)
-        self.assertEqual(verdict["bound"], self.bound())
+        verdict = perf_gate.compare("x", SAMPLE, noisy, perf_gate.K_SHARE, True)
+        self.assertEqual(verdict["bound"],
+                         perf_gate.K_SHARE * perf_gate.iqr(SAMPLE))
 
 
 class Scaling(unittest.TestCase):
-    NARROW = [3.0, 2.9, 3.2, 3.1, 2.8]
-
-    def wide(self, ratios: list[float]) -> list[float]:
-        return [r * t for r, t in zip(ratios, self.NARROW)]
+    BASE = [0.70, 0.65, 0.75, 0.72, 0.68]
 
     def test_one_cpu_is_skipped(self) -> None:
         verdict = perf_gate.scaling_check([], [], 1, True)
         self.assertEqual(verdict["status"], "skip")
 
-    def test_gain_must_exceed_the_noise(self) -> None:
-        # Per-pair ratios with an IQR of 0.15 give a bound of 0.45 at K = 3:
-        # a median ratio of 0.54 passes, 0.56 fails.
-        spread = [-0.1, -0.05, 0.0, 0.05, 0.1]
-        self.assertAlmostEqual(perf_gate.iqr(spread), 0.15)
-        noise = perf_gate.K * perf_gate.iqr(spread)
-        for median, status in ((0.99 - noise, "pass"), (1.01 - noise, "fail")):
-            wide = self.wide([median + d for d in spread])
-            verdict = perf_gate.scaling_check(self.NARROW, wide, 4, True)
+    def test_lost_gain_past_the_noise_fails(self) -> None:
+        # The base ratios' IQR is 0.07, so the bound is 2.5 x 0.07 = 0.175.
+        self.assertAlmostEqual(perf_gate.iqr(self.BASE), 0.07)
+        bound = perf_gate.K_RATIO * perf_gate.iqr(self.BASE)
+        for f, status in ((0.99, "pass"), (1.01, "fail")):
+            change = [r + f * bound for r in self.BASE]
+            verdict = perf_gate.scaling_check(self.BASE, change, 4, True)
             self.assertEqual(verdict["status"], status)
 
-    def test_no_gain_fails(self) -> None:
-        verdict = perf_gate.scaling_check(self.NARROW, self.NARROW, 4, True)
+    def test_one_worker_fails(self) -> None:
+        verdict = perf_gate.scaling_check(self.BASE, [1.0] * 5, 4, True)
         self.assertEqual(verdict["status"], "fail")
 
     def test_differing_aggregates_fail(self) -> None:
-        wide = self.wide([0.3] * 5)
-        self.assertEqual(
-            perf_gate.scaling_check(self.NARROW, wide, 4, False)["status"],
-            "fail")
+        verdict = perf_gate.scaling_check(self.BASE, self.BASE, 4, False)
+        self.assertEqual(verdict["status"], "fail")
 
 
 class Passes(unittest.TestCase):
     def write_pass(self, directory: str, name: str, workload: str,
-                   correct: bool) -> str:
-        metrics = {"thermal.rk4_substep_ns": 600.0,
+                   correct: bool, rk4_ns: float = 600.0) -> str:
+        metrics = {"thermal.rk4_substep_ns": rk4_ns,
                    "thermal.propagator_substep_ns": 100.0}
         metrics.update({phase: 25.0 for phase in perf_gate.PHASES})
         result = {"correct": correct, "attempted": 10, "failed": 0,
@@ -122,6 +116,18 @@ class Passes(unittest.TestCase):
         self.assertEqual(quantities[perf_gate.RATIO], 6.0)
         self.assertEqual(quantities["sim.phase_plant"], 25.0)
 
+    def test_ratio_pools_both_workloads(self) -> None:
+        with tempfile.TemporaryDirectory() as directory:
+            paths = [self.write_pass(directory, f"{w}-{i}.out", w, True,
+                                     rk4_ns=100.0 * (i + 1))
+                     for w in perf_gate.WORKLOADS
+                     for i in range(perf_gate.N)]
+            values = perf_gate.read_passes(paths)
+        self.assertEqual(len(values[perf_gate.RATIO]), 2 * perf_gate.N)
+        for workload in perf_gate.WORKLOADS:
+            self.assertEqual(len(values[workload]["sim.phase_sensor"]),
+                             perf_gate.N)
+
     def test_incorrect_pass_is_rejected(self) -> None:
         with tempfile.TemporaryDirectory() as directory:
             path = self.write_pass(directory, "a.out", "fleet-smoke", False)
@@ -135,15 +141,6 @@ class Passes(unittest.TestCase):
                      for i in range(perf_gate.N - 1)]
             with self.assertRaises(perf_gate.InputError):
                 perf_gate.read_passes(paths)
-
-
-class Baseline(unittest.TestCase):
-    def test_checked_in_baseline_reads(self) -> None:
-        path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                            "perf_gate_baseline.json")
-        values = perf_gate.read_baseline(path)
-        for workload in perf_gate.WORKLOADS:
-            self.assertEqual(set(values[workload]), set(perf_gate.GATED))
 
 
 if __name__ == "__main__":
