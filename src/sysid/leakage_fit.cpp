@@ -16,40 +16,83 @@ struct LinearFit {
 };
 
 /// For a fixed c2 the model P = alphaC*(V^2 f) + c1*(V T^2 e^{c2/T}) +
-/// i_gate*V is linear; solve by least squares and return the residual.
-LinearFit solve_linear(const std::vector<FurnaceSample>& samples, double c2,
-                       bool fit_dynamic_term) {
-  const std::size_t n_cols = fit_dynamic_term ? 3 : 2;
-  util::Matrix x(samples.size(), n_cols);
-  util::Matrix y(samples.size(), 1);
-  // Scale columns to comparable magnitude for conditioning.
-  const double scale_dyn = 1e9, scale_sub = 1e4;
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const auto& s = samples[i];
-    const double t_k = power::celsius_to_kelvin(s.temp_c);
-    std::size_t col = 0;
-    if (fit_dynamic_term) {
-      x(i, col++) = s.vdd_v * s.vdd_v * s.frequency_hz / scale_dyn;
+/// i_gate*V is linear; solve() fits it by ridge least squares and returns the
+/// residual. One solver serves a whole golden-section search: the
+/// ridge-augmented system and its c2-independent columns are built once, and
+/// every solve refills only the subthreshold column and reuses the buffers,
+/// so the search allocates nothing. The arithmetic is Matrix::least_squares'
+/// and Matrix::operator*'s, operation for operation.
+class LinearSolver {
+ public:
+  LinearSolver(const std::vector<FurnaceSample>& samples,
+               bool fit_dynamic_term)
+      : samples_(samples),
+        dynamic_(fit_dynamic_term),
+        sub_col_(fit_dynamic_term ? 1 : 0),
+        n_cols_(sub_col_ + 2),
+        x_(samples.size() + n_cols_, n_cols_),
+        y_(samples.size() + n_cols_, 1) {
+    const double ridge_diagonal = std::sqrt(kRidge);
+    t_k_.reserve(samples.size());
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      const auto& s = samples[i];
+      t_k_.push_back(power::celsius_to_kelvin(s.temp_c));
+      if (dynamic_) x_(i, 0) = s.vdd_v * s.vdd_v * s.frequency_hz / kScaleDyn;
+      x_(i, sub_col_ + 1) = s.vdd_v;
+      y_(i, 0) = s.total_power_w;
     }
-    x(i, col++) = s.vdd_v * t_k * t_k * std::exp(c2 / t_k) / scale_sub;
-    x(i, col) = s.vdd_v;
-    y(i, 0) = s.total_power_w;
+    for (std::size_t j = 0; j < n_cols_; ++j) {
+      x_(samples.size() + j, j) = ridge_diagonal;
+    }
   }
-  const util::Matrix theta = x.least_squares(y, 1e-12);
-  LinearFit fit;
-  std::size_t row = 0;
-  fit.alpha_c = fit_dynamic_term ? theta(row++, 0) / scale_dyn : 0.0;
-  fit.c1 = theta(row++, 0) / scale_sub;
-  fit.i_gate = theta(row, 0);
-  double sum_sq = 0.0;
-  const util::Matrix y_hat = x * theta;
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const double e = y_hat(i, 0) - y(i, 0);
-    sum_sq += e * e;
+
+  LinearFit solve(double c2) {
+    const std::size_t m = samples_.size();
+    for (std::size_t i = 0; i < m; ++i) {
+      const double t_k = t_k_[i];
+      x_(i, sub_col_) =
+          samples_[i].vdd_v * t_k * t_k * std::exp(c2 / t_k) / kScaleSub;
+    }
+    a_ = x_;  // same shapes, so both copies reuse their storage
+    rhs_ = y_;
+    util::Matrix::qr_solve_into(a_, rhs_, householder_, theta_);
+    LinearFit fit;
+    std::size_t row = 0;
+    fit.alpha_c = dynamic_ ? theta_(row++, 0) / kScaleDyn : 0.0;
+    fit.c1 = theta_(row++, 0) / kScaleSub;
+    fit.i_gate = theta_(row, 0);
+    double sum_sq = 0.0;
+    for (std::size_t i = 0; i < m; ++i) {
+      // (x * theta)(i, 0), summed as Matrix::operator* does.
+      double y_hat = 0.0;
+      for (std::size_t k = 0; k < n_cols_; ++k) {
+        const double a = x_(i, k);
+        if (a == 0.0) continue;
+        y_hat += a * theta_(k, 0);
+      }
+      const double e = y_hat - y_(i, 0);
+      sum_sq += e * e;
+    }
+    fit.rms = std::sqrt(sum_sq / double(m));
+    return fit;
   }
-  fit.rms = std::sqrt(sum_sq / double(samples.size()));
-  return fit;
-}
+
+ private:
+  // Scale columns to comparable magnitude for conditioning.
+  static constexpr double kScaleDyn = 1e9;
+  static constexpr double kScaleSub = 1e4;
+  static constexpr double kRidge = 1e-12;
+
+  const std::vector<FurnaceSample>& samples_;
+  const bool dynamic_;
+  const std::size_t sub_col_;  ///< the c2-dependent column
+  const std::size_t n_cols_;
+  std::vector<double> t_k_;  ///< sample temperatures in kelvin
+  util::Matrix x_;  ///< the samples' rows, then the ridge rows sqrt(ridge)*I
+  util::Matrix y_;  ///< total power, then zeros on the ridge rows
+  util::Matrix a_, rhs_, theta_;  ///< QR workspace and solution
+  std::vector<double> householder_;
+};
 
 }  // namespace
 
@@ -75,25 +118,26 @@ LeakageFitResult fit_leakage(const std::vector<FurnaceSample>& samples,
   double hi = options.c2_max_k;
   double x1 = hi - phi * (hi - lo);
   double x2 = lo + phi * (hi - lo);
-  double f1 = solve_linear(samples, x1, options.fit_dynamic_term).rms;
-  double f2 = solve_linear(samples, x2, options.fit_dynamic_term).rms;
+  LinearSolver solver(samples, options.fit_dynamic_term);
+  double f1 = solver.solve(x1).rms;
+  double f2 = solver.solve(x2).rms;
   for (unsigned it = 0; it < options.golden_iterations; ++it) {
     if (f1 < f2) {
       hi = x2;
       x2 = x1;
       f2 = f1;
       x1 = hi - phi * (hi - lo);
-      f1 = solve_linear(samples, x1, options.fit_dynamic_term).rms;
+      f1 = solver.solve(x1).rms;
     } else {
       lo = x1;
       x1 = x2;
       f1 = f2;
       x2 = lo + phi * (hi - lo);
-      f2 = solve_linear(samples, x2, options.fit_dynamic_term).rms;
+      f2 = solver.solve(x2).rms;
     }
   }
   const double c2 = 0.5 * (lo + hi);
-  LinearFit best = solve_linear(samples, c2, options.fit_dynamic_term);
+  const LinearFit best = solver.solve(c2);
 
   LeakageFitResult result;
   result.params.c1 = std::max(best.c1, 0.0);

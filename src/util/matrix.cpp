@@ -188,6 +188,14 @@ Matrix Matrix::least_squares(const Matrix& b, double ridge) const {
 }
 
 Matrix Matrix::qr_least_squares(Matrix a, Matrix rhs) {
+  std::vector<double> householder;
+  Matrix x;
+  qr_solve_into(a, rhs, householder, x);
+  return x;
+}
+
+void Matrix::qr_solve_into(Matrix& a, Matrix& rhs,
+                           std::vector<double>& householder, Matrix& x) {
   if (rhs.rows_ != a.rows_) {
     throw std::invalid_argument("Matrix::least_squares: rhs mismatch");
   }
@@ -197,6 +205,8 @@ Matrix Matrix::qr_least_squares(Matrix a, Matrix rhs) {
   // Householder QR: triangularize [A | rhs] in place.
   const std::size_t m = a.rows_;
   const std::size_t n = a.cols_;
+  if (householder.size() < m) householder.resize(m);
+  double* const v = householder.data();  // the reflector, v[0 .. m - k)
   for (std::size_t k = 0; k < n; ++k) {
     double norm = 0.0;
     for (std::size_t i = k; i < m; ++i) norm += a(i, k) * a(i, k);
@@ -205,11 +215,10 @@ Matrix Matrix::qr_least_squares(Matrix a, Matrix rhs) {
       throw std::runtime_error("Matrix::least_squares: rank deficient");
     }
     const double alpha = a(k, k) >= 0 ? -norm : norm;
-    std::vector<double> v(m - k);
     v[0] = a(k, k) - alpha;
     for (std::size_t i = k + 1; i < m; ++i) v[i - k] = a(i, k);
     double vnorm2 = 0.0;
-    for (double vi : v) vnorm2 += vi * vi;
+    for (std::size_t i = 0; i < m - k; ++i) vnorm2 += v[i] * v[i];
     if (vnorm2 < 1e-28) continue;
     auto apply = [&](Matrix& target, std::size_t col_begin, std::size_t col_end) {
       for (std::size_t j = col_begin; j < col_end; ++j) {
@@ -223,7 +232,7 @@ Matrix Matrix::qr_least_squares(Matrix a, Matrix rhs) {
     apply(rhs, 0, rhs.cols_);
   }
   // Back substitution on the upper-triangular part.
-  Matrix x(n, rhs.cols_);
+  if (x.rows_ != n || x.cols_ != rhs.cols_) x = Matrix(n, rhs.cols_);
   for (std::size_t kk = n; kk-- > 0;) {
     for (std::size_t j = 0; j < rhs.cols_; ++j) {
       double sum = rhs(kk, j);
@@ -231,7 +240,6 @@ Matrix Matrix::qr_least_squares(Matrix a, Matrix rhs) {
       x(kk, j) = sum / a(kk, kk);
     }
   }
-  return x;
 }
 
 double Matrix::spectral_radius(unsigned iterations, double tolerance) const {

@@ -92,6 +92,14 @@ class Matrix {
   /// moves its regression in pays for no copy.
   static Matrix qr_least_squares(Matrix a, Matrix rhs);
 
+  /// qr_least_squares() for a caller that solves many systems of one shape:
+  /// triangularizes `a` and `rhs` in place and writes the solution into `x`
+  /// (reshaped to a.cols() x rhs.cols() only if it has another shape), with
+  /// `householder` as scratch for the reflector. Same arithmetic; allocates
+  /// nothing once `x` has its shape and `householder` holds a.rows() values.
+  static void qr_solve_into(Matrix& a, Matrix& rhs,
+                            std::vector<double>& householder, Matrix& x);
+
   /// Largest absolute eigenvalue. Used to check the stability of identified
   /// thermal models (spectral radius < 1) and by the runaway-stability
   /// analyzer (analysis/stability.hpp).

@@ -12,12 +12,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <new>
 
 #include "sim/engine.hpp"
 #include "sim/simulation.hpp"
+#include "sysid/leakage_fit.hpp"
 #include "workload/benchmark.hpp"
 
 namespace {
@@ -93,8 +95,8 @@ std::shared_ptr<const workload::Benchmark> steady_benchmark() {
   return std::make_shared<const workload::Benchmark>(bench);
 }
 
-/// Every engine a run can select: reference-rk4 (the golden-trace baseline)
-/// and propagator (what fleets run on).
+/// Every engine a run can select: propagator (the default) and
+/// reference-rk4 (its oracle, which the golden traces that name it pin).
 class ZeroAllocationPerEngine : public ::testing::TestWithParam<Engine> {};
 
 TEST_P(ZeroAllocationPerEngine, SteadyStateStepAllocatesNothing) {
@@ -114,7 +116,7 @@ TEST_P(ZeroAllocationPerEngine, SteadyStateStepAllocatesNothing) {
   // let every reusable buffer grow to its high-water mark (including the
   // fan-policy state machine stepping through its speeds). The propagator
   // also needs the run to visit every fan speed the closed loop will ever
-  // command, so its conductance-keyed Phi/Gamma cache is full before
+  // command, so its conductance-keyed Phi/Gamma table is full before
   // counting starts -- hence the longer warm-up.
   const int warmup = GetParam() == Engine::kPropagator ? 800 : 300;
   for (int s = 0; s < warmup; ++s) {
@@ -173,6 +175,33 @@ TEST(ZeroAllocation, TraceRecordingAllocatesPerRowOnly) {
 
   // One row copy per step plus amortized table growth: well under 3/step.
   EXPECT_LT(g_alloc_count.load(), std::size_t(3 * kSteps));
+}
+
+/// Calibration's leakage fit builds its least-squares system once per fit
+/// and reuses the buffers across the golden-section search, so the fit's
+/// allocation count does not depend on how many solves the search takes.
+TEST(ZeroAllocation, LeakageFitSearchAllocatesNothing) {
+  std::vector<sysid::FurnaceSample> samples;
+  for (double v : {0.9, 1.05}) {
+    for (double t = 40.0; t <= 80.0; t += 5.0) {
+      const double t_k = t + 273.15;
+      samples.push_back({t, 0.2 * v * v + v * (2e-3 * t_k * t_k *
+                                               std::exp(-2500.0 / t_k) + 0.004),
+                         v, v * 1e9});
+    }
+  }
+  auto allocations = [&](unsigned iterations) {
+    sysid::LeakageFitOptions options;
+    options.golden_iterations = iterations;
+    g_alloc_count.store(0);
+    g_counting.store(true);
+    const sysid::LeakageFitResult fit = sysid::fit_leakage(samples, options);
+    g_counting.store(false);
+    EXPECT_GT(fit.params.c1, 0.0);
+    return g_alloc_count.load();
+  };
+  EXPECT_EQ(allocations(80), allocations(1))
+      << "a solve of fit_leakage's golden-section search heap-allocated";
 }
 
 }  // namespace
