@@ -17,12 +17,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iomanip>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "golden.hpp"
 #include "governors/governor.hpp"
 #include "serve/protocol.hpp"
+#include "sim/calibration.hpp"
 #include "sim/engine.hpp"
+#include "sim/platform_registry.hpp"
 #include "sim/scenario_catalog.hpp"
 #include "sim/simulation.hpp"
 #include "util/csv.hpp"
@@ -254,6 +259,56 @@ TEST(GoldenTrace, ScriptedRunAgreesAcrossEngines) {
     }
   }
   EXPECT_EQ(power_columns, 5);
+}
+
+/// The run-summary cells of `dtpm run`/`sweep`'s summary.csv, at its 10
+/// significant digits.
+std::string summary_cells(const RunResult& r) {
+  std::ostringstream out;
+  out << std::setprecision(10) << r.completed << ',' << r.execution_time_s
+      << ',' << r.avg_platform_power_w << ',' << r.avg_soc_power_w << ','
+      << r.max_temp_stats.max() << ',' << r.max_temp_stats.mean() << ','
+      << r.violation_time_s << ',' << r.control_steps << ','
+      << r.platform_energy_j;
+  return out.str();
+}
+
+// The cross-engine oracle over the paper's comparison (§6.2): every
+// registry platform under the four paper policies, on a short Table-6.4
+// benchmark at full length, with each platform's calibrated model for dtpm.
+// The propagator (the default) and reference-rk4 must produce the same
+// summary at summary.csv's precision, the precision at which the full
+// 15-benchmark sweep agrees on both engines.
+TEST(GoldenTrace, PaperPoliciesAgreeAcrossEngines) {
+  const std::vector<std::string> policies = {"default+fan", "no-fan",
+                                             "reactive", "dtpm"};
+  int dtpm_capped = 0;
+  for (const std::string& name : PlatformRegistry::instance().names()) {
+    const PlatformPtr platform = PlatformRegistry::instance().get(name);
+    const sysid::IdentifiedPlatformModel& model =
+        platform_calibration(platform).model;
+    std::string no_fan;
+    for (const std::string& policy : policies) {
+      ExperimentConfig config;
+      set_platform(config, platform);
+      config.benchmark = "matmul";
+      config.policy_name = policy;
+      config.record_trace = false;
+      config.engine = Engine::kReferenceRk4;
+      const RunResult reference = run_experiment(config, &model);
+      config.engine = Engine::kPropagator;
+      const RunResult propagator = run_experiment(config, &model);
+      ASSERT_TRUE(reference.completed) << name << ' ' << policy;
+      EXPECT_EQ(summary_cells(reference), summary_cells(propagator))
+          << name << ' ' << policy;
+      if (policy == "no-fan") no_fan = summary_cells(reference);
+      if (policy == "dtpm") {
+        dtpm_capped += summary_cells(reference) != no_fan ? 1 : 0;
+      }
+    }
+  }
+  // The comparison must reach the governor's capping path somewhere.
+  EXPECT_GT(dtpm_capped, 0);
 }
 
 TEST(GoldenTrace, PropagatorRunSummaryPinned) {
