@@ -52,10 +52,10 @@ struct ExperimentConfig {
   double control_interval_s = 0.1;  ///< 100 ms driver period (§6.2)
   double plant_substep_s = 0.01;
   /// Plant stepping engine (sim/stepping_engine.hpp). The default
-  /// reference-rk4 is bit-exact with the golden traces; `propagator` trades
-  /// that for throughput (bounded error, documented in the README's
-  /// Performance section).
-  Engine engine = Engine::kReferenceRk4;
+  /// propagator steps the exact LTI map, one matvec per substep;
+  /// reference-rk4, selectable by name, is its oracle: the two agree to
+  /// floating-point rounding (README, "Stepping engines").
+  Engine engine = Engine::kPropagator;
   /// Settling time before the benchmark starts and recording begins. A
   /// moderate warm-up load runs during this window so traces start from the
   /// warm platform visible in the paper's figures (~50 C).

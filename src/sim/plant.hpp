@@ -64,11 +64,11 @@ struct PlantTemplate {
 class Plant {
  public:
   /// `engine` selects the thermal integrator advance() runs
-  /// (sim/stepping_engine.hpp): reference-rk4 is the bit-exact RK4 loop,
-  /// propagator swaps in the compiled LTI step map.
+  /// (sim/stepping_engine.hpp): propagator steps the compiled LTI map,
+  /// reference-rk4 the RK4 loop. Callers name it; the default lives in
+  /// ExperimentConfig::engine.
   Plant(const PlatformDescriptor& platform, util::Rng& root,
-        const PlantTemplate* plant_template = nullptr,
-        Engine engine = Engine::kReferenceRk4);
+        const PlantTemplate* plant_template, Engine engine);
 
   /// Sensor sampling (start of a control interval); allocation-free: clears
   /// and refills `readings_out`.

@@ -92,9 +92,13 @@ TEST(ConfigIo, EngineMemberParsesAndRejectsUnknownNames) {
   const ExperimentConfig parsed =
       experiment_from_json(json_parse(R"({"engine": "propagator"})"));
   EXPECT_EQ(parsed.engine, Engine::kPropagator);
-  // Absent member keeps the bit-exact default.
+  // An absent member selects the default, the propagator; reference-rk4 is
+  // selected by name.
   EXPECT_EQ(experiment_from_json(json_parse("{}")).engine,
-            Engine::kReferenceRk4);
+            Engine::kPropagator);
+  EXPECT_EQ(
+      experiment_from_json(json_parse(R"({"engine": "reference-rk4"})")).engine,
+      Engine::kReferenceRk4);
 
   const std::string what = what_of([] {
     experiment_from_json(json_parse(R"({"engine": "propogator"})"));

@@ -154,7 +154,7 @@ TEST(SimulationStep, PlantForksThreeRootStreamsTemperatureBankFirst) {
   const util::Rng seeded(42);
 
   util::Rng root = seeded;
-  Plant plant(*platform, root);
+  Plant plant(*platform, root, nullptr, Engine::kPropagator);
   util::Rng after_three = seeded;
   after_three.engine().discard(3);
   EXPECT_EQ(root.engine()(), after_three.engine()());
