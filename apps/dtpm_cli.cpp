@@ -815,10 +815,11 @@ int list_command(const std::vector<std::string>& args, std::ostream& out,
   }
   if (category == "engines") {
     // Enumerator order (reference first), not sorted: the list doubles as
-    // a ranking from bit-exact baseline to fastest.
+    // a ranking from the oracle to the fastest.
     const char* const descriptions[] = {
-        "per-substep RK4 integrator; the bit-exact golden-trace baseline",
-        "cached exact LTI propagator; one matvec per substep",
+        "per-substep RK4 integrator; the propagator's oracle and the "
+        "golden-trace baseline",
+        "exact LTI propagator; one matvec per substep; the default",
     };
     const std::vector<std::string>& names = sim::engine_names();
     for (std::size_t i = 0; i < names.size(); ++i) {

@@ -24,11 +24,10 @@ worse by more than a multiple of the base sample's IQR:
                              steps fixed floorplans whatever the workload).
                              Fails when it drops by more than K_RATIO x IQR.
     W sim.phase_*            each phase's share of the profiled control
-                             interval of workload W. A traced sweep-paper
-                             pass profiles reference-rk4 runs, a traced
-                             fleet-smoke pass propagator runs, so both
-                             engines are covered. Fails when it grows by more
-                             than K_SHARE x IQR.
+                             interval of workload W. Both workloads profile
+                             propagator runs; reference-rk4 is timed only by
+                             the substep ratio above. Fails when it grows by
+                             more than K_SHARE x IQR.
     scaling -j C / -j 1      after one untimed round, N rounds that each run
                              `dtpm fleet TREE/examples/configs/fleet_smoke.json
                              --smoke --quiet` at -j 1 and -j C (C = usable

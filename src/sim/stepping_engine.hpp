@@ -2,13 +2,14 @@
 // network inside Plant::advance. Both engines run the same physics; they
 // differ in how the per-substep work is executed.
 //
-//   * reference-rk4: the per-substep RK4 loop (RcNetwork::step). The
-//     bit-exact baseline that the golden traces pin.
-//   * propagator: the exact LTI propagator (thermal::PropagatorRcModel) --
-//     one matvec per substep, on matrices compiled once per (fan state,
-//     substep dt). Tracks the reference to floating-point rounding. Fleets
-//     and sweeps step one Simulation per run on it through the BatchRunner
-//     pool.
+//   * propagator (the default): the exact LTI propagator
+//     (thermal::PropagatorRcModel) -- one matvec per substep, on matrices
+//     compiled once per (fan state, substep dt). Runs, sweeps, fleets and
+//     calibration step on it.
+//   * reference-rk4: the per-substep RK4 loop (RcNetwork::step), selected by
+//     name. It is the propagator's oracle: the cross-engine tests check that
+//     the two agree to floating-point rounding, and the golden traces that
+//     name it pin it bit for bit.
 //
 // Lives in its own header (not sim/config.hpp) so the Plant layer can name
 // the engine without pulling in the whole experiment-configuration surface.
@@ -21,8 +22,8 @@
 namespace dtpm::sim {
 
 enum class Engine {
-  kReferenceRk4,  ///< per-substep RK4 loop (golden-trace baseline)
-  kPropagator,    ///< exact LTI propagator, one matvec per substep
+  kReferenceRk4,  ///< per-substep RK4 loop, the propagator's oracle
+  kPropagator,    ///< exact LTI propagator, one matvec per substep (default)
 };
 
 /// Selection name of the enumerator ("reference-rk4", "propagator").
