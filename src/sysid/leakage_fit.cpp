@@ -26,17 +26,19 @@ class LinearSolver {
  public:
   LinearSolver(const std::vector<FurnaceSample>& samples,
                bool fit_dynamic_term)
-      : samples_(samples),
-        dynamic_(fit_dynamic_term),
+      : dynamic_(fit_dynamic_term),
         sub_col_(fit_dynamic_term ? 1 : 0),
         n_cols_(sub_col_ + 2),
         x_(samples.size() + n_cols_, n_cols_),
         y_(samples.size() + n_cols_, 1) {
     const double ridge_diagonal = std::sqrt(kRidge);
     t_k_.reserve(samples.size());
+    v_t2_.reserve(samples.size());
     for (std::size_t i = 0; i < samples.size(); ++i) {
       const auto& s = samples[i];
-      t_k_.push_back(power::celsius_to_kelvin(s.temp_c));
+      const double t_k = power::celsius_to_kelvin(s.temp_c);
+      t_k_.push_back(t_k);
+      v_t2_.push_back(s.vdd_v * t_k * t_k);
       if (dynamic_) x_(i, 0) = s.vdd_v * s.vdd_v * s.frequency_hz / kScaleDyn;
       x_(i, sub_col_ + 1) = s.vdd_v;
       y_(i, 0) = s.total_power_w;
@@ -47,11 +49,9 @@ class LinearSolver {
   }
 
   LinearFit solve(double c2) {
-    const std::size_t m = samples_.size();
+    const std::size_t m = t_k_.size();
     for (std::size_t i = 0; i < m; ++i) {
-      const double t_k = t_k_[i];
-      x_(i, sub_col_) =
-          samples_[i].vdd_v * t_k * t_k * std::exp(c2 / t_k) / kScaleSub;
+      x_(i, sub_col_) = v_t2_[i] * std::exp(c2 / t_k_[i]) / kScaleSub;
     }
     a_ = x_;  // same shapes, so both copies reuse their storage
     rhs_ = y_;
@@ -83,11 +83,11 @@ class LinearSolver {
   static constexpr double kScaleSub = 1e4;
   static constexpr double kRidge = 1e-12;
 
-  const std::vector<FurnaceSample>& samples_;
   const bool dynamic_;
   const std::size_t sub_col_;  ///< the c2-dependent column
   const std::size_t n_cols_;
-  std::vector<double> t_k_;  ///< sample temperatures in kelvin
+  std::vector<double> t_k_;   ///< sample temperatures in kelvin
+  std::vector<double> v_t2_;  ///< V T^2 per sample
   util::Matrix x_;  ///< the samples' rows, then the ridge rows sqrt(ridge)*I
   util::Matrix y_;  ///< total power, then zeros on the ridge rows
   util::Matrix a_, rhs_, theta_;  ///< QR workspace and solution
