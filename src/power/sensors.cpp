@@ -14,7 +14,7 @@ bool valid_sensor_parameter(double v) { return std::isfinite(v) && v >= 0.0; }
 
 PowerSensorBank::PowerSensorBank(const PowerSensorParams& params,
                                  util::Rng rng)
-    : params_(params), rng_(rng) {
+    : params_(params), noise_(rng) {
   if (!valid_sensor_parameter(params_.noise_fraction) ||
       !valid_sensor_parameter(params_.quantization_w)) {
     throw std::invalid_argument(
@@ -26,7 +26,7 @@ ResourceVector PowerSensorBank::read(const ResourceVector& true_power_w) {
   ResourceVector out{};
   for (std::size_t i = 0; i < kResourceCount; ++i) {
     double reading =
-        true_power_w[i] * (1.0 + rng_.gaussian(0.0, params_.noise_fraction));
+        true_power_w[i] * (1.0 + noise_.gaussian(0.0, params_.noise_fraction));
     if (params_.quantization_w > 0.0) {
       reading = std::round(reading / params_.quantization_w) * params_.quantization_w;
     }
@@ -37,7 +37,7 @@ ResourceVector PowerSensorBank::read(const ResourceVector& true_power_w) {
 
 ExternalPowerMeter::ExternalPowerMeter(const PlatformLoadParams& params,
                                        util::Rng rng, double noise_fraction)
-    : params_(params), rng_(rng), noise_fraction_(noise_fraction) {
+    : params_(params), noise_(rng), noise_fraction_(noise_fraction) {
   if (!valid_sensor_parameter(noise_fraction_)) {
     throw std::invalid_argument(
         "ExternalPowerMeter: negative or non-finite noise");
@@ -48,7 +48,7 @@ double ExternalPowerMeter::read(const ResourceVector& true_rail_power_w,
                                 double fan_power_w) {
   const double truth = total(true_rail_power_w) + fan_power_w +
                        params_.board_base_w + params_.display_w;
-  return truth * (1.0 + rng_.gaussian(0.0, noise_fraction_));
+  return truth * (1.0 + noise_.gaussian(0.0, noise_fraction_));
 }
 
 }  // namespace dtpm::power

@@ -22,7 +22,9 @@ inline bool operator==(const PowerSensorParams& a, const PowerSensorParams& b) {
          a.quantization_w == b.quantization_w;
 }
 
-/// Samples true per-rail powers into sensor readings.
+/// Samples true per-rail powers into sensor readings. The noise comes from
+/// a private util::NormalStream, drawn a block at a time; a noise-free bank
+/// (noise_fraction == 0) never draws from it.
 class PowerSensorBank {
  public:
   PowerSensorBank(const PowerSensorParams& params, util::Rng rng);
@@ -31,7 +33,7 @@ class PowerSensorBank {
 
  private:
   PowerSensorParams params_;
-  util::Rng rng_;
+  util::NormalStream noise_;
 };
 
 /// Non-SoC platform loads seen only by the external meter.
@@ -46,6 +48,8 @@ inline bool operator==(const PlatformLoadParams& a,
 }
 
 /// External platform power meter: SoC rails + fan + fixed platform loads.
+/// Its noise comes from a private util::NormalStream like the banks'; a
+/// noise-free meter never draws from it.
 class ExternalPowerMeter {
  public:
   ExternalPowerMeter(const PlatformLoadParams& params, util::Rng rng,
@@ -58,7 +62,7 @@ class ExternalPowerMeter {
 
  private:
   PlatformLoadParams params_;
-  util::Rng rng_;
+  util::NormalStream noise_;
   double noise_fraction_;
 };
 

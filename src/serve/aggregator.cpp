@@ -44,22 +44,6 @@ void FleetAggregate::fold_error() {
   ++failed_;
 }
 
-void FleetAggregate::merge(const FleetAggregate& other) {
-  devices_ += other.devices_;
-  failed_ += other.failed_;
-  completed_ += other.completed_;
-  runaway_ += other.runaway_;
-  violated_ += other.violated_;
-  energy_j_ += other.energy_j_;
-  violation_s_ += other.violation_s_;
-  simulated_time_s_ += other.simulated_time_s_;
-  peak_temp_c_.merge(other.peak_temp_c_);
-  exec_time_s_.merge(other.exec_time_s_);
-  avg_power_w_.merge(other.avg_power_w_);
-  peak_temp_sketch_.merge(other.peak_temp_sketch_);
-  exec_time_sketch_.merge(other.exec_time_sketch_);
-}
-
 JsonValue FleetAggregate::to_json() const {
   const std::uint64_t ran = devices_ - failed_;
   JsonValue json((JsonObject()));

@@ -8,9 +8,7 @@
 // both the serve path and the offline BatchRunner reference path, and
 // BatchRunner results are bit-identical to serial execution regardless of
 // worker count -- so the aggregate JSON is bit-identical across 1 vs N
-// workers and across server restarts. merge() exists for callers that
-// combine per-shard aggregates and is exact for counts/sums/min/max and
-// within sketch tolerance for percentiles.
+// workers and across server restarts.
 #pragma once
 
 #include <cstdint>
@@ -29,9 +27,6 @@ class FleetAggregate {
 
   /// Folds one failed slot (the run threw; there is no result to read).
   void fold_error();
-
-  /// Folds another aggregate in (exact except percentile sketches).
-  void merge(const FleetAggregate& other);
 
   std::uint64_t devices() const { return devices_; }
   std::uint64_t failed() const { return failed_; }

@@ -23,12 +23,4 @@ double PlatformView::max_big_temp_c() const {
   return best;
 }
 
-std::size_t PlatformView::hottest_big_core() const {
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < big_temps_c.size(); ++i) {
-    if (big_temps_c[i] > big_temps_c[best]) best = i;
-  }
-  return best;
-}
-
 }  // namespace dtpm::soc

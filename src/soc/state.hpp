@@ -64,8 +64,6 @@ struct PlatformView {
   SocConfig config;
 
   double max_big_temp_c() const;
-  /// Index of the hottest big core.
-  std::size_t hottest_big_core() const;
 };
 
 }  // namespace dtpm::soc

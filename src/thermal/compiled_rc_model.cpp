@@ -164,29 +164,6 @@ unsigned CompiledRcModel::substeps_for(double dt_s) const {
   return static_cast<unsigned>(std::ceil(dt_s / max_substep_s_));
 }
 
-void CompiledRcModel::derivative(const double* temps, const double* power_w,
-                                 double* dtemps_out) const {
-  const std::size_t n = node_count_;
-  std::fill(dtemps_out, dtemps_out + n, 0.0);
-  const std::size_t* ea = edge_a_.data();
-  const std::size_t* eb = edge_b_.data();
-  const double* eg = edge_g_.data();
-  const std::size_t edge_count = edge_g_.size();
-  for (std::size_t e = 0; e < edge_count; ++e) {
-    const double flow = eg[e] * (temps[eb[e]] - temps[ea[e]]);
-    dtemps_out[ea[e]] += flow;
-    dtemps_out[eb[e]] -= flow;
-  }
-  const double* cap = capacitance_.data();
-  for (std::size_t fi = 0; fi < free_nodes_.size(); ++fi) {
-    const std::size_t i = free_nodes_[fi];
-    dtemps_out[i] = (dtemps_out[i] + power_w[i]) / cap[i];
-  }
-  for (std::size_t bi = 0; bi < boundary_nodes_.size(); ++bi) {
-    dtemps_out[boundary_nodes_[bi]] = 0.0;
-  }
-}
-
 template <bool kContiguous, bool kAccumulate>
 inline __attribute__((always_inline)) void CompiledRcModel::stage(
     const double* read, const double* power_w, const double* base,

@@ -76,11 +76,6 @@ class CompiledRcModel {
   /// propagator built for the same dt reproduces the subdivision exactly.
   unsigned substeps_for(double dt_s) const;
 
-  /// dT/dt into `dtemps_out`; boundary nodes read 0. All three arrays have
-  /// node_count() elements. Bit-identical to the reference edge-list sweep.
-  void derivative(const double* temps, const double* power_w,
-                  double* dtemps_out) const;
-
   /// Advances `temps` (node_count() elements) by dt_s seconds of RK4,
   /// internally subdivided by the cached stability bound.
   /// @throws std::invalid_argument if dt_s <= 0.

@@ -7,7 +7,7 @@ namespace dtpm::thermal {
 
 TempSensorBank::TempSensorBank(std::vector<std::size_t> observed_nodes,
                                const TempSensorParams& params, util::Rng rng)
-    : observed_nodes_(std::move(observed_nodes)), params_(params), rng_(rng) {
+    : observed_nodes_(std::move(observed_nodes)), params_(params), noise_(rng) {
   if (observed_nodes_.empty()) {
     throw std::invalid_argument("TempSensorBank: no observed nodes");
   }
@@ -29,7 +29,8 @@ void TempSensorBank::read_into(const std::vector<double>& true_temps_c,
     if (node >= true_temps_c.size()) {
       throw std::invalid_argument("TempSensorBank: node index out of range");
     }
-    double reading = true_temps_c[node] + rng_.gaussian(0.0, params_.noise_stddev_c);
+    double reading =
+        true_temps_c[node] + noise_.gaussian(0.0, params_.noise_stddev_c);
     if (params_.quantization_c > 0.0) {
       reading = std::round(reading / params_.quantization_c) * params_.quantization_c;
     }

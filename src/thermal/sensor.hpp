@@ -21,7 +21,9 @@ inline bool operator==(const TempSensorParams& a, const TempSensorParams& b) {
          a.noise_stddev_c == b.noise_stddev_c;
 }
 
-/// Samples true node temperatures into sensor readings.
+/// Samples true node temperatures into sensor readings. The noise comes from
+/// a private util::NormalStream, drawn a block at a time; a noise-free bank
+/// (noise_stddev_c == 0) never draws from it.
 class TempSensorBank {
  public:
   TempSensorBank(std::vector<std::size_t> observed_nodes,
@@ -39,7 +41,7 @@ class TempSensorBank {
  private:
   std::vector<std::size_t> observed_nodes_;
   TempSensorParams params_;
-  util::Rng rng_;
+  util::NormalStream noise_;
 };
 
 }  // namespace dtpm::thermal

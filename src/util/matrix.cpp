@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <ostream>
 #include <stdexcept>
 #include <utility>
 
@@ -312,17 +311,6 @@ bool Matrix::approx_equal(const Matrix& other, double tolerance) const {
     if (std::fabs(data_[i] - other.data_[i]) > tolerance) return false;
   }
   return true;
-}
-
-std::ostream& operator<<(std::ostream& os, const Matrix& m) {
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    os << (i == 0 ? "[" : " ");
-    for (std::size_t j = 0; j < m.cols(); ++j) {
-      os << m(i, j) << (j + 1 < m.cols() ? ", " : "");
-    }
-    os << (i + 1 < m.rows() ? ";\n" : "]");
-  }
-  return os;
 }
 
 }  // namespace dtpm::util

@@ -6,7 +6,6 @@
 #include <cassert>
 #include <cstddef>
 #include <initializer_list>
-#include <iosfwd>
 #include <vector>
 
 namespace dtpm::util {
@@ -127,7 +126,5 @@ class Matrix {
   std::size_t cols_ = 0;
   std::vector<double> data_;
 };
-
-std::ostream& operator<<(std::ostream& os, const Matrix& m);
 
 }  // namespace dtpm::util

@@ -78,25 +78,49 @@ class Mt19937_64 {
   std::size_t next_ = kStateSize;
 };
 
+/// `w` as a double, rounded to nearest-even exactly as static_cast<double>
+/// rounds it. At baseline x86-64 that cast branches on the word's top bit
+/// (there is no unsigned conversion instruction), a branch that mispredicts
+/// about half the time on random words. Here each 32-bit half converts
+/// exactly through the signed instruction, hi * 2^32 stays exact, and the
+/// sum rounds once -- to the same double.
+inline double u64_to_double(std::uint64_t w) {
+  return double(std::int64_t(w >> 32)) * 0x1p32 +
+         double(std::int64_t(w & 0xffffffffu));
+}
+
+/// std::generate_canonical<double, 53> over one 64-bit engine word: `w`
+/// scaled into [0, 1), clamped below 1 exactly as libstdc++ clamps a word
+/// that rounds up to 2^64.
+inline double canonical_from_word(std::uint64_t w) {
+  constexpr double kTwo64 = 18446744073709551616.0;  // 2^64
+  const double ret = u64_to_double(w) / kTwo64;
+  return ret >= 1.0 ? std::nextafter(1.0, 0.0) : ret;
+}
+
 /// Thin wrapper over Mt19937_64 with convenience draws. Every stochastic
 /// component in the library takes an explicit Rng (or a seed) so that whole
 /// experiments replay bit-identically; there is no hidden global state.
-/// uniform(), uniform_int() and bernoulli() are the libstdc++ distributions
-/// over the engine, so every draw matches the same draw over
-/// std::mt19937_64.
+/// uniform() and bernoulli() return the same values as the libstdc++
+/// distributions over the engine, computed through canonical() as libstdc++
+/// computes them for a 64-bit engine (canonical() * (hi - lo) + lo and
+/// canonical() < p); uniform_int() is the libstdc++ distribution itself. So
+/// every draw matches the same draw over std::mt19937_64.
 ///
 /// gaussian() is a hand-rolled Marsaglia polar transform that reproduces,
 /// bit for bit, the sequence a fresh libstdc++ std::normal_distribution
 /// produces per call -- the sequence every golden trace was recorded
-/// against -- without constructing a distribution object per draw. The
-/// bit-compat contract is pinned by tests/test_rng_gaussian.cpp.
+/// against -- without constructing a distribution object per draw.
+/// NormalStream draws the same deviates a block at a time through the same
+/// rejection and transform steps. The bit-compat contract is pinned by
+/// tests/test_rng_gaussian.cpp.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x5eed5eedULL) : engine_(seed) {}
 
   /// Uniform double in [lo, hi).
   double uniform(double lo = 0.0, double hi = 1.0) {
-    return std::uniform_real_distribution<double>(lo, hi)(engine_);
+    return canonical() * (hi - lo) + lo;
   }
 
   /// Gaussian with the given mean and standard deviation. stddev <= 0
@@ -104,18 +128,11 @@ class Rng {
   /// noise-free, and must not perturb the stream other draws replay from).
   double gaussian(double mean = 0.0, double stddev = 1.0) {
     if (stddev <= 0.0) return mean;
-    // Marsaglia polar rejection, operation for operation the libstdc++
-    // std::normal_distribution one (bits/random.tcc), so the engine stream
-    // advances identically. The companion deviate x * mult is discarded,
-    // as a fresh distribution object per call discards it.
-    double x, y, r2;
+    PolarPoint p;
     do {
-      x = 2.0 * canonical() - 1.0;
-      y = 2.0 * canonical() - 1.0;
-      r2 = x * x + y * y;
-    } while (r2 > 1.0 || r2 == 0.0);
-    const double mult = std::sqrt(-2.0 * std::log(r2) / r2);
-    return y * mult * stddev + mean;
+      p = polar_candidate();
+    } while (!polar_accepts(p.r2));
+    return polar_deviate(p.y, p.r2) * stddev + mean;
   }
 
   /// Uniform integer in [lo, hi] inclusive.
@@ -124,9 +141,7 @@ class Rng {
   }
 
   /// Bernoulli draw with probability p of true.
-  bool bernoulli(double p) {
-    return std::bernoulli_distribution(p)(engine_);
-  }
+  bool bernoulli(double p) { return canonical() < p; }
 
   /// Derives an independent child stream; used to give each subsystem its own
   /// stream so adding draws to one does not perturb another.
@@ -135,17 +150,91 @@ class Rng {
   Mt19937_64& engine() { return engine_; }
 
  private:
-  /// One draw of std::generate_canonical<double, 53>(Mt19937_64): a single
-  /// engine word scaled into [0, 1), clamped below 1 exactly as libstdc++
-  /// does when the word rounds up to 2^64.
-  double canonical() {
-    constexpr double kTwo64 = 18446744073709551616.0;  // 2^64
-    double ret = double(engine_()) / kTwo64;
-    if (ret >= 1.0) ret = std::nextafter(1.0, 0.0);
-    return ret;
+  friend class NormalStream;
+
+  /// A candidate point of the polar method: y and r2 = x^2 + y^2.
+  struct PolarPoint {
+    double y;
+    double r2;
+  };
+
+  /// One draw of std::generate_canonical<double, 53>(Mt19937_64).
+  double canonical() { return canonical_from_word(engine_()); }
+
+  /// One candidate point of Marsaglia's polar method. Drawing candidates
+  /// until polar_accepts() is, operation for operation, the libstdc++
+  /// std::normal_distribution rejection loop (bits/random.tcc), so the
+  /// engine stream advances identically. The companion deviate x * mult is
+  /// discarded, as a fresh distribution object per call discards it.
+  PolarPoint polar_candidate() {
+    const double x = 2.0 * canonical() - 1.0;
+    const double y = 2.0 * canonical() - 1.0;
+    return {y, x * x + y * y};
+  }
+
+  /// The rejection test, r2 in (0, 1]. `|`, not `||`: NormalStream's
+  /// refill then advances its slot without branching on the outcome.
+  static bool polar_accepts(double r2) {
+    return !((r2 > 1.0) | (r2 == 0.0));
+  }
+
+  /// The standard-normal deviate of an accepted point: y * mult.
+  static double polar_deviate(double y, double r2) {
+    return y * std::sqrt(-2.0 * std::log(r2) / r2);
   }
 
   Mt19937_64 engine_;
+};
+
+/// Standard-normal deviates from a private Rng, drawn kBlock at a time: the
+/// sensor banks' noise source. A refill runs the polar rejection loop for
+/// the whole block first and the transform second, so the block's
+/// independent log/div/sqrt chains overlap instead of each waiting behind
+/// its own rejection loop. The deviates are the ones Rng::gaussian would
+/// draw from the same Rng, in the same order; drawing ahead changes no value
+/// because nothing else reads the stream. A run leaves at most one block's
+/// unread tail behind.
+class NormalStream {
+ public:
+  /// Odd, so a bank reading k deviates per control interval refills on a
+  /// pattern that repeats every 63 / gcd(63, k) intervals, an odd number:
+  /// perfbench's every-8th-interval timing sample then meets refills at
+  /// their average rate. 63 doubles is 504 bytes per bank.
+  static constexpr std::size_t kBlock = 63;
+
+  explicit NormalStream(Rng rng) : rng_(rng) {}
+
+  /// Rng::gaussian's contract on the next deviate: stddev <= 0 returns the
+  /// mean without touching the stream, else z * stddev + mean.
+  double gaussian(double mean, double stddev) {
+    if (stddev <= 0.0) return mean;
+    if (next_ == kBlock) refill();
+    return block_[next_++] * stddev + mean;
+  }
+
+ private:
+  /// Tests read the engine to check where a refill left it.
+  friend struct NormalStreamTestPeer;
+
+  /// Candidates land at the next free slot, which advances only on
+  /// acceptance: the rejection loop has no data-dependent branch.
+  void refill() {
+    std::array<double, kBlock> r2{};
+    for (std::size_t n = 0; n < kBlock;) {
+      const Rng::PolarPoint p = rng_.polar_candidate();
+      block_[n] = p.y;
+      r2[n] = p.r2;
+      n += Rng::polar_accepts(p.r2);
+    }
+    for (std::size_t i = 0; i < kBlock; ++i) {
+      block_[i] = Rng::polar_deviate(block_[i], r2[i]);
+    }
+    next_ = 0;
+  }
+
+  Rng rng_;
+  std::array<double, kBlock> block_{};
+  std::size_t next_ = kBlock;
 };
 
 }  // namespace dtpm::util

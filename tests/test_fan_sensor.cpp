@@ -86,9 +86,10 @@ TEST(TempSensor, ObservesRequestedNodesInOrder) {
 }
 
 TEST(TempSensor, NoiseFreeBankDrawsZerosWithoutConsumingTheStream) {
-  // stddev <= 0 makes Rng::gaussian return the 0 mean without touching the
-  // engine (pinned in test_rng_gaussian.cpp), so every read of a noise-free
-  // bank is the exact truth, however many reads came before.
+  // stddev <= 0 makes the bank's NormalStream return the 0 mean without
+  // refilling or touching its engine (pinned in test_rng_gaussian.cpp), so
+  // every read of a noise-free bank is the exact truth, however many reads
+  // came before.
   TempSensorParams params;
   params.noise_stddev_c = 0.0;
   params.quantization_c = 0.0;  // nothing may round a stray draw away
@@ -112,8 +113,8 @@ TEST(TempSensor, Validation) {
 }
 
 // A NaN parameter slips past a bare `< 0` check and makes every reading NaN
-// (Rng::gaussian draws when `stddev <= 0` is false); infinities are no
-// sensor either.
+// (NormalStream::gaussian draws when `stddev <= 0` is false); infinities
+// are no sensor either.
 TEST(TempSensor, RejectsNonFiniteParameters) {
   for (const double v : {std::nan(""), std::numeric_limits<double>::infinity(),
                          -std::numeric_limits<double>::infinity()}) {

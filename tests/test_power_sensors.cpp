@@ -43,6 +43,21 @@ TEST(PowerSensorBank, NoiseUnbiasedOnAverage) {
   EXPECT_NEAR(sum / n, 2.0, 0.002);
 }
 
+TEST(PowerSensorBank, NoiseFreeBankDrawsZerosWithoutConsumingTheStream) {
+  // noise_fraction == 0 makes the bank's NormalStream return the 0 mean
+  // without refilling or touching its engine (pinned in
+  // test_rng_gaussian.cpp), so every read is the exact truth, across as many
+  // reads as three noise blocks would serve.
+  PowerSensorParams params;
+  params.noise_fraction = 0.0;
+  params.quantization_w = 0.0;  // nothing may round a stray draw away
+  PowerSensorBank bank(params, util::Rng(9));
+  const ResourceVector truth{1.23456, 0.0004, 0.5, 2.0};
+  for (std::size_t i = 0; i < 3 * util::NormalStream::kBlock; ++i) {
+    ASSERT_EQ(bank.read(truth), truth) << "read " << i;
+  }
+}
+
 TEST(PowerSensorBank, NegativeParamsThrow) {
   PowerSensorParams bad;
   bad.noise_fraction = -0.1;
@@ -50,8 +65,8 @@ TEST(PowerSensorBank, NegativeParamsThrow) {
 }
 
 // A NaN parameter slips past a bare `< 0` check and makes every reading NaN
-// (Rng::gaussian draws when `stddev <= 0` is false); infinities are no
-// sensor either.
+// (NormalStream::gaussian draws when `stddev <= 0` is false); infinities
+// are no sensor either.
 TEST(PowerSensorBank, NonFiniteParamsThrow) {
   for (const double v : {std::nan(""), std::numeric_limits<double>::infinity(),
                          -std::numeric_limits<double>::infinity()}) {
@@ -81,6 +96,19 @@ TEST(ExternalPowerMeter, FanPowerVisibleOnlyAtTheMeter) {
   ExternalPowerMeter meter(loads, util::Rng(1), 0.0);
   const ResourceVector rails{1.0, 0.1, 0.2, 0.3};
   EXPECT_NEAR(meter.read(rails, 0.55) - meter.read(rails, 0.0), 0.55, 1e-12);
+}
+
+TEST(ExternalPowerMeter, NoiseFreeMeterDrawsZerosWithoutConsumingTheStream) {
+  // As for the rail bank: a zero noise fraction never touches the meter's
+  // NormalStream, so the reading is the exact platform sum on every read.
+  PlatformLoadParams loads;
+  ExternalPowerMeter meter(loads, util::Rng(9), /*noise_fraction=*/0.0);
+  const ResourceVector rails{1.0, 0.1, 0.2, 0.3};
+  const double truth =
+      total(rails) + 0.55 + loads.board_base_w + loads.display_w;
+  for (std::size_t i = 0; i < 3 * util::NormalStream::kBlock; ++i) {
+    ASSERT_EQ(meter.read(rails, 0.55), truth) << "read " << i;
+  }
 }
 
 TEST(ExternalPowerMeter, NegativeNoiseThrows) {

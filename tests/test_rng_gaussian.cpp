@@ -1,22 +1,35 @@
-// Pins the hand-rolled Rng::gaussian() to the libstdc++ sequence the golden
+// Pins both Gaussian paths -- the one-off Rng::gaussian() and the sensor
+// banks' block-drawn NormalStream -- to the libstdc++ sequence the golden
 // traces were recorded against: a fresh std::normal_distribution per call
 // over the same mt19937_64 must produce bit-identical deviates AND leave
-// the engine in a bit-identical state, across means, stddevs and long
-// interleaved sequences. If this ever fails on a new standard library, the
-// golden traces -- not this implementation -- are what changed meaning.
+// the engine in a bit-identical state, across means, stddevs, block
+// boundaries and long interleaved sequences. If this ever fails on a new
+// standard library, the golden traces -- not this implementation -- are
+// what changed meaning.
 //
 // The engine itself is pinned the same way: Rng's raw words, discard(),
-// and every convenience draw must equal std::mt19937_64 and the libstdc++
-// distributions over it, the stream every golden was recorded against.
+// the word-to-double conversion and every convenience draw must equal
+// std::mt19937_64 and the libstdc++ distributions over it, the stream every
+// golden was recorded against.
 #include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <random>
 
 namespace dtpm::util {
+
+/// Reads a NormalStream's private engine, to check where a block refill
+/// left it.
+struct NormalStreamTestPeer {
+  static Mt19937_64& engine(NormalStream& stream) {
+    return stream.rng_.engine();
+  }
+};
+
 namespace {
 
 TEST(RngGaussian, BitIdenticalToFreshNormalDistributionPerCall) {
@@ -35,12 +48,47 @@ TEST(RngGaussian, BitIdenticalToFreshNormalDistributionPerCall) {
   ASSERT_EQ(rng.engine()(), reference());
 }
 
+TEST(RngGaussian, BlockStreamBitIdenticalToFreshNormalDistributionPerCall) {
+  // n is not a multiple of the block, so the stream ends mid-block, having
+  // drawn ceil(n / kBlock) whole blocks ahead of the reader.
+  constexpr std::size_t kBlock = NormalStream::kBlock;
+  constexpr std::size_t n = 40 * kBlock + 17;
+  NormalStream stream{Rng(12345)};
+  std::mt19937_64 reference(12345);
+  const double means[] = {0.0, -3.5, 42.0};
+  const double stddevs[] = {1.0, 0.2, 1e-3, 7.5};
+  for (std::size_t i = 0; i < n; ++i) {
+    const double mean = means[i % 3];
+    const double stddev = stddevs[i % 4];
+    const double want =
+        std::normal_distribution<double>(mean, stddev)(reference);
+    ASSERT_EQ(stream.gaussian(mean, stddev), want) << "draw " << i;
+  }
+  // The engine stands where the reference stands after the whole last block.
+  for (std::size_t i = n; i < 41 * kBlock; ++i) {
+    std::normal_distribution<double>()(reference);
+  }
+  ASSERT_EQ(NormalStreamTestPeer::engine(stream)(), reference());
+}
+
 TEST(RngGaussian, ZeroStddevReturnsMeanWithoutConsumingTheEngine) {
   Rng rng(7);
   const std::uint64_t before = Rng(7).engine()();
   EXPECT_EQ(rng.gaussian(5.0, 0.0), 5.0);
   EXPECT_EQ(rng.gaussian(5.0, -1.0), 5.0);
   EXPECT_EQ(rng.engine()(), before);
+
+  // The block stream neither refills nor advances its reader on stddev <= 0,
+  // so the deviates around such calls are the ones a noisy-only reader sees.
+  NormalStream stream{Rng(7)};
+  EXPECT_EQ(stream.gaussian(5.0, 0.0), 5.0);
+  EXPECT_EQ(NormalStreamTestPeer::engine(stream)(), before);
+  NormalStream mixed{Rng(8)};
+  NormalStream noisy{Rng(8)};
+  for (std::size_t i = 0; i < 3 * NormalStream::kBlock; ++i) {
+    EXPECT_EQ(mixed.gaussian(5.0, -1.0), 5.0);
+    ASSERT_EQ(mixed.gaussian(0.0, 1.0), noisy.gaussian(0.0, 1.0)) << i;
+  }
 }
 
 const std::uint64_t kSeeds[] = {0, 1, 42,
@@ -71,6 +119,41 @@ TEST(RngEngine, DiscardMatchesStdMt19937_64) {
       ASSERT_EQ(rng.engine()(), reference()) << "seed " << seed << " n " << n;
     }
   }
+}
+
+/// A URBG that returns one fixed word: feeds std::generate_canonical the
+/// word under test.
+struct FixedWord {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type word;
+  result_type operator()() const { return word; }
+};
+
+TEST(RngEngine, WordConversionMatchesCastOnEdgeWords) {
+  constexpr std::uint64_t kTwo53 = std::uint64_t{1} << 53;
+  constexpr std::uint64_t kTwo63 = std::uint64_t{1} << 63;
+  const std::uint64_t words[] = {
+      0, 1, 2, 0xffffffffu, std::uint64_t{1} << 32, 0x1ffffffffu,
+      kTwo53 - 1, kTwo53, kTwo53 + 1,  // 2^53 + 1 rounds to even
+      kTwo63 - 1, kTwo63, kTwo63 + 1,
+      kTwo63 + (1u << 10),             // a tie: rounds down to even 2^63
+      kTwo63 + (3u << 10),             // a tie: rounds up to even
+      kTwo63 + (1u << 10) + 1,         // just past the tie: rounds up
+      ~std::uint64_t{0} - (1u << 9),   // rounds up to 2^64: clamps
+      ~std::uint64_t{0},               // rounds to 2^64: canonical clamps
+      0x0123456789abcdefULL, 0xfedcba9876543210ULL};
+  for (const std::uint64_t w : words) {
+    ASSERT_EQ(u64_to_double(w), static_cast<double>(w)) << std::hex << w;
+    FixedWord engine{w};
+    ASSERT_EQ(canonical_from_word(w),
+              (std::generate_canonical<double, 53>(engine)))
+        << std::hex << w;
+  }
+  // Random words never reach the clamp; 2^64 - 1 does.
+  EXPECT_EQ(canonical_from_word(~std::uint64_t{0}), std::nextafter(1.0, 0.0));
+  EXPECT_EQ(canonical_from_word(0), 0.0);
 }
 
 TEST(RngEngine, DrawsMatchLibstdcxxDistributions) {

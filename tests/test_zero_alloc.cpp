@@ -5,7 +5,10 @@
 // against regressions. The global operator new/delete overrides count every
 // allocation in the process; the measurement window spans 1000 control
 // intervals after 300 warm-up steps have grown every reusable buffer to its
-// high-water mark.
+// high-water mark. Each interval reads every sensor bank, and the slowest
+// to refill, the external meter, draws one deviate per interval from blocks
+// of util::NormalStream::kBlock = 63: the window crosses at least 15 refills
+// of every bank.
 //
 // This file must not be linked with other tests (each test binary is its
 // own executable here, so the global override is safe).
@@ -20,6 +23,7 @@
 #include "sim/engine.hpp"
 #include "sim/simulation.hpp"
 #include "sysid/leakage_fit.hpp"
+#include "util/rng.hpp"
 #include "workload/benchmark.hpp"
 
 namespace {
@@ -123,13 +127,18 @@ TEST_P(ZeroAllocationPerEngine, SteadyStateStepAllocatesNothing) {
     ASSERT_TRUE(sim.step()) << "run terminated during warm-up";
   }
 
+  constexpr int kSteps = 1000;
+  static_assert(kSteps >= 15 * int(util::NormalStream::kBlock),
+                "the window must cross a noise-block refill of every bank");
+  int stepped = 0;
   g_alloc_count.store(0);
   g_counting.store(true);
-  for (int s = 0; s < 1000; ++s) {
+  for (; stepped < kSteps; ++stepped) {
     if (!sim.step()) break;
   }
   g_counting.store(false);
 
+  EXPECT_EQ(stepped, kSteps) << "run terminated inside the window";
   EXPECT_EQ(g_alloc_count.load(), 0u)
       << "the steady-state Simulation::step() hot path heap-allocated; a "
          "write-into overload or scratch buffer regressed";
