@@ -18,7 +18,8 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.hpp"
+#include "sim/batch.hpp"
+#include "sim/calibration.hpp"
 #include "sim/invariant_checker.hpp"
 #include "sim/scenario_catalog.hpp"
 
@@ -42,8 +43,8 @@ int main(int argc, char** argv) {
   const int seed_count = argc > 1 ? std::atoi(argv[1]) : 3;
   const std::string csv_path =
       argc > 2 ? argv[2] : "scenario_catalog_summary.csv";
-  bench::print_header("Scenario catalog",
-                      "Procedural stress scenarios under invariant checking");
+  std::printf("Scenario catalog -- procedural stress scenarios under "
+              "invariant checking\n");
 
   const sim::ScenarioCatalog catalog = sim::ScenarioCatalog::standard();
   sim::ScenarioCatalog::Sweep sweep;
@@ -61,7 +62,7 @@ int main(int argc, char** argv) {
 
   std::vector<sim::BatchJob> jobs;
   for (const sim::ExperimentConfig& c : configs) {
-    jobs.push_back({c, &bench::shared_model()});
+    jobs.push_back({c, &sim::default_calibration().model});
   }
   const sim::BatchOutcome outcome =
       sim::BatchRunner().run_collecting(jobs);

@@ -50,9 +50,19 @@ TEST(Json, ObjectPreservesInsertionOrder) {
 TEST(Json, StringEscapes) {
   EXPECT_EQ(parsed(R"("a\"b\\c\/d\b\f\n\r\t")").as_string(),
             "a\"b\\c/d\b\f\n\r\t");
-  EXPECT_EQ(parsed(R"("Aé")").as_string(), "A\xc3\xa9");
-  // Astral plane via a UTF-16 surrogate pair: U+1F600.
-  EXPECT_EQ(parsed(R"("😀")").as_string(), "\xf0\x9f\x98\x80");
+  // \u escapes decode to 1-, 2-, 3- and 4-byte UTF-8; the last is U+1F600
+  // written as a UTF-16 surrogate pair.
+  EXPECT_EQ(parsed(R"("\u0041")").as_string(), "A");
+  EXPECT_EQ(parsed(R"("\u00e9")").as_string(), "\xc3\xa9");
+  EXPECT_EQ(parsed(R"("\u20ac")").as_string(), "\xe2\x82\xac");
+  EXPECT_EQ(parsed(R"("\ud83d\ude00")").as_string(),
+            "\xf0\x9f\x98\x80");
+  EXPECT_EQ(parsed(R"("x\u00e9\uD83D\uDE00y")").as_string(),
+            "x\xc3\xa9\xf0\x9f\x98\x80y");
+  // A control character is written as a \u escape and reads back.
+  const std::string control("a\x01z");
+  EXPECT_EQ(json_write(JsonValue(control)), R"("a\u0001z")");
+  EXPECT_EQ(parsed(json_write(JsonValue(control))).as_string(), control);
 }
 
 TEST(Json, RejectsBadEscapesAndSurrogates) {

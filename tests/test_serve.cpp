@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <sstream>
@@ -229,6 +230,24 @@ TEST(ServeProtocol, ServerStatusReportsQueueAndTelemetry) {
   EXPECT_GT(status->find("queue_capacity")->as_integer(), 0);
   EXPECT_NE(nullptr, status->find("jobs"));
   EXPECT_NE(nullptr, status->find("telemetry"));
+}
+
+TEST(ServeProtocol, StatusOfKnownFleetJob) {
+  // The status line may land while the job is queued, running or done;
+  // finished jobs stay in the table, so a reply always exists.
+  Server server(quiet_options());
+  const Session session = run_session(
+      server, std::string(R"({"op":"submit","job":"f1","fleet":)") +
+                  kFleetSpec + "}\n" + R"({"op":"status","job":"f1"})" "\n");
+  const util::JsonValue* status = find_reply(session, "status", "f1");
+  ASSERT_NE(nullptr, status);
+  EXPECT_EQ("fleet", status->find("kind")->as_string());
+  const std::string state = status->find("state")->as_string();
+  EXPECT_TRUE(state == "queued" || state == "running" || state == "done")
+      << state;
+  const std::uint64_t total = status->find("total")->as_unsigned();
+  EXPECT_EQ(30U, total);
+  EXPECT_LE(status->find("done")->as_unsigned(), total);
 }
 
 TEST(ServeProtocol, FleetJobShipsAggregate) {
