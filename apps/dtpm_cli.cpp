@@ -163,11 +163,6 @@ bool parse_options(const std::vector<std::string>& args, std::size_t start,
   return true;
 }
 
-/// Whether running `config` requires the identified platform model.
-bool needs_model(const sim::ExperimentConfig& config) {
-  return sim::needs_identified_model(config);
-}
-
 /// Whether the config document pinned the thermal constraint explicitly
 /// ($.dtpm.t_max_c, or $.base.dtpm.t_max_c / a dtpm_grid axis for sweeps).
 /// --platform must not clobber an explicit constraint: set_platform adopts
@@ -260,7 +255,7 @@ int run_command(const Options& options, std::ostream& out,
   if (options.smoke) sim::apply_smoke_caps(config);
 
   const sysid::IdentifiedPlatformModel* model = nullptr;
-  if (options.with_model || needs_model(config)) {
+  if (options.with_model || sim::needs_identified_model(config)) {
     if (!options.quiet) {
       out << "calibrating platform model ("
           << sim::resolved_platform_name(config) << ")...\n";
@@ -323,7 +318,9 @@ int sweep_command(const Options& options, std::ostream& out,
   std::vector<std::string> announced;
   auto model_for = [&](const sim::ExperimentConfig& config)
       -> const sysid::IdentifiedPlatformModel* {
-    if (!options.with_model && !needs_model(config)) return nullptr;
+    if (!options.with_model && !sim::needs_identified_model(config)) {
+      return nullptr;
+    }
     const std::string name = sim::resolved_platform_name(config);
     if (!options.quiet &&
         std::find(announced.begin(), announced.end(), name) ==
@@ -777,38 +774,27 @@ int list_command(const std::vector<std::string>& args, std::ostream& out,
     for (const std::string& name : names) out << name << '\n';
     return kOk;
   };
+  // A registry's names, each followed by its description under --long.
+  auto print_described = [&](const auto& registry) {
+    for (const std::string& name : registry.names()) {
+      out << name;
+      if (long_format) out << "  -  " << registry.description(name);
+      out << '\n';
+    }
+    return kOk;
+  };
 
   if (category == "policies") {
-    const governors::PolicyRegistry& registry =
-        governors::PolicyRegistry::instance();
-    for (const std::string& name : registry.names()) {
-      out << name;
-      if (long_format) out << "  -  " << registry.description(name);
-      out << '\n';
-    }
-    return kOk;
+    return print_described(governors::PolicyRegistry::instance());
   }
   if (category == "governors") {
-    const governors::GovernorRegistry& registry =
-        governors::GovernorRegistry::instance();
-    for (const std::string& name : registry.names()) {
-      out << name;
-      if (long_format) out << "  -  " << registry.description(name);
-      out << '\n';
-    }
-    return kOk;
+    return print_described(governors::GovernorRegistry::instance());
   }
   if (category == "scenarios") {
     return print_plain(sim::ScenarioCatalog::standard().family_names());
   }
   if (category == "platforms") {
-    const sim::PlatformRegistry& registry = sim::PlatformRegistry::instance();
-    for (const std::string& name : registry.names()) {
-      out << name;
-      if (long_format) out << "  -  " << registry.description(name);
-      out << '\n';
-    }
-    return kOk;
+    return print_described(sim::PlatformRegistry::instance());
   }
   if (category == "benchmarks") {
     return print_plain(workload::all_benchmark_names());

@@ -3,26 +3,10 @@
 #include <algorithm>
 #include <array>
 
-#include "thermal/compiled_rc_model.hpp"
-
 namespace dtpm::analysis {
-
-namespace {
 
 static_assert(soc::kHeatSourceCount == thermal::Floorplan::kHeatSourceCount,
               "the SoC's heat sources and the floorplan's heat nodes pair up");
-
-/// Position of `node` within free_nodes (ascending), or npos for boundary.
-std::size_t free_position(const std::vector<std::size_t>& free_nodes,
-                          std::size_t node) {
-  const auto it = std::lower_bound(free_nodes.begin(), free_nodes.end(), node);
-  if (it == free_nodes.end() || *it != node) {
-    return static_cast<std::size_t>(-1);
-  }
-  return std::size_t(it - free_nodes.begin());
-}
-
-}  // namespace
 
 CoupledPowerModel::CoupledPowerModel(const thermal::Floorplan& floorplan,
                                      const soc::Soc& soc)
@@ -43,17 +27,18 @@ void CoupledPowerModel::node_power(const std::vector<double>& temps_c,
 
 util::Matrix CoupledPowerModel::free_power_jacobian(
     const std::vector<double>& temps_c) const {
-  const auto& free_nodes = floorplan_.network.compiled().free_nodes();
+  const thermal::RcNetwork& network = floorplan_.network;
+  const std::size_t n = network.free_nodes().size();
   const auto at = [&](std::size_t i) { return temps_c[heat_nodes_[i]]; };
   const soc::HeatJacobian source_jacobian = soc_.heat_jacobian(
       {at(0), at(1), at(2), at(3)}, at(4), at(5), at(6));
   std::array<std::size_t, soc::kHeatSourceCount> pos{};
   for (std::size_t i = 0; i < pos.size(); ++i) {
-    pos[i] = free_position(free_nodes, heat_nodes_[i]);
+    pos[i] = network.free_slot(heat_nodes_[i]);
   }
   // Heat nodes are distinct (validate_floorplan_spec), so each source pair
   // owns one entry.
-  util::Matrix j(free_nodes.size(), free_nodes.size());
+  util::Matrix j(n, n);
   for (std::size_t r = 0; r < pos.size(); ++r) {
     for (std::size_t c = 0; c < pos.size(); ++c) {
       j(pos[r], pos[c]) = source_jacobian[r][c];
@@ -64,32 +49,12 @@ util::Matrix CoupledPowerModel::free_power_jacobian(
 
 StabilityReport analyze_stability(const thermal::Floorplan& floorplan,
                                   const CoupledPowerModel& model) {
-  const thermal::CompiledRcModel& compiled = floorplan.network.compiled();
-  const auto& free_nodes = compiled.free_nodes();
+  const thermal::RcNetwork& network = floorplan.network;
+  const auto& free_nodes = network.free_nodes();
   const std::size_t n = free_nodes.size();
+  const util::Matrix g = network.free_conductance_matrix();
 
-  // Conductance matrix reduced to the free nodes: boundary couplings only
-  // contribute to the diagonal (their fixed temperatures are inputs, not
-  // states).
-  util::Matrix g(n, n);
-  for (std::size_t e = 0; e < compiled.edge_count(); ++e) {
-    const double cond = compiled.edge_conductance(e);
-    const std::size_t a = compiled.edge_node_a(e);
-    const std::size_t b = compiled.edge_node_b(e);
-    const std::size_t pa = free_position(free_nodes, a);
-    const std::size_t pb = free_position(free_nodes, b);
-    const bool a_free = pa != static_cast<std::size_t>(-1);
-    const bool b_free = pb != static_cast<std::size_t>(-1);
-    if (a_free) g(pa, pa) += cond;
-    if (b_free) g(pb, pb) += cond;
-    if (a_free && b_free) {
-      g(pa, pb) -= cond;
-      g(pb, pa) -= cond;
-    }
-  }
-
-  const util::Matrix j =
-      model.free_power_jacobian(floorplan.network.temperatures_c());
+  const util::Matrix j = model.free_power_jacobian(network.temperatures_c());
 
   StabilityReport report;
   // Loop gain of the leakage-temperature feedback: rho(G^-1 J). G^-1 is
@@ -104,7 +69,7 @@ StabilityReport analyze_stability(const thermal::Floorplan& floorplan,
   util::Matrix a(n, n);
   double shift = 0.0;
   for (std::size_t r = 0; r < n; ++r) {
-    const double inv_c = 1.0 / compiled.capacitance_j_per_k(free_nodes[r]);
+    const double inv_c = 1.0 / network.node(free_nodes[r]).capacitance_j_per_k;
     for (std::size_t c = 0; c < n; ++c) {
       a(r, c) = inv_c * (-g(r, c) + j(r, c));
     }

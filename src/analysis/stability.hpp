@@ -49,7 +49,7 @@ class CoupledPowerModel {
                   std::vector<double>& node_power_w);
 
   /// Leakage Jacobian dP/dT restricted to the free nodes, ordered like
-  /// CompiledRcModel::free_nodes().
+  /// RcNetwork::free_nodes().
   util::Matrix free_power_jacobian(const std::vector<double>& temps_c) const;
 
  private:

@@ -79,7 +79,7 @@ void lint_floorplan(const thermal::FloorplanSpec& spec,
   // capacitance is unused (its temperature is pinned), so only heat-bearing
   // nodes are held to it.
   for (std::size_t i = 0; i < spec.nodes.size(); ++i) {
-    const thermal::FloorplanNodeSpec& node = spec.nodes[i];
+    const thermal::ThermalNode& node = spec.nodes[i];
     if (!node.is_boundary && node.capacitance_j_per_k <= 0.0) {
       sink.error("L103",
                  path + ".nodes[" + std::to_string(i) + "].capacitance_j_per_k",

@@ -202,7 +202,7 @@ sim::PlatformPtr FleetMaterializer::descriptor_for(
     // idles 10 C hotter throughout). Name and physics are untouched, so
     // labels and calibration still identify the platform.
     auto shifted = std::make_shared<sim::PlatformDescriptor>(*nominal);
-    for (thermal::FloorplanNodeSpec& node : shifted->floorplan.nodes) {
+    for (thermal::ThermalNode& node : shifted->floorplan.nodes) {
       if (node.is_boundary) {
         node.initial_temp_c = device.ambient_c;
       } else {

@@ -643,8 +643,8 @@ bool keep(const power::Opp& opp, const std::string& path,
 }
 
 template <>
-Table<thermal::FloorplanNodeSpec> make_fields() {
-  using N = thermal::FloorplanNodeSpec;
+Table<thermal::ThermalNode> make_fields() {
+  using N = thermal::ThermalNode;
   return {
       text<&N::name>("name"),
       number<&N::capacitance_j_per_k>("capacitance_j_per_k", 1e-9, 1e9),
@@ -881,7 +881,7 @@ void floorplan_into(thermal::FloorplanSpec& spec, const JsonValue& json,
                                "a floorplan requires a 'nodes' array",
                                "node objects"),
                 path + ".nodes", sink, spec.nodes,
-                [&](const thermal::FloorplanNodeSpec& node,
+                [&](const thermal::ThermalNode& node,
                     const std::string& node_path) {
                   if (!node.name.empty()) return true;
                   sink.error(kCodeConstraint, node_path,
@@ -893,7 +893,7 @@ void floorplan_into(thermal::FloorplanSpec& spec, const JsonValue& json,
   // "$.platform.floorplan.edges[3].a: unknown node 'big9'" beats a
   // whole-floorplan error.
   std::vector<std::string> node_names;
-  for (const thermal::FloorplanNodeSpec& node : spec.nodes) {
+  for (const thermal::ThermalNode& node : spec.nodes) {
     node_names.push_back(node.name);
   }
   read_elements(required_array(reader, "edges",

@@ -30,11 +30,6 @@ TraceRecorder::TraceRecorder(bool enabled) {
   if (enabled) table_.emplace(column_names());
 }
 
-void TraceRecorder::record(const TraceSample& s) {
-  std::vector<double> row;
-  record(s, row);
-}
-
 void TraceRecorder::record(const TraceSample& s,
                            std::vector<double>& row_scratch) {
   if (!table_) return;

@@ -53,11 +53,8 @@ class TraceRecorder {
 
   bool enabled() const { return table_.has_value(); }
 
-  /// Serializes one sample into a row; no-op when recording is disabled.
-  void record(const TraceSample& sample);
-
-  /// Variant serializing through a caller-owned row buffer (StepBuffers
-  /// scratch), halving the per-row allocations on the hot path.
+  /// Serializes one sample into a row through a caller-owned row buffer
+  /// (StepBuffers scratch); no-op when recording is disabled.
   void record(const TraceSample& sample, std::vector<double>& row_scratch);
 
   /// Hands the accumulated table to the RunResult (empty when disabled).

@@ -41,7 +41,7 @@ std::size_t resolve(const std::unordered_map<std::string, std::size_t>& map,
 }  // namespace
 
 double FloorplanSpec::ambient_temp_c() const {
-  for (const FloorplanNodeSpec& node : nodes) {
+  for (const ThermalNode& node : nodes) {
     if (node.is_boundary) return node.initial_temp_c;
   }
   throw std::logic_error("FloorplanSpec: no boundary (ambient) node");
@@ -66,7 +66,7 @@ FloorplanSpec::heat_source_roles() const {
   return roles;
 }
 
-bool operator==(const FloorplanNodeSpec& a, const FloorplanNodeSpec& b) {
+bool operator==(const ThermalNode& a, const ThermalNode& b) {
   return a.name == b.name && a.capacitance_j_per_k == b.capacitance_j_per_k &&
          a.initial_temp_c == b.initial_temp_c &&
          a.is_boundary == b.is_boundary;
@@ -89,7 +89,7 @@ void validate_floorplan_spec(const FloorplanSpec& spec) {
   const auto map = node_index_map(spec);
 
   std::size_t boundary_count = 0;
-  for (const FloorplanNodeSpec& node : spec.nodes) {
+  for (const ThermalNode& node : spec.nodes) {
     if (node.is_boundary) ++boundary_count;
   }
   if (boundary_count != 1) {
@@ -154,17 +154,6 @@ Floorplan build_floorplan(const FloorplanSpec& spec) {
   validate_floorplan_spec(spec);
   const auto map = node_index_map(spec);
 
-  std::vector<ThermalNode> nodes;
-  nodes.reserve(spec.nodes.size());
-  for (const FloorplanNodeSpec& n : spec.nodes) {
-    ThermalNode node;
-    node.name = n.name;
-    node.capacitance_j_per_k = n.capacitance_j_per_k;
-    node.initial_temp_c = n.initial_temp_c;
-    node.is_boundary = n.is_boundary;
-    nodes.push_back(std::move(node));
-  }
-
   std::vector<ThermalEdge> edges;
   edges.reserve(spec.edges.size());
   std::size_t fan_edge = Floorplan::kNoFanEdge;
@@ -188,7 +177,7 @@ Floorplan build_floorplan(const FloorplanSpec& spec) {
   for (const std::string& name : spec.sensor_nodes) {
     sensor_index.push_back(map.at(name));
   }
-  return Floorplan{RcNetwork(std::move(nodes), std::move(edges)),
+  return Floorplan{RcNetwork(spec.nodes, std::move(edges)),
                    fan_edge,
                    spec,
                    std::move(core_index),
@@ -212,27 +201,20 @@ Floorplan::HeatNodes Floorplan::heat_nodes() const {
 
 FloorplanSpec default_floorplan_spec(const FloorplanParams& p) {
   FloorplanSpec spec;
-  spec.nodes.resize(kFloorplanNodeCount);
-  auto set = [&](FloorplanNode n, const char* name, double cap,
+  auto add = [&](const char* name, double cap, double initial_temp_c,
                  bool boundary = false) {
-    FloorplanNodeSpec& node = spec.nodes[node_index(n)];
-    node.name = name;
-    node.capacitance_j_per_k = cap;
-    node.initial_temp_c = boundary ? p.ambient_temp_c : p.initial_temp_c;
-    node.is_boundary = boundary;
+    spec.nodes.push_back({name, cap, initial_temp_c, boundary});
   };
-  set(FloorplanNode::kBig0, "big0", p.big_core_capacitance);
-  set(FloorplanNode::kBig1, "big1", p.big_core_capacitance);
-  set(FloorplanNode::kBig2, "big2", p.big_core_capacitance);
-  set(FloorplanNode::kBig3, "big3", p.big_core_capacitance);
-  set(FloorplanNode::kLittleCluster, "little", p.little_cluster_capacitance);
-  set(FloorplanNode::kGpu, "gpu", p.gpu_capacitance);
-  set(FloorplanNode::kMem, "mem", p.mem_capacitance);
-  set(FloorplanNode::kCase, "case", p.case_capacitance);
-  set(FloorplanNode::kBoard, "board", p.board_capacitance);
-  spec.nodes[node_index(FloorplanNode::kBoard)].initial_temp_c =
-      p.board_initial_temp_c;
-  set(FloorplanNode::kAmbient, "ambient", 1.0, /*boundary=*/true);
+  add("big0", p.big_core_capacitance, p.initial_temp_c);
+  add("big1", p.big_core_capacitance, p.initial_temp_c);
+  add("big2", p.big_core_capacitance, p.initial_temp_c);
+  add("big3", p.big_core_capacitance, p.initial_temp_c);
+  add("little", p.little_cluster_capacitance, p.initial_temp_c);
+  add("gpu", p.gpu_capacitance, p.initial_temp_c);
+  add("mem", p.mem_capacitance, p.initial_temp_c);
+  add("case", p.case_capacitance, p.initial_temp_c);
+  add("board", p.board_capacitance, p.board_initial_temp_c);
+  add("ambient", 1.0, p.ambient_temp_c, /*boundary=*/true);
 
   auto link = [&](const char* a, const char* b, double g,
                   bool fan_modulated = false) {

@@ -22,31 +22,6 @@
 
 namespace dtpm::thermal {
 
-/// Fixed node ordering of the default floorplan. The DTPM stack's reduced
-/// model only ever sees Big0..Big3; LittleCluster/Gpu/Mem appear as power
-/// inputs, and Case/Ambient are entirely hidden (they are the unmodeled slow
-/// pole that makes identification realistic).
-enum class FloorplanNode : std::size_t {
-  kBig0 = 0,
-  kBig1,
-  kBig2,
-  kBig3,
-  kLittleCluster,
-  kGpu,
-  kMem,
-  kCase,
-  kBoard,
-  kAmbient,
-  kCount,
-};
-
-constexpr std::size_t kFloorplanNodeCount =
-    static_cast<std::size_t>(FloorplanNode::kCount);
-
-constexpr std::size_t node_index(FloorplanNode n) {
-  return static_cast<std::size_t>(n);
-}
-
 /// Tunable physical parameters of the default floorplan. Values are
 /// calibrated so the plant reproduces the thesis figures (idle ~40-45 C,
 /// no-fan heavy load >80 C, fan hysteresis band 57-70 C); see DESIGN.md §6.
@@ -92,15 +67,6 @@ struct FloorplanParams {
 
 // --- Data-driven floorplan description ---------------------------------------
 
-/// One named thermal node of a data-driven floorplan.
-struct FloorplanNodeSpec {
-  std::string name;
-  double capacitance_j_per_k = 1.0;
-  double initial_temp_c = 25.0;
-  /// Fixed-temperature boundary node (the ambient / furnace chamber).
-  bool is_boundary = false;
-};
-
 /// One conductance edge, referencing nodes by name.
 struct FloorplanEdgeSpec {
   std::string node_a;
@@ -115,7 +81,7 @@ struct FloorplanEdgeSpec {
 /// which the SoC model injects heat and the sensor bank observes it. This is
 /// the serializable source of truth a sim::PlatformDescriptor carries.
 struct FloorplanSpec {
-  std::vector<FloorplanNodeSpec> nodes;
+  std::vector<ThermalNode> nodes;
   std::vector<FloorplanEdgeSpec> edges;
 
   /// Per-core hotspot nodes, in core order (heat injection of the big
@@ -141,7 +107,7 @@ struct FloorplanSpec {
   std::vector<std::pair<std::string, std::string>> heat_source_roles() const;
 };
 
-bool operator==(const FloorplanNodeSpec& a, const FloorplanNodeSpec& b);
+bool operator==(const ThermalNode& a, const ThermalNode& b);
 bool operator==(const FloorplanEdgeSpec& a, const FloorplanEdgeSpec& b);
 /// Memberwise equality -- the sharing key for compiled floorplan templates
 /// (sim::RunPlan) now that topology itself is data.
@@ -202,9 +168,11 @@ struct Floorplan {
   }
 };
 
-/// The default Exynos-5410-like topology as a data-driven spec. The result
-/// builds (node for node, edge for edge) the exact network
-/// make_default_floorplan has always produced.
+/// The default Exynos-5410-like topology as a data-driven spec, nodes in
+/// the order big0..big3, little, gpu, mem, case, board, ambient. The DTPM
+/// stack's reduced model only ever sees big0..big3; little/gpu/mem appear
+/// as power inputs, and case/board/ambient are entirely hidden (the
+/// unmodeled slow pole that makes identification realistic).
 FloorplanSpec default_floorplan_spec(const FloorplanParams& params = {});
 
 /// Builds a floorplan from its data description. Validates the spec first:

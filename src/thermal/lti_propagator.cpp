@@ -10,21 +10,6 @@ namespace dtpm::thermal {
 
 namespace {
 
-std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t value) {
-  constexpr std::uint64_t kPrime = 1099511628211ull;
-  for (int byte = 0; byte < 8; ++byte) {
-    hash ^= (value >> (8 * byte)) & 0xffu;
-    hash *= kPrime;
-  }
-  return hash;
-}
-
-std::uint64_t bits_of(double v) {
-  std::uint64_t out;
-  std::memcpy(&out, &v, sizeof(out));
-  return out;
-}
-
 /// The exact affine map of one RK4 substep on dT/dt = A T + c:
 ///   T' = R T + S c,  R = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24,
 ///                    S = h (I + hA/2 + (hA)^2/6 + (hA)^3/24).
@@ -55,49 +40,33 @@ void compose(const util::Matrix& p2, const util::Matrix& g2, util::Matrix& p,
   p = p2 * p;
 }
 
-/// Value signature of a conductance state: FNV-1a over the edge count and
-/// the edge-conductance bit patterns.
-std::uint64_t conductance_signature(const CompiledRcModel& model) {
-  std::uint64_t hash = 1469598103934665603ull;  // FNV offset basis
-  hash = fnv1a(hash, model.edge_count());
-  for (std::size_t e = 0; e < model.edge_count(); ++e) {
-    hash = fnv1a(hash, bits_of(model.edge_conductance(e)));
-  }
-  return hash;
-}
-
 std::unique_ptr<const PropagatorMatrices> compile(const RcNetwork& network,
                                                   double dt_s) {
-  const CompiledRcModel& model = network.compiled();
   auto compiled = std::make_unique<PropagatorMatrices>();
   PropagatorMatrices& out = *compiled;
-  out.free_nodes = model.free_nodes();
+  out.free_nodes = network.free_nodes();
   const std::size_t n = out.free_nodes.size();
   out.free_count = n;
   if (n == 0) return compiled;
 
-  // Dense free slot lookup (node -> slot, or npos).
-  constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> slot(model.node_count(), kNoSlot);
-  for (std::size_t fi = 0; fi < n; ++fi) slot[out.free_nodes[fi]] = fi;
-
   // Continuous dynamics on the free nodes: dT/dt = A T + D z with z the
   // injected power plus boundary coupling (assembled per step from the live
   // boundary temperatures, so furnace re-pinning needs no recompile).
+  constexpr std::size_t kNoSlot = RcNetwork::kNoSlot;
   util::Matrix a(n, n);
-  for (std::size_t e = 0; e < model.edge_count(); ++e) {
-    const std::size_t na = model.edge_node_a(e);
-    const std::size_t nb = model.edge_node_b(e);
-    const double g = model.edge_conductance(e);
-    const std::size_t sa = slot[na];
-    const std::size_t sb = slot[nb];
+  for (std::size_t e = 0; e < network.edge_count(); ++e) {
+    const std::size_t na = network.edge_node_a(e);
+    const std::size_t nb = network.edge_node_b(e);
+    const double g = network.edge_conductance(e);
+    const std::size_t sa = network.free_slot(na);
+    const std::size_t sb = network.free_slot(nb);
     if (sa != kNoSlot) {
-      const double g_over_c = g / model.capacitance_j_per_k(na);
+      const double g_over_c = g / network.node(na).capacitance_j_per_k;
       a(sa, sa) -= g_over_c;
       if (sb != kNoSlot) a(sa, sb) += g_over_c;
     }
     if (sb != kNoSlot) {
-      const double g_over_c = g / model.capacitance_j_per_k(nb);
+      const double g_over_c = g / network.node(nb).capacitance_j_per_k;
       a(sb, sb) -= g_over_c;
       if (sa != kNoSlot) a(sb, sa) += g_over_c;
     }
@@ -108,16 +77,16 @@ std::unique_ptr<const PropagatorMatrices> compile(const RcNetwork& network,
     }
   }
 
-  // The substep subdivision CompiledRcModel::step uses for this dt, so the
+  // The substep subdivision RcNetwork::step uses for this dt, so the
   // map is the composition of exactly the substeps the RK4 loop takes.
-  const unsigned substeps = model.substeps_for(dt_s);
+  const unsigned substeps = network.substeps_for(dt_s);
   const double h = dt_s / double(substeps);
   util::Matrix r, s;
   rk4_substep_map(a, h, r, s);
   // Fold D into the substep input map: z arrives in W.
   util::Matrix g1(n, n);
   for (std::size_t i = 0; i < n; ++i) {
-    const double inv_c = 1.0 / model.capacitance_j_per_k(out.free_nodes[i]);
+    const double inv_c = 1.0 / network.node(out.free_nodes[i]).capacitance_j_per_k;
     for (std::size_t j = 0; j < n; ++j) g1(j, i) = s(j, i) * inv_c;
   }
   // Square-and-multiply composition over the substep count.
@@ -157,7 +126,7 @@ const PropagatorMatrices& PropagatorTable::add(const RcNetwork& network,
   if (dt_s <= 0.0) {
     throw std::invalid_argument("PropagatorTable: dt must be > 0");
   }
-  const std::uint64_t sig = conductance_signature(network.compiled());
+  const std::uint64_t sig = network.conductance_signature();
   if (const PropagatorMatrices* m = find(dt_s, sig)) return *m;
   entries_.push_back({dt_s, sig, compile(network, dt_s)});
   return *entries_.back().m;
@@ -174,25 +143,12 @@ const PropagatorMatrices* PropagatorTable::find(double dt_s,
 PropagatorRcModel::PropagatorRcModel(const PropagatorTable* shared)
     : shared_(shared) {}
 
-std::uint64_t PropagatorRcModel::signature_of(const RcNetwork& network) {
-  const CompiledRcModel& model = network.compiled();
-  if (memo_valid_ && memo_model_ == &model &&
-      memo_epoch_ == model.conductance_epoch()) {
-    return memo_signature_;
-  }
-  memo_model_ = &model;
-  memo_epoch_ = model.conductance_epoch();
-  memo_signature_ = conductance_signature(model);
-  memo_valid_ = true;
-  return memo_signature_;
-}
-
 const PropagatorMatrices& PropagatorRcModel::matrices_for(
     const RcNetwork& network, double dt_s) {
   if (dt_s <= 0.0) {
     throw std::invalid_argument("PropagatorRcModel: dt must be > 0");
   }
-  const std::uint64_t sig = signature_of(network);
+  const std::uint64_t sig = network.conductance_signature();
   if (shared_ != nullptr) {
     if (const PropagatorMatrices* m = shared_->find(dt_s, sig)) return *m;
   }

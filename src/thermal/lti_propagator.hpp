@@ -16,14 +16,19 @@
 // Phi/Gamma are built by repeated squaring of the exact one-substep RK4
 // affine map (R = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24,
 // S = h(I + hA/2 + (hA)^2/6 + (hA)^3/24), composed over the same substep
-// count CompiledRcModel::step would use). In exact arithmetic this IS the
-// RK4 loop, so the propagator tracks the reference integrator to
-// floating-point rounding (~1e-13 C/step).
+// count RcNetwork::step would use). In exact arithmetic this IS the RK4
+// loop, so the propagator tracks the reference integrator to floating-point
+// rounding (~1e-13 C/step).
 //
 // Every step is a matvec, the first one in a new (dt, conductance state)
 // too: its matrices come from a shared PropagatorTable when one holds them,
-// else from the model's own table, which compiles them on first sight.
-// RcNetwork::step stays the reference engine and the test oracle.
+// else from the model's own table, which compiles them on first sight. The
+// conductance state is named by the network's own conductance signature
+// (RcNetwork::conductance_signature), a value hash the network keeps in
+// step with every conductance write, so a lookup reads one integer and a
+// model may step any number of networks of one structure, whichever objects
+// hold them. RcNetwork::step stays the reference engine and the test
+// oracle.
 //
 // Storage and kernel: [Phi | Gamma] is one n x 2n matrix packed in 4-row
 // panels (column-major within a panel), then the n % 4 tail rows
@@ -84,8 +89,8 @@ class PropagatorTable {
   /// @throws std::invalid_argument on non-positive dt.
   const PropagatorMatrices& add(const RcNetwork& network, double dt_s);
 
-  /// The entry for (dt_s, conductance signature), else null. Pointers stay
-  /// valid for the table's lifetime.
+  /// The entry for (dt_s, RcNetwork::conductance_signature()), else null.
+  /// Pointers stay valid for the table's lifetime.
   const PropagatorMatrices* find(double dt_s, std::uint64_t signature) const;
 
   std::size_t size() const { return entries_.size(); }
@@ -100,9 +105,8 @@ class PropagatorTable {
 };
 
 /// Discrete-time stepping engine over an RcNetwork. Not thread-safe;
-/// every network handed to step()/matrices_for() must share the topology of
-/// the first one seen and outlive this object (the signature memo is keyed
-/// on the compiled model's address + epoch).
+/// every network handed to step()/matrices_for() must share the structure
+/// (topology, capacitances, boundary nodes) of the first one seen.
 class PropagatorRcModel {
  public:
   /// A model over networks of `shared`'s structure (sim::RunPlan builds one
@@ -139,18 +143,8 @@ class PropagatorRcModel {
   std::uint64_t compiles() const { return compiles_; }
 
  private:
-  /// Value signature of the network's current conductance state (FNV-1a
-  /// over the edge-conductance bit patterns), memoized per (compiled model,
-  /// epoch) so the hot path never rehashes an unchanged network.
-  std::uint64_t signature_of(const RcNetwork& network);
-
   const PropagatorTable* shared_;
   PropagatorTable own_;  ///< what `shared_` could not serve
-
-  const void* memo_model_ = nullptr;
-  std::uint64_t memo_epoch_ = 0;
-  std::uint64_t memo_signature_ = 0;
-  bool memo_valid_ = false;
 
   std::uint64_t propagator_steps_ = 0;
   std::uint64_t compiles_ = 0;

@@ -49,25 +49,17 @@ TEST(PlatformDescriptor, DefaultIsTheOdroid) {
   EXPECT_EQ(sim::default_platform(), odroid);
 }
 
-TEST(Floorplan, SpecBuiltDefaultMatchesEnumLayout) {
+TEST(Floorplan, SpecBuiltDefaultRolesMatchNodeOrder) {
   const thermal::Floorplan fp = thermal::make_default_floorplan();
-  // Role indices resolved from the data-driven spec land exactly on the
-  // historical enum positions.
-  ASSERT_EQ(fp.core_node_index.size(), 4u);
-  const std::vector<std::size_t> big_core_nodes{
-      thermal::node_index(thermal::FloorplanNode::kBig0),
-      thermal::node_index(thermal::FloorplanNode::kBig1),
-      thermal::node_index(thermal::FloorplanNode::kBig2),
-      thermal::node_index(thermal::FloorplanNode::kBig3)};
+  // Role indices resolved from the data-driven spec land on the node order
+  // default_floorplan_spec documents: big0..big3, little, gpu, mem, case,
+  // board, ambient.
+  const std::vector<std::size_t> big_core_nodes{0, 1, 2, 3};
   EXPECT_EQ(fp.core_node_index, big_core_nodes);
-  EXPECT_EQ(fp.little_node_index,
-            thermal::node_index(thermal::FloorplanNode::kLittleCluster));
-  EXPECT_EQ(fp.gpu_node_index,
-            thermal::node_index(thermal::FloorplanNode::kGpu));
-  EXPECT_EQ(fp.mem_node_index,
-            thermal::node_index(thermal::FloorplanNode::kMem));
-  EXPECT_EQ(fp.ambient_node_index,
-            thermal::node_index(thermal::FloorplanNode::kAmbient));
+  EXPECT_EQ(fp.little_node_index, 4u);
+  EXPECT_EQ(fp.gpu_node_index, 5u);
+  EXPECT_EQ(fp.mem_node_index, 6u);
+  EXPECT_EQ(fp.ambient_node_index, 9u);
   EXPECT_EQ(fp.sensor_node_index, big_core_nodes);
   EXPECT_TRUE(fp.has_fan_edge());
   // The fan edge is still the last one (board-to-ambient).

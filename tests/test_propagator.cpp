@@ -290,7 +290,8 @@ TEST(PropagatorConductanceChange, StepAfterFanTransitionIsNewStateMatvec) {
   PropagatorRcModel engine;
   ASSERT_TRUE(reference.has_fan_edge());
 
-  const std::vector<double> power(kFloorplanNodeCount, 2.0);
+  const std::size_t node_count = stepped.network.node_count();
+  const std::vector<double> power(node_count, 2.0);
   engine.step(stepped.network, kDt, power);
   engine.step(stepped.network, kDt, power);
   EXPECT_EQ(engine.compiles(), 1u);
@@ -309,7 +310,7 @@ TEST(PropagatorConductanceChange, StepAfterFanTransitionIsNewStateMatvec) {
   engine.step(stepped.network, kDt, power);
   EXPECT_EQ(engine.compiles(), 2u);
   EXPECT_EQ(engine.propagator_steps(), 3u);
-  for (std::size_t i = 0; i < kFloorplanNodeCount; ++i) {
+  for (std::size_t i = 0; i < node_count; ++i) {
     EXPECT_EQ(bits(expected[i]), bits(stepped.network.temperature_c(i)))
         << "node " << i;
     EXPECT_NEAR(reference.network.temperature_c(i),
@@ -323,6 +324,32 @@ TEST(PropagatorConductanceChange, StepAfterFanTransitionIsNewStateMatvec) {
   engine.step(stepped.network, kDt, power);
   EXPECT_EQ(engine.compiles(), 2u);
   EXPECT_EQ(engine.propagator_steps(), 4u);
+}
+
+// A network destroyed and rebuilt in place with other conductances is a new
+// conductance state, although it lives at the old network's address: the
+// model reaching it compiles its matrices and steps exactly like a fresh
+// model does.
+TEST(PropagatorConductanceChange, NetworkRebuiltInPlaceStepsLikeFreshModel) {
+  constexpr double kDt = 0.1;
+  const auto two_node = [](double g) {
+    return RcNetwork({{"die", 2.0, 45.0, false}, {"amb", 1.0, 25.0, true}},
+                     {{0, 1, g}});
+  };
+  const std::vector<double> power{3.0, 0.0};
+  std::optional<RcNetwork> net;
+  net.emplace(two_node(0.5));
+  PropagatorRcModel reused;
+  reused.step(*net, kDt, power);
+  net.reset();
+  net.emplace(two_node(2.0));
+  reused.step(*net, kDt, power);
+
+  RcNetwork expected = two_node(2.0);
+  PropagatorRcModel fresh;
+  fresh.step(expected, kDt, power);
+  EXPECT_EQ(reused.compiles(), 2u);
+  EXPECT_EQ(bits(net->temperature_c(0)), bits(expected.temperature_c(0)));
 }
 
 // The packed [Phi | Gamma] step is bit-identical to the row-by-row dot on
@@ -419,7 +446,7 @@ TEST(PropagatorPlan, AmbientVariantsShareOneTable) {
   config.engine = sim::Engine::kPropagator;
   sim::RunPlan plan(config);
   auto warm = std::make_shared<sim::PlatformDescriptor>(*config.platform);
-  for (FloorplanNodeSpec& node : warm->floorplan.nodes) {
+  for (ThermalNode& node : warm->floorplan.nodes) {
     node.initial_temp_c += 10.0;
   }
   plan.cache_platform(warm);
@@ -435,10 +462,11 @@ TEST(PropagatorPlan, AmbientVariantsShareOneTable) {
 TEST(PropagatorErrors, RejectsBadArguments) {
   Floorplan fp = make_default_floorplan();
   PropagatorRcModel engine;
-  const std::vector<double> short_power(kFloorplanNodeCount - 1, 1.0);
+  const std::size_t node_count = fp.network.node_count();
+  const std::vector<double> short_power(node_count - 1, 1.0);
   EXPECT_THROW(engine.step(fp.network, 0.01, short_power),
                std::invalid_argument);
-  const std::vector<double> power(kFloorplanNodeCount, 1.0);
+  const std::vector<double> power(node_count, 1.0);
   EXPECT_THROW(engine.step(fp.network, 0.0, power), std::invalid_argument);
   EXPECT_THROW(engine.step(fp.network, -1.0, power), std::invalid_argument);
   EXPECT_THROW(engine.matrices_for(fp.network, 0.0), std::invalid_argument);
