@@ -1,30 +1,32 @@
-// CompiledRcModel equivalence suite: the compiled gather-form integrator
-// must be BIT-IDENTICAL to the pre-refactor reference implementation (the
-// edge-list scatter RK4 that RcNetwork shipped with before the hot-path
-// split). The reference is reimplemented here verbatim; randomized
-// topologies, powers, step sizes, and mid-run conductance updates are then
-// driven through both and compared with exact equality -- the same contract
-// the golden-trace suite enforces end-to-end.
-#include "thermal/compiled_rc_model.hpp"
+// The network's compiled gather-form integrator: RcNetwork's gather-CSR RK4
+// must be BIT-IDENTICAL to the edge-list scatter-form reference it replaced.
+// The reference is reimplemented here verbatim, and randomized topologies,
+// powers, step sizes, and mid-run conductance updates are driven through
+// both and compared with exact equality -- the same contract the
+// golden-trace suite enforces end-to-end. Also: the name map, the
+// conductance signature, the cached stability bound, and race-free
+// concurrent stepping (run under -fsanitize=thread in CI).
+#include "thermal/rc_network.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "thermal/floorplan.hpp"
-#include "thermal/rc_network.hpp"
 #include "util/matrix.hpp"
 #include "util/rng.hpp"
 
 namespace dtpm::thermal {
 namespace {
 
-/// The pre-refactor integrator, kept operation-for-operation as it was in
-/// rc_network.cpp before CompiledRcModel existed.
+/// The edge-list reference integrator: the scatter-form RK4 the network
+/// shipped with before its gather-form hot path, kept operation for
+/// operation.
 class ReferenceRcNetwork {
  public:
   ReferenceRcNetwork(std::vector<ThermalNode> nodes,
@@ -142,8 +144,8 @@ class ReferenceRcNetwork {
 
 /// Random connected topology: a spanning tree plus extra edges. Boundary
 /// nodes are sprinkled in (always keeping at least one free node), and node
-/// ordering is shuffled so the compiled model's non-contiguous free-node
-/// path gets exercised alongside the contiguous one.
+/// ordering is shuffled so the network's non-contiguous free-node path gets
+/// exercised alongside the contiguous one.
 struct RandomNetwork {
   std::vector<ThermalNode> nodes;
   std::vector<ThermalEdge> edges;
@@ -180,34 +182,35 @@ std::vector<double> random_power(util::Rng& rng, std::size_t n) {
   return p;
 }
 
-TEST(CompiledRcModel, RandomizedStepEquivalence) {
+TEST(RcNetwork, RandomizedStepEquivalence) {
   util::Rng rng(0xC0117ED);
   for (int trial = 0; trial < 50; ++trial) {
     const RandomNetwork topo = make_random_network(rng);
-    RcNetwork compiled(topo.nodes, topo.edges);
+    RcNetwork net(topo.nodes, topo.edges);
     ReferenceRcNetwork reference(topo.nodes, topo.edges);
 
     for (int s = 0; s < 20; ++s) {
       const std::vector<double> power = random_power(rng, topo.nodes.size());
       const double dt = rng.uniform(0.002, 0.5);
-      compiled.step(dt, power);
+      net.step(dt, power);
       reference.step(dt, power);
       for (std::size_t i = 0; i < topo.nodes.size(); ++i) {
-        ASSERT_EQ(compiled.temperature_c(i), reference.temperatures_c()[i])
+        ASSERT_EQ(net.temperature_c(i), reference.temperatures_c()[i])
             << "trial " << trial << " step " << s << " node " << i
-            << ": compiled integrator drifted from the reference";
+            << ": gather integrator drifted from the reference";
       }
     }
   }
 }
 
-TEST(CompiledRcModel, ConductanceUpdateMidRunStaysEquivalent) {
+TEST(RcNetwork, ConductanceUpdateMidRunStaysEquivalent) {
   // The fan path: change an edge conductance between steps and keep
-  // integrating; the cached stability bound and CSR copies must track it.
+  // integrating; the cached stability bound and gather copies must track
+  // it.
   util::Rng rng(0xFA4);
   for (int trial = 0; trial < 20; ++trial) {
     const RandomNetwork topo = make_random_network(rng);
-    RcNetwork compiled(topo.nodes, topo.edges);
+    RcNetwork net(topo.nodes, topo.edges);
     ReferenceRcNetwork reference(topo.nodes, topo.edges);
 
     for (int s = 0; s < 12; ++s) {
@@ -215,30 +218,30 @@ TEST(CompiledRcModel, ConductanceUpdateMidRunStaysEquivalent) {
         const std::size_t e = std::size_t(
             rng.uniform_int(0, std::int64_t(topo.edges.size()) - 1));
         const double g = rng.uniform(0.05, 4.0);
-        compiled.set_edge_conductance(e, g);
+        net.set_edge_conductance(e, g);
         reference.set_edge_conductance(e, g);
       }
       const std::vector<double> power = random_power(rng, topo.nodes.size());
-      compiled.step(0.05, power);
+      net.step(0.05, power);
       reference.step(0.05, power);
       for (std::size_t i = 0; i < topo.nodes.size(); ++i) {
-        ASSERT_EQ(compiled.temperature_c(i), reference.temperatures_c()[i])
+        ASSERT_EQ(net.temperature_c(i), reference.temperatures_c()[i])
             << "trial " << trial << " step " << s << " node " << i;
       }
     }
   }
 }
 
-TEST(CompiledRcModel, SteadyStateEquivalence) {
+TEST(RcNetwork, SteadyStateEquivalence) {
   util::Rng rng(0x57EAD1);
   for (int trial = 0; trial < 25; ++trial) {
     RandomNetwork topo = make_random_network(rng);
     // A boundary node keeps the steady-state system nonsingular.
     topo.nodes.back().is_boundary = true;
-    RcNetwork compiled(topo.nodes, topo.edges);
+    RcNetwork net(topo.nodes, topo.edges);
     ReferenceRcNetwork reference(topo.nodes, topo.edges);
     const std::vector<double> power = random_power(rng, topo.nodes.size());
-    const auto a = compiled.steady_state(power);
+    const auto a = net.steady_state(power);
     const auto b = reference.steady_state(power);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
@@ -247,23 +250,21 @@ TEST(CompiledRcModel, SteadyStateEquivalence) {
   }
 }
 
-TEST(CompiledRcModel, DefaultFloorplanStepEquivalence) {
-  // The floorplan every Simulation runs: step the compiled network and the
+TEST(RcNetwork, DefaultFloorplanStepEquivalence) {
+  // The floorplan every Simulation runs: step the network and the
   // reference integrator (built from the same topology) through a power
   // profile with a fan-conductance change halfway.
   Floorplan fp = make_default_floorplan();
-  std::vector<ThermalNode> nodes;
+  const std::size_t node_count = fp.network.node_count();
   std::vector<ThermalEdge> edges;
-  for (std::size_t i = 0; i < fp.network.node_count(); ++i) {
-    nodes.push_back(fp.network.node(i));
-  }
   for (std::size_t e = 0; e < fp.network.edge_count(); ++e) {
-    edges.push_back(fp.network.edge(e));
+    edges.push_back({fp.network.edge_node_a(e), fp.network.edge_node_b(e),
+                     fp.network.edge_conductance(e)});
   }
-  ReferenceRcNetwork reference(nodes, edges);
+  ReferenceRcNetwork reference(fp.spec.nodes, edges);
 
   util::Rng rng(99);
-  std::vector<double> power(kFloorplanNodeCount, 0.0);
+  std::vector<double> power(node_count, 0.0);
   for (int s = 0; s < 200; ++s) {
     for (std::size_t i = 0; i < 7; ++i) power[i] = rng.uniform(0.0, 3.0);
     if (s == 100) {
@@ -272,56 +273,58 @@ TEST(CompiledRcModel, DefaultFloorplanStepEquivalence) {
     }
     fp.network.step(0.01, power);
     reference.step(0.01, power);
-    for (std::size_t i = 0; i < kFloorplanNodeCount; ++i) {
+    for (std::size_t i = 0; i < node_count; ++i) {
       ASSERT_EQ(fp.network.temperature_c(i), reference.temperatures_c()[i]);
     }
   }
 }
 
-TEST(CompiledRcModel, NameIndexMatchesLinearScan) {
+TEST(RcNetwork, NameIndexMatchesLinearScan) {
   const Floorplan fp = make_default_floorplan();
-  const char* names[] = {"big0", "big1",  "big2", "big3", "little",
-                         "gpu",  "mem",   "case", "board", "ambient"};
-  for (std::size_t i = 0; i < kFloorplanNodeCount; ++i) {
-    EXPECT_EQ(fp.network.index_of(names[i]), i);
+  for (std::size_t i = 0; i < fp.spec.nodes.size(); ++i) {
+    EXPECT_EQ(fp.network.index_of(fp.spec.nodes[i].name), i);
   }
   EXPECT_THROW(fp.network.index_of("nope"), std::invalid_argument);
-  EXPECT_THROW(fp.network.compiled().index_of(""), std::invalid_argument);
+  EXPECT_THROW(fp.network.index_of(""), std::invalid_argument);
+  // Duplicate names resolve to the lowest index, like a first-match scan.
+  const RcNetwork dup({{"b", 1.0, 25.0, false},
+                       {"a", 1.0, 25.0, false},
+                       {"a", 1.0, 25.0, true}},
+                      {{0, 1, 0.5}, {1, 2, 0.5}});
+  EXPECT_EQ(dup.index_of("a"), 1u);
+  EXPECT_EQ(dup.index_of("b"), 0u);
 }
 
-TEST(CompiledRcModel, PowerSizeMismatchThrows) {
-  RcNetwork net({{"die", 1.0, 25.0, false}, {"amb", 1.0, 25.0, true}},
-                {{0, 1, 0.5}});
-  EXPECT_THROW(net.step(0.1, {1.0}), std::invalid_argument);
-  EXPECT_THROW(net.step(0.1, {1.0, 0.0, 0.0}), std::invalid_argument);
-  EXPECT_THROW(net.steady_state({1.0}), std::invalid_argument);
-  EXPECT_NO_THROW(net.step(0.1, {1.0, 0.0}));
-}
-
-TEST(CompiledRcModel, ConductanceEpochCountsRealChangesOnly) {
+TEST(RcNetwork, ConductanceSignatureTracksValues) {
   const Floorplan fp = make_default_floorplan();
   RcNetwork net = fp.network;
-  const std::uint64_t epoch0 = net.compiled().conductance_epoch();
+  const std::uint64_t fan_off = net.conductance_signature();
+  EXPECT_EQ(fan_off, fp.network.conductance_signature());
+  const double g0 = net.edge_conductance(fp.fan_edge);
+  net.set_edge_conductance(fp.fan_edge, g0);  // unchanged write
+  EXPECT_EQ(net.conductance_signature(), fan_off);
+  net.set_edge_conductance(fp.fan_edge, 0.83);  // a real change
+  const std::uint64_t fan_on = net.conductance_signature();
+  EXPECT_NE(fan_on, fan_off);
   net.set_edge_conductance(fp.fan_edge, 0.83);
-  EXPECT_EQ(net.compiled().conductance_epoch(), epoch0 + 1);
-  net.set_edge_conductance(fp.fan_edge, 0.83);  // unchanged: no bump
-  EXPECT_EQ(net.compiled().conductance_epoch(), epoch0 + 1);
-  net.set_edge_conductance(fp.fan_edge, 0.125);
-  EXPECT_EQ(net.compiled().conductance_epoch(), epoch0 + 2);
+  EXPECT_EQ(net.conductance_signature(), fan_on);
+  net.set_edge_conductance(fp.fan_edge, g0);  // back to the first state
+  EXPECT_EQ(net.conductance_signature(), fan_off);
 }
 
-// Two models stepping the same dt from different threads: the subdivision
+// Two networks stepping the same dt from different threads: the subdivision
 // is computed per call (no shared last-seen-dt cache to race on), so both
 // integrations are bit-identical to a serial run. Run under
 // -fsanitize=thread in CI to pin the data-race-freedom claim.
-TEST(CompiledRcModel, ConcurrentSameDtStepsMatchSerial) {
+TEST(RcNetwork, ConcurrentSameDtStepsMatchSerial) {
   const Floorplan serial_a = make_default_floorplan();
   const Floorplan serial_b = make_default_floorplan();
   Floorplan threaded_a = make_default_floorplan();
   Floorplan threaded_b = make_default_floorplan();
 
-  const std::vector<double> power_a(kFloorplanNodeCount, 2.0);
-  const std::vector<double> power_b(kFloorplanNodeCount, 3.5);
+  const std::size_t node_count = serial_a.network.node_count();
+  const std::vector<double> power_a(node_count, 2.0);
+  const std::vector<double> power_b(node_count, 3.5);
   constexpr int kSteps = 2000;
   constexpr double kDt = 0.01;
 
@@ -341,7 +344,7 @@ TEST(CompiledRcModel, ConcurrentSameDtStepsMatchSerial) {
   ta.join();
   tb.join();
 
-  for (std::size_t i = 0; i < kFloorplanNodeCount; ++i) {
+  for (std::size_t i = 0; i < node_count; ++i) {
     EXPECT_EQ(threaded_a.network.temperature_c(i),
               expected_a.network.temperature_c(i));
     EXPECT_EQ(threaded_b.network.temperature_c(i),
@@ -349,16 +352,16 @@ TEST(CompiledRcModel, ConcurrentSameDtStepsMatchSerial) {
   }
 }
 
-TEST(CompiledRcModel, StabilityBoundTracksConductance) {
+TEST(RcNetwork, StabilityBoundTracksConductance) {
   RcNetwork net({{"die", 0.05, 25.0, false}, {"amb", 1.0, 25.0, true}},
                 {{0, 1, 2.0}});
-  const double before = net.compiled().max_stable_substep_s();
+  const double before = net.max_stable_substep_s();
   EXPECT_NEAR(before, 0.25 * 0.05 / 2.0, 1e-15);
   net.set_edge_conductance(0, 4.0);
-  EXPECT_NEAR(net.compiled().max_stable_substep_s(), 0.25 * 0.05 / 4.0, 1e-15);
+  EXPECT_NEAR(net.max_stable_substep_s(), 0.25 * 0.05 / 4.0, 1e-15);
   // Unchanged write is a no-op (and must not perturb the bound).
   net.set_edge_conductance(0, 4.0);
-  EXPECT_NEAR(net.compiled().max_stable_substep_s(), 0.25 * 0.05 / 4.0, 1e-15);
+  EXPECT_NEAR(net.max_stable_substep_s(), 0.25 * 0.05 / 4.0, 1e-15);
 }
 
 }  // namespace
