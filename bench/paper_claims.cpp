@@ -241,8 +241,9 @@ void chapter4_claims(std::vector<Claim>& claims) {
 
   // Fig. 4.8: the big cluster's PRBS segment and the identified model.
   util::RunningStats prbs_power;
-  for (const auto& p : art.excitation_segments[big].powers_w) {
-    prbs_power.add(p[big]);
+  const sysid::TraceSegment& prbs = art.excitation_segments[big];
+  for (std::size_t k = 0; k < prbs.rows(); ++k) {
+    prbs_power.add(prbs.powers_w[k * power::kResourceCount + big]);
   }
   claims.push_back({"Fig. 4.8", "lowest big-cluster power under PRBS [W]",
                     "~0.5 W", Kind::kBand, prbs_power.min(), 0.45, 0.55,

@@ -154,6 +154,18 @@ workload::Demand light_cpu_demand(double activity, double mem_intensity) {
   return heavy_cpu_demand(1, activity, mem_intensity);
 }
 
+/// Whole control intervals in `seconds`: the ratio truncated, except that a
+/// ratio within rounding error of an integer counts as that integer, so
+/// 0.3 s at 0.1 s (0.3 / 0.1 = 2.9999999999999996) is three intervals.
+/// validate() bounds the ratio below INT_MAX first.
+std::size_t whole_intervals(double seconds, const CalibrationOptions& opt) {
+  const double ratio = seconds / opt.control_interval_s;
+  const double nearest = std::round(ratio);
+  return std::size_t(std::fabs(ratio - nearest) <= 1e-9 * std::max(1.0, nearest)
+                         ? nearest
+                         : std::floor(ratio));
+}
+
 /// Furnace sweep for one resource at one fixed operating point; appends to
 /// `samples`.
 void furnace_run(const CalibrationOptions& opt,
@@ -200,9 +212,9 @@ void furnace_run(const CalibrationOptions& opt,
     plant.apply(pinned_config(plant.soc(), target, sample_f));
     equilibrate(plant, demand);
 
-    const int n_samples =
-        std::max(1, int(opt.furnace_sample_s / opt.control_interval_s));
-    for (int n = 0; n < n_samples; ++n) {
+    const std::size_t n_samples =
+        std::max<std::size_t>(1, whole_intervals(opt.furnace_sample_s, opt));
+    for (std::size_t n = 0; n < n_samples; ++n) {
       const power::ResourceVector sensed =
           plant.read_rails(interval(plant, shared, demand));
       plant.read_temps_into(temps);
@@ -222,52 +234,67 @@ struct ExcitationSchedule {
 };
 
 ExcitationSchedule excitation_schedule(const CalibrationOptions& opt) {
-  return {std::size_t((opt.prbs_warmup_s + opt.prbs_duration_s) /
-                      opt.control_interval_s),
-          std::size_t(opt.prbs_warmup_s / opt.control_interval_s)};
+  const std::size_t warmup = whole_intervals(opt.prbs_warmup_s, opt);
+  return {warmup + whole_intervals(opt.prbs_duration_s, opt), warmup};
 }
 
-/// One excitation recording, flat and row-major: `temps` holds `temp_width`
-/// readings per row, `powers` kResourceCount per row. Pipelines record into
-/// these two buffers, which the calling thread reserves before any worker
-/// starts, rather than into a TraceSegment's thousands of per-row vectors:
-/// memory a worker allocates stays cached in that thread's malloc arena
-/// after it is freed and raises the process's peak RSS.
-struct ExcitationRecord {
-  std::size_t temp_width = 0;
-  std::vector<double> temps;
-  std::vector<double> powers;
-  double alpha_c_high = 0.0;  ///< mean alphaC estimate over high-bit samples
-
-  sysid::TraceSegment to_segment() const {
-    sysid::TraceSegment seg;
-    const std::size_t rows = temps.size() / temp_width;
-    seg.temps_c.reserve(rows);
-    seg.powers_w.reserve(rows);
-    for (std::size_t k = 0; k < rows; ++k) {
-      const auto t = temps.begin() + std::ptrdiff_t(k * temp_width);
-      const auto p = powers.begin() + std::ptrdiff_t(k * power::kResourceCount);
-      seg.temps_c.emplace_back(t, t + std::ptrdiff_t(temp_width));
-      seg.powers_w.emplace_back(p, p + std::ptrdiff_t(power::kResourceCount));
-    }
-    return seg;
-  }
+/// One PRBS level of an excitation run: the demand and the target knob's
+/// operating point while the sequence holds that bit.
+struct PrbsLevel {
+  workload::Demand demand;
+  double knob_v = 0.0;
+  double knob_f = 0.0;
+  soc::SocConfig config;
 };
 
+PrbsLevel prbs_level(const Plant& plant, const PlatformDescriptor& platform,
+                     Resource target, bool bit) {
+  PrbsLevel level;
+  switch (target) {
+    case Resource::kBigCluster:
+    case Resource::kLittleCluster:
+      level.demand = heavy_cpu_demand(4, 0.8, 0.2);
+      break;
+    case Resource::kGpu:
+      level.demand = light_cpu_demand(0.3, 0.1);
+      level.demand.gpu_load = 0.9;
+      break;
+    case Resource::kMem:
+      level.demand = heavy_cpu_demand(2, 0.3, bit ? 0.95 : 0.02);
+      break;
+    case Resource::kCount:
+      throw std::invalid_argument("excitation_run: bad resource");
+  }
+  level.knob_v = platform.power.mem_nominal_voltage_v;
+  level.knob_f = platform.power.mem_nominal_frequency_hz;
+  if (target != Resource::kMem) {
+    const power::OppTable& opps = knob_opps(plant.soc(), target);
+    const auto& opp = bit ? opps.max() : opps.min();
+    level.knob_v = opp.voltage_v;
+    level.knob_f = opp.frequency_hz;
+  }
+  level.config = pinned_config(plant.soc(), target, level.knob_f);
+  return level;
+}
+
 /// PRBS excitation of one resource (§4.2.1): toggle its knob between the
-/// extremes while everything else idles; record sensor T/P traces.
-/// Appends to `result`.
-void excitation_run(const CalibrationOptions& opt,
-                    const ExperimentTemplate& shared, util::Rng& root,
-                    Resource target, const power::LeakageParams& fitted_leakage,
-                    ExcitationRecord& result) {
+/// extremes while everything else idles; record sensor T/P rows into
+/// `segment`, whose buffers the caller reserved. Returns the mean alphaC
+/// estimate over the recorded high-bit intervals (0 if there are none).
+double excitation_run(const CalibrationOptions& opt,
+                      const ExperimentTemplate& shared, util::Rng& root,
+                      Resource target,
+                      const power::LeakageParams& fitted_leakage,
+                      sysid::TraceSegment& segment) {
   Plant plant = experiment_plant(opt, shared, root);
-  const PlatformDescriptor& platform = *opt.platform;
   util::Prbs prbs(15, opt.prbs_hold_intervals,
                   std::uint32_t(0x1234 + 97 * resource_index(target)));
   const ExcitationSchedule schedule = excitation_schedule(opt);
+  const std::array<PrbsLevel, 2> levels{
+      prbs_level(plant, *opt.platform, target, false),
+      prbs_level(plant, *opt.platform, target, true)};
 
-  result.temp_width = plant.floorplan().sensor_node_index.size();
+  segment.width = plant.floorplan().sensor_node_index.size();
   std::vector<double> temps_before;
   power::ResourceVector last_sensed{};
   power::LeakageModel leak(fitted_leakage);
@@ -276,49 +303,24 @@ void excitation_run(const CalibrationOptions& opt,
 
   for (std::size_t k = 0; k < schedule.total; ++k) {
     const bool bit = prbs.next();
-
-    workload::Demand demand;
-    switch (target) {
-      case Resource::kBigCluster:
-      case Resource::kLittleCluster:
-        demand = heavy_cpu_demand(4, 0.8, 0.2);
-        break;
-      case Resource::kGpu:
-        demand = light_cpu_demand(0.3, 0.1);
-        demand.gpu_load = 0.9;
-        break;
-      case Resource::kMem:
-        demand = heavy_cpu_demand(2, 0.3, bit ? 0.95 : 0.02);
-        break;
-      case Resource::kCount:
-        throw std::invalid_argument("excitation_run: bad resource");
-    }
-    double knob_v = platform.power.mem_nominal_voltage_v;
-    double knob_f = platform.power.mem_nominal_frequency_hz;
-    if (target != Resource::kMem) {
-      const power::OppTable& opps = knob_opps(plant.soc(), target);
-      const auto& opp = bit ? opps.max() : opps.min();
-      knob_v = opp.voltage_v;
-      knob_f = opp.frequency_hz;
-    }
-    plant.apply(pinned_config(plant.soc(), target, knob_f));
+    const PrbsLevel& level = levels[bit ? 1 : 0];
+    plant.apply(level.config);
 
     plant.read_temps_into(temps_before);
     const power::ResourceVector sensed =
-        plant.read_rails(interval(plant, shared, demand));
+        plant.read_rails(interval(plant, shared, level.demand));
 
     if (k >= schedule.warmup) {
-      result.temps.insert(result.temps.end(), temps_before.begin(),
-                          temps_before.end());
-      result.powers.insert(result.powers.end(), sensed.begin(), sensed.end());
+      segment.append(temps_before.data(), sensed);
       last_sensed = sensed;
       if (bit && target != Resource::kMem) {
         double t_mean = 0.0;
         for (double x : temps_before) t_mean += x / double(temps_before.size());
-        const double dyn =
-            sensed[resource_index(target)] - leak.power_w(t_mean, knob_v);
-        if (dyn > 0.0 && knob_f > 0.0) {
-          alpha_sum += power::alpha_c_from_power(dyn, knob_v, knob_f);
+        const double dyn = sensed[resource_index(target)] -
+                           leak.power_w(t_mean, level.knob_v);
+        if (dyn > 0.0 && level.knob_f > 0.0) {
+          alpha_sum +=
+              power::alpha_c_from_power(dyn, level.knob_v, level.knob_f);
           ++alpha_count;
         }
       }
@@ -327,12 +329,9 @@ void excitation_run(const CalibrationOptions& opt,
   // Close the segment with a final temperature sample so the last recorded
   // (T, P) pair has a successor.
   plant.read_temps_into(temps_before);
-  result.temps.insert(result.temps.end(), temps_before.begin(),
-                      temps_before.end());
-  result.powers.insert(result.powers.end(), last_sensed.begin(),
-                       last_sensed.end());
+  segment.append(temps_before.data(), last_sensed);
 
-  if (alpha_count > 0) result.alpha_c_high = alpha_sum / double(alpha_count);
+  return alpha_count > 0 ? alpha_sum / double(alpha_count) : 0.0;
 }
 
 std::size_t second_op_index(Resource r) {
@@ -399,14 +398,16 @@ void validate(const CalibrationOptions& opt) {
 struct Pipeline {
   std::vector<sysid::FurnaceSample> furnace_samples;
   sysid::LeakageFitResult leakage_fit;
-  ExcitationRecord excitation;
+  double alpha_c_high = 0.0;  ///< mean alphaC estimate over high-bit samples
   std::exception_ptr furnace_error;
   std::exception_ptr excitation_error;
 
   /// `furnace_rng` and `excitation_rng` are the root stream advanced to the
-  /// draw positions the serial order reaches each stage at.
+  /// draw positions the serial order reaches each stage at; the excitation
+  /// records into `excitation`.
   void run(const CalibrationOptions& opt, const ExperimentTemplate& shared,
-           Resource r, util::Rng furnace_rng, util::Rng excitation_rng) noexcept {
+           Resource r, util::Rng furnace_rng, util::Rng excitation_rng,
+           sysid::TraceSegment& excitation) noexcept {
     try {
       furnace_run(opt, shared, furnace_rng, r, 0, furnace_samples);
       if (furnace_op_count(r) > 1) {
@@ -421,8 +422,8 @@ struct Pipeline {
       return;
     }
     try {
-      excitation_run(opt, shared, excitation_rng, r, leakage_fit.params,
-                     excitation);
+      alpha_c_high = excitation_run(opt, shared, excitation_rng, r,
+                                    leakage_fit.params, excitation);
     } catch (...) {
       excitation_error = std::current_exception();
     }
@@ -453,18 +454,25 @@ CalibrationArtifacts calibrate_platform_full(const CalibrationOptions& options) 
                      options.furnace_temps_c.size();
   }
   std::array<Pipeline, power::kResourceCount> pipelines;
+  // The pipelines record straight into the artifacts' segments, whose
+  // buffers are reserved here before any worker starts: memory a worker
+  // allocates stays cached in that thread's malloc arena after it is freed
+  // and raises the process's peak RSS.
+  CalibrationArtifacts art;
   const ExcitationSchedule schedule = excitation_schedule(options);
   const std::size_t rows = schedule.total - schedule.warmup + 1;
-  for (Pipeline& p : pipelines) {
-    p.excitation.temps.reserve(rows * platform.floorplan.sensor_nodes.size());
-    p.excitation.powers.reserve(rows * power::kResourceCount);
+  art.excitation_segments.resize(power::kResourceCount);
+  for (sysid::TraceSegment& seg : art.excitation_segments) {
+    seg.temps_c.reserve(rows * platform.floorplan.sensor_nodes.size());
+    seg.powers_w.reserve(rows * power::kResourceCount);
   }
   // Compiled here, before any thread starts; the pipelines only read it.
   const ExperimentTemplate shared(options);
   auto run = [&](std::size_t i) {
     pipelines[i].run(options, shared, power::all_resources()[i],
                      advanced(root, furnace_offset[i]),
-                     advanced(root, furnace_draws + kRootDraws * i));
+                     advanced(root, furnace_draws + kRootDraws * i),
+                     art.excitation_segments[i]);
   };
 
   // The calling thread runs pipeline 0 and one thread each runs the others;
@@ -491,15 +499,12 @@ CalibrationArtifacts calibrate_platform_full(const CalibrationOptions& options) 
     if (p.excitation_error) std::rethrow_exception(p.excitation_error);
   }
 
-  CalibrationArtifacts art;
   for (std::size_t i = 0; i < power::kResourceCount; ++i) {
     Pipeline& p = pipelines[i];
     art.furnace_samples[i] = std::move(p.furnace_samples);
     art.leakage_fits[i] = p.leakage_fit;
     art.model.leakage[i] = p.leakage_fit.params;
-    art.excitation_segments.push_back(p.excitation.to_segment());
-    art.model.initial_alpha_c[i] = p.excitation.alpha_c_high;
-    p.excitation = {};
+    art.model.initial_alpha_c[i] = p.alpha_c_high;
   }
   sysid::ArxFitOptions arx_options;
   arx_options.ambient_ref_c = platform.floorplan.ambient_temp_c();

@@ -74,7 +74,9 @@ struct CalibrationOptions {
 
   /// Furnace sweep (§4.1.1): 40..80 C in 10 C increments.
   std::vector<double> furnace_temps_c{40.0, 50.0, 60.0, 70.0, 80.0};
-  /// Sampling window at each setpoint after equilibration.
+  /// Sampling window at each setpoint after equilibration (at least one
+  /// sample). This and the PRBS durations count whole control intervals; a
+  /// ratio within rounding error of an integer (0.3 s / 0.1 s) counts as it.
   double furnace_sample_s = 5.0;
 
   /// PRBS excitation per resource.

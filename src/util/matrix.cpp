@@ -193,6 +193,45 @@ Matrix Matrix::qr_least_squares(Matrix a, Matrix rhs) {
   return x;
 }
 
+namespace {
+
+/// Applies the reflector H = I - 2 v v' / (v' v), v = v[0 .. len), to the
+/// G columns whose row-k elements col[c] points at (column c steps by
+/// stride[c] per row): one row pass sums the G dot products in independent
+/// accumulators, a second subtracts beta v. Each column's dot starts at +0.0
+/// and adds rows in ascending order, and its update is the same single
+/// multiply-subtract per element, so a column's bits do not depend on the
+/// group it shares a pass with.
+template <std::size_t G>
+void reflect(const double* v, std::size_t len, double vnorm2,
+             double* const* col, const std::size_t* stride) {
+  double dot[G] = {};
+  const double* in[G];
+  for (std::size_t c = 0; c < G; ++c) in[c] = col[c];
+  for (std::size_t i = 0; i < len; ++i) {
+    const double vi = v[i];
+    for (std::size_t c = 0; c < G; ++c) {
+      dot[c] += vi * *in[c];
+      in[c] += stride[c];
+    }
+  }
+  double beta[G];
+  double* out[G];
+  for (std::size_t c = 0; c < G; ++c) {
+    beta[c] = 2.0 * dot[c] / vnorm2;
+    out[c] = col[c];
+  }
+  for (std::size_t i = 0; i < len; ++i) {
+    const double vi = v[i];  // read once: the stores below may alias v
+    for (std::size_t c = 0; c < G; ++c) {
+      *out[c] -= beta[c] * vi;
+      out[c] += stride[c];
+    }
+  }
+}
+
+}  // namespace
+
 void Matrix::qr_solve_into(Matrix& a, Matrix& rhs,
                            std::vector<double>& householder, Matrix& x) {
   if (rhs.rows_ != a.rows_) {
@@ -204,6 +243,7 @@ void Matrix::qr_solve_into(Matrix& a, Matrix& rhs,
   // Householder QR: triangularize [A | rhs] in place.
   const std::size_t m = a.rows_;
   const std::size_t n = a.cols_;
+  const std::size_t r = rhs.cols_;
   if (householder.size() < m) householder.resize(m);
   double* const v = householder.data();  // the reflector, v[0 .. m - k)
   for (std::size_t k = 0; k < n; ++k) {
@@ -219,21 +259,31 @@ void Matrix::qr_solve_into(Matrix& a, Matrix& rhs,
     double vnorm2 = 0.0;
     for (std::size_t i = 0; i < m - k; ++i) vnorm2 += v[i] * v[i];
     if (vnorm2 < 1e-28) continue;
-    auto apply = [&](Matrix& target, std::size_t col_begin, std::size_t col_end) {
-      for (std::size_t j = col_begin; j < col_end; ++j) {
-        double dot = 0.0;
-        for (std::size_t i = k; i < m; ++i) dot += v[i - k] * target(i, j);
-        const double beta = 2.0 * dot / vnorm2;
-        for (std::size_t i = k; i < m; ++i) target(i, j) -= beta * v[i - k];
+    // Columns k .. n - 1 of A, then every rhs column, four per row pass.
+    constexpr std::size_t kGroup = 4;
+    const std::size_t total = n - k + r;
+    for (std::size_t first = 0; first < total; first += kGroup) {
+      const std::size_t width = std::min(kGroup, total - first);
+      double* col[kGroup] = {};
+      std::size_t stride[kGroup] = {};
+      for (std::size_t c = 0; c < width; ++c) {
+        const std::size_t j = first + c;
+        const bool in_a = j < n - k;
+        col[c] = in_a ? &a(k, k + j) : &rhs(k, j - (n - k));
+        stride[c] = in_a ? n : r;
       }
-    };
-    apply(a, k, n);
-    apply(rhs, 0, rhs.cols_);
+      switch (width) {
+        case 1: reflect<1>(v, m - k, vnorm2, col, stride); break;
+        case 2: reflect<2>(v, m - k, vnorm2, col, stride); break;
+        case 3: reflect<3>(v, m - k, vnorm2, col, stride); break;
+        default: reflect<4>(v, m - k, vnorm2, col, stride); break;
+      }
+    }
   }
   // Back substitution on the upper-triangular part.
-  if (x.rows_ != n || x.cols_ != rhs.cols_) x = Matrix(n, rhs.cols_);
+  if (x.rows_ != n || x.cols_ != r) x = Matrix(n, r);
   for (std::size_t kk = n; kk-- > 0;) {
-    for (std::size_t j = 0; j < rhs.cols_; ++j) {
+    for (std::size_t j = 0; j < r; ++j) {
       double sum = rhs(kk, j);
       for (std::size_t i = kk + 1; i < n; ++i) sum -= a(kk, i) * x(i, j);
       x(kk, j) = sum / a(kk, kk);

@@ -96,6 +96,9 @@ class Matrix {
   /// (reshaped to a.cols() x rhs.cols() only if it has another shape), with
   /// `householder` as scratch for the reflector. Same arithmetic; allocates
   /// nothing once `x` has its shape and `householder` holds a.rows() values.
+  /// Each reflector reaches the columns of [a | rhs] four at a time, one row
+  /// pass summing their dot products side by side; every dot product still
+  /// adds its rows in ascending order from +0.0.
   static void qr_solve_into(Matrix& a, Matrix& rhs,
                             std::vector<double>& householder, Matrix& x);
 

@@ -107,8 +107,10 @@ TEST(Calibration, AlphaCSeedsInPlausibleRange) {
 TEST(Calibration, ExcitationSegmentsPerResource) {
   EXPECT_EQ(art().excitation_segments.size(), power::kResourceCount);
   for (const auto& seg : art().excitation_segments) {
-    EXPECT_GT(seg.temps_c.size(), 1000u);
-    EXPECT_EQ(seg.temps_c.size(), seg.powers_w.size());
+    EXPECT_EQ(seg.width, default_platform()->floorplan.sensor_nodes.size());
+    EXPECT_GT(seg.rows(), 1000u);
+    EXPECT_EQ(seg.temps_c.size(), seg.rows() * seg.width);
+    EXPECT_EQ(seg.powers_w.size(), seg.rows() * power::kResourceCount);
   }
 }
 
@@ -118,9 +120,10 @@ TEST(Calibration, BigExcitationSpansPaperPowerRange) {
       art().excitation_segments[power::resource_index(power::Resource::kBigCluster)];
   double p_min = 1e9, p_max = 0.0;
   const std::size_t big = power::resource_index(power::Resource::kBigCluster);
-  for (const auto& p : seg.powers_w) {
-    p_min = std::min(p_min, p[big]);
-    p_max = std::max(p_max, p[big]);
+  for (std::size_t k = 0; k < seg.rows(); ++k) {
+    const double p = seg.powers_w[k * power::kResourceCount + big];
+    p_min = std::min(p_min, p);
+    p_max = std::max(p_max, p);
   }
   EXPECT_LT(p_min, 1.3);
   EXPECT_GT(p_max, 2.3);
@@ -216,6 +219,54 @@ TEST(CalibrationOptions, RejectsZeroPrbsHold) {
   expect_rejected(options, "prbs_hold_intervals");
 }
 
+TEST(CalibrationOptions, DecimalFurnaceWindowCountsWholeIntervals) {
+  // 0.3 / 0.1 is 2.9999999999999996 in doubles: a truncated count recorded
+  // two samples per setpoint instead of three.
+  CalibrationOptions options = quick_options();
+  options.furnace_sample_s = 0.3;
+  const CalibrationArtifacts a = calibrate_platform_full(options);
+  for (power::Resource r : power::all_resources()) {
+    const std::size_t points = r == power::Resource::kMem ? 1 : 2;
+    EXPECT_EQ(a.furnace_samples[power::resource_index(r)].size(),
+              3 * points * options.furnace_temps_c.size())
+        << power::to_string(r);
+  }
+}
+
+TEST(CalibrationOptions, DecimalPrbsWarmupSkipsWholeIntervals) {
+  // A 0.3 s warmup skips three intervals, so each recording starts at the
+  // fourth row of the same run recorded without a warmup.
+  CalibrationOptions no_warmup = quick_options();
+  no_warmup.prbs_warmup_s = 0.0;
+  no_warmup.prbs_duration_s = 3.0;
+  CalibrationOptions warmup = no_warmup;
+  warmup.prbs_warmup_s = 0.3;
+  const CalibrationArtifacts from_start = calibrate_platform_full(no_warmup);
+  const CalibrationArtifacts skipped = calibrate_platform_full(warmup);
+  constexpr std::size_t kSkip = 3;
+  constexpr std::size_t kP = power::kResourceCount;
+  for (std::size_t i = 0; i < kP; ++i) {
+    const sysid::TraceSegment& a = from_start.excitation_segments[i];
+    const sysid::TraceSegment& b = skipped.excitation_segments[i];
+    // 30 recorded intervals plus the closing temperature row.
+    ASSERT_EQ(a.rows(), 31u);
+    ASSERT_EQ(b.rows(), 31u);
+    const std::size_t w = a.width;
+    for (std::size_t k = 0; k + kSkip < a.rows(); ++k) {
+      for (std::size_t j = 0; j < w; ++j) {
+        EXPECT_EQ(b.temps_c[k * w + j], a.temps_c[(k + kSkip) * w + j])
+            << "segment " << i << " row " << k;
+      }
+      // The closing row repeats the last interval's powers; skip it.
+      if (k + kSkip + 1 == a.rows()) continue;
+      for (std::size_t j = 0; j < kP; ++j) {
+        EXPECT_EQ(b.powers_w[k * kP + j], a.powers_w[(k + kSkip) * kP + j])
+            << "segment " << i << " row " << k;
+      }
+    }
+  }
+}
+
 TEST(Calibration, FailingFurnaceSetpointRaisesTheFirstSerialError) {
   // Every resource's furnace stage runs away at 400 C, each with its own
   // residual. The caller must see the big cluster's error -- the one the
@@ -261,11 +312,14 @@ struct Fnv1a {
     std::memcpy(&bits, &value, sizeof bits);
     add(bits);
   }
-  void add(const std::vector<std::vector<double>>& rows) {
-    add(std::uint64_t(rows.size()));
-    for (const auto& row : rows) {
-      add(std::uint64_t(row.size()));
-      for (double v : row) add(v);
+  /// A flat row-major table of `width` columns, hashed as its row count,
+  /// then each row's width and values.
+  void add(const std::vector<double>& flat, std::size_t width) {
+    const std::size_t rows = flat.size() / width;
+    add(std::uint64_t(rows));
+    for (std::size_t k = 0; k < rows; ++k) {
+      add(std::uint64_t(width));
+      for (std::size_t j = 0; j < width; ++j) add(flat[k * width + j]);
     }
   }
 };
@@ -279,8 +333,8 @@ std::string hex64(std::uint64_t value) {
 std::string golden_text(const CalibrationArtifacts& a) {
   Fnv1a excitation;
   for (const auto& seg : a.excitation_segments) {
-    excitation.add(seg.temps_c);
-    excitation.add(seg.powers_w);
+    excitation.add(seg.temps_c, seg.width);
+    excitation.add(seg.powers_w, power::kResourceCount);
   }
   Fnv1a furnace;
   for (const auto& samples : a.furnace_samples) {

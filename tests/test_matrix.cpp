@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -199,6 +201,147 @@ TEST(Matrix, MaxAbsAndNorm) {
   Matrix a{{3, -4}};
   EXPECT_EQ(a.max_abs(), 4.0);
   EXPECT_NEAR(a.frobenius_norm(), 5.0, 1e-12);
+}
+
+// --- Householder QR against the per-column reference ----------------------
+
+/// The per-column Householder solve qr_solve_into replaced, kept verbatim as
+/// the bit-identity oracle: each reflector is applied to one column of
+/// [a | rhs] at a time, its dot product summed over the rows in one serial
+/// chain.
+void per_column_qr_solve(Matrix& a, Matrix& rhs, std::vector<double>& householder,
+                         Matrix& x) {
+  if (rhs.rows() != a.rows()) {
+    throw std::invalid_argument("Matrix::least_squares: rhs mismatch");
+  }
+  if (a.rows() < a.cols()) {
+    throw std::invalid_argument("Matrix::least_squares: underdetermined");
+  }
+  const std::size_t m = a.rows();
+  const std::size_t n = a.cols();
+  if (householder.size() < m) householder.resize(m);
+  double* const v = householder.data();
+  for (std::size_t k = 0; k < n; ++k) {
+    double norm = 0.0;
+    for (std::size_t i = k; i < m; ++i) norm += a(i, k) * a(i, k);
+    norm = std::sqrt(norm);
+    if (norm < 1e-14) {
+      throw std::runtime_error("Matrix::least_squares: rank deficient");
+    }
+    const double alpha = a(k, k) >= 0 ? -norm : norm;
+    v[0] = a(k, k) - alpha;
+    for (std::size_t i = k + 1; i < m; ++i) v[i - k] = a(i, k);
+    double vnorm2 = 0.0;
+    for (std::size_t i = 0; i < m - k; ++i) vnorm2 += v[i] * v[i];
+    if (vnorm2 < 1e-28) continue;
+    auto apply = [&](Matrix& target, std::size_t col_begin, std::size_t col_end) {
+      for (std::size_t j = col_begin; j < col_end; ++j) {
+        double dot = 0.0;
+        for (std::size_t i = k; i < m; ++i) dot += v[i - k] * target(i, j);
+        const double beta = 2.0 * dot / vnorm2;
+        for (std::size_t i = k; i < m; ++i) target(i, j) -= beta * v[i - k];
+      }
+    };
+    apply(a, k, n);
+    apply(rhs, 0, rhs.cols());
+  }
+  if (x.rows() != n || x.cols() != rhs.cols()) x = Matrix(n, rhs.cols());
+  for (std::size_t kk = n; kk-- > 0;) {
+    for (std::size_t j = 0; j < rhs.cols(); ++j) {
+      double sum = rhs(kk, j);
+      for (std::size_t i = kk + 1; i < n; ++i) sum -= a(kk, i) * x(i, j);
+      x(kk, j) = sum / a(kk, kk);
+    }
+  }
+}
+
+bool same_bits(const Matrix& a, const Matrix& b) {
+  if (!a.same_shape(b)) return false;
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      const double x = a(i, j);
+      const double y = b(i, j);
+      if (std::memcmp(&x, &y, sizeof x) != 0) return false;
+    }
+  }
+  return true;
+}
+
+/// A random `rows` x `cols` system with `rhs_cols` right-hand sides; with
+/// `ridge`, its last `cols` rows are sqrt(ridge) * I against zero targets,
+/// as fit_thermal_model and fit_leakage append them.
+void random_system(Rng& rng, std::size_t rows, std::size_t cols,
+                   std::size_t rhs_cols, bool ridge, Matrix& a, Matrix& rhs) {
+  a = Matrix(rows, cols);
+  rhs = Matrix(rows, rhs_cols);
+  const std::size_t data_rows = ridge ? rows - cols : rows;
+  for (std::size_t i = 0; i < data_rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) a(i, j) = rng.gaussian(0.0, 3.0);
+    for (std::size_t j = 0; j < rhs_cols; ++j) rhs(i, j) = rng.uniform(-5.0, 5.0);
+  }
+  if (ridge) {
+    for (std::size_t j = 0; j < cols; ++j) a(data_rows + j, j) = std::sqrt(1e-8);
+  }
+}
+
+/// Solves one system with both kernels and requires the same bits in the
+/// solution and in the triangularized [a | rhs].
+void expect_matches_oracle(const Matrix& a0, const Matrix& rhs0) {
+  Matrix a = a0, rhs = rhs0, x;
+  Matrix ref_a = a0, ref_rhs = rhs0, ref_x;
+  std::vector<double> scratch, ref_scratch;
+  Matrix::qr_solve_into(a, rhs, scratch, x);
+  per_column_qr_solve(ref_a, ref_rhs, ref_scratch, ref_x);
+  EXPECT_TRUE(same_bits(x, ref_x));
+  EXPECT_TRUE(same_bits(a, ref_a));
+  EXPECT_TRUE(same_bits(rhs, ref_rhs));
+}
+
+TEST(MatrixQr, RandomTallSystemsMatchPerColumnOracleBitForBit) {
+  // 1-13 columns and 1-5 right-hand sides: every remainder of the column
+  // groups, and groups that straddle a and rhs.
+  Rng rng(2024);
+  Matrix a, rhs;
+  for (std::size_t cols = 1; cols <= 13; ++cols) {
+    for (std::size_t rhs_cols = 1; rhs_cols <= 5; ++rhs_cols) {
+      for (bool ridge : {false, true}) {
+        const std::size_t rows =
+            cols + (ridge ? cols : 0) + std::size_t(rng.uniform_int(1, 60));
+        random_system(rng, rows, cols, rhs_cols, ridge, a, rhs);
+        SCOPED_TRACE(testing::Message() << rows << " x " << cols << " + "
+                                        << rhs_cols << (ridge ? " ridge" : ""));
+        expect_matches_oracle(a, rhs);
+      }
+    }
+  }
+}
+
+TEST(MatrixQr, ArxAndLeakageFitShapesMatchPerColumnOracleBitForBit) {
+  Rng rng(7);
+  Matrix a, rhs;
+  // One calibration's ARX system: 4 x 2400 regression pairs plus 8 ridge
+  // rows, 4 temperature and 4 power regressors, 4 targets.
+  random_system(rng, 9608, 8, 4, true, a, rhs);
+  expect_matches_oracle(a, rhs);
+  // One leakage-fit solve: 500 furnace samples plus 3 ridge rows.
+  random_system(rng, 503, 3, 1, true, a, rhs);
+  expect_matches_oracle(a, rhs);
+}
+
+TEST(MatrixQr, RankDeficientAndUnderdeterminedStillThrow) {
+  Rng rng(3);
+  Matrix a, rhs, x;
+  std::vector<double> scratch;
+  random_system(rng, 40, 6, 2, false, a, rhs);
+  for (std::size_t i = 0; i < a.rows(); ++i) a(i, 4) = 0.0;
+  EXPECT_THROW(Matrix::qr_solve_into(a, rhs, scratch, x), std::runtime_error);
+  random_system(rng, 5, 6, 2, false, a, rhs);
+  EXPECT_THROW(Matrix::qr_solve_into(a, rhs, scratch, x),
+               std::invalid_argument);
+  Matrix short_rhs(4, 2);
+  random_system(rng, 40, 6, 2, false, a, rhs);
+  EXPECT_THROW(Matrix::qr_solve_into(a, short_rhs, scratch, x),
+               std::invalid_argument);
 }
 
 // Property sweep: random diagonally dominant systems solve and verify Ax == b.

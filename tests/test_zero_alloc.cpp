@@ -23,6 +23,7 @@
 #include "sim/engine.hpp"
 #include "sim/simulation.hpp"
 #include "sysid/leakage_fit.hpp"
+#include "util/matrix.hpp"
 #include "util/rng.hpp"
 #include "workload/benchmark.hpp"
 
@@ -211,6 +212,36 @@ TEST(ZeroAllocation, LeakageFitSearchAllocatesNothing) {
   };
   EXPECT_EQ(allocations(80), allocations(1))
       << "a solve of fit_leakage's golden-section search heap-allocated";
+}
+
+/// Calibration's ARX-shaped least-squares solve (9,600 regression pairs
+/// plus 8 ridge rows, 8 regressors, 4 targets): once `x` has its shape and
+/// the reflector scratch its length, a solve on reused buffers allocates
+/// nothing.
+TEST(ZeroAllocation, ArxShapedQrSolveOnReusedBuffersAllocatesNothing) {
+  util::Rng rng(5);
+  util::Matrix a0(9608, 8);
+  util::Matrix rhs0(9608, 4);
+  for (std::size_t i = 0; i < 9600; ++i) {
+    for (std::size_t j = 0; j < 8; ++j) a0(i, j) = rng.gaussian(0.0, 3.0);
+    for (std::size_t j = 0; j < 4; ++j) rhs0(i, j) = rng.uniform(-5.0, 5.0);
+  }
+  for (std::size_t j = 0; j < 8; ++j) a0(9600 + j, j) = 1e-4;
+  util::Matrix a = a0;
+  util::Matrix rhs = rhs0;
+  util::Matrix x;
+  std::vector<double> householder;
+  util::Matrix::qr_solve_into(a, rhs, householder, x);
+  const util::Matrix first = x;
+  a = a0;
+  rhs = rhs0;
+  g_alloc_count.store(0);
+  g_counting.store(true);
+  util::Matrix::qr_solve_into(a, rhs, householder, x);
+  g_counting.store(false);
+  EXPECT_EQ(g_alloc_count.load(), 0u)
+      << "a second same-shape QR solve heap-allocated";
+  EXPECT_TRUE(x.approx_equal(first, 0.0));
 }
 
 }  // namespace
